@@ -12,25 +12,26 @@ from .clustering import (Cluster, ClusterParams, ClusterPlan, ClusterReach,
                          DegenerateMeanError, center_offset, circular_mean, cluster_points,
                          order_clusters, reachability_report)
 from .geometry import (DegeneratePositionError, HoleFrame, PartModel, Pose, Waypoint,
-                       generate_waypoint, generate_waypoints, hemisphere_layout,
-                       load_part_layout, save_part_layout, turntable_angle)
+                       Waypoints, as_waypoints, generate_waypoint, generate_waypoints,
+                       hemisphere_layout, load_part_layout, save_part_layout, turntable_angle)
 from .metrics import (BenchmarkReport, CellModel, benchmark, estimate_execution_time,
                       ssp_distance, write_report_csv)
 from .sequencing import (DistanceMatrix, InstanceTooLargeError, Plan, Sequence,
                          baseline_angle_sequence, clustering_only, distance_matrix,
-                         full_pipeline, greedy_sequence, greedy_sequence_masked,
-                         optimal_sequence, plan_records, plan_waypoints, save_plan)
+                         full_pipeline, greedy_chain, greedy_sequence, optimal_sequence,
+                         plan_records, plan_waypoints, save_plan)
 
 __all__ = [
     "TWO_PI", "wrap_angle", "forward_delta", "circular_separation",
-    "Pose", "HoleFrame", "Waypoint", "PartModel", "DegeneratePositionError",
+    "Pose", "HoleFrame", "Waypoint", "Waypoints", "as_waypoints", "PartModel",
+    "DegeneratePositionError",
     "generate_waypoint", "generate_waypoints", "turntable_angle", "hemisphere_layout",
     "save_part_layout", "load_part_layout",
     "Cluster", "ClusterPlan", "ClusterParams", "ClusterReach", "DegenerateMeanError",
     "circular_mean", "cluster_points", "order_clusters", "center_offset",
     "reachability_report",
     "DistanceMatrix", "Sequence", "Plan", "InstanceTooLargeError",
-    "distance_matrix", "greedy_sequence", "greedy_sequence_masked", "optimal_sequence",
+    "distance_matrix", "greedy_sequence", "greedy_chain", "optimal_sequence",
     "baseline_angle_sequence", "plan_waypoints", "full_pipeline", "clustering_only",
     "plan_records", "save_plan",
     "CellModel", "BenchmarkReport", "ssp_distance", "estimate_execution_time",

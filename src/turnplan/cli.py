@@ -80,7 +80,7 @@ def cmd_plan(args) -> int:
     save_plan(plan, waypoints, args.out)
     summary = {
         "n": plan.n_points,
-        "ssp_distance_m": ssp_distance(plan, [w.pose.position for w in waypoints]),
+        "ssp_distance_m": ssp_distance(plan, waypoints.positions),
         "total_rotation_rad": plan.cluster_plan.total_rotation,
         "planning_time_s": planning_time,
     }

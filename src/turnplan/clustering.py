@@ -179,24 +179,30 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
 
     rng = np.random.default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
+    diff = np.empty((n, k, 3))
     prev_assign = None
     for _ in range(params.max_iterations):
-        diff = points[:, None, :] - centroids[None, :, :]
+        for axis in range(3):
+            np.subtract(points[:, axis, None], centroids[:, axis], out=diff[:, :, axis])
+        # einsum, not a hand-written x + y + z: its 3-term sum rounds in its own
+        # order, and the assignments must not move by a last-bit difference
         dist2 = np.einsum("ijk,ijk->ij", diff, diff)
         assign = dist2.argmin(axis=1)  # ties go to the lowest cluster index
         assign = _fix_empty_clusters(assign, dist2, k)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        centroids = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
+        # bincount sums each cluster's members in index order, so the centroid
+        # is bitwise equal to points[assign == j].mean(axis=0)
+        counts = np.bincount(assign, minlength=k)
+        centroids = np.column_stack([np.bincount(assign, weights=points[:, axis], minlength=k)
+                                     for axis in range(3)]) / counts[:, None]
 
-    clusters = []
-    for j in range(k):
-        members = np.flatnonzero(assign == j)
-        clusters.append(Cluster(members=tuple(int(i) for i in members),
-                                centroid=centroids[j],
-                                mean_angle=_member_mean_angle(angle_arr, members)))
-    return clusters
+    members = np.split(np.argsort(assign, kind="stable"),
+                       np.cumsum(np.bincount(assign, minlength=k))[:-1])
+    return [Cluster(members=m.tolist(), centroid=centroids[j],
+                    mean_angle=_member_mean_angle(angle_arr, m))
+            for j, m in enumerate(members)]
 
 
 def order_clusters(clusters, start_angle: float) -> ClusterPlan:

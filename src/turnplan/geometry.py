@@ -141,24 +141,102 @@ class PartModel:
 _DEFAULT_PART = PartModel()
 
 
+@dataclass(frozen=True, eq=False)
+class Waypoints:
+    """Read-only waypoint arrays: positions (N, 3), orientations (N, 4) and table angles (N,).
+
+    Indexing and iteration yield `Waypoint` views, so per-hole callers keep
+    working; the planners read the arrays directly.
+    """
+
+    positions: np.ndarray
+    orientations: np.ndarray
+    table_angles: np.ndarray
+
+    def __post_init__(self):
+        positions = np.array(self.positions, dtype=float)
+        quats = np.array(self.orientations, dtype=float)
+        angles = np.array(self.table_angles, dtype=float)
+        n = len(angles)
+        if angles.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
+            raise ValueError(f"need (N, 3) positions, (N, 4) orientations and (N,) angles, got "
+                             f"{positions.shape}, {quats.shape} and {angles.shape}")
+        if not np.all(np.isfinite(positions)):
+            raise ValueError("positions must be finite")
+        if np.any(np.abs(np.linalg.norm(quats, axis=1) - 1.0) > UNIT_TOL):
+            raise ValueError("orientations must be unit quaternions")
+        if not np.all((angles >= 0.0) & (angles < 2.0 * math.pi)):
+            raise ValueError("table angles must lie in [0, 2*pi)")
+        object.__setattr__(self, "positions", _freeze(positions))
+        object.__setattr__(self, "orientations", _freeze(quats))
+        object.__setattr__(self, "table_angles", _freeze(angles))
+
+    def __len__(self) -> int:
+        return len(self.table_angles)
+
+    def __getitem__(self, index: int) -> Waypoint:
+        return Waypoint(pose=Pose(position=self.positions[index],
+                                  orientation=self.orientations[index]),
+                        table_angle=self.table_angles[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def as_waypoints(waypoints) -> Waypoints:
+    """The bundle itself, or a bundle stacked from an iterable of `Waypoint`s."""
+    if isinstance(waypoints, Waypoints):
+        return waypoints
+    items = list(waypoints)
+    return Waypoints(
+        positions=np.array([w.pose.position for w in items]).reshape(len(items), 3),
+        orientations=np.array([w.pose.orientation for w in items]).reshape(len(items), 4),
+        table_angles=[w.table_angle for w in items])
+
+
+def _angle_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit in-plane reference and binormal: +x projected, or +y when the axis is parallel to +x."""
+    ref = _X - (_X @ axis) * axis
+    if np.linalg.norm(ref) <= AXIS_RADIUS_TOL:
+        ref = _Y - (_Y @ axis) * axis
+    ref = ref / np.linalg.norm(ref)
+    return ref, np.cross(axis, ref)
+
+
+def _dot3(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # an explicit left-to-right sum, the same on every CPU; `@` goes through
+    # BLAS, which may fuse multiply-adds and so round differently by machine
+    return v[:, 0] * u[0] + v[:, 1] * u[1] + v[:, 2] * u[2]
+
+
+def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[list[float], np.ndarray]:
+    """Angles of (N, 3) positions about the turntable axis, and which points lie on the axis.
+
+    On-axis points (in-plane radius <= AXIS_RADIUS_TOL) get angle 0.0.
+    """
+    axis = part.turntable_axis
+    v = positions - part.turntable_center
+    in_plane = v - _dot3(v, axis)[:, None] * axis
+    on_axis = np.linalg.norm(in_plane, axis=1) <= AXIS_RADIUS_TOL
+    ref, binormal = _angle_basis(axis)
+    # math.atan2, not np.arctan2: numpy's vectorized arctan2 differs from libm
+    # in the last bit for some inputs, and that would change plans
+    angles = [0.0 if flag else wrap_angle(math.atan2(y, x))
+              for flag, y, x in zip(on_axis.tolist(), _dot3(v, binormal).tolist(),
+                                    _dot3(v, ref).tolist())]
+    return angles, on_axis
+
+
 def turntable_angle(position, part: PartModel) -> float:
     """Angle of `position` about the turntable axis, counter-clockwise from +x, in [0, 2*pi).
 
     Raises DegeneratePositionError if the point lies on the axis (in-plane
     radius <= 1e-9), where the angle is undefined.
     """
-    pos = _as_vector3(position, "position")
-    axis = part.turntable_axis
-    v = pos - part.turntable_center
-    v_plane = v - (v @ axis) * axis
-    if np.linalg.norm(v_plane) <= AXIS_RADIUS_TOL:
+    angles, on_axis = _table_angles(_as_vector3(position, "position")[None, :], part)
+    if on_axis[0]:
         raise DegeneratePositionError("position lies on the turntable axis; angle undefined")
-    ref = _X - (_X @ axis) * axis
-    if np.linalg.norm(ref) <= AXIS_RADIUS_TOL:  # axis parallel to +x: fall back to +y
-        ref = _Y - (_Y @ axis) * axis
-    ref = ref / np.linalg.norm(ref)
-    binormal = np.cross(axis, ref)
-    return wrap_angle(math.atan2(float(v @ binormal), float(v @ ref)))
+    return angles[0]
 
 
 def _rot_x(angle: float) -> np.ndarray:
@@ -166,17 +244,21 @@ def _rot_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _quat_wxyz_from_matrix(matrix: np.ndarray) -> np.ndarray:
-    x, y, z, w = Rotation.from_matrix(matrix).as_quat()
-    quat = np.array([w, x, y, z])
+def _waypoints_from_frames(frames: np.ndarray, origins: np.ndarray, standoff: float,
+                           attack: float, part: PartModel) -> Waypoints:
+    """The waypoint kernel: (N, 3, 3) frame rotations and (N, 3) origins in one pass."""
+    if standoff < 0.0:
+        raise ValueError(f"standoff must be >= 0, got {standoff!r}")
+    # a stacked matmul runs the same 3x3 product per frame as a single-frame `@`
+    rotated = frames @ _rot_x(attack)
+    positions = origins + standoff * rotated[:, :, 1]
+    quats = Rotation.from_matrix(rotated).as_quat()[:, [3, 0, 1, 2]]  # (w, x, y, z)
     # canonical sign: first nonzero component positive, so equal rotations
     # serialize identically
-    for component in quat:
-        if component != 0.0:
-            if component < 0.0:
-                quat = -quat
-            break
-    return quat
+    first = quats[np.arange(len(quats)), (quats != 0.0).argmax(axis=1)]
+    quats[first < 0.0] *= -1.0
+    angles, _ = _table_angles(positions, part)
+    return Waypoints(positions=positions, orientations=quats, table_angles=angles)
 
 
 def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
@@ -191,25 +273,19 @@ def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
     A waypoint that lands exactly on the turntable axis gets table angle 0.0:
     such a point is presented to the robot at every table rotation.
     """
-    if standoff < 0.0:
-        raise ValueError(f"standoff must be >= 0, got {standoff!r}")
-    if part is None:
-        part = _DEFAULT_PART
-    rotated = hole.rotation_matrix() @ _rot_x(attack)
-    position = hole.origin + standoff * rotated[:, 1]
-    pose = Pose(position=position, orientation=_quat_wxyz_from_matrix(rotated))
-    try:
-        angle = turntable_angle(position, part)
-    except DegeneratePositionError:
-        angle = 0.0
-    return Waypoint(pose=pose, table_angle=angle)
+    return _waypoints_from_frames(hole.rotation_matrix()[None], hole.origin[None], standoff,
+                                  attack, _DEFAULT_PART if part is None else part)[0]
 
 
-def generate_waypoints(part: PartModel, standoff: float, attack: float) -> list[Waypoint]:
-    """Waypoints for every hole of the part, in hole order."""
+def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypoints:
+    """Waypoints for every hole of the part, in hole order, as one bundle."""
     if not part.holes:
         raise ValueError("part has no holes")
-    return [generate_waypoint(hole, standoff, attack, part) for hole in part.holes]
+    # columns are the frame axes, as in HoleFrame.rotation_matrix()
+    frames = np.stack([np.array([getattr(h, name) for h in part.holes])
+                       for name in ("x_axis", "y_axis", "z_axis")], axis=2)
+    origins = np.array([h.origin for h in part.holes])
+    return _waypoints_from_frames(frames, origins, standoff, attack, part)
 
 
 def _frame_from_outward_y(y_axis: np.ndarray, roll: float) -> tuple[np.ndarray, np.ndarray]:
@@ -280,17 +356,25 @@ def save_part_layout(part: PartModel, path: str | os.PathLike) -> None:
 
 
 def load_part_layout(path: str | os.PathLike) -> PartModel:
-    """Load a part layout written by save_part_layout, revalidating every frame."""
+    """Load a part layout written by save_part_layout, revalidating every frame.
+
+    Malformed documents (missing fields, wrong JSON types, invalid frames)
+    raise ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"layout file {path} must hold a JSON object, got {type(doc).__name__}")
     try:
-        holes = tuple(
-            HoleFrame(origin=h["origin"], x_axis=h["x_axis"],
-                      y_axis=h["y_axis"], z_axis=h["z_axis"])
-            for h in doc["holes"]
-        )
-        return PartModel(holes=holes,
+        holes = doc["holes"]
+        if not isinstance(holes, list) or not all(isinstance(h, dict) for h in holes):
+            raise ValueError(f"layout file {path}: holes must be a list of objects")
+        return PartModel(holes=tuple(HoleFrame(origin=h["origin"], x_axis=h["x_axis"],
+                                               y_axis=h["y_axis"], z_axis=h["z_axis"])
+                                     for h in holes),
                          turntable_axis=doc["turntable_axis"],
                          turntable_center=doc["turntable_center"])
     except KeyError as exc:
         raise ValueError(f"layout file {path} is missing field {exc}") from exc
+    except TypeError as exc:  # e.g. an object where a 3-vector belongs
+        raise ValueError(f"layout file {path} has a field of the wrong type: {exc}") from exc

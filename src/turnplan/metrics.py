@@ -132,7 +132,7 @@ def benchmark(algorithm, part: PartModel, config, trials: int) -> list[Benchmark
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(PLANNERS)}")
         plan_fn, name = PLANNERS[algorithm], algorithm
 
-    positions = [w.pose.position for w in generate_waypoints(part, config.standoff, config.attack)]
+    positions = generate_waypoints(part, config.standoff, config.attack).positions
     reports = []
     for trial in range(trials):
         seed = config.base_seed + trial

@@ -16,10 +16,7 @@ import numpy as np
 
 from .angles import TWO_PI, forward_delta, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
-from .geometry import PartModel, generate_waypoints
-
-# Sentinel written over edges into visited points in the masked-matrix mode.
-MASKED = math.inf
+from .geometry import PartModel, as_waypoints, generate_waypoints
 
 # Exact search is capped here; beyond this the subset table gets unwieldy.
 EXACT_SEARCH_MAX_POINTS = 12
@@ -76,44 +73,49 @@ def distance_matrix(positions) -> DistanceMatrix:
     return DistanceMatrix(n=len(pts), d=np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
 
 
-def greedy_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
-    """Nearest-neighbor chain from `start`; ties go to the lowest index."""
-    n = m.n
+def _nearest_neighbor_chain(n: int, start: int, row) -> Sequence:
+    """Greedy chain from `start`; `row(current)` gives the distances from `current`
+    with every visited point (current included) at inf. Ties go to the lowest index."""
     if not 0 <= start < n:
         raise ValueError(f"start must lie in [0, {n}), got {start!r}")
-    unvisited = np.ones(n, dtype=bool)
-    unvisited[start] = False
     order = [start]
     current = start
     for _ in range(n - 1):
-        row = np.where(unvisited, m.d[current], np.inf)
-        current = int(row.argmin())
+        current = int(row(current).argmin())
+        order.append(current)
+    return Sequence(tuple(order))
+
+
+def greedy_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
+    """Nearest-neighbor chain over a distance matrix from `start`; ties go to the lowest index."""
+    unvisited = np.ones(m.n, dtype=bool)
+
+    def row(current: int) -> np.ndarray:
         unvisited[current] = False
-        order.append(current)
-    return Sequence(tuple(order))
+        return np.where(unvisited, m.d[current], np.inf)
+
+    return _nearest_neighbor_chain(m.n, start, row)
 
 
-def greedy_sequence_masked(m: DistanceMatrix, start: int = 0) -> Sequence:
-    """Sentinel-masking variant of greedy_sequence.
+def greedy_chain(positions, start: int = 0) -> Sequence:
+    """The nearest-neighbor chain of greedy_sequence(distance_matrix(positions)), matrix-free.
 
-    Works on a copy of the matrix: the diagonal and the start column are
-    overwritten with a sentinel, then every chosen point's column is masked so
-    no later step can lead back into it. Kept as an equivalence check against
-    the visited-set implementation; outputs are identical.
+    Each step computes one row of distances, so memory is O(n) rather than
+    O(n^2). Visited points are overwritten with inf in a private copy.
     """
-    n = m.n
-    if not 0 <= start < n:
-        raise ValueError(f"start must lie in [0, {n}), got {start!r}")
-    masked = m.d.copy()
-    np.fill_diagonal(masked, MASKED)
-    masked[:, start] = MASKED
-    order = [start]
-    current = start
-    while len(order) < n:
-        current = int(masked[current].argmin())
-        masked[:, current] = MASKED
-        order.append(current)
-    return Sequence(tuple(order))
+    pts = np.array(positions, dtype=float).reshape(-1, 3)
+    diff = np.empty_like(pts)
+    dist = np.empty(len(pts))
+
+    def row(current: int) -> np.ndarray:
+        here = pts[current].copy()
+        pts[current] = np.inf
+        np.subtract(here, pts, out=diff)
+        # the same einsum as distance_matrix, so each row is bitwise equal to its row
+        np.einsum("ij,ij->i", diff, diff, out=dist)
+        return np.sqrt(dist, out=dist)
+
+    return _nearest_neighbor_chain(len(pts), start, row)
 
 
 def optimal_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
@@ -209,16 +211,15 @@ def baseline_angle_sequence(waypoints, groups: int = 5, start_angle: float = 0.0
     angular order from `start_angle`, input order kept within each sector. The
     rotation schedule steps between successive sector centers. Deterministic.
     """
-    waypoints = list(waypoints)
-    if not waypoints:
+    waypoints = as_waypoints(waypoints)
+    if not len(waypoints):
         raise ValueError("no waypoints to sequence")
     if groups < 1:
         raise ValueError(f"groups must be >= 1, got {groups!r}")
     width = TWO_PI / groups
     bins: list[list[int]] = [[] for _ in range(groups)]
-    for index, waypoint in enumerate(waypoints):
-        sector = min(int(waypoint.table_angle // width), groups - 1)
-        bins[sector].append(index)
+    for index, angle in enumerate(waypoints.table_angles.tolist()):
+        bins[min(int(angle // width), groups - 1)].append(index)
     # serve sectors ascending by center angle from the start; ordering by the
     # sector start instead can exceed one revolution when the start angle sits
     # in a sector's second half
@@ -231,8 +232,8 @@ def baseline_angle_sequence(waypoints, groups: int = 5, start_angle: float = 0.0
         members = bins[sector]
         if not members:
             continue
-        positions = np.array([waypoints[i].pose.position for i in members])
-        clusters.append(Cluster(members=tuple(members), centroid=positions.mean(axis=0),
+        clusters.append(Cluster(members=tuple(members),
+                                centroid=waypoints.positions[members].mean(axis=0),
                                 mean_angle=centers[sector]))
         deltas.append(forward_delta(previous, centers[sector]))
         previous = centers[sector]
@@ -252,32 +253,30 @@ def plan_waypoints(waypoints, params: ClusterParams, robot_center_angle: float =
     of the previous cluster (the robot home for the first); "first" starts at
     the lowest-index member.
     """
-    waypoints = list(waypoints)
-    if not waypoints:
+    waypoints = as_waypoints(waypoints)
+    if not len(waypoints):
         raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
     if start_mode not in ("nearest", "first"):
         raise ValueError(f"unknown start_mode {start_mode!r}")
-    positions = np.array([w.pose.position for w in waypoints])
-    angles = [w.table_angle for w in waypoints]
-    clusters = cluster_points(positions, params, angles=angles)
+    positions = waypoints.positions
+    clusters = cluster_points(positions, params, angles=waypoints.table_angles)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
 
     previous_pos = np.zeros(3) if robot_home is None else np.asarray(robot_home, dtype=float)
     sequences = []
     for cluster in cluster_plan.clusters:
-        members = list(cluster.members)
+        members = cluster.members
         if within_cluster == "input" or len(members) == 1:
             seq = members
         else:
-            local_pts = positions[members]
+            local_pts = positions[list(members)]
             if start_mode == "nearest":
                 local_start = int(np.linalg.norm(local_pts - previous_pos, axis=1).argmin())
             else:
                 local_start = 0
-            local_order = greedy_sequence(distance_matrix(local_pts), start=local_start)
-            seq = [members[i] for i in local_order.order]
+            seq = [members[i] for i in greedy_chain(local_pts, start=local_start).order]
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)
@@ -308,17 +307,18 @@ def plan_records(plan: Plan, waypoints) -> list[dict]:
     that waypoint: the cluster's delta for the first point of each cluster,
     zero otherwise.
     """
-    waypoints = list(waypoints)
+    waypoints = as_waypoints(waypoints)
+    positions = waypoints.positions.tolist()
+    angles = waypoints.table_angles.tolist()
     records = []
     for cluster_index, (sequence, delta) in enumerate(
             zip(plan.sequences, plan.cluster_plan.rotation_deltas)):
         for position_in_cluster, waypoint_index in enumerate(sequence):
-            waypoint = waypoints[waypoint_index]
             records.append({
                 "waypoint_index": waypoint_index,
                 "cluster_index": cluster_index,
-                "position": [float(v) for v in waypoint.pose.position],
-                "table_angle": float(waypoint.table_angle),
+                "position": positions[waypoint_index],
+                "table_angle": angles[waypoint_index],
                 "rotation_before": float(delta) if position_in_cluster == 0 else 0.0,
             })
     return records

@@ -84,6 +84,22 @@ def test_plan_missing_layout_fails_cleanly(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"holes": 5, "turntable_axis": [0, 0, 1], "turntable_center": [0, 0, 0]},
+    [{"origin": [0, 0, 0]}],
+    {"holes": [{"origin": {"x": 0}, "x_axis": [1, 0, 0], "y_axis": [0, 1, 0],
+                "z_axis": [0, 0, 1]}],
+     "turntable_axis": [0, 0, 1], "turntable_center": [0, 0, 0]},
+], ids=["holes-not-a-list", "top-level-list", "origin-not-a-vector"])
+def test_plan_wrong_typed_layout_fails_cleanly(tmp_path, capsys, doc):
+    layout = tmp_path / "bad.json"
+    layout.write_text(json.dumps(doc))
+    code = main(["plan", str(layout), "--out", str(tmp_path / "p.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_plan_rejects_unknown_algorithm(tmp_path):
     layout = _generate(tmp_path, n=3)
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from turnplan.clustering import ClusterParams
 from turnplan.geometry import hemisphere_layout
 from turnplan.sequencing import (DistanceMatrix, InstanceTooLargeError, Plan, Sequence,
                                  baseline_angle_sequence, distance_matrix, full_pipeline,
-                                 greedy_sequence, greedy_sequence_masked, optimal_sequence,
+                                 greedy_chain, greedy_sequence, optimal_sequence,
                                  plan_records, plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
@@ -85,13 +85,20 @@ def test_greedy_steps_are_locally_optimal():
             visited.add(b)
 
 
-def test_greedy_masked_mode_identical():
+def test_greedy_chain_matches_matrix_greedy():
     rng = np.random.default_rng(11)
     for _ in range(100):
         n = int(rng.integers(1, 40))
-        m = distance_matrix(rng.uniform(-1, 1, (n, 3)))
+        pts = rng.uniform(-1, 1, (n, 3))
         start = int(rng.integers(0, n))
-        assert greedy_sequence(m, start).order == greedy_sequence_masked(m, start).order
+        assert greedy_chain(pts, start).order == greedy_sequence(distance_matrix(pts), start).order
+    # lattice points: many exactly equal distances, so every step is a tie-break
+    lattice = np.array([(x, y, z) for x in range(4) for y in range(3) for z in range(2)], float)
+    for scale in (1.0, 0.1, 0.05):
+        pts = scale * lattice
+        for start in range(len(pts)):
+            expected = greedy_sequence(distance_matrix(pts), start).order
+            assert greedy_chain(pts, start).order == expected
 
 
 def test_greedy_deterministic_and_scale_invariant():
@@ -222,6 +229,20 @@ def test_pipeline_greedy_never_beats_exact_oracle():
     greedy_len = Sequence(plan.flattened_order).length(m)
     optimal_len = optimal_sequence(m, start=start).length(m)
     assert greedy_len >= optimal_len - 1e-12
+
+
+def test_plan_waypoints_builds_no_distance_matrix(monkeypatch):
+    import turnplan.sequencing as sequencing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan_waypoints must not build a distance matrix")
+
+    monkeypatch.setattr(sequencing, "distance_matrix", refuse)
+    monkeypatch.setattr(sequencing, "DistanceMatrix", refuse)
+    rng = np.random.default_rng(19)
+    wps = make_waypoints(rng.uniform(-1, 1, (60, 3)))
+    plan = plan_waypoints(wps, ClusterParams(k=3, seed=0))
+    assert sorted(plan.flattened_order) == list(range(60))
 
 
 def test_plan_waypoints_input_mode_keeps_member_order():

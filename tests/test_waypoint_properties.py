@@ -1,0 +1,110 @@
+"""Property tests: the batched waypoint kernel against an independent per-hole reference.
+
+The reference is the per-hole formula: `rotation_matrix() @ _rot_x(attack)`,
+one `Rotation.from_matrix` per hole, and `math.atan2` of the in-plane
+coordinates (summed left to right in Python floats). Positions, quaternions
+and angles must match bit for bit.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+from turnplan.angles import wrap_angle
+from turnplan.geometry import (AXIS_RADIUS_TOL, HoleFrame, PartModel, _rot_x,
+                               generate_waypoint, generate_waypoints)
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def reference_waypoint(hole: HoleFrame, standoff: float, attack: float, part: PartModel):
+    rotated = hole.rotation_matrix() @ _rot_x(attack)
+    position = hole.origin + standoff * rotated[:, 1]
+    x, y, z, w = Rotation.from_matrix(rotated).as_quat()
+    quat = np.array([w, x, y, z])
+    nonzero = quat[quat != 0.0]
+    if nonzero[0] < 0.0:
+        quat = -quat
+
+    axis = part.turntable_axis
+    v = (position - part.turntable_center).tolist()
+    along = _dot(v, axis.tolist())
+    in_plane = [v[i] - along * float(axis[i]) for i in range(3)]
+    if math.sqrt(_dot(in_plane, in_plane)) <= AXIS_RADIUS_TOL:
+        return position, quat, 0.0
+    unit_x, unit_y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    ref = unit_x - (unit_x @ axis) * axis
+    if np.linalg.norm(ref) <= AXIS_RADIUS_TOL:
+        ref = unit_y - (unit_y @ axis) * axis
+    ref = ref / np.linalg.norm(ref)
+    binormal = np.cross(axis, ref)
+    angle = wrap_angle(math.atan2(_dot(v, binormal.tolist()), _dot(v, ref.tolist())))
+    return position, quat, angle
+
+
+def _unit(values) -> np.ndarray:
+    vec = np.array(values, dtype=float)
+    return vec / np.linalg.norm(vec)
+
+
+unit_quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(_unit)
+axes = st.one_of(st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]).map(np.array), directions)
+coords = st.floats(-1.0, 1.0)
+points = st.tuples(coords, coords, coords).map(np.array)
+
+
+@st.composite
+def holes(draw):
+    matrix = Rotation.from_quat(draw(unit_quaternions)).as_matrix()
+    return HoleFrame(origin=draw(points), x_axis=matrix[:, 0], y_axis=matrix[:, 1],
+                     z_axis=matrix[:, 2])
+
+
+def _frame_along(axis: np.ndarray, origin: np.ndarray) -> HoleFrame:
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 0.0, 1.0])
+    x_axis = _unit(np.cross(axis, helper))
+    return HoleFrame(origin=origin, x_axis=x_axis, y_axis=axis, z_axis=np.cross(x_axis, axis))
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(hole_list=st.lists(holes(), min_size=1, max_size=12), axis=axes, center=points,
+       standoff=st.floats(0.0, 0.5), attack=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+def test_generate_waypoints_matches_per_hole_reference(hole_list, axis, center, standoff,
+                                                       attack):
+    part = PartModel(holes=tuple(hole_list), turntable_axis=axis, turntable_center=center)
+    bundle = generate_waypoints(part, standoff, attack)
+    assert len(bundle) == len(hole_list)
+    for i, hole in enumerate(hole_list):
+        position, quat, angle = reference_waypoint(hole, standoff, attack, part)
+        assert _bits(bundle.positions[i]) == _bits(position)
+        assert _bits(bundle.orientations[i]) == _bits(quat)
+        assert _bits(bundle.table_angles[i]) == _bits(angle)
+        single = generate_waypoint(hole, standoff, attack, part)
+        assert _bits(single.pose.position) == _bits(position)
+        assert _bits(single.pose.orientation) == _bits(quat)
+        assert single.table_angle == bundle[i].table_angle
+
+
+@PROPERTY_SETTINGS
+@given(axis=axes, center=points, lift=st.floats(-1.0, 1.0), standoff=st.floats(0.0, 0.5),
+       other=holes())
+def test_on_axis_waypoint_gets_angle_zero(axis, center, lift, standoff, other):
+    on_axis = _frame_along(axis, center + lift * axis)
+    part = PartModel(holes=(other, on_axis), turntable_axis=axis, turntable_center=center)
+    bundle = generate_waypoints(part, standoff, 0.0)
+    assert bundle.table_angles[1] == 0.0
+    assert reference_waypoint(on_axis, standoff, 0.0, part)[2] == 0.0
