@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, circular_separation, forward_delta, wrap_angle
+from .geometry import _DEFAULT_PART, _table_angles
 
 DEFAULT_CLUSTER_COUNT = 5
 # Sector the robot can reach without moving the table: 72 degrees.
@@ -120,19 +121,77 @@ def circular_mean(angles) -> float:
     return wrap_angle(math.atan2(sin_sum, cos_sum))
 
 
-def _default_angles(points: np.ndarray) -> np.ndarray:
-    # table angle under the default axis convention (+z through the origin)
-    return np.mod(np.arctan2(points[:, 1], points[:, 0]), TWO_PI)
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact (n, k) squared distances: the reference every assignment reproduces."""
+    # einsum, not a hand-written x + y + z, over a C-ordered diff whatever the
+    # inputs' layout: its 3-term sum rounds in an order set by the memory
+    # layout, and the assignments must not move by a last-bit difference
+    diff = np.empty((len(points), len(centroids), 3))
+    np.subtract(points[:, None, :], centroids, out=diff)
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, k: int) -> np.ndarray:
-    """Move the point farthest from its centroid into each empty cluster."""
-    counts = np.bincount(assign, minlength=k)
-    if not np.any(counts[:k] == 0):
-        return assign
+# Tie margin of the matmul assignment, per unit of max|p|^2 (see below).
+_TIE_TOL = 256.0 * float(np.finfo(float).eps)
+
+
+def _nearest_centroid(points: np.ndarray, k: int):
+    """An assignment step for `points`: (k, 3) centroids -> index of each point's nearest one.
+
+    The result is bitwise equal to `_squared_distances(points, c).argmin(1)`,
+    but costs one (n, 4) @ (4, k) matmul instead of an (n, k, 3) pass.
+    Every centroid must be a mean of the points, so that |c| <= M = max|p|
+    (up to the rounding of the mean, which is far below the margin here).
+
+    Why it is exact. The matmul gives approx = -2 p.c + |c|^2, the squared
+    distance less |p|^2, which is the same for every centroid of a row and
+    so moves neither the argmin nor the gaps. BLAS may sum the four terms in
+    any order, and fuse multiply-adds. With u = eps/2 and |p|, |c| <= M:
+    - |c|^2 carries at most 3u M^2 of rounding;
+    - the terms' magnitudes sum to at most 2|p||c| + |c|^2 <= 3 M^2, so the
+      4-term dot product adds at most 4u * 3 M^2 = 12u M^2;
+    - the einsum value is off the true distance d <= 4 M^2 by at most
+      5u d <= 20u M^2 (a rounded difference, squared, then 3 terms).
+    So approx + |p|^2 and the einsum value differ by at most
+    B = 35u M^2 < 18 eps M^2. If every other centroid's approx exceeds the
+    row's best by more than tol >= 2B, its einsum value exceeds the best's
+    too: the exact argmin is unique and the same, whatever order and however
+    many threads BLAS uses. tol = 256 eps M^2 is over 14 B, which also covers
+    the rounding of best + tol. Rows within tol of their best (ties) are
+    recomputed with the exact einsum, whose argmin sends ties to the lowest
+    index.
+    """
+    n = len(points)
+    lifted = np.ones((n, 4))
+    lifted[:, :3] = points
+    tol = _TIE_TOL * float(np.einsum("ij,ij->i", points, points).max())
+    rows = np.arange(n)
+    coeffs = np.empty((4, k))
+    approx = np.empty((n, k))
+    near = np.empty((n, k), dtype=bool)
+
+    def assign(centroids: np.ndarray) -> np.ndarray:
+        np.multiply(centroids.T, -2.0, out=coeffs[:3])
+        np.einsum("ij,ij->i", centroids, centroids, out=coeffs[3])
+        np.matmul(lifted, coeffs, out=approx)
+        labels = approx.argmin(axis=1)
+        best = approx[rows, labels]
+        best += tol
+        np.less_equal(approx, best[:, None], out=near)
+        # every row counts its own best; more than n means some row is tied
+        if np.count_nonzero(near) > n:
+            tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+            labels[tied] = _squared_distances(points[tied], centroids).argmin(axis=1)
+        return labels
+
+    return assign
+
+
+def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Move the point farthest from its centroid into each empty cluster; updates `counts`."""
     assign = assign.copy()
     own_dist = dist2[np.arange(len(assign)), assign]
-    for empty in np.flatnonzero(counts[:k] == 0):
+    for empty in np.flatnonzero(counts == 0):
         donors = np.flatnonzero(counts[assign] > 1)
         moved = donors[int(np.argmax(own_dist[donors]))]
         counts[assign[moved]] -= 1
@@ -168,9 +227,16 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
     if points.size == 0:
         raise ValueError("cannot cluster an empty point set")
     points = points.reshape(len(points), 3)
-    angle_arr = _default_angles(points) if angles is None else np.asarray(angles, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("positions must be finite")
+    if angles is None:
+        angle_arr = np.array(_table_angles(points, _DEFAULT_PART)[0])
+    else:
+        angle_arr = np.asarray(angles, dtype=float)
     if angle_arr.shape != (len(points),):
         raise ValueError("need exactly one angle per position")
+    if not np.isfinite(angle_arr).all():
+        raise ValueError("angles must be finite")
 
     n = len(points)
     k = min(params.k, n)
@@ -179,27 +245,25 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
 
     rng = np.random.default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
-    diff = np.empty((n, k, 3))
+    nearest = _nearest_centroid(points, k)
+    # centroid sums come from one bincount over (axis, cluster) bins, with
+    # the coordinates laid out axis by axis; each bin sums its members in
+    # index order, so a centroid is bitwise equal to points[assign == j].mean(axis=0)
+    coords = points.T.ravel()
+    axis_offsets = k * np.arange(3)[:, None]
     prev_assign = None
     for _ in range(params.max_iterations):
-        for axis in range(3):
-            np.subtract(points[:, axis, None], centroids[:, axis], out=diff[:, :, axis])
-        # einsum, not a hand-written x + y + z: its 3-term sum rounds in its own
-        # order, and the assignments must not move by a last-bit difference
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        assign = dist2.argmin(axis=1)  # ties go to the lowest cluster index
-        assign = _fix_empty_clusters(assign, dist2, k)
+        assign = nearest(centroids)  # ties go to the lowest cluster index
+        counts = np.bincount(assign, minlength=k)
+        if np.count_nonzero(counts) < k:
+            assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        # bincount sums each cluster's members in index order, so the centroid
-        # is bitwise equal to points[assign == j].mean(axis=0)
-        counts = np.bincount(assign, minlength=k)
-        centroids = np.column_stack([np.bincount(assign, weights=points[:, axis], minlength=k)
-                                     for axis in range(3)]) / counts[:, None]
+        sums = np.bincount((axis_offsets + assign).ravel(), weights=coords, minlength=3 * k)
+        centroids = (sums.reshape(3, k) / counts).T
 
-    members = np.split(np.argsort(assign, kind="stable"),
-                       np.cumsum(np.bincount(assign, minlength=k))[:-1])
+    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(counts)[:-1])
     return [Cluster(members=m.tolist(), centroid=centroids[j],
                     mean_angle=_member_mean_angle(angle_arr, m))
             for j, m in enumerate(members)]

@@ -8,7 +8,7 @@ from turnplan.angles import TWO_PI, circular_separation, wrap_angle
 from turnplan.clustering import (Cluster, ClusterParams, ClusterPlan, DegenerateMeanError,
                                  center_offset, circular_mean, cluster_points,
                                  order_clusters, reachability_report)
-from turnplan.geometry import hemisphere_layout
+from turnplan.geometry import generate_waypoints, hemisphere_layout
 
 DEG = math.pi / 180.0
 
@@ -102,6 +102,37 @@ def test_cluster_points_deterministic_for_fixed_seed():
 def test_cluster_points_rejects_empty_input():
     with pytest.raises(ValueError):
         cluster_points([], ClusterParams())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("n", [3, 12])  # singletons, and k-means proper
+def test_cluster_points_rejects_non_finite_positions(bad, n):
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (n, 3))
+    pts[1, 2] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        cluster_points(pts, ClusterParams(k=3, seed=0))
+    with pytest.raises(ValueError, match="positions must be finite"):
+        cluster_points(pts, ClusterParams(k=3, seed=0), angles=np.zeros(n))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_cluster_points_rejects_non_finite_angles(bad):
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 3))
+    angles = np.full(12, 0.5)
+    angles[7] = bad
+    with pytest.raises(ValueError, match="angles must be finite"):
+        cluster_points(pts, ClusterParams(k=3, seed=0), angles=angles)
+
+
+def test_cluster_points_default_angles_are_the_waypoint_table_angles():
+    bundle = generate_waypoints(hemisphere_layout(4000, 0.15, seed=1), 0.05, 0.0)
+    params = ClusterParams(k=60, seed=1)
+    derived = cluster_points(bundle.positions, params)
+    given = cluster_points(bundle.positions, params, angles=bundle.table_angles)
+    assert [c.members for c in derived] == [c.members for c in given]
+    for a, b in zip(derived, given):
+        assert np.array_equal(a.centroid, b.centroid)
+        assert a.mean_angle == b.mean_angle
 
 
 def test_cluster_points_fewer_points_than_k_gives_singletons():

@@ -3,7 +3,10 @@
 The digests were recorded from the per-hole reference implementation
 (one `Rotation.from_matrix` and one `turntable_angle` per hole, k-means with
 per-cluster boolean masks, and a greedy chain over a dense distance matrix).
-The array-first core must reproduce those plans bit for bit.
+The array-first core must reproduce those plans bit for bit. The plan far
+from the origin was recorded from k-means with an einsum distance per
+iteration; the matmul assignment must reproduce it despite the cancellation
+in the expanded distance |p|^2 - 2 p.c + |c|^2 a kilometre out.
 """
 
 import hashlib
@@ -60,6 +63,12 @@ def _empty_cluster_repair_plan():
     return plan_waypoints(make_waypoints(pts), ClusterParams(k=6, seed=1))
 
 
+def _far_from_origin_plan():
+    part = hemisphere_layout(2000, 0.15, seed=5)
+    positions = generate_waypoints(part, 0.05, 0.0).positions + np.array([1e3, -5e2, 2e2])
+    return plan_waypoints(make_waypoints(positions), ClusterParams(k=17, seed=0))
+
+
 HEMISPHERE40 = {
     ("baseline", 0):
         "0699f66e1e581cddb69a80c835bbbe2673782fadb59dc2a8c083f8734e62b690",
@@ -88,6 +97,7 @@ LARGE = {
 
 K_ABOVE_N = "f5599e5b7afef9a186fcc5dda5ad1c8ad0a60d16866265bf4a6ac392854b3f7c"
 EMPTY_CLUSTER_REPAIR = "9084afd3b204b5ec70886cdd084e29e4d65e63739d0b51969d1601bd3308bd7c"
+FAR_FROM_ORIGIN = "83b9631867621ec5fe5179539945bcdb25554e6d024eaa1c1fccdbd5e33a461c"
 WAYPOINTS_4000_ATTACK = "a930ec5b4459e1598f59f83331ba0dfb6d0927ca9ce5d018ebfb8243292cdcb0"
 
 
@@ -108,6 +118,10 @@ def test_k_above_n_plan_matches_golden():
 
 def test_empty_cluster_repair_plan_matches_golden():
     assert plan_digest(_empty_cluster_repair_plan()) == EMPTY_CLUSTER_REPAIR
+
+
+def test_far_from_origin_plan_matches_golden():
+    assert plan_digest(_far_from_origin_plan()) == FAR_FROM_ORIGIN
 
 
 def test_4000_hole_waypoints_match_golden():
