@@ -5,19 +5,16 @@ pipeline.
 
 from __future__ import annotations
 
-import csv
-import io
-import os
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from statistics import fmean
 
 from .clustering import ClusterParams
-from .geometry import PartModel, hemisphere_layout
-from .metrics import (BenchmarkReport, CellModel, benchmark, report_rows, strip_timing,
-                      REPORT_COLUMNS)
-from .sequencing import Plan, clustering_only
+from .geometry import PartModel, generate_waypoints, hemisphere_layout
+from .metrics import (BenchmarkReport, CellModel, PLANNERS, REPORT_COLUMNS, report_rows,
+                      strip_timing, trial_reports)
 
-ALGORITHMS = ("baseline", "cluster", "greedy")
+ALGORITHMS = tuple(PLANNERS)
 
 PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
 PLOT_METRICS = ["ssp_distance_m", "total_rotation_rad", "estimated_execution_time_s"]
@@ -37,6 +34,9 @@ class Scenario:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("standoff", "attack", "robot_center_angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.standoff < 0.0:
             raise ValueError("standoff must be >= 0")
 
@@ -46,14 +46,6 @@ def hemisphere_scenario(n: int = 40, radius: float = 0.15, standoff: float = 0.0
     """The stock test scenario: holes over a hemisphere, sprayed from a stand-off."""
     part = hemisphere_layout(n, radius, seed=layout_seed)
     return Scenario(part=part, standoff=standoff, base_seed=base_seed, **overrides)
-
-
-def clustering_only_plan(scenario: Scenario, seed: int | None = None) -> Plan:
-    """Cluster and schedule, but keep input order inside each cluster."""
-    params = replace(scenario.cluster_params,
-                     seed=scenario.base_seed if seed is None else seed)
-    return clustering_only(scenario.part, scenario.standoff, scenario.attack, params,
-                           robot_center_angle=scenario.robot_center_angle)
 
 
 @dataclass(frozen=True)
@@ -70,13 +62,13 @@ class ComparisonResult:
 
 
 def run_comparison(scenario: Scenario, trials: int) -> ComparisonResult:
-    """Benchmark all three algorithms on the scenario with shared trial seeds.
+    """Benchmark all three algorithms on one waypoint bundle with shared trial seeds.
 
     Improvement is (1 - t / t_baseline) on the mean estimated execution time.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    reports = {name: benchmark(name, scenario.part, scenario, trials) for name in ALGORITHMS}
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    reports = {name: trial_reports(PLANNERS[name], name, waypoints, scenario, trials)
+               for name in ALGORITHMS}
     mean_time = {name: fmean(r.estimated_execution_time for r in rs)
                  for name, rs in reports.items()}
     mean_ssp = {name: fmean(r.ssp_distance for r in rs) for name, rs in reports.items()}
@@ -110,15 +102,6 @@ def comparison_rows(result: ComparisonResult) -> list[list]:
     return rows
 
 
-def write_comparison_csv(result: ComparisonResult, path: str | os.PathLike | io.TextIOBase) -> None:
-    rows = comparison_rows(result)
-    if isinstance(path, io.TextIOBase):
-        csv.writer(path).writerows(rows)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-
-
 def plot_data_rows(result: ComparisonResult) -> list[list]:
     """Long-format per-trial points for improvement-vs-algorithm charts."""
     rows = [PLOT_COLUMNS]
@@ -132,12 +115,3 @@ def plot_data_rows(result: ComparisonResult) -> list[list]:
             rows.extend([name, report.seed, metric, repr(values[metric])]
                         for metric in PLOT_METRICS)
     return rows
-
-
-def write_plot_data(result: ComparisonResult, path: str | os.PathLike | io.TextIOBase) -> None:
-    rows = plot_data_rows(result)
-    if isinstance(path, io.TextIOBase):
-        csv.writer(path).writerows(rows)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)

@@ -12,12 +12,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
-from .bench import Scenario, run_comparison, without_timing, write_comparison_csv, write_plot_data
+from .bench import Scenario, comparison_rows, plot_data_rows, run_comparison, without_timing
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
-from .metrics import CellModel, PLANNERS, ssp_distance
+from .metrics import CellModel, PLANNERS, ssp_distance, write_csv
 from .sequencing import save_plan
 
 
@@ -69,14 +68,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    part = load_part_layout(args.layout)
-    scenario = _scenario(args, part)
-    params = replace(scenario.cluster_params, seed=args.seed)
-    planner = PLANNERS[args.algorithm]
+    scenario = _scenario(args, load_part_layout(args.layout))
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     tic = time.perf_counter()
-    plan = planner(part, scenario, params)
+    plan = PLANNERS[args.algorithm](waypoints, scenario, scenario.cluster_params)
     planning_time = time.perf_counter() - tic
-    waypoints = generate_waypoints(part, scenario.standoff, scenario.attack)
     save_plan(plan, waypoints, args.out)
     summary = {
         "n": plan.n_points,
@@ -99,8 +95,8 @@ def cmd_bench(args) -> int:
     result = run_comparison(scenario, args.trials)
     # file artifacts stay byte-identical across runs with the same inputs and
     # seeds, so wall-clock timing is zeroed there and reported on stdout only
-    write_comparison_csv(without_timing(result), args.report)
-    write_plot_data(result, args.plot_data)
+    write_csv(comparison_rows(without_timing(result)), args.report)
+    write_csv(plot_data_rows(result), args.plot_data)
     if args.format == "json":
         summary = {
             name: {
@@ -143,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="plan a visit sequence for a layout")
     plan.add_argument("layout", help="layout JSON path")
-    plan.add_argument("--algorithm", choices=("baseline", "cluster", "greedy"),
-                      default="greedy")
+    plan.add_argument("--algorithm", choices=tuple(PLANNERS), default="greedy")
     plan.add_argument("--out", required=True, help="plan JSON path")
     _add_config_flags(plan)
     plan.set_defaults(func=cmd_plan)

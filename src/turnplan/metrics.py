@@ -12,16 +12,21 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import time
 from dataclasses import dataclass, replace
 from statistics import fmean
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from . import sequencing
-from .geometry import PartModel, generate_waypoints
+from .geometry import Waypoints, generate_waypoints
 from .sequencing import Plan
+
+if TYPE_CHECKING:
+    from .bench import Scenario
 
 REPORT_COLUMNS = [
     "algorithm", "trial", "seed", "n_points",
@@ -39,10 +44,13 @@ class CellModel:
     planner_overhead_per_point: float = 0.0  # s; emulates motion-planner search time
 
     def __post_init__(self):
-        if self.robot_linear_speed <= 0.0 or self.turntable_angular_speed <= 0.0:
-            raise ValueError("speeds must be strictly positive")
-        if self.dwell_per_point < 0.0 or self.planner_overhead_per_point < 0.0:
-            raise ValueError("per-point times must be >= 0")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        for name in ("robot_linear_speed", "turntable_angular_speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("dwell_per_point", "planner_overhead_per_point"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -86,27 +94,24 @@ def estimate_execution_time(plan: Plan, positions, cell: CellModel) -> float:
     return travel + rotation + per_point
 
 
-def _plan_baseline(part: PartModel, config, params) -> Plan:
-    waypoints = generate_waypoints(part, config.standoff, config.attack)
+def _plan_baseline(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
     return sequencing.baseline_angle_sequence(waypoints, groups=params.k,
-                                              start_angle=config.robot_center_angle)
+                                              start_angle=scenario.robot_center_angle)
 
 
-def _plan_cluster_only(part: PartModel, config, params) -> Plan:
-    waypoints = generate_waypoints(part, config.standoff, config.attack)
+def _plan_cluster_only(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
     return sequencing.plan_waypoints(waypoints, params,
-                                     robot_center_angle=config.robot_center_angle,
+                                     robot_center_angle=scenario.robot_center_angle,
                                      within_cluster="input")
 
 
-def _plan_greedy(part: PartModel, config, params) -> Plan:
-    waypoints = generate_waypoints(part, config.standoff, config.attack)
+def _plan_greedy(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
     return sequencing.plan_waypoints(waypoints, params,
-                                     robot_center_angle=config.robot_center_angle,
-                                     robot_home=getattr(config, "robot_home", None),
-                                     within_cluster="greedy")
+                                     robot_center_angle=scenario.robot_center_angle,
+                                     robot_home=scenario.robot_home)
 
 
+# Every planner takes (waypoints, scenario, params) -> Plan; params carries the trial's seed.
 PLANNERS = {
     "baseline": _plan_baseline,
     "cluster": _plan_cluster_only,
@@ -114,37 +119,46 @@ PLANNERS = {
 }
 
 
-def benchmark(algorithm, part: PartModel, config, trials: int) -> list[BenchmarkReport]:
+def benchmark(algorithm, scenario: Scenario, trials: int) -> list[BenchmarkReport]:
     """Run one algorithm for `trials` seeded trials and report each trial.
 
-    `algorithm` is a label from PLANNERS or a callable (part, config, params)
-    -> Plan. `config` supplies standoff, attack, cluster_params, cell,
-    robot_center_angle and base_seed (a Scenario works). Trial i uses seed
-    base_seed + i. The planning time is wall clock around the planning call
-    only; metric evaluation happens outside the timer.
+    `algorithm` is a key of PLANNERS or a callable with the planner signature
+    (waypoints, scenario, params) -> Plan. The scenario's waypoints are
+    generated once, before the first trial, outside the timer; see
+    `trial_reports` for the trials themselves.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
     if callable(algorithm):
         plan_fn, name = algorithm, getattr(algorithm, "__name__", "custom")
     else:
         if algorithm not in PLANNERS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(PLANNERS)}")
         plan_fn, name = PLANNERS[algorithm], algorithm
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    return trial_reports(plan_fn, name, waypoints, scenario, trials)
 
-    positions = generate_waypoints(part, config.standoff, config.attack).positions
+
+def trial_reports(plan_fn, name: str, waypoints: Waypoints, scenario: Scenario,
+                  trials: int) -> list[BenchmarkReport]:
+    """Plan and score `trials` seeded trials of one planner on one waypoint bundle.
+
+    Trial i uses seed base_seed + i. The planning time is wall clock around the
+    planner call only.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    positions = waypoints.positions
     reports = []
     for trial in range(trials):
-        seed = config.base_seed + trial
-        params = replace(config.cluster_params, seed=seed)
+        seed = scenario.base_seed + trial
+        params = replace(scenario.cluster_params, seed=seed)
         tic = time.perf_counter()
-        plan = plan_fn(part, config, params)
+        plan = plan_fn(waypoints, scenario, params)
         elapsed = time.perf_counter() - tic
         reports.append(BenchmarkReport(
             algorithm_name=name,
             planning_time=elapsed,
             ssp_distance=ssp_distance(plan, positions),
-            estimated_execution_time=estimate_execution_time(plan, positions, config.cell),
+            estimated_execution_time=estimate_execution_time(plan, positions, scenario.cell),
             total_rotation=plan.cluster_plan.total_rotation,
             n_points=plan.n_points,
             seed=seed,
@@ -178,9 +192,8 @@ def report_rows(reports: list[BenchmarkReport]) -> list[list]:
     return rows
 
 
-def write_report_csv(reports: list[BenchmarkReport], path: str | os.PathLike | io.TextIOBase) -> None:
-    """Comma-separated report: one row per trial plus a mean row per algorithm."""
-    rows = [REPORT_COLUMNS] + report_rows(reports)
+def write_csv(rows: list[list], path: str | os.PathLike | TextIO) -> None:
+    """Write rows as CSV to a file path or to an open text stream."""
     if isinstance(path, io.TextIOBase):
         csv.writer(path).writerows(rows)
     else:

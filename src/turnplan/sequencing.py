@@ -1,6 +1,6 @@
 """Waypoint ordering: greedy nearest-neighbor within clusters, an exact
 open-path oracle for small instances, the angle-sector baseline, and the
-full planning pipeline (waypoints -> clusters -> schedule -> sequences).
+planning pipeline over generated waypoints (clusters -> schedule -> sequences).
 
 All path lengths are open: the robot is not required to return to its start.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .angles import TWO_PI, forward_delta, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
-from .geometry import PartModel, as_waypoints, generate_waypoints
+from .geometry import as_waypoints
 
 # Exact search is capped here; beyond this the subset table gets unwieldy.
 EXACT_SEARCH_MAX_POINTS = 12
@@ -243,23 +243,19 @@ def baseline_angle_sequence(waypoints, groups: int = 5, start_angle: float = 0.0
 
 
 def plan_waypoints(waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
-                   robot_home=None, within_cluster: str = "greedy",
-                   start_mode: str = "nearest") -> Plan:
+                   robot_home=None, within_cluster: str = "greedy") -> Plan:
     """Cluster waypoints, schedule the turntable, and order each cluster.
 
-    within_cluster: "greedy" runs the nearest-neighbor chain per cluster;
-    "input" keeps members in input order (the clustering-only variant).
-    start_mode: "nearest" starts each cluster at the member closest to the end
-    of the previous cluster (the robot home for the first); "first" starts at
-    the lowest-index member.
+    within_cluster: "greedy" runs the nearest-neighbor chain per cluster,
+    starting at the member closest to the end of the previous cluster (the
+    robot home for the first); "input" keeps members in input order (the
+    clustering-only variant).
     """
     waypoints = as_waypoints(waypoints)
     if not len(waypoints):
         raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
-    if start_mode not in ("nearest", "first"):
-        raise ValueError(f"unknown start_mode {start_mode!r}")
     positions = waypoints.positions
     clusters = cluster_points(positions, params, angles=waypoints.table_angles)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
@@ -272,32 +268,11 @@ def plan_waypoints(waypoints, params: ClusterParams, robot_center_angle: float =
             seq = members
         else:
             local_pts = positions[list(members)]
-            if start_mode == "nearest":
-                local_start = int(np.linalg.norm(local_pts - previous_pos, axis=1).argmin())
-            else:
-                local_start = 0
+            local_start = int(np.linalg.norm(local_pts - previous_pos, axis=1).argmin())
             seq = [members[i] for i in greedy_chain(local_pts, start=local_start).order]
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)
-
-
-def full_pipeline(part: PartModel, standoff: float, attack: float, params: ClusterParams,
-                  robot_center_angle: float = 0.0, robot_home=None,
-                  within_cluster: str = "greedy", start_mode: str = "nearest") -> Plan:
-    """Waypoint generation, spatial clustering, and per-cluster greedy ordering."""
-    waypoints = generate_waypoints(part, standoff, attack)
-    return plan_waypoints(waypoints, params, robot_center_angle=robot_center_angle,
-                          robot_home=robot_home, within_cluster=within_cluster,
-                          start_mode=start_mode)
-
-
-def clustering_only(part: PartModel, standoff: float, attack: float, params: ClusterParams,
-                    robot_center_angle: float = 0.0) -> Plan:
-    """The pipeline without the greedy step: clusters visited in input order."""
-    waypoints = generate_waypoints(part, standoff, attack)
-    return plan_waypoints(waypoints, params, robot_center_angle=robot_center_angle,
-                          within_cluster="input")
 
 
 def plan_records(plan: Plan, waypoints) -> list[dict]:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from turnplan import bench, cli, geometry, metrics, sequencing
 from turnplan.geometry import Pose, Waypoint
 from turnplan.sequencing import DistanceMatrix
 
@@ -34,6 +36,23 @@ def make_waypoints(positions) -> list[Waypoint]:
         waypoints.append(Waypoint(pose=Pose(position=p, orientation=(1.0, 0.0, 0.0, 0.0)),
                                   table_angle=angle))
     return waypoints
+
+
+def count_waypoint_generation(monkeypatch, delay: float = 0.0) -> list:
+    """Wrap generate_waypoints in every turnplan module that binds it; each call
+    sleeps `delay` seconds, then is appended to the returned list."""
+    original = geometry.generate_waypoints
+    calls = []
+
+    def counted(*args, **kwargs):
+        time.sleep(delay)
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (geometry, sequencing, metrics, bench, cli):
+        if getattr(module, "generate_waypoints", None) is original:
+            monkeypatch.setattr(module, "generate_waypoints", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

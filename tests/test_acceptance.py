@@ -14,8 +14,8 @@ from turnplan.bench import hemisphere_scenario
 from turnplan.clustering import ClusterParams, DegenerateMeanError, circular_mean
 from turnplan.geometry import generate_waypoints
 from turnplan.metrics import benchmark, ssp_distance
-from turnplan.sequencing import (baseline_angle_sequence, distance_matrix, full_pipeline,
-                                 greedy_sequence, optimal_sequence, plan_waypoints)
+from turnplan.sequencing import (baseline_angle_sequence, distance_matrix, greedy_sequence,
+                                 optimal_sequence, plan_waypoints)
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +93,13 @@ def test_criterion_3_pipeline_cuts_ssp_distance(hundred_seed_batch):
 
 def test_criterion_4_planning_time_under_budget():
     scenario = hemisphere_scenario()
-    full_pipeline(scenario.part, scenario.standoff, scenario.attack,
-                  ClusterParams(seed=0))  # warm-up
+    plan_waypoints(generate_waypoints(scenario.part, scenario.standoff, scenario.attack),
+                   ClusterParams(seed=0))  # warm-up
     times = []
     for seed in range(1, 6):
         tic = time.perf_counter()
-        full_pipeline(scenario.part, scenario.standoff, scenario.attack,
-                      ClusterParams(seed=seed))
+        plan_waypoints(generate_waypoints(scenario.part, scenario.standoff, scenario.attack),
+                       ClusterParams(seed=seed))
         times.append(time.perf_counter() - tic)
     assert max(times) < 0.1
     print(f"\nPASS criterion 4: 40-point pipeline planned in "
@@ -140,9 +140,9 @@ def test_criterion_6_circular_mean_against_grid_search():
 
 def test_criterion_7_baseline_constant_pipeline_varies():
     scenario = hemisphere_scenario()
-    baseline_reports = benchmark("baseline", scenario.part, scenario, trials=3)
+    baseline_reports = benchmark("baseline", scenario, trials=3)
     baseline_values = {r.ssp_distance for r in baseline_reports}
-    greedy_reports = benchmark("greedy", scenario.part, scenario, trials=10)
+    greedy_reports = benchmark("greedy", scenario, trials=10)
     greedy_values = [r.ssp_distance for r in greedy_reports]
     assert len(baseline_values) == 1
     assert float(np.var(greedy_values)) > 0.0

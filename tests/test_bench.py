@@ -1,15 +1,20 @@
 import io
+from dataclasses import replace
 from statistics import fmean
 
 import pytest
 
+from conftest import count_waypoint_generation
 from turnplan.angles import TWO_PI
-from turnplan.bench import (ALGORITHMS, PLOT_COLUMNS, Scenario, clustering_only_plan,
-                            comparison_rows, hemisphere_scenario, plot_data_rows,
-                            run_comparison, without_timing, write_comparison_csv,
-                            write_plot_data)
-from turnplan.geometry import hemisphere_layout
-from turnplan.metrics import benchmark
+from turnplan.bench import (ALGORITHMS, PLOT_COLUMNS, Scenario, comparison_rows,
+                            hemisphere_scenario, plot_data_rows, run_comparison, without_timing)
+from turnplan.geometry import generate_waypoints, hemisphere_layout
+from turnplan.metrics import PLANNERS, benchmark, write_csv
+
+
+def _cluster_only_plan(scenario, seed=0):
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    return PLANNERS["cluster"](waypoints, scenario, replace(scenario.cluster_params, seed=seed))
 
 
 def test_hemisphere_scenario_shapes():
@@ -21,21 +26,21 @@ def test_hemisphere_scenario_shapes():
 
 def test_clustering_only_plan_single_hole():
     scenario = Scenario(part=hemisphere_layout(1, 0.1, seed=0))
-    plan = clustering_only_plan(scenario)
+    plan = _cluster_only_plan(scenario)
     assert plan.flattened_order == (0,)
 
 
 def test_clustering_only_plan_deterministic():
     scenario = hemisphere_scenario()
-    a = clustering_only_plan(scenario, seed=4)
-    b = clustering_only_plan(scenario, seed=4)
+    a = _cluster_only_plan(scenario, seed=4)
+    b = _cluster_only_plan(scenario, seed=4)
     assert a.flattened_order == b.flattened_order
 
 
 def test_clustering_only_sits_between_baseline_and_greedy():
     scenario = hemisphere_scenario()
     trials = 50
-    reports = {name: benchmark(name, scenario.part, scenario, trials) for name in ALGORITHMS}
+    reports = {name: benchmark(name, scenario, trials) for name in ALGORITHMS}
     means = {name: fmean(r.ssp_distance for r in rs) for name, rs in reports.items()}
     assert means["greedy"] < means["cluster"] < means["baseline"]
 
@@ -95,8 +100,8 @@ def test_csv_writers_accept_buffers():
     scenario = hemisphere_scenario()
     result = run_comparison(scenario, trials=2)
     report_buffer, plot_buffer = io.StringIO(), io.StringIO()
-    write_comparison_csv(result, report_buffer)
-    write_plot_data(result, plot_buffer)
+    write_csv(comparison_rows(result), report_buffer)
+    write_csv(plot_data_rows(result), plot_buffer)
     assert report_buffer.getvalue().startswith("algorithm,trial,seed,n_points")
     assert plot_buffer.getvalue().startswith("algorithm,seed,metric,value")
 
@@ -111,6 +116,13 @@ def test_without_timing_preserves_everything_else():
             assert clean.ssp_distance == raw.ssp_distance
             assert clean.estimated_execution_time == raw.estimated_execution_time
     assert stripped.improvement_vs_baseline == result.improvement_vs_baseline
+
+
+def test_run_comparison_generates_waypoints_once(monkeypatch):
+    calls = count_waypoint_generation(monkeypatch)
+    result = run_comparison(hemisphere_scenario(n=8), trials=3)
+    assert len(calls) == 1
+    assert all(len(result.reports[name]) == 3 for name in ALGORITHMS)
 
 
 def test_run_comparison_rejects_zero_trials():

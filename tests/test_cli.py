@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import count_waypoint_generation
 from turnplan.cli import main
 from turnplan.geometry import load_part_layout
 
@@ -98,6 +99,32 @@ def test_plan_wrong_typed_layout_fails_cleanly(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["plan", "bench"])
+@pytest.mark.parametrize("flag,value,field", [
+    ("--attack-deg", "nan", "attack"), ("--standoff", "inf", "standoff"),
+    ("--robot-center-deg", "nan", "robot_center_angle"),
+    ("--robot-speed", "nan", "robot_linear_speed"), ("--dwell", "nan", "dwell_per_point"),
+])
+def test_non_finite_flags_fail_cleanly(tmp_path, capsys, command, flag, value, field):
+    layout = _generate(tmp_path, n=5)
+    capsys.readouterr()  # drop the generate message
+    outputs = {"plan": ["--out", str(tmp_path / "p.json")],
+               "bench": ["--trials", "1", "--report", str(tmp_path / "r.csv"),
+                         "--plot-data", str(tmp_path / "d.csv")]}[command]
+    code = main([command, str(layout), flag, value] + outputs)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {field} must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_plan_generates_waypoints_once(tmp_path, monkeypatch):
+    layout = _generate(tmp_path)
+    calls = count_waypoint_generation(monkeypatch)
+    assert main(["plan", str(layout), "--out", str(tmp_path / "p.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_plan_rejects_unknown_algorithm(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import make_waypoints
 from turnplan.bench import Scenario
+from turnplan.cli import main
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import PLANNERS
@@ -42,7 +43,8 @@ def waypoints_digest(waypoints) -> str:
 def _hemisphere40_plan(layout_path, algorithm, seed):
     part = load_part_layout(layout_path)
     scenario = Scenario(part=part)
-    return PLANNERS[algorithm](part, scenario, replace(scenario.cluster_params, seed=seed))
+    return PLANNERS[algorithm](generate_waypoints(part, scenario.standoff, scenario.attack),
+                               scenario, replace(scenario.cluster_params, seed=seed))
 
 
 def _large_plan(k, seed):
@@ -100,6 +102,10 @@ EMPTY_CLUSTER_REPAIR = "9084afd3b204b5ec70886cdd084e29e4d65e63739d0b51969d1601bd
 FAR_FROM_ORIGIN = "83b9631867621ec5fe5179539945bcdb25554e6d024eaa1c1fccdbd5e33a461c"
 WAYPOINTS_4000_ATTACK = "a930ec5b4459e1598f59f83331ba0dfb6d0927ca9ce5d018ebfb8243292cdcb0"
 
+# `turnplan bench hemisphere40.json --trials 3` with default flags
+BENCH_REPORT_CSV = "7f198f7b4be79fe750d9bf649f907bbccc33f848fb5fb81d9e598bc04dd3307c"
+BENCH_PLOT_DATA_CSV = "38592e8206ae9b9b91998dbaa32aee6729946796759667459e5f8fb20d45852c"
+
 
 @pytest.mark.parametrize("algorithm,seed", sorted(HEMISPHERE40))
 def test_hemisphere40_plans_match_golden(bundled_layout_path, algorithm, seed):
@@ -127,3 +133,11 @@ def test_far_from_origin_plan_matches_golden():
 def test_4000_hole_waypoints_match_golden():
     part = hemisphere_layout(4000, 0.15, seed=7)
     assert waypoints_digest(generate_waypoints(part, 0.05, 0.3)) == WAYPOINTS_4000_ATTACK
+
+
+def test_bench_csvs_match_golden(bundled_layout_path, tmp_path):
+    report, plot_data = tmp_path / "report.csv", tmp_path / "plot.csv"
+    assert main(["bench", bundled_layout_path, "--trials", "3", "--report", str(report),
+                 "--plot-data", str(plot_data)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == BENCH_REPORT_CSV
+    assert hashlib.sha256(plot_data.read_bytes()).hexdigest() == BENCH_PLOT_DATA_CSV

@@ -4,12 +4,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import count_waypoint_generation
 from turnplan.bench import hemisphere_scenario
 from turnplan.clustering import Cluster, ClusterPlan
+from turnplan.geometry import generate_waypoints
 from turnplan.metrics import (BenchmarkReport, CellModel, REPORT_COLUMNS, benchmark,
-                              estimate_execution_time, ssp_distance, strip_timing,
-                              write_report_csv)
-from turnplan.sequencing import Plan
+                              estimate_execution_time, report_rows, ssp_distance, strip_timing,
+                              write_csv)
+from turnplan.sequencing import Plan, plan_waypoints
 
 
 def _manual_plan(order, rotation=0.0):
@@ -92,7 +94,7 @@ def test_execution_time_monotonicity():
 def test_execution_time_improves_with_pipeline_over_baseline():
     # seed chosen so the greedy plan cuts both travel and rotation
     scenario = hemisphere_scenario(base_seed=0)
-    reports = {name: benchmark(name, scenario.part, scenario, trials=1)[0]
+    reports = {name: benchmark(name, scenario, trials=1)[0]
                for name in ("baseline", "greedy")}
     assert reports["greedy"].ssp_distance < reports["baseline"].ssp_distance
     assert reports["greedy"].total_rotation < reports["baseline"].total_rotation
@@ -107,11 +109,19 @@ def test_cell_model_validation():
         CellModel(dwell_per_point=-1.0)
 
 
+@pytest.mark.parametrize("field", ["robot_linear_speed", "turntable_angular_speed",
+                                   "dwell_per_point", "planner_overhead_per_point"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_cell_model_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        CellModel(**{field: value})
+
+
 # --- benchmark harness ------------------------------------------------------
 
 def test_benchmark_one_report_per_trial_with_distinct_seeds():
     scenario = hemisphere_scenario(base_seed=5)
-    reports = benchmark("greedy", scenario.part, scenario, trials=3)
+    reports = benchmark("greedy", scenario, trials=3)
     assert len(reports) == 3
     assert [r.seed for r in reports] == [5, 6, 7]
     assert all(r.n_points == 40 for r in reports)
@@ -119,58 +129,64 @@ def test_benchmark_one_report_per_trial_with_distinct_seeds():
 
 def test_benchmark_baseline_is_constant_across_trials():
     scenario = hemisphere_scenario()
-    reports = benchmark("baseline", scenario.part, scenario, trials=3)
+    reports = benchmark("baseline", scenario, trials=3)
     assert len({r.ssp_distance for r in reports}) == 1
 
 
 def test_benchmark_pipeline_varies_across_seeds():
     scenario = hemisphere_scenario()
-    reports = benchmark("greedy", scenario.part, scenario, trials=10)
+    reports = benchmark("greedy", scenario, trials=10)
     assert len({r.ssp_distance for r in reports}) > 1
 
 
 def test_benchmark_rejects_bad_inputs():
     scenario = hemisphere_scenario()
     with pytest.raises(ValueError):
-        benchmark("greedy", scenario.part, scenario, trials=0)
+        benchmark("greedy", scenario, trials=0)
     with pytest.raises(ValueError):
-        benchmark("annealing", scenario.part, scenario, trials=1)
+        benchmark("annealing", scenario, trials=1)
 
 
 def test_benchmark_times_only_the_planning_call():
     scenario = hemisphere_scenario(n=5)
     prebuilt = {}
 
-    def canned(part, config, params):
+    def canned(waypoints, scenario, params):
         return prebuilt["plan"]
 
-    from turnplan.sequencing import full_pipeline
-    prebuilt["plan"] = full_pipeline(scenario.part, scenario.standoff, scenario.attack,
-                                     scenario.cluster_params)
-    report = benchmark(canned, scenario.part, scenario, trials=1)[0]
+    prebuilt["plan"] = plan_waypoints(
+        generate_waypoints(scenario.part, scenario.standoff, scenario.attack),
+        scenario.cluster_params)
+    report = benchmark(canned, scenario, trials=1)[0]
     assert report.algorithm_name == "canned"
     assert report.planning_time < 0.01  # no-op planner: metric evaluation is untimed
 
 
 def test_benchmark_slow_planner_is_measured():
     scenario = hemisphere_scenario(n=5)
-    from turnplan.sequencing import full_pipeline
-
-    def sleepy(part, config, params):
+    def sleepy(waypoints, scenario, params):
         time.sleep(0.05)
-        return full_pipeline(part, scenario.standoff, scenario.attack, params)
+        return plan_waypoints(waypoints, params)
 
-    report = benchmark(sleepy, scenario.part, scenario, trials=1)[0]
+    report = benchmark(sleepy, scenario, trials=1)[0]
     assert report.planning_time >= 0.05
+
+
+def test_benchmark_generates_waypoints_once_outside_the_timer(monkeypatch):
+    scenario = hemisphere_scenario(n=5)
+    calls = count_waypoint_generation(monkeypatch, delay=0.05)
+    reports = benchmark("greedy", scenario, trials=3)
+    assert len(calls) == 1
+    assert max(r.planning_time for r in reports) < 0.05
 
 
 # --- report export ----------------------------------------------------------
 
 def test_report_csv_shape_and_columns():
     scenario = hemisphere_scenario()
-    reports = benchmark("baseline", scenario.part, scenario, trials=3)
+    reports = benchmark("baseline", scenario, trials=3)
     buffer = io.StringIO()
-    write_report_csv(reports, buffer)
+    write_csv([REPORT_COLUMNS] + report_rows(reports), buffer)
     lines = buffer.getvalue().strip().splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)
     assert len(lines) == 1 + 3 + 1  # header + trials + mean

@@ -7,11 +7,11 @@ import pytest
 from conftest import brute_force_open_path, make_waypoints
 from turnplan.angles import TWO_PI
 from turnplan.clustering import ClusterParams
-from turnplan.geometry import hemisphere_layout
+from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.sequencing import (DistanceMatrix, InstanceTooLargeError, Plan, Sequence,
-                                 baseline_angle_sequence, distance_matrix, full_pipeline,
-                                 greedy_chain, greedy_sequence, optimal_sequence,
-                                 plan_records, plan_waypoints, save_plan)
+                                 baseline_angle_sequence, distance_matrix, greedy_chain,
+                                 greedy_sequence, optimal_sequence, plan_records,
+                                 plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
 
@@ -200,29 +200,28 @@ def test_baseline_rejects_empty_input():
 
 def test_pipeline_single_hole():
     part = hemisphere_layout(1, 0.1, seed=0)
-    plan = full_pipeline(part, 0.05, 0.0, ClusterParams(seed=0))
+    plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(seed=0))
     assert plan.flattened_order == (0,)
     assert plan.sequences == ((0,),)
 
 
 def test_pipeline_covers_all_waypoints_within_one_revolution():
     part = hemisphere_layout(40, 0.15, seed=7)
-    plan = full_pipeline(part, 0.05, 0.0, ClusterParams(k=5, seed=3))
+    plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(k=5, seed=3))
     assert sorted(plan.flattened_order) == list(range(40))
     assert plan.cluster_plan.total_rotation <= TWO_PI + 1e-9
 
 
 def test_pipeline_deterministic_for_fixed_seed():
     part = hemisphere_layout(40, 0.15, seed=7)
-    a = full_pipeline(part, 0.05, 0.0, ClusterParams(seed=21))
-    b = full_pipeline(part, 0.05, 0.0, ClusterParams(seed=21))
+    a = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(seed=21))
+    b = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(seed=21))
     assert a.flattened_order == b.flattened_order
 
 
 def test_pipeline_greedy_never_beats_exact_oracle():
     part = hemisphere_layout(10, 0.15, seed=5)
-    plan = full_pipeline(part, 0.05, 0.0, ClusterParams(k=1, seed=0))
-    from turnplan.geometry import generate_waypoints
+    plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(k=1, seed=0))
     positions = np.array([w.pose.position for w in generate_waypoints(part, 0.05, 0.0)])
     m = distance_matrix(positions)
     start = plan.flattened_order[0]
@@ -257,8 +256,6 @@ def test_plan_waypoints_rejects_unknown_modes():
     wps = make_waypoints([(1, 0, 0)])
     with pytest.raises(ValueError):
         plan_waypoints(wps, ClusterParams(), within_cluster="magic")
-    with pytest.raises(ValueError):
-        plan_waypoints(wps, ClusterParams(), start_mode="magic")
 
 
 def test_plan_validation_rejects_foreign_sequence():
@@ -270,7 +267,6 @@ def test_plan_validation_rejects_foreign_sequence():
 
 def test_plan_records_and_serialization(tmp_path):
     part = hemisphere_layout(12, 0.15, seed=4)
-    from turnplan.geometry import generate_waypoints
     wps = generate_waypoints(part, 0.05, 0.0)
     plan = plan_waypoints(wps, ClusterParams(k=3, seed=1))
     records = plan_records(plan, wps)
