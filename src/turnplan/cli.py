@@ -62,7 +62,7 @@ def _scenario(args, part) -> Scenario:
 def cmd_generate(args) -> int:
     part = hemisphere_layout(args.n, args.radius, args.seed)
     save_part_layout(part, args.out)
-    print(f"wrote {args.out}: {len(part.holes)} holes on a {args.radius} m hemisphere "
+    print(f"wrote {args.out}: {len(part.origins)} holes on a {args.radius} m hemisphere "
           f"(seed {args.seed})")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, circular_separation, forward_delta, wrap_angle
-from .geometry import _DEFAULT_PART, _table_angles
+from .geometry import _DEFAULT_PART, Waypoints, _table_angles
 
 DEFAULT_CLUSTER_COUNT = 5
 # Sector the robot can reach without moving the table: 72 degrees.
@@ -58,8 +58,6 @@ class Cluster:
         members = tuple(int(i) for i in self.members)
         if not members:
             raise ValueError("cluster must have at least one member")
-        if len(set(members)) != len(members):
-            raise ValueError("cluster members must be unique")
         object.__setattr__(self, "members", members)
         centroid = np.array(self.centroid, dtype=float)
         if centroid.shape != (3,):
@@ -304,7 +302,8 @@ class ClusterReach:
     within_bound: bool
 
 
-def reachability_report(plan: ClusterPlan, waypoints, params: ClusterParams) -> list[ClusterReach]:
+def reachability_report(plan: ClusterPlan, waypoints: Waypoints,
+                        params: ClusterParams) -> list[ClusterReach]:
     """Per-cluster angular extent versus half the reachable bound.
 
     Advisory only: clustering runs on 3D positions, so nothing forces a
@@ -314,9 +313,9 @@ def reachability_report(plan: ClusterPlan, waypoints, params: ClusterParams) -> 
     report = []
     for index, cluster in enumerate(plan.clusters):
         if max(cluster.members) >= n:
-            raise ValueError("plan references waypoints beyond the supplied list")
-        extent = max(circular_separation(waypoints[i].table_angle, cluster.mean_angle)
-                     for i in cluster.members)
+            raise ValueError("plan references waypoints beyond the supplied bundle")
+        extent = max(circular_separation(angle, cluster.mean_angle)
+                     for angle in waypoints.table_angles[list(cluster.members)].tolist())
         report.append(ClusterReach(cluster_index=index, extent=extent,
                                    within_bound=extent <= params.angular_bound / 2.0))
     return report

@@ -49,7 +49,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_vector3(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        raise ValueError(f"{name} must be a 3-vector of numbers, got {value!r}") from None
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -57,85 +60,87 @@ def _as_vector3(value, name: str) -> np.ndarray:
     return _freeze(arr)
 
 
-def _as_unit_vector3(value, name: str) -> np.ndarray:
-    arr = _as_vector3(value, name)
-    if abs(np.linalg.norm(arr) - 1.0) > UNIT_TOL:
-        raise ValueError(f"{name} must have unit norm, got {np.linalg.norm(arr)!r}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """End-effector target: position (m) plus unit quaternion (w, x, y, z)."""
+    """End-effector target: position (m) plus unit quaternion (w, x, y, z); a bundle row view."""
 
     position: np.ndarray
     orientation: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vector3(self.position, "position"))
-        quat = np.array(self.orientation, dtype=float)
-        if quat.shape != (4,):
-            raise ValueError(f"orientation must be a quaternion (w, x, y, z), got shape {quat.shape}")
-        if abs(np.linalg.norm(quat) - 1.0) > UNIT_TOL:
-            raise ValueError(f"orientation must be a unit quaternion, norm was {np.linalg.norm(quat)!r}")
-        object.__setattr__(self, "orientation", _freeze(quat))
-
-
-IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class HoleFrame:
-    """Right-handed orthonormal frame at a hole center; y axis runs along the centerline."""
+    """A view of one hole of a `PartModel`: its origin and frame axes (y along the centerline)."""
 
     origin: np.ndarray
     x_axis: np.ndarray
     y_axis: np.ndarray
     z_axis: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "origin", _as_vector3(self.origin, "origin"))
-        object.__setattr__(self, "x_axis", _as_unit_vector3(self.x_axis, "x_axis"))
-        object.__setattr__(self, "y_axis", _as_unit_vector3(self.y_axis, "y_axis"))
-        object.__setattr__(self, "z_axis", _as_unit_vector3(self.z_axis, "z_axis"))
-        if abs(float(self.x_axis @ self.y_axis)) > UNIT_TOL \
-                or abs(float(self.y_axis @ self.z_axis)) > UNIT_TOL \
-                or abs(float(self.x_axis @ self.z_axis)) > UNIT_TOL:
-            raise ValueError("hole frame axes must be mutually orthogonal")
-        if np.max(np.abs(np.cross(self.x_axis, self.y_axis) - self.z_axis)) > UNIT_TOL:
-            raise ValueError("hole frame must be right-handed: cross(x_axis, y_axis) == z_axis")
-
-    def rotation_matrix(self) -> np.ndarray:
-        """Frame axes as the columns of a 3x3 rotation (frame -> table coordinates)."""
-        return np.column_stack([self.x_axis, self.y_axis, self.z_axis])
-
 
 @dataclass(frozen=True, eq=False)
 class Waypoint:
-    """A target pose paired with its angle about the turntable axis."""
+    """A target pose paired with its angle about the turntable axis; a view of a bundle row."""
 
     pose: Pose
     table_angle: float
 
-    def __post_init__(self):
-        angle = float(self.table_angle)
-        if not 0.0 <= angle < 2.0 * math.pi:
-            raise ValueError(f"table_angle must lie in [0, 2*pi), got {angle!r}")
-        object.__setattr__(self, "table_angle", angle)
+
+_AXES = ("x_axis", "y_axis", "z_axis")
+
+
+def _reject_holes(bad: np.ndarray, message: str) -> None:
+    """Raise for the first hole flagged in `bad`: (N,), or (N, 3) with one column per axis."""
+    if bad.any():
+        hole, *axis = np.argwhere(bad)[0].tolist()
+        raise ValueError(message.format(*(_AXES[a] for a in axis)) + f" (hole {hole})")
 
 
 @dataclass(frozen=True, eq=False)
 class PartModel:
-    """A workpiece: its hole frames plus the turntable axis it is mounted on."""
+    """A workpiece: hole origins (N, 3) and frames (N, 3, 3), plus its turntable axis.
 
-    holes: tuple[HoleFrame, ...] = ()
+    The columns of `frames[i]` are hole i's x, y and z axes: a right-handed
+    orthonormal frame whose y axis runs along the hole centerline. Both arrays
+    are read-only and C-contiguous, and every frame is checked once, here.
+    """
+
+    origins: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    frames: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 3)))
     turntable_axis: np.ndarray = field(default_factory=lambda: _Z.copy())
     turntable_center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "holes", tuple(self.holes))
-        object.__setattr__(self, "turntable_axis", _as_unit_vector3(self.turntable_axis, "turntable_axis"))
-        object.__setattr__(self, "turntable_center", _as_vector3(self.turntable_center, "turntable_center"))
+        origins = np.array(self.origins, dtype=float, order="C")
+        frames = np.array(self.frames, dtype=float, order="C")
+        if origins.ndim != 2 or origins.shape[1] != 3 or frames.shape != (len(origins), 3, 3):
+            raise ValueError(f"need (N, 3) origins and (N, 3, 3) frames, got "
+                             f"{origins.shape} and {frames.shape}")
+        _reject_holes(~np.isfinite(origins).all(axis=1), "origin must be finite")
+        axes = frames.transpose(0, 2, 1)  # axes[i, j]: hole i's x, y or z axis
+        _reject_holes(~np.isfinite(axes).all(axis=2), "{} must be finite")
+        _reject_holes(np.abs(np.linalg.norm(axes, axis=2) - 1.0) > UNIT_TOL,
+                      "{} must have unit norm")
+        x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
+        dots = np.stack([(x * y).sum(axis=1), (y * z).sum(axis=1), (x * z).sum(axis=1)], axis=1)
+        _reject_holes((np.abs(dots) > UNIT_TOL).any(axis=1),
+                      "x_axis, y_axis and z_axis must be mutually orthogonal")
+        _reject_holes((np.abs(np.cross(x, y) - z) > UNIT_TOL).any(axis=1),
+                      "hole frame must be right-handed: cross(x_axis, y_axis) == z_axis")
+        object.__setattr__(self, "origins", _freeze(origins))
+        object.__setattr__(self, "frames", _freeze(frames))
+        axis = _as_vector3(self.turntable_axis, "turntable_axis")
+        if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
+            raise ValueError(f"turntable_axis must have unit norm, got {np.linalg.norm(axis)!r}")
+        object.__setattr__(self, "turntable_axis", axis)
+        object.__setattr__(self, "turntable_center",
+                           _as_vector3(self.turntable_center, "turntable_center"))
+
+    @property
+    def holes(self) -> tuple[HoleFrame, ...]:
+        """One read-only `HoleFrame` view per hole, in hole order."""
+        return tuple(HoleFrame(origin, *frame.T)
+                     for origin, frame in zip(self.origins, self.frames))
 
 
 _DEFAULT_PART = PartModel()
@@ -177,21 +182,10 @@ class Waypoints:
     def __getitem__(self, index: int) -> Waypoint:
         return Waypoint(pose=Pose(position=self.positions[index],
                                   orientation=self.orientations[index]),
-                        table_angle=self.table_angles[index])
+                        table_angle=float(self.table_angles[index]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
-
-
-def as_waypoints(waypoints) -> Waypoints:
-    """The bundle itself, or a bundle stacked from an iterable of `Waypoint`s."""
-    if isinstance(waypoints, Waypoints):
-        return waypoints
-    items = list(waypoints)
-    return Waypoints(
-        positions=np.array([w.pose.position for w in items]).reshape(len(items), 3),
-        orientations=np.array([w.pose.orientation for w in items]).reshape(len(items), 4),
-        table_angles=[w.table_angle for w in items])
 
 
 def _angle_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,28 +238,10 @@ def _rot_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _waypoints_from_frames(frames: np.ndarray, origins: np.ndarray, standoff: float,
-                           attack: float, part: PartModel) -> Waypoints:
-    """The waypoint kernel: (N, 3, 3) frame rotations and (N, 3) origins in one pass."""
-    if standoff < 0.0:
-        raise ValueError(f"standoff must be >= 0, got {standoff!r}")
-    # a stacked matmul runs the same 3x3 product per frame as a single-frame `@`
-    rotated = frames @ _rot_x(attack)
-    positions = origins + standoff * rotated[:, :, 1]
-    quats = Rotation.from_matrix(rotated).as_quat()[:, [3, 0, 1, 2]]  # (w, x, y, z)
-    # canonical sign: first nonzero component positive, so equal rotations
-    # serialize identically
-    first = quats[np.arange(len(quats)), (quats != 0.0).argmax(axis=1)]
-    quats[first < 0.0] *= -1.0
-    angles, _ = _table_angles(positions, part)
-    return Waypoints(positions=positions, orientations=quats, table_angles=angles)
+def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypoints:
+    """Waypoints for every hole of the part, in hole order, as one bundle.
 
-
-def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
-                      part: PartModel | None = None) -> Waypoint:
-    """Build the end-effector waypoint for one hole.
-
-    The hole frame is rotated by `attack` counter-clockwise about its own x
+    Each hole frame is rotated by `attack` counter-clockwise about its own x
     axis, then the position is offset by `standoff` along the rotated y axis.
     The waypoint orientation is the rotated frame's quaternion (the tool
     approach direction is the rotated -y axis, pointing into the hole).
@@ -273,19 +249,20 @@ def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
     A waypoint that lands exactly on the turntable axis gets table angle 0.0:
     such a point is presented to the robot at every table rotation.
     """
-    return _waypoints_from_frames(hole.rotation_matrix()[None], hole.origin[None], standoff,
-                                  attack, _DEFAULT_PART if part is None else part)[0]
-
-
-def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypoints:
-    """Waypoints for every hole of the part, in hole order, as one bundle."""
-    if not part.holes:
+    if not len(part.origins):
         raise ValueError("part has no holes")
-    # columns are the frame axes, as in HoleFrame.rotation_matrix()
-    frames = np.stack([np.array([getattr(h, name) for h in part.holes])
-                       for name in ("x_axis", "y_axis", "z_axis")], axis=2)
-    origins = np.array([h.origin for h in part.holes])
-    return _waypoints_from_frames(frames, origins, standoff, attack, part)
+    if standoff < 0.0:
+        raise ValueError(f"standoff must be >= 0, got {standoff!r}")
+    # a stacked matmul runs the same 3x3 product per frame as a single-frame `@`
+    rotated = part.frames @ _rot_x(attack)
+    positions = part.origins + standoff * rotated[:, :, 1]
+    quats = Rotation.from_matrix(rotated).as_quat()[:, [3, 0, 1, 2]]  # (w, x, y, z)
+    # canonical sign: first nonzero component positive, so equal rotations
+    # serialize identically
+    first = quats[np.arange(len(quats)), (quats != 0.0).argmax(axis=1)]
+    quats[first < 0.0] *= -1.0
+    angles, _ = _table_angles(positions, part)
+    return Waypoints(positions=positions, orientations=quats, table_angles=angles)
 
 
 def _frame_from_outward_y(y_axis: np.ndarray, roll: float) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +286,8 @@ def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be > 0, got {radius!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     rng = np.random.default_rng(seed)
     idx = np.arange(n)
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -320,7 +297,8 @@ def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
     z = np.clip(z, 1e-6, 1.0 - 1e-6)
     rolls = rng.uniform(0.0, 2.0 * math.pi, n)
     in_plane = np.sqrt(1.0 - z * z)
-    holes = []
+    origins = np.empty((n, 3))
+    axes = np.empty((n, 3, 3))  # axes[i, j]: hole i's x, y or z axis
     for i in range(n):
         outward = np.array([
             in_plane[i] * math.cos(azimuth[i]),
@@ -329,30 +307,36 @@ def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
         ])
         outward = outward / np.linalg.norm(outward)
         x_axis, z_axis = _frame_from_outward_y(outward, rolls[i])
-        holes.append(HoleFrame(origin=radius * outward, x_axis=x_axis,
-                               y_axis=outward, z_axis=z_axis))
-    holes = [holes[i] for i in rng.permutation(n)]
-    return PartModel(holes=tuple(holes))
+        origins[i] = radius * outward
+        axes[i] = x_axis, outward, z_axis
+    order = rng.permutation(n)
+    return PartModel(origins=origins[order], frames=axes[order].transpose(0, 2, 1))
 
 
 def save_part_layout(part: PartModel, path: str | os.PathLike) -> None:
     """Write a part layout as JSON (meters)."""
     doc = {
-        "turntable_axis": [float(v) for v in part.turntable_axis],
-        "turntable_center": [float(v) for v in part.turntable_center],
-        "holes": [
-            {
-                "origin": [float(v) for v in hole.origin],
-                "x_axis": [float(v) for v in hole.x_axis],
-                "y_axis": [float(v) for v in hole.y_axis],
-                "z_axis": [float(v) for v in hole.z_axis],
-            }
-            for hole in part.holes
-        ],
+        "turntable_axis": part.turntable_axis.tolist(),
+        "turntable_center": part.turntable_center.tolist(),
+        "holes": [{"origin": origin, "x_axis": x_axis, "y_axis": y_axis, "z_axis": z_axis}
+                  for origin, (x_axis, y_axis, z_axis)
+                  in zip(part.origins.tolist(), part.frames.transpose(0, 2, 1).tolist())],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:
+    """Field `name` of every hole as an (N, 3) array; a malformed entry is named with its hole."""
+    try:
+        values = np.array([h[name] for h in holes], dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        values = None
+    if values is None or values.shape != (len(holes), 3):
+        for index, hole in enumerate(holes):
+            _as_vector3(hole[name], f"{name} of hole {index}")
+    return values.reshape(-1, 3)
 
 
 def load_part_layout(path: str | os.PathLike) -> PartModel:
@@ -368,13 +352,12 @@ def load_part_layout(path: str | os.PathLike) -> PartModel:
     try:
         holes = doc["holes"]
         if not isinstance(holes, list) or not all(isinstance(h, dict) for h in holes):
-            raise ValueError(f"layout file {path}: holes must be a list of objects")
-        return PartModel(holes=tuple(HoleFrame(origin=h["origin"], x_axis=h["x_axis"],
-                                               y_axis=h["y_axis"], z_axis=h["z_axis"])
-                                     for h in holes),
+            raise ValueError("holes must be a list of objects")
+        return PartModel(origins=_hole_vectors(holes, "origin"),
+                         frames=np.stack([_hole_vectors(holes, name) for name in _AXES], axis=2),
                          turntable_axis=doc["turntable_axis"],
                          turntable_center=doc["turntable_center"])
     except KeyError as exc:
         raise ValueError(f"layout file {path} is missing field {exc}") from exc
-    except TypeError as exc:  # e.g. an object where a 3-vector belongs
-        raise ValueError(f"layout file {path} has a field of the wrong type: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"layout file {path}: {exc}") from exc

@@ -16,7 +16,7 @@ import numpy as np
 
 from .angles import TWO_PI, forward_delta, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
-from .geometry import as_waypoints
+from .geometry import Waypoints
 
 # Exact search is capped here; beyond this the subset table gets unwieldy.
 EXACT_SEARCH_MAX_POINTS = 12
@@ -204,14 +204,14 @@ def _make_plan(cluster_plan: ClusterPlan, sequences) -> Plan:
                 flattened_order=tuple(i for seq in sequences for i in seq))
 
 
-def baseline_angle_sequence(waypoints, groups: int = 5, start_angle: float = 0.0) -> Plan:
+def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
+                            start_angle: float = 0.0) -> Plan:
     """Bin waypoints into equal angular sectors with no ordering inside a bin.
 
     The base case: `groups` sectors of width 2*pi/groups, visited in ascending
     angular order from `start_angle`, input order kept within each sector. The
     rotation schedule steps between successive sector centers. Deterministic.
     """
-    waypoints = as_waypoints(waypoints)
     if not len(waypoints):
         raise ValueError("no waypoints to sequence")
     if groups < 1:
@@ -242,7 +242,7 @@ def baseline_angle_sequence(waypoints, groups: int = 5, start_angle: float = 0.0
     return _make_plan(cluster_plan, [c.members for c in clusters])
 
 
-def plan_waypoints(waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
+def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
                    robot_home=None, within_cluster: str = "greedy") -> Plan:
     """Cluster waypoints, schedule the turntable, and order each cluster.
 
@@ -251,7 +251,6 @@ def plan_waypoints(waypoints, params: ClusterParams, robot_center_angle: float =
     robot home for the first); "input" keeps members in input order (the
     clustering-only variant).
     """
-    waypoints = as_waypoints(waypoints)
     if not len(waypoints):
         raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
@@ -275,14 +274,13 @@ def plan_waypoints(waypoints, params: ClusterParams, robot_center_angle: float =
     return _make_plan(cluster_plan, sequences)
 
 
-def plan_records(plan: Plan, waypoints) -> list[dict]:
+def plan_records(plan: Plan, waypoints: Waypoints) -> list[dict]:
     """One record per visited waypoint, in visit order.
 
     rotation_before is the table rotation applied immediately before reaching
     that waypoint: the cluster's delta for the first point of each cluster,
     zero otherwise.
     """
-    waypoints = as_waypoints(waypoints)
     positions = waypoints.positions.tolist()
     angles = waypoints.table_angles.tolist()
     records = []
@@ -299,7 +297,7 @@ def plan_records(plan: Plan, waypoints) -> list[dict]:
     return records
 
 
-def save_plan(plan: Plan, waypoints, path: str | os.PathLike) -> None:
+def save_plan(plan: Plan, waypoints: Waypoints, path: str | os.PathLike) -> None:
     """Serialize a plan as a JSON array of visit records."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(plan_records(plan, waypoints), fh, indent=2)

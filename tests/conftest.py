@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from turnplan import bench, cli, geometry, metrics, sequencing
-from turnplan.geometry import Pose, Waypoint
+from turnplan.geometry import Waypoints
 from turnplan.sequencing import DistanceMatrix
 
 
@@ -25,17 +25,12 @@ def brute_force_open_path(m: DistanceMatrix, start: int) -> tuple[float, tuple[i
     return best_length, best_order
 
 
-def make_waypoints(positions) -> list[Waypoint]:
-    """Waypoints at the given positions, angles derived from the xy plane."""
-    pts = np.asarray(positions, dtype=float)
-    waypoints = []
-    for p in pts:
-        angle = float(np.mod(np.arctan2(p[1], p[0]), 2.0 * np.pi))
-        if angle >= 2.0 * np.pi:
-            angle = 0.0
-        waypoints.append(Waypoint(pose=Pose(position=p, orientation=(1.0, 0.0, 0.0, 0.0)),
-                                  table_angle=angle))
-    return waypoints
+def make_waypoints(positions) -> Waypoints:
+    """A bundle at the given positions, identity orientations, angles from the xy plane."""
+    pts = np.asarray(positions, dtype=float).reshape(-1, 3)
+    angles = [float(np.mod(np.arctan2(p[1], p[0]), 2.0 * np.pi)) for p in pts]
+    return Waypoints(positions=pts, orientations=np.tile([1.0, 0.0, 0.0, 0.0], (len(pts), 1)),
+                     table_angles=[0.0 if a >= 2.0 * np.pi else a for a in angles])
 
 
 def count_waypoint_generation(monkeypatch, delay: float = 0.0) -> list:

@@ -41,6 +41,15 @@ def test_generate_rejects_bad_n(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_generate_rejects_non_finite_radius(tmp_path, capsys, radius):
+    code = main(["generate", "--radius", radius, "--out", str(tmp_path / "g.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: radius") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_plan_baseline_deterministic_file(tmp_path, capsys):
     layout = _generate(tmp_path, n=3)
     out_a, out_b = tmp_path / "a_plan.json", tmp_path / "b_plan.json"

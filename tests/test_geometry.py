@@ -5,36 +5,52 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from turnplan.geometry import (DegeneratePositionError, HoleFrame, PartModel, Pose,
-                               generate_waypoint, generate_waypoints, hemisphere_layout,
-                               load_part_layout, save_part_layout, turntable_angle)
+from turnplan.cli import main
+from turnplan.geometry import (DegeneratePositionError, HoleFrame, PartModel, Waypoints,
+                               generate_waypoints, hemisphere_layout, load_part_layout,
+                               save_part_layout, turntable_angle)
 
 WORLD_FRAME = dict(origin=(0.0, 0.0, 0.0), x_axis=(1.0, 0.0, 0.0),
                    y_axis=(0.0, 1.0, 0.0), z_axis=(0.0, 0.0, 1.0))
 
 
+def one_hole_part(origin, x_axis, y_axis, z_axis, part: PartModel | None = None) -> PartModel:
+    """A part holding just this hole, on `part`'s turntable (the default one if None)."""
+    part = PartModel() if part is None else part
+    return PartModel(origins=[origin], frames=[np.column_stack([x_axis, y_axis, z_axis])],
+                     turntable_axis=part.turntable_axis, turntable_center=part.turntable_center)
+
+
+def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
+                      part: PartModel | None = None):
+    """The waypoint of one hole, through the batched generator."""
+    return generate_waypoints(one_hole_part(hole.origin, hole.x_axis, hole.y_axis, hole.z_axis,
+                                            part), standoff, attack)[0]
+
+
 def test_pose_rejects_non_unit_quaternion():
-    with pytest.raises(ValueError):
-        Pose(position=(0, 0, 0), orientation=(1.0, 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="unit quaternions"):
+        Waypoints(positions=[(0.0, 0.0, 0.0)], orientations=[(1.0, 1.0, 0.0, 0.0)],
+                  table_angles=[0.0])
 
 
 def test_hole_frame_rejects_non_unit_axis():
     bad = dict(WORLD_FRAME, x_axis=(2.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        HoleFrame(**bad)
+    with pytest.raises(ValueError, match="x_axis must have unit norm"):
+        one_hole_part(**bad)
 
 
 def test_hole_frame_rejects_non_orthogonal_axes():
     s = 1.0 / math.sqrt(2.0)
     bad = dict(WORLD_FRAME, y_axis=(s, s, 0.0))
-    with pytest.raises(ValueError):
-        HoleFrame(**bad)
+    with pytest.raises(ValueError, match="orthogonal"):
+        one_hole_part(**bad)
 
 
 def test_hole_frame_rejects_left_handed_frame():
     bad = dict(WORLD_FRAME, z_axis=(0.0, 0.0, -1.0))
-    with pytest.raises(ValueError):
-        HoleFrame(**bad)
+    with pytest.raises(ValueError, match="right-handed"):
+        one_hole_part(**bad)
 
 
 def test_generate_waypoint_identity_case():
@@ -168,8 +184,9 @@ def test_hemisphere_layout_deterministic():
 def test_hemisphere_layout_rejects_bad_inputs():
     with pytest.raises(ValueError):
         hemisphere_layout(0, 0.1, seed=0)
-    with pytest.raises(ValueError):
-        hemisphere_layout(5, 0.0, seed=0)
+    for radius in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            hemisphere_layout(5, radius, seed=0)
 
 
 def test_layout_round_trip(tmp_path):
@@ -184,15 +201,36 @@ def test_layout_round_trip(tmp_path):
     assert np.array_equal(part.turntable_axis, loaded.turntable_axis)
 
 
-def test_layout_loader_rejects_invalid_frames(tmp_path):
+def test_layout_writer_reproduces_bundled_file(bundled_layout_path, tmp_path):
+    path = tmp_path / "layout.json"
+    save_part_layout(load_part_layout(bundled_layout_path), path)
+    with open(bundled_layout_path, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("y_axis", lambda hole: [2.0, 0.0, 0.0]),
+    ("origin", lambda hole: [0.1, 0.2]),
+    ("origin", lambda hole: 0.1),
+    ("z_axis", lambda hole: hole["z_axis"] + [0.0]),
+    ("x_axis", lambda hole: "north"),
+    ("origin", lambda hole: [math.nan, 0.0, 0.1]),
+    ("y_axis", lambda hole: hole["x_axis"]),
+    ("z_axis", lambda hole: [-v for v in hole["z_axis"]]),
+], ids=["non-unit-y_axis", "2-element-origin", "scalar-origin", "4-element-z_axis",
+        "string-x_axis", "nan-origin", "non-orthogonal", "left-handed"])
+def test_layout_loader_rejects_invalid_frames(tmp_path, capsys, field, edit):
     part = hemisphere_layout(3, 0.15, seed=3)
     path = tmp_path / "layout.json"
     save_part_layout(part, path)
     doc = json.loads(path.read_text())
-    doc["holes"][1]["y_axis"] = [2.0, 0.0, 0.0]
+    doc["holes"][1][field] = edit(doc["holes"][1])
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_part_layout(path)
+    code = main(["plan", str(path), "--out", str(tmp_path / "plan.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(path) in err and field in err and "hole 1" in err
 
 
 def test_layout_loader_rejects_missing_fields(tmp_path):

@@ -1,9 +1,9 @@
 """Property tests: the batched waypoint kernel against an independent per-hole reference.
 
-The reference is the per-hole formula: `rotation_matrix() @ _rot_x(attack)`,
-one `Rotation.from_matrix` per hole, and `math.atan2` of the in-plane
-coordinates (summed left to right in Python floats). Positions, quaternions
-and angles must match bit for bit.
+The reference is the per-hole formula: the hole's axes as the columns of a
+3x3 matrix times `_rot_x(attack)`, one `Rotation.from_matrix` per hole, and
+`math.atan2` of the in-plane coordinates (summed left to right in Python
+floats). Positions, quaternions and angles must match bit for bit.
 """
 
 import math
@@ -15,7 +15,7 @@ from scipy.spatial.transform import Rotation
 
 from turnplan.angles import wrap_angle
 from turnplan.geometry import (AXIS_RADIUS_TOL, HoleFrame, PartModel, _rot_x,
-                               generate_waypoint, generate_waypoints)
+                               generate_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -25,7 +25,7 @@ def _dot(a, b) -> float:
 
 
 def reference_waypoint(hole: HoleFrame, standoff: float, attack: float, part: PartModel):
-    rotated = hole.rotation_matrix() @ _rot_x(attack)
+    rotated = np.column_stack([hole.x_axis, hole.y_axis, hole.z_axis]) @ _rot_x(attack)
     position = hole.origin + standoff * rotated[:, 1]
     x, y, z, w = Rotation.from_matrix(rotated).as_quat()
     quat = np.array([w, x, y, z])
@@ -65,15 +65,20 @@ points = st.tuples(coords, coords, coords).map(np.array)
 
 @st.composite
 def holes(draw):
-    matrix = Rotation.from_quat(draw(unit_quaternions)).as_matrix()
-    return HoleFrame(origin=draw(points), x_axis=matrix[:, 0], y_axis=matrix[:, 1],
-                     z_axis=matrix[:, 2])
+    """An (origin, frame) pair: a random point and a random rotation matrix."""
+    return draw(points), Rotation.from_quat(draw(unit_quaternions)).as_matrix()
 
 
-def _frame_along(axis: np.ndarray, origin: np.ndarray) -> HoleFrame:
+def _frame_along(axis: np.ndarray) -> np.ndarray:
     helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 0.0, 1.0])
     x_axis = _unit(np.cross(axis, helper))
-    return HoleFrame(origin=origin, x_axis=x_axis, y_axis=axis, z_axis=np.cross(x_axis, axis))
+    return np.column_stack([x_axis, axis, np.cross(x_axis, axis)])
+
+
+def _part(hole_list, axis, center) -> PartModel:
+    return PartModel(origins=[origin for origin, _ in hole_list],
+                     frames=[frame for _, frame in hole_list],
+                     turntable_axis=axis, turntable_center=center)
 
 
 def _bits(value) -> bytes:
@@ -85,26 +90,21 @@ def _bits(value) -> bytes:
        standoff=st.floats(0.0, 0.5), attack=st.floats(-2.0 * math.pi, 2.0 * math.pi))
 def test_generate_waypoints_matches_per_hole_reference(hole_list, axis, center, standoff,
                                                        attack):
-    part = PartModel(holes=tuple(hole_list), turntable_axis=axis, turntable_center=center)
+    part = _part(hole_list, axis, center)
     bundle = generate_waypoints(part, standoff, attack)
     assert len(bundle) == len(hole_list)
-    for i, hole in enumerate(hole_list):
+    for i, hole in enumerate(part.holes):
         position, quat, angle = reference_waypoint(hole, standoff, attack, part)
         assert _bits(bundle.positions[i]) == _bits(position)
         assert _bits(bundle.orientations[i]) == _bits(quat)
         assert _bits(bundle.table_angles[i]) == _bits(angle)
-        single = generate_waypoint(hole, standoff, attack, part)
-        assert _bits(single.pose.position) == _bits(position)
-        assert _bits(single.pose.orientation) == _bits(quat)
-        assert single.table_angle == bundle[i].table_angle
 
 
 @PROPERTY_SETTINGS
 @given(axis=axes, center=points, lift=st.floats(-1.0, 1.0), standoff=st.floats(0.0, 0.5),
        other=holes())
 def test_on_axis_waypoint_gets_angle_zero(axis, center, lift, standoff, other):
-    on_axis = _frame_along(axis, center + lift * axis)
-    part = PartModel(holes=(other, on_axis), turntable_axis=axis, turntable_center=center)
+    part = _part([other, (center + lift * axis, _frame_along(axis))], axis, center)
     bundle = generate_waypoints(part, standoff, 0.0)
     assert bundle.table_angles[1] == 0.0
-    assert reference_waypoint(on_axis, standoff, 0.0, part)[2] == 0.0
+    assert reference_waypoint(part.holes[1], standoff, 0.0, part)[2] == 0.0
