@@ -251,8 +251,10 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     """
     if not len(part.origins):
         raise ValueError("part has no holes")
-    if standoff < 0.0:
-        raise ValueError(f"standoff must be >= 0, got {standoff!r}")
+    if not math.isfinite(standoff) or standoff < 0.0:
+        raise ValueError(f"standoff must be finite and >= 0, got {standoff!r}")
+    if not math.isfinite(attack):
+        raise ValueError(f"attack must be finite, got {attack!r}")
     # a stacked matmul runs the same 3x3 product per frame as a single-frame `@`
     rotated = part.frames @ _rot_x(attack)
     positions = part.origins + standoff * rotated[:, :, 1]

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .angles import TWO_PI, forward_delta, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
@@ -20,6 +21,13 @@ from .geometry import Waypoints
 
 # Exact search is capped here; beyond this the subset table gets unwieldy.
 EXACT_SEARCH_MAX_POINTS = 12
+
+# The greedy chain's candidate table (see greedy_chain): neighbours listed per
+# point, and the cluster size above which the table pays for its build (it
+# must stay above CHAIN_CANDIDATES, since the query needs that many others).
+CHAIN_CANDIDATES = 8
+CHAIN_TABLE_MIN_POINTS = 32
+_CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
 
 
 class InstanceTooLargeError(ValueError):
@@ -73,49 +81,110 @@ def distance_matrix(positions) -> DistanceMatrix:
     return DistanceMatrix(n=len(pts), d=np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
 
 
-def _nearest_neighbor_chain(n: int, start: int, row) -> Sequence:
-    """Greedy chain from `start`; `row(current)` gives the distances from `current`
-    with every visited point (current included) at inf. Ties go to the lowest index."""
-    if not 0 <= start < n:
-        raise ValueError(f"start must lie in [0, {n}), got {start!r}")
+def greedy_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
+    """Nearest-neighbor chain over a distance matrix from `start`; ties go to the lowest index."""
+    if not 0 <= start < m.n:
+        raise ValueError(f"start must lie in [0, {m.n}), got {start!r}")
+    unvisited = np.ones(m.n, dtype=bool)
     order = [start]
     current = start
-    for _ in range(n - 1):
-        current = int(row(current).argmin())
+    for _ in range(m.n - 1):
+        unvisited[current] = False
+        current = int(np.where(unvisited, m.d[current], np.inf).argmin())
         order.append(current)
     return Sequence(tuple(order))
 
 
-def greedy_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
-    """Nearest-neighbor chain over a distance matrix from `start`; ties go to the lowest index."""
-    unvisited = np.ones(m.n, dtype=bool)
+def _certified_candidates(pts: np.ndarray) -> np.ndarray:
+    """Per point, the nearest others that a greedy step may take without a distance row.
 
-    def row(current: int) -> np.ndarray:
-        unvisited[current] = False
-        return np.where(unvisited, m.d[current], np.inf)
+    Row i holds point i's CHAIN_CANDIDATES + 1 nearest points (itself
+    included) from one cKDTree query, sorted by (distance, index). A point
+    is certified when its distance is below the row's certificate
+    c_i = d_i (1 - 64 eps), where d_i is the row's largest distance; every
+    other slot holds i itself. Each distance is computed with the chain's
+    own expression (`here - other`, the same einsum, sqrt), so it is bitwise
+    the value the chain's distance row would hold.
 
-    return _nearest_neighbor_chain(m.n, start, row)
+    Why the first unvisited certified point is the row's argmin. Write
+    u = eps/2. The einsum distance is within 4u, relative, of the true
+    distance (a rounded difference, squared, summed in two adds, a rounded
+    sqrt); so is the tree's, which sums the same squares in its own order.
+    Let j be a point the query did not return and c* the listed point at
+    distance d_i. The query keeps the nearest points by tree distance, up to
+    the rounding of its pruning bounds, so tree(j) >= tree(c*) (1 - 4u), and
+    then einsum(j) >= d_i (1 - 4u)^3 / (1 + 4u)^2 > d_i (1 - 10 eps). A
+    certified point (einsum < c_i, and c_i is itself rounded by at most u)
+    is therefore strictly nearer than every point off the list, visited or
+    not; and among listed points the (distance, index) order is argmin's
+    rule: least distance, ties to the lowest index. The bounds assume no
+    overflow or underflow: the caller rejects coordinates of 2^500 or more,
+    and a row with d_i < 2^-500 certifies nothing, as does a row with
+    d_i = 0 (more than CHAIN_CANDIDATES + 1 coincident copies).
+    """
+    near = cKDTree(pts).query(pts, CHAIN_CANDIDATES + 1)[1]
+    diff = pts[near]
+    np.subtract(pts[:, None, :], diff, out=diff)
+    diff = diff.reshape(-1, 3)
+    dist = np.einsum("ij,ij->i", diff, diff).reshape(near.shape)
+    del diff  # the largest temporary: free it before the table is built
+    np.sqrt(dist, out=dist)
+    by_distance = np.lexsort((near, dist))
+    near = np.take_along_axis(near, by_distance, axis=1)
+    dist = np.take_along_axis(dist, by_distance, axis=1)
+    d_max = dist[:, -1:]
+    limit = np.where(d_max >= 2.0**-500, d_max * _CERTIFICATE, 0.0)
+    # an uncertified slot names the row's own point, which the walk has
+    # always visited when it reads the row, so the slot is skipped
+    np.copyto(near, np.arange(len(pts))[:, None], where=dist >= limit)
+    return near
 
 
 def greedy_chain(positions, start: int = 0) -> Sequence:
     """The nearest-neighbor chain of greedy_sequence(distance_matrix(positions)), matrix-free.
 
-    Each step computes one row of distances, so memory is O(n) rather than
-    O(n^2). Visited points are overwritten with inf in a private copy.
+    More than CHAIN_TABLE_MIN_POINTS points first build a table of certified
+    nearest candidates (`_certified_candidates`: O(m K) memory for m points,
+    K = CHAIN_CANDIDATES). A step takes the current point's first unvisited
+    candidate, in plain Python. Only when there is none does it compute one
+    row of distances from the current point (O(m) memory), with every
+    visited point overwritten by inf in a private copy, and take the row's
+    argmin. Fewer points build no table, so each of their steps is a row.
+    Either way a step picks what the distance matrix's row would: the
+    nearest unvisited point, ties to the lowest index. Coordinates must be
+    finite and below 2^500 in magnitude, so that no squared distance overflows.
     """
     pts = np.array(positions, dtype=float).reshape(-1, 3)
+    m = len(pts)
+    if not 0 <= start < m:
+        raise ValueError(f"start must lie in [0, {m}), got {start!r}")
+    if not np.abs(pts).max() < 2.0**500:
+        raise ValueError("positions must be finite and below 2**500 in magnitude")
+    # point i's candidates fill slots [i * width, (i + 1) * width) of a flat
+    # memoryview, which keeps no Python object per table entry
+    width = CHAIN_CANDIDATES + 1 if m > CHAIN_TABLE_MIN_POINTS else 0
+    table = memoryview(_certified_candidates(pts).ravel()) if width else ()
+    remaining = pts.copy()  # visited points overwritten with inf
     diff = np.empty_like(pts)
-    dist = np.empty(len(pts))
-
-    def row(current: int) -> np.ndarray:
-        here = pts[current].copy()
-        pts[current] = np.inf
-        np.subtract(here, pts, out=diff)
-        # the same einsum as distance_matrix, so each row is bitwise equal to its row
-        np.einsum("ij,ij->i", diff, diff, out=dist)
-        return np.sqrt(dist, out=dist)
-
-    return _nearest_neighbor_chain(len(pts), start, row)
+    dist = np.empty(m)
+    visited = [False] * m
+    order = [start]
+    current = start
+    for _ in range(m - 1):
+        visited[current] = True
+        remaining[current] = np.inf
+        row = current * width
+        for nxt in table[row:row + width]:
+            if not visited[nxt]:
+                break
+        else:  # no certified candidate left: one row of distances
+            np.subtract(pts[current], remaining, out=diff)
+            # the same einsum as distance_matrix, so each row is bitwise equal to its row
+            np.einsum("ij,ij->i", diff, diff, out=dist)
+            nxt = int(np.sqrt(dist, out=dist).argmin())
+        order.append(nxt)
+        current = nxt
+    return Sequence(tuple(order))
 
 
 def optimal_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
@@ -246,10 +315,11 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
                    robot_home=None, within_cluster: str = "greedy") -> Plan:
     """Cluster waypoints, schedule the turntable, and order each cluster.
 
-    within_cluster: "greedy" runs the nearest-neighbor chain per cluster,
-    starting at the member closest to the end of the previous cluster (the
-    robot home for the first); "input" keeps members in input order (the
-    clustering-only variant).
+    within_cluster: "greedy" runs the nearest-neighbor chain per cluster
+    (`greedy_chain`: a certified candidate table with a distance-row
+    fallback, O(m K) memory for m members), starting at the member closest
+    to the end of the previous cluster (the robot home for the first);
+    "input" keeps members in input order (the clustering-only variant).
     """
     if not len(waypoints):
         raise ValueError("no waypoints to plan")

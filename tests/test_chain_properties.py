@@ -1,0 +1,81 @@
+"""Property tests: greedy_chain against the distance-matrix greedy, on layouts built for ties.
+
+greedy_chain takes most steps from a table of certified nearest candidates
+and falls back to a full distance row otherwise; greedy_sequence over
+distance_matrix is the reference. The layouts are the ones where a candidate
+table could go wrong: exact ties (lattices, duplicates), more coincident
+copies of a point than the table lists (every step falls back), far from the
+origin (large rounding in the differences), very tight spreads, and a shell
+of points at exactly one distance whose rounded distances the tree and the
+row order differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the
+row-only and the table walk run.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, distance_matrix,
+                                 greedy_chain, greedy_sequence)
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
+MAX_POINTS = 400
+OFFSET = np.array([1e3, -5e2, 2e2])
+
+
+def cloud(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=(n, 3))
+    if kind == "lattice":
+        return rng.integers(0, 4, (n, 3)).astype(float)
+    if kind == "lattice_005":
+        return 0.05 * rng.integers(0, 4, (n, 3))
+    if kind == "coincident":
+        copies = CHAIN_CANDIDATES + 2 + int(rng.integers(0, 4))
+        base = rng.normal(size=(-(-n // copies), 3))
+        return rng.permutation(np.repeat(base, copies, axis=0))[:n]
+    if kind == "offset":
+        return 0.1 * rng.normal(size=(n, 3)) + OFFSET
+    if kind == "offset_lattice":
+        return 0.05 * rng.integers(0, 4, (n, 3)) + OFFSET
+    if kind == "tight":
+        return 1e-6 * rng.normal(size=(n, 3))
+    raise AssertionError(kind)
+
+
+KINDS = ("normal", "lattice", "lattice_005", "coincident", "offset", "offset_lattice", "tight")
+SIZES = st.one_of(st.integers(1, 2 * CHAIN_TABLE_MIN_POINTS), st.integers(1, MAX_POINTS))
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(KINDS), n=SIZES, seed=st.integers(0, 2**32 - 1),
+       start_fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_greedy_chain_matches_matrix_greedy_on_any_layout(kind, n, seed, start_fraction):
+    pts = cloud(kind, n, np.random.default_rng(seed))
+    start = int(start_fraction * n)
+    expected = greedy_sequence(distance_matrix(pts), start).order
+    assert greedy_chain(pts, start).order == expected
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40))
+def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
+    # the 48 sign changes and permutations of one vector lie at exactly one
+    # distance from the center, but their rounded sums of squares differ by
+    # an ulp, and the tree sums them in another order than the row: only the
+    # certificate's margin keeps the first step, taken from the table, the row's
+    rng = np.random.default_rng(seed)
+    radius = 10.0 ** int(rng.integers(-3, 3))
+    vector = radius * rng.uniform(0.5, 1.5, 3)
+    shell = sorted({tuple(s * v for s, v in zip(signs, perm))
+                    for perm in itertools.permutations(vector.tolist())
+                    for signs in itertools.product((1.0, -1.0), repeat=3)})
+    pts = np.vstack([np.zeros((1, 3)), shell, 10.0 * radius * rng.normal(size=(extra, 3))])
+    shuffle = rng.permutation(len(pts))
+    pts = pts[shuffle]
+    start = int(np.flatnonzero(shuffle == 0)[0])
+    assert len(pts) > CHAIN_TABLE_MIN_POINTS
+    expected = greedy_sequence(distance_matrix(pts), start).order
+    assert greedy_chain(pts, start).order == expected

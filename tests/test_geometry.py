@@ -105,6 +105,13 @@ def test_generate_waypoint_rejects_negative_standoff():
         generate_waypoint(HoleFrame(**WORLD_FRAME), standoff=-0.01, attack=0.0)
 
 
+@pytest.mark.parametrize("field, standoff, attack", [
+    ("standoff", math.nan, 0.0), ("standoff", math.inf, 0.0), ("attack", 0.05, math.nan)])
+def test_generate_waypoints_rejects_non_finite_arguments(field, standoff, attack):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        generate_waypoints(hemisphere_layout(3, 0.1, seed=0), standoff, attack)
+
+
 def test_zero_attack_translates_exactly_along_y():
     part = hemisphere_layout(15, 0.2, seed=6)
     for hole in part.holes:

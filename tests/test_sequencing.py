@@ -8,9 +8,9 @@ from conftest import brute_force_open_path, make_waypoints
 from turnplan.angles import TWO_PI
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
-from turnplan.sequencing import (DistanceMatrix, InstanceTooLargeError, Plan, Sequence,
-                                 baseline_angle_sequence, distance_matrix, greedy_chain,
-                                 greedy_sequence, optimal_sequence, plan_records,
+from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, InstanceTooLargeError,
+                                 Plan, Sequence, baseline_angle_sequence, distance_matrix,
+                                 greedy_chain, greedy_sequence, optimal_sequence, plan_records,
                                  plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
@@ -116,6 +116,23 @@ def test_greedy_rejects_bad_start():
     m = distance_matrix([(0, 0, 0), (1, 0, 0)])
     with pytest.raises(ValueError):
         greedy_sequence(m, start=2)
+
+
+@pytest.mark.parametrize("n", [5, CHAIN_TABLE_MIN_POINTS + 1])
+@pytest.mark.parametrize("side", ["past_end", "negative"])
+def test_greedy_chain_rejects_bad_start(n, side):
+    pts = np.random.default_rng(13).uniform(-1, 1, (n, 3))
+    with pytest.raises(ValueError, match="start must lie in"):
+        greedy_chain(pts, start=n if side == "past_end" else -1)
+
+
+@pytest.mark.parametrize("n", [5, CHAIN_TABLE_MIN_POINTS + 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e160])
+def test_greedy_chain_rejects_coordinates_it_cannot_square(n, bad):
+    pts = np.random.default_rng(14).uniform(-1, 1, (n, 3))
+    pts[n // 2, 1] = bad
+    with pytest.raises(ValueError, match="positions must be finite and below"):
+        greedy_chain(pts)
 
 
 # --- exact search ----------------------------------------------------------
