@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .clustering import ClusterParams
-from .geometry import PartModel, generate_waypoints, hemisphere_layout
+from .geometry import PartModel, _as_vector3, generate_waypoints, hemisphere_layout
 from .metrics import (BenchmarkReport, CellModel, PLANNERS, REPORT_COLUMNS, report_rows,
                       strip_timing, trial_reports)
 
@@ -39,6 +39,7 @@ class Scenario:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.standoff < 0.0:
             raise ValueError("standoff must be >= 0")
+        _as_vector3(self.robot_home, "robot_home")
 
 
 def hemisphere_scenario(n: int = 40, radius: float = 0.15, standoff: float = 0.05,

@@ -55,7 +55,7 @@ class Cluster:
     mean_angle: float
 
     def __post_init__(self):
-        members = tuple(int(i) for i in self.members)
+        members = tuple(map(int, self.members))
         if not members:
             raise ValueError("cluster must have at least one member")
         object.__setattr__(self, "members", members)
@@ -129,60 +129,181 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-# Tie margin of the matmul assignment, per unit of max|p|^2 (see below).
+# Margins of the assignment step (derived in _NearestCentroid): the tie
+# margin per unit of M^2, the gap margin and the drift padding per unit of
+# M, where M = max|p|. And when keeping gap bounds pays: a skipped row saves
+# the work of about k + _ROW_PAIRS (row, centroid) pairs, and the bounds'
+# upkeep costs about _UPKEEP_PAIRS of them (both measured on a 2 vCPU Xeon).
 _TIE_TOL = 256.0 * float(np.finfo(float).eps)
+_GAP_TOL = 2.0**-23
+_DRIFT_PAD = 16.0 * float(np.finfo(float).eps)
+_ROW_PAIRS = 12
+_UPKEEP_PAIRS = 2**15
 
 
-def _nearest_centroid(points: np.ndarray, k: int):
-    """An assignment step for `points`: (k, 3) centroids -> index of each point's nearest one.
+class _NearestCentroid:
+    """A k-means assignment step that recomputes only the rows centroid drift could flip.
 
-    The result is bitwise equal to `_squared_distances(points, c).argmin(1)`,
-    but costs one (n, 4) @ (4, k) matmul instead of an (n, k, 3) pass.
+    Calling it with (k, 3) centroids returns each point's nearest centroid
+    index, bitwise equal to `_squared_distances(points, c).argmin(1)`.
     Every centroid must be a mean of the points, so that |c| <= M = max|p|
-    (up to the rounding of the mean, which is far below the margin here).
+    (up to the rounding of the mean, far below every margin here).
 
-    Why it is exact. The matmul gives approx = -2 p.c + |c|^2, the squared
-    distance less |p|^2, which is the same for every centroid of a row and
-    so moves neither the argmin nor the gaps. BLAS may sum the four terms in
-    any order, and fuse multiply-adds. With u = eps/2 and |p|, |c| <= M:
-    - |c|^2 carries at most 3u M^2 of rounding;
-    - the terms' magnitudes sum to at most 2|p||c| + |c|^2 <= 3 M^2, so the
-      4-term dot product adds at most 4u * 3 M^2 = 12u M^2;
-    - the einsum value is off the true distance d <= 4 M^2 by at most
-      5u d <= 20u M^2 (a rounded difference, squared, then 3 terms).
-    So approx + |p|^2 and the einsum value differ by at most
-    B = 35u M^2 < 18 eps M^2. If every other centroid's approx exceeds the
-    row's best by more than tol >= 2B, its einsum value exceeds the best's
-    too: the exact argmin is unique and the same, whatever order and however
-    many threads BLAS uses. tol = 256 eps M^2 is over 14 B, which also covers
-    the rounding of best + tol. Rows within tol of their best (ties) are
-    recomputed with the exact einsum, whose argmin sends ties to the lowest
-    index.
+    Per point the step can keep its label and a lower bound b on its gap G:
+    the distance to its second-nearest centroid minus that to its nearest.
+    A call then lowers every bound by the centroids' drift since the last
+    call and recomputes only the stale rows, those with b <= 0 (all of them
+    when most are stale); the others keep their labels. Keeping bounds
+    costs a drift update, a row selection and a second matmul per
+    recomputed row, so a call keeps them for the next one only while the
+    rows it skipped, times k + _ROW_PAIRS, reach _UPKEEP_PAIRS. A call that
+    recomputes every row counts as skipping n, so fewer than
+    2^15 / (k + 12) points never keep bounds, and a call that skipped too
+    little hands a full recompute to the next one.
+
+    The kernel. Each point is lifted to (p, 1) and each centroid to
+    (-2c, C) with C = fl(|c|^2); one (rows, 4) @ (4, k) matmul gives
+    q_j = -2 p.c_j + C_j, the squared distance D_j^2 = |p - c_j|^2 less
+    |p|^2, which is the same for every centroid of a row and so moves
+    neither the argmin nor the gaps. A row's label a is the argmin of its q.
+    BLAS may sum the four terms in any order, and fuse multiply-adds. With
+    u = eps/2 and |p|, |c| <= M, C carries at most 3u M^2 of rounding and
+    the terms' magnitudes sum to at most 2|p||c| + |c|^2 <= 3 M^2, so q_j
+    is within 3u M^2 + 4u * 3 M^2 = 15u M^2 of D_j^2 - |p|^2.
+
+    Without bounds to keep, a tie scan makes it exact. The einsum value of
+    D_j^2 is off by at most 5u D_j^2 <= 20u M^2 (a rounded difference,
+    squared, then three terms), so q + |p|^2 and the einsum value differ by
+    at most B = 35u M^2 < 18 eps M^2. If every other centroid's q exceeds
+    the row's best by more than tol = _TIE_TOL * M^2 = 256 eps M^2, over
+    14 B, which also covers the rounding of best + tol, its einsum value
+    exceeds the best's too: the einsum argmin is a, uniquely, whatever
+    order and however many threads BLAS uses.
+
+    With bounds, the gap replaces the scan. For its best q and for the
+    least q of the other centroids (taken from a (k, rows) product), the
+    row gets d = fl(sqrt(max(fl(q + P), 0))), with P = fl(|p|^2) off by at
+    most 3u M^2 and the sum rounding by at most 4u M^2, so that fl(q + P)
+    is within e = 22u M^2 = 11 eps M^2 of D^2; each d is then within
+    sqrt(e) + 2u M of the true distance (|sqrt(x) - sqrt(y)| <= sqrt|x - y|,
+    and the sqrt's own rounding), and h = fl(d_second - d_best) is within
+    E = 2 sqrt(e) + 6u M = (2 sqrt(11 eps) + 3 eps) M < 9.9e-8 M of G.
+    The kernel stores b = h - margin, with margin = _GAP_TOL * M = 2^-23 M
+    > 1.19e-7 M, so that b <= G - m with m = margin - E > 2e-8 M. A row
+    with b > 0 therefore has G > m > 6 eps M; as the einsum values are
+    within 5u, relative, of D^2 and D_a <= 2M, every other centroid's
+    einsum value exceeds a's, so a is the einsum argmin. A row with b <= 0
+    is a near tie: it is recomputed with the exact einsum, whose argmin
+    sends ties to the lowest index, and its bound becomes -inf.
+
+    Drift keeps b <= G - m. When centroid j moves by Delta_j, D_a grows by
+    at most Delta_a and every other D_j shrinks by at most max(Delta), so
+    G falls by at most Delta_a + max(Delta). A call lowers b by
+    x_a = fl(delta_a + fl(max(delta) + r)), where delta is the computed
+    drift, within 3.6u, relative, of Delta, and r = _DRIFT_PAD * M =
+    16 eps M = 32u M. The padding covers every rounding of the update: the
+    drifts' 3.6u (delta_a + max(delta)) <= 14.4u M (no drift exceeds 2M),
+    the two sums' 2u (delta_a + max(delta)) <= 8u M, and the subtraction's
+    u |b - x_a| <= 4u M (a finite bound entering an update is at most 2M,
+    and negative only when fresh), 26.4u M in all. So b stays at most G - m
+    after any number of updates, and max_iterations has no place in the
+    margin. Empty-cluster repair moves points to clusters that are not
+    their nearest; `relabel` makes their bounds -inf.
     """
-    n = len(points)
-    lifted = np.ones((n, 4))
-    lifted[:, :3] = points
-    tol = _TIE_TOL * float(np.einsum("ij,ij->i", points, points).max())
-    rows = np.arange(n)
-    coeffs = np.empty((4, k))
-    approx = np.empty((n, k))
-    near = np.empty((n, k), dtype=bool)
 
-    def assign(centroids: np.ndarray) -> np.ndarray:
-        np.multiply(centroids.T, -2.0, out=coeffs[:3])
-        np.einsum("ij,ij->i", centroids, centroids, out=coeffs[3])
-        np.matmul(lifted, coeffs, out=approx)
-        labels = approx.argmin(axis=1)
-        best = approx[rows, labels]
-        best += tol
-        np.less_equal(approx, best[:, None], out=near)
-        # every row counts its own best; more than n means some row is tied
-        if np.count_nonzero(near) > n:
-            tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-            labels[tied] = _squared_distances(points[tied], centroids).argmin(axis=1)
+    def __init__(self, points: np.ndarray, k: int):
+        n = len(points)
+        self.points = points
+        self.lifted = np.ones((n, 4))  # a row per point: (x, y, z, 1)
+        self.lifted[:, :3] = points
+        self.squares = np.einsum("ij,ij->i", points, points)
+        scale2 = float(self.squares.max())
+        self.tol = _TIE_TOL * scale2
+        self.margin = _GAP_TOL * math.sqrt(scale2)
+        self.pad = _DRIFT_PAD * math.sqrt(scale2)
+        self.coeffs = np.empty((4, k))  # a column per centroid: (-2c, |c|^2)
+        self.labels = self.bounds = None
+        self.centroids = None  # those of the last call, while its bounds are kept
+        self._cols = np.arange(n)
+        # room for the matmul outputs, (rows, k) and then (k, rows)
+        self._products = np.empty(n * k)
+        self._near = self._products.reshape(n, k)
+
+    def __call__(self, centroids: np.ndarray) -> np.ndarray:
+        n, k = len(self.points), len(centroids)
+        np.multiply(centroids.T, -2.0, out=self.coeffs[:3])
+        np.einsum("ij,ij->i", centroids, centroids, out=self.coeffs[3])
+        rows = None
+        skipped = n  # the most that bounds could skip on the next call
+        if self.centroids is not None:
+            drift = centroids - self.centroids
+            drift = np.sqrt(np.einsum("ij,ij->i", drift, drift))
+            drift += drift.max() + self.pad
+            self.bounds -= drift[self.labels]
+            # not "<= 0": a NaN bound (from overflowing coordinates) is stale too
+            rows = (~(self.bounds > 0.0)).nonzero()[0]
+            skipped = n - len(rows)
+        # bounds are kept only while the rows they skip pay for their upkeep
+        keep = skipped * (k + _ROW_PAIRS) >= _UPKEEP_PAIRS
+        if rows is None or 2 * len(rows) > n:  # most rows stale: recompute them all
+            labels, self.bounds = self._recompute(None, centroids, keep)
+        else:
+            labels = self.labels.copy()
+            labels[rows], bounds = self._recompute(rows, centroids, keep)
+            if keep:
+                self.bounds[rows] = bounds
+        self.labels = labels
+        self.centroids = centroids.copy() if keep else None
         return labels
 
-    return assign
+    def _recompute(self, rows, centroids: np.ndarray, bounded: bool):
+        """Labels of the given rows of the points (None: all), and their gap
+        bounds if `bounded`."""
+        k = len(centroids)
+        if rows is None:
+            lifted, cols, near = self.lifted, self._cols, self._near
+        else:
+            lifted = np.take(self.lifted, rows, axis=0)
+            cols = self._cols[:len(rows)]
+            near = self._products[:len(rows) * k].reshape(len(rows), k)
+        r = len(lifted)
+        np.matmul(lifted, self.coeffs, out=near)
+        labels = near.argmin(axis=1)
+        bounds = None
+        if bounded:
+            # the second-best from the (k, rows) product, where a min over
+            # centroids runs down contiguous rows; it overwrites `near`
+            far = np.matmul(self.coeffs.T, lifted.T, out=self._products[:r * k].reshape(k, r))
+            best = far[labels, cols]
+            far[labels, cols] = np.inf
+            bounds = np.minimum.reduce(far, axis=0)  # the second-best, until the gap
+            squares = self.squares if rows is None else self.squares[rows]
+            for q in (best, bounds):
+                q += squares
+                np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+            bounds -= best
+            bounds -= self.margin
+            tied = (~(bounds > 0.0)).nonzero()[0]
+        else:
+            best = near[cols, labels]
+            best += self.tol
+            close = near <= best[:, None]
+            tied = ()
+            # every row counts its own best; more than r means some row is tied
+            if np.count_nonzero(close) > r:
+                tied = (np.count_nonzero(close, axis=1) > 1).nonzero()[0]
+        if len(tied):
+            points = self.points[tied if rows is None else rows[tied]]
+            labels[tied] = _squared_distances(points, centroids).argmin(axis=1)
+            if bounded:
+                bounds[tied] = -np.inf
+        return labels, bounds
+
+    def relabel(self, labels: np.ndarray) -> None:
+        """Take labels changed outside the step; the rows that moved lose their bounds."""
+        if self.bounds is not None:
+            self.bounds[labels != self.labels] = -np.inf
+        self.labels = labels
 
 
 def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -243,7 +364,7 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
 
     rng = np.random.default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
-    nearest = _nearest_centroid(points, k)
+    nearest = _NearestCentroid(points, k)
     # centroid sums come from one bincount over (axis, cluster) bins, with
     # the coordinates laid out axis by axis; each bin sums its members in
     # index order, so a centroid is bitwise equal to points[assign == j].mean(axis=0)
@@ -255,7 +376,8 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
         counts = np.bincount(assign, minlength=k)
         if np.count_nonzero(counts) < k:
             assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            nearest.relabel(assign)
+        if prev_assign is not None and not np.count_nonzero(assign != prev_assign):
             break
         prev_assign = assign
         sums = np.bincount((axis_offsets + assign).ravel(), weights=coords, minlength=3 * k)

@@ -7,6 +7,7 @@ All path lengths are open: the robot is not required to return to its start.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .angles import TWO_PI, forward_delta, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
-from .geometry import Waypoints
+from .geometry import Waypoints, _as_vector3
 
 # Exact search is capped here; beyond this the subset table gets unwieldy.
 EXACT_SEARCH_MAX_POINTS = 12
@@ -248,18 +249,21 @@ class Plan:
     flattened_order: tuple[int, ...]
 
     def __post_init__(self):
-        sequences = tuple(tuple(int(i) for i in seq) for seq in self.sequences)
-        flattened = tuple(int(i) for i in self.flattened_order)
+        sequences = tuple(tuple(map(int, seq)) for seq in self.sequences)
+        order = tuple(itertools.chain.from_iterable(sequences))
+        flattened = tuple(self.flattened_order)
         object.__setattr__(self, "sequences", sequences)
-        object.__setattr__(self, "flattened_order", flattened)
+        object.__setattr__(self, "flattened_order", order)  # once checked equal below
         if len(sequences) != len(self.cluster_plan.clusters):
             raise ValueError("need one sequence per cluster")
         for seq, cluster in zip(sequences, self.cluster_plan.clusters):
             if sorted(seq) != sorted(cluster.members):
                 raise ValueError("each sequence must reorder exactly its cluster's members")
-        if flattened != tuple(i for seq in sequences for i in seq):
+        if flattened != order and tuple(map(int, flattened)) != order:
             raise ValueError("flattened_order must concatenate the per-cluster sequences")
-        if sorted(flattened) != list(range(len(flattened))):
+        # n distinct integers from 0 to n - 1, without a sort
+        n = len(order)
+        if len(set(order)) != n or min(order, default=0) != 0 or max(order, default=-1) != n - 1:
             raise ValueError("flattened_order must be a permutation of all waypoints")
 
     @property
@@ -267,10 +271,9 @@ class Plan:
         return len(self.flattened_order)
 
 
-def _make_plan(cluster_plan: ClusterPlan, sequences) -> Plan:
-    sequences = tuple(tuple(seq) for seq in sequences)
+def _make_plan(cluster_plan: ClusterPlan, sequences: list) -> Plan:
     return Plan(cluster_plan=cluster_plan, sequences=sequences,
-                flattened_order=tuple(i for seq in sequences for i in seq))
+                flattened_order=tuple(itertools.chain.from_iterable(sequences)))
 
 
 def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
@@ -325,11 +328,11 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
         raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
+    previous_pos = np.zeros(3) if robot_home is None else _as_vector3(robot_home, "robot_home")
     positions = waypoints.positions
     clusters = cluster_points(positions, params, angles=waypoints.table_angles)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
 
-    previous_pos = np.zeros(3) if robot_home is None else np.asarray(robot_home, dtype=float)
     sequences = []
     for cluster in cluster_plan.clusters:
         members = cluster.members

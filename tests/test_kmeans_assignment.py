@@ -1,16 +1,20 @@
-"""The k-means assignment step: one matmul plus an exact tie check.
+"""The k-means assignment step: one matmul, an exact tie check, and gap bounds.
 
-`_nearest_centroid` must pick, for every point, the same centroid as the
+`_NearestCentroid` must pick, for every point, the same centroid as the
 argmin over the exact einsum distances (`_squared_distances`), bit for bit,
-including exact ties, which go to the lowest index.
+including exact ties, which go to the lowest index, also for the rows it
+skips because their gap bounds say no centroid move could have flipped them.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turnplan import clustering
-from turnplan.clustering import ClusterParams, _nearest_centroid, _squared_distances, cluster_points
+from turnplan.clustering import (ClusterParams, _fix_empty_clusters, _NearestCentroid,
+                                 _squared_distances, cluster_points)
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -55,7 +59,7 @@ def _counting_squared_distances(monkeypatch) -> list[int]:
 def test_assignment_equals_exact_argmin(layout, n, k, seed, transposed):
     rng = np.random.default_rng(seed)
     points = _points(layout, n, rng)
-    assign = _nearest_centroid(points, k)
+    assign = _NearestCentroid(points, k)
     for _ in range(2):  # the step reuses its buffers from call to call
         centroids = _centroids(points, k, rng)
         if transposed:  # centroids as a column-major view, as the k-means loop passes them
@@ -69,7 +73,7 @@ def test_lattice_ties_take_the_exact_fallback(monkeypatch):
     points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     centroids = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
     rows = _counting_squared_distances(monkeypatch)
-    labels = _nearest_centroid(points, 2)(centroids)
+    labels = _NearestCentroid(points, 2)(centroids)
     assert rows == [25]  # the 5 x 5 plane x = 1, equidistant from both centroids
     assert np.array_equal(labels, (points[:, 0] >= 2.0).astype(int))  # the tie goes to 0
 
@@ -89,3 +93,115 @@ def test_hemisphere_k_means_needs_no_exact_fallback(monkeypatch):
     for k in (5, 60):
         cluster_points(bundle.positions, ClusterParams(k=k, seed=3), angles=bundle.table_angles)
     assert rows == []
+
+
+def _bounds_kept_from(pairs: int):
+    # the step keeps its bounds only where they pay; lower thresholds let
+    # small inputs exercise them, and switch them off and on again
+    return mock.patch.object(clustering, "_UPKEEP_PAIRS", pairs)
+
+
+def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
+    """Plain Lloyd's k-means, the exact einsum argmin on every iteration."""
+    rng = np.random.default_rng(seed)
+    centroids = points[rng.choice(len(points), size=k, replace=False)]
+    previous = None
+    for _ in range(max_iterations):
+        dist2 = _squared_distances(points, centroids)
+        assign = dist2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=k)
+        if np.count_nonzero(counts) < k:
+            assign = _fix_empty_clusters(assign, dist2, counts)
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        previous = assign
+        centroids = np.array([points[assign == j].mean(axis=0) for j in range(k)])
+    return [tuple(np.flatnonzero(assign == j).tolist()) for j in range(k)], centroids
+
+
+@PROPERTY_SETTINGS
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 300), k=st.integers(1, 40),
+       max_iterations=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+       upkeep=st.sampled_from([0, 2**10, 2**13, clustering._UPKEEP_PAIRS]))
+def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed, upkeep):
+    points = _points(layout, n, np.random.default_rng(seed))
+    params = ClusterParams(k=k, max_iterations=max_iterations, seed=seed)
+    with _bounds_kept_from(upkeep):
+        clusters = cluster_points(points, params, angles=np.zeros(n))
+    if n <= k:
+        members, centroids = [(i,) for i in range(n)], points
+    else:
+        members, centroids = _lloyd(points, k, max_iterations, seed)
+    assert [c.members for c in clusters] == members
+    assert np.array_equal(np.array([c.centroid for c in clusters]), centroids)
+
+
+def _exact_gaps(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each point's einsum distance to its second-nearest centroid less that to its own."""
+    dist = np.sqrt(_squared_distances(points, centroids))
+    rows = np.arange(len(points))
+    own = dist[rows, labels]
+    dist[rows, labels] = np.inf
+    return dist.min(axis=1) - own
+
+
+def _squeeze(points: np.ndarray, centroids: np.ndarray, rng) -> np.ndarray:
+    """Move a point's nearest centroid straight away from it and its second-nearest
+    straight toward it, each by a quarter of its gap: the gap falls by the sum of
+    both moves, the most the two drifts allow."""
+    point = points[rng.integers(len(points))]
+    dist = np.sqrt(_squared_distances(point[None, :], centroids))[0]
+    own, second = np.argsort(dist, kind="stable")[:2]
+    step = (dist[second] - dist[own]) / 4.0
+    moved = centroids.copy()
+    if step > 0.0 and dist[own] > 0.0:
+        moved[own] += step * (centroids[own] - point) / dist[own]
+        moved[second] += step * (point - centroids[second]) / dist[second]
+    return moved
+
+
+@PROPERTY_SETTINGS
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(2, 300), k=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), moves=st.lists(st.booleans(), min_size=1, max_size=4))
+def test_gap_bounds_stay_below_the_exact_gaps(layout, n, k, seed, moves):
+    rng = np.random.default_rng(seed)
+    points = _points(layout, n, rng)
+    centroids = _centroids(points, k, rng)
+    with _bounds_kept_from(0):
+        step = _NearestCentroid(points, k)
+        step(centroids)
+        for squeeze in moves:  # the adversarial move, or a jump to fresh centroids
+            centroids = _squeeze(points, centroids, rng) if squeeze else _centroids(points, k, rng)
+            labels = step(centroids)
+            assert np.array_equal(labels, _squared_distances(points, centroids).argmin(axis=1))
+            assert np.all(step.bounds <= _exact_gaps(points, centroids, labels))
+
+
+def test_near_ties_far_from_origin_take_the_exact_path(monkeypatch):
+    # points within 1e-12..1e-4 m of the bisector of two centroids 1.1 km out,
+    # where the matmul's rounding (|p|^2 ~ 1e6) decides nothing
+    rng = np.random.default_rng(5)
+    offsets = np.geomspace(1e-12, 1e-4, 200) * rng.choice([-1.0, 1.0], 200)
+    points = np.column_stack([offsets, rng.uniform(-0.2, 0.2, (200, 2))]) + (1e3, -5e2, 2e2)
+    centroids = np.array([(-0.1, 0.0, 0.0), (0.1, 0.0, 0.0)]) + (1e3, -5e2, 2e2)
+    expected = _squared_distances(points, centroids).argmin(axis=1)
+    for keep in (0, np.inf):
+        monkeypatch.setattr(clustering, "_UPKEEP_PAIRS", keep)
+        step = _NearestCentroid(points, 2)
+        assert np.array_equal(step(centroids), expected)
+        assert np.array_equal(step(centroids), expected)  # the second call keeps or skips
+
+
+def test_hemisphere_k_means_recomputes_few_rows(monkeypatch):
+    bundle = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
+    rows = []
+    recompute = _NearestCentroid._recompute
+
+    def counted(self, stale, *args):
+        rows.append(len(self.points) if stale is None else len(stale))
+        return recompute(self, stale, *args)
+
+    monkeypatch.setattr(_NearestCentroid, "_recompute", counted)
+    cluster_points(bundle.positions, ClusterParams(k=60, seed=3), angles=bundle.table_angles)
+    assert rows[0] == 4000 and len(rows) > 10
+    assert sum(rows[1:]) < 0.5 * 4000 * len(rows[1:])

@@ -1,12 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import brute_force_open_path, make_waypoints
 from turnplan.angles import TWO_PI
-from turnplan.clustering import ClusterParams
+from turnplan.clustering import Cluster, ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, InstanceTooLargeError,
                                  Plan, Sequence, baseline_angle_sequence, distance_matrix,
@@ -280,6 +281,51 @@ def test_plan_validation_rejects_foreign_sequence():
     plan = plan_waypoints(wps, ClusterParams(k=1, seed=0))
     with pytest.raises(ValueError):
         Plan(cluster_plan=plan.cluster_plan, sequences=((0, 0),), flattened_order=(0, 0))
+
+
+def _two_cluster_plan():
+    wps = make_waypoints([(1, 0, 0), (1.1, 0, 0), (-1, 0, 0), (-1.1, 0, 0)])
+    return plan_waypoints(wps, ClusterParams(k=2, seed=0), within_cluster="input")
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("missing sequence", "one sequence per cluster"),
+    ("repeated member", "reorder exactly its cluster's members"),
+    ("members swapped between clusters", "reorder exactly its cluster's members"),
+    ("unknown member", "reorder exactly its cluster's members"),
+    ("reordered concatenation", "concatenate the per-cluster sequences"),
+])
+def test_plan_validation_names_each_fault(fault, message):
+    plan = _two_cluster_plan()
+    (a, b), (c, d) = plan.sequences
+    sequences, flattened = {
+        "missing sequence": (((a, b),), (a, b)),
+        "repeated member": (((a, a), (c, d)), (a, a, c, d)),
+        "members swapped between clusters": (((c, b), (a, d)), (c, b, a, d)),
+        "unknown member": (((a, 2**70), (c, d)), (a, 2**70, c, d)),
+        "reordered concatenation": (((a, b), (c, d)), (c, d, a, b)),
+    }[fault]
+    with pytest.raises(ValueError, match=message):
+        Plan(cluster_plan=plan.cluster_plan, sequences=sequences, flattened_order=flattened)
+
+
+def test_plan_validation_rejects_a_non_permutation():
+    # a ClusterPlan's clusters always partition 0..N-1, so a stand-in whose
+    # cluster skips index 0 reaches the last check
+    plan = _two_cluster_plan()
+    cluster = plan.cluster_plan.clusters[0]
+    stand_in = SimpleNamespace(clusters=(Cluster(members=(1, 2), centroid=cluster.centroid,
+                                                 mean_angle=cluster.mean_angle),))
+    with pytest.raises(ValueError, match="permutation of all waypoints"):
+        Plan(cluster_plan=stand_in, sequences=((2, 1),), flattened_order=(2, 1))
+
+
+@pytest.mark.parametrize("home", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0),
+                                  (0.0, 0.0, 0.0, 0.0), ("home", 0.0, 0.0)])
+def test_plan_waypoints_rejects_a_bad_robot_home(home):
+    wps = make_waypoints([(1, 0, 0), (0, 1, 0), (-1, 0, 0)])
+    with pytest.raises(ValueError, match="robot_home"):
+        plan_waypoints(wps, ClusterParams(k=2, seed=0), robot_home=home)
 
 
 def test_plan_records_and_serialization(tmp_path):
