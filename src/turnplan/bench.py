@@ -31,7 +31,6 @@ class Scenario:
     cell: CellModel = field(default_factory=CellModel)
     robot_center_angle: float = 0.0
     robot_home: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    base_seed: int = 0
 
     def __post_init__(self):
         for name in ("standoff", "attack", "robot_center_angle"):
@@ -43,10 +42,10 @@ class Scenario:
 
 
 def hemisphere_scenario(n: int = 40, radius: float = 0.15, standoff: float = 0.05,
-                        layout_seed: int = 7, base_seed: int = 0, **overrides) -> Scenario:
+                        layout_seed: int = 7, **overrides) -> Scenario:
     """The stock test scenario: holes over a hemisphere, sprayed from a stand-off."""
     part = hemisphere_layout(n, radius, seed=layout_seed)
-    return Scenario(part=part, standoff=standoff, base_seed=base_seed, **overrides)
+    return Scenario(part=part, standoff=standoff, **overrides)
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class ComparisonResult:
     mean_execution_time: dict[str, float]
     mean_ssp_distance: dict[str, float]
     improvement_vs_baseline: dict[str, float]
-
-    def all_reports(self) -> list[BenchmarkReport]:
-        return [r for name in ALGORITHMS for r in self.reports[name]]
 
 
 def run_comparison(scenario: Scenario, trials: int) -> ComparisonResult:

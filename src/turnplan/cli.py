@@ -55,7 +55,6 @@ def _scenario(args, part) -> Scenario:
                        dwell_per_point=args.dwell,
                        planner_overhead_per_point=args.planner_overhead),
         robot_center_angle=math.radians(args.robot_center_deg),
-        base_seed=args.seed,
     )
 
 

@@ -9,7 +9,7 @@ only rotate one way, never needs more than one full revolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,35 +72,34 @@ class Cluster:
 
 @dataclass(frozen=True, eq=False)
 class ClusterPlan:
-    """Clusters in serving order plus the forward table rotation before each one."""
+    """Clusters in serving order plus the forward table rotation before each one.
+
+    The one owner of two plan invariants: the clusters partition the waypoint
+    indices 0..N-1, and the rotations, whose sum is `total_rotation`, add up
+    to at most one revolution.
+    """
 
     clusters: tuple[Cluster, ...]
     rotation_deltas: tuple[float, ...]
-    total_rotation: float
+    total_rotation: float = field(init=False)
 
     def __post_init__(self):
         clusters = tuple(self.clusters)
         deltas = tuple(float(d) for d in self.rotation_deltas)
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "rotation_deltas", deltas)
-        object.__setattr__(self, "total_rotation", float(self.total_rotation))
+        object.__setattr__(self, "total_rotation", sum(deltas))
         if not clusters:
             raise ValueError("cluster plan must contain at least one cluster")
         if len(deltas) != len(clusters):
             raise ValueError("need exactly one rotation delta per cluster")
         if any(not 0.0 <= d < TWO_PI for d in deltas):
             raise ValueError("rotation deltas must lie in [0, 2*pi)")
-        if abs(self.total_rotation - sum(deltas)) > 1e-9:
-            raise ValueError("total_rotation must equal the sum of rotation deltas")
         if self.total_rotation > TWO_PI + 1e-9:
             raise ValueError("plan exceeds one turntable revolution")
         all_members = [i for c in clusters for i in c.members]
         if sorted(all_members) != list(range(len(all_members))):
             raise ValueError("clusters must partition waypoint indices 0..N-1 exactly")
-
-    @property
-    def n_points(self) -> int:
-        return sum(len(c.members) for c in self.clusters)
 
 
 def circular_mean(angles) -> float:
@@ -346,8 +345,9 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
     if points.size == 0:
         raise ValueError("cannot cluster an empty point set")
     points = points.reshape(len(points), 3)
-    if not np.isfinite(points).all():
-        raise ValueError("positions must be finite")
+    # the bound greedy_chain uses: beyond it squared distances overflow
+    if not np.abs(points).max() < 2.0**500:
+        raise ValueError("positions must be finite and below 2**500 in magnitude")
     if angles is None:
         angle_arr = np.array(_table_angles(points, _DEFAULT_PART)[0])
     else:
@@ -406,8 +406,7 @@ def order_clusters(clusters, start_angle: float) -> ClusterPlan:
     for cluster in ordered:
         deltas.append(forward_delta(previous, cluster.mean_angle))
         previous = cluster.mean_angle
-    return ClusterPlan(clusters=tuple(ordered), rotation_deltas=tuple(deltas),
-                       total_rotation=sum(deltas))
+    return ClusterPlan(clusters=tuple(ordered), rotation_deltas=tuple(deltas))
 
 
 def center_offset(cluster: Cluster, robot_center_angle: float) -> float:

@@ -39,10 +39,6 @@ _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 
 
-class DegeneratePositionError(ValueError):
-    """Raised when a point lies on the turntable axis and has no table angle."""
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -219,18 +215,6 @@ def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[list[float], 
               for flag, y, x in zip(on_axis.tolist(), _dot3(v, binormal).tolist(),
                                     _dot3(v, ref).tolist())]
     return angles, on_axis
-
-
-def turntable_angle(position, part: PartModel) -> float:
-    """Angle of `position` about the turntable axis, counter-clockwise from +x, in [0, 2*pi).
-
-    Raises DegeneratePositionError if the point lies on the axis (in-plane
-    radius <= 1e-9), where the angle is undefined.
-    """
-    angles, on_axis = _table_angles(_as_vector3(position, "position")[None, :], part)
-    if on_axis[0]:
-        raise DegeneratePositionError("position lies on the turntable axis; angle undefined")
-    return angles[0]
 
 
 def _rot_x(angle: float) -> np.ndarray:

@@ -80,7 +80,8 @@ def _positions_array(positions) -> np.ndarray:
 def ssp_distance(plan: Plan, positions) -> float:
     """Total straight-line length of the open path through the plan's visit order."""
     pts = _positions_array(positions)
-    if sorted(plan.flattened_order) != list(range(len(pts))):
+    # a Plan visits 0..n_points-1 once each, so only the count needs checking
+    if plan.n_points != len(pts):
         raise ValueError("plan does not cover exactly the supplied positions")
     path = pts[list(plan.flattened_order)]
     return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
@@ -141,15 +142,15 @@ def trial_reports(plan_fn, name: str, waypoints: Waypoints, scenario: Scenario,
                   trials: int) -> list[BenchmarkReport]:
     """Plan and score `trials` seeded trials of one planner on one waypoint bundle.
 
-    Trial i uses seed base_seed + i. The planning time is wall clock around the
-    planner call only.
+    Trial i uses seed scenario.cluster_params.seed + i. The planning time is
+    wall clock around the planner call only.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     positions = waypoints.positions
     reports = []
     for trial in range(trials):
-        seed = scenario.base_seed + trial
+        seed = scenario.cluster_params.seed + trial
         params = replace(scenario.cluster_params, seed=seed)
         tic = time.perf_counter()
         plan = plan_fn(waypoints, scenario, params)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .angles import TWO_PI, forward_delta, wrap_angle
+from .angles import TWO_PI, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
 from .geometry import Waypoints, _as_vector3
 
@@ -56,22 +56,6 @@ class DistanceMatrix:
         object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """A visit order over matrix indices; always a full permutation."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("order must be a permutation of 0..n-1")
-        object.__setattr__(self, "order", order)
-
-    def length(self, m: DistanceMatrix) -> float:
-        return float(sum(m.d[a][b] for a, b in zip(self.order, self.order[1:])))
-
-
 def distance_matrix(positions) -> DistanceMatrix:
     """Pairwise Euclidean distance matrix for a non-empty set of 3D points."""
     pts = np.asarray(positions, dtype=float)
@@ -82,7 +66,7 @@ def distance_matrix(positions) -> DistanceMatrix:
     return DistanceMatrix(n=len(pts), d=np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
 
 
-def greedy_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
+def greedy_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
     """Nearest-neighbor chain over a distance matrix from `start`; ties go to the lowest index."""
     if not 0 <= start < m.n:
         raise ValueError(f"start must lie in [0, {m.n}), got {start!r}")
@@ -93,7 +77,7 @@ def greedy_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
         unvisited[current] = False
         current = int(np.where(unvisited, m.d[current], np.inf).argmin())
         order.append(current)
-    return Sequence(tuple(order))
+    return tuple(order)
 
 
 def _certified_candidates(pts: np.ndarray) -> np.ndarray:
@@ -141,7 +125,7 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     return near
 
 
-def greedy_chain(positions, start: int = 0) -> Sequence:
+def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
     """The nearest-neighbor chain of greedy_sequence(distance_matrix(positions)), matrix-free.
 
     More than CHAIN_TABLE_MIN_POINTS points first build a table of certified
@@ -185,10 +169,10 @@ def greedy_chain(positions, start: int = 0) -> Sequence:
             nxt = int(np.sqrt(dist, out=dist).argmin())
         order.append(nxt)
         current = nxt
-    return Sequence(tuple(order))
+    return tuple(order)
 
 
-def optimal_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
+def optimal_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
     """Minimum-length open path from `start`, by dynamic programming over subsets.
 
     Exact but exponential; capped at EXACT_SEARCH_MAX_POINTS points. Ties are
@@ -201,7 +185,7 @@ def optimal_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
     if not 0 <= start < n:
         raise ValueError(f"start must lie in [0, {n}), got {start!r}")
     if n == 1:
-        return Sequence((0,))
+        return (0,)
 
     d = m.d.tolist()
     size = 1 << n
@@ -237,18 +221,26 @@ def optimal_sequence(m: DistanceMatrix, start: int = 0) -> Sequence:
                 mask = rest
                 current = k
                 break
-    return Sequence(tuple(order))
+    return tuple(order)
 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """Ordered clusters with their rotation schedule and per-cluster visit order."""
+    """Ordered clusters with their rotation schedule and per-cluster visit order.
+
+    Each sequence reorders its cluster's members and `flattened_order`
+    concatenates the sequences; as the `ClusterPlan` partitions 0..N-1, the
+    plan visits every waypoint exactly once.
+    """
 
     cluster_plan: ClusterPlan
     sequences: tuple[tuple[int, ...], ...]
     flattened_order: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.cluster_plan, ClusterPlan):
+            raise TypeError(f"cluster_plan must be a ClusterPlan, "
+                            f"got {type(self.cluster_plan).__name__}")
         sequences = tuple(tuple(map(int, seq)) for seq in self.sequences)
         order = tuple(itertools.chain.from_iterable(sequences))
         flattened = tuple(self.flattened_order)
@@ -261,10 +253,6 @@ class Plan:
                 raise ValueError("each sequence must reorder exactly its cluster's members")
         if flattened != order and tuple(map(int, flattened)) != order:
             raise ValueError("flattened_order must concatenate the per-cluster sequences")
-        # n distinct integers from 0 to n - 1, without a sort
-        n = len(order)
-        if len(set(order)) != n or min(order, default=0) != 0 or max(order, default=-1) != n - 1:
-            raise ValueError("flattened_order must be a permutation of all waypoints")
 
     @property
     def n_points(self) -> int:
@@ -280,9 +268,9 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
                             start_angle: float = 0.0) -> Plan:
     """Bin waypoints into equal angular sectors with no ordering inside a bin.
 
-    The base case: `groups` sectors of width 2*pi/groups, visited in ascending
-    angular order from `start_angle`, input order kept within each sector. The
-    rotation schedule steps between successive sector centers. Deterministic.
+    The base case: `groups` sectors of width 2*pi/groups, each a cluster at
+    its sector center, scheduled by `order_clusters` from `start_angle`, input
+    order kept within each sector. Deterministic.
     """
     if not len(waypoints):
         raise ValueError("no waypoints to sequence")
@@ -292,26 +280,14 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
     bins: list[list[int]] = [[] for _ in range(groups)]
     for index, angle in enumerate(waypoints.table_angles.tolist()):
         bins[min(int(angle // width), groups - 1)].append(index)
-    # serve sectors ascending by center angle from the start; ordering by the
-    # sector start instead can exceed one revolution when the start angle sits
-    # in a sector's second half
-    centers = [wrap_angle(s * width + width / 2.0) for s in range(groups)]
-    sector_order = sorted(range(groups), key=lambda s: forward_delta(start_angle, centers[s]))
-    clusters = []
-    deltas = []
-    previous = start_angle
-    for sector in sector_order:
-        members = bins[sector]
-        if not members:
-            continue
-        clusters.append(Cluster(members=tuple(members),
-                                centroid=waypoints.positions[members].mean(axis=0),
-                                mean_angle=centers[sector]))
-        deltas.append(forward_delta(previous, centers[sector]))
-        previous = centers[sector]
-    cluster_plan = ClusterPlan(clusters=tuple(clusters), rotation_deltas=tuple(deltas),
-                               total_rotation=sum(deltas))
-    return _make_plan(cluster_plan, [c.members for c in clusters])
+    # a sector is served at its center angle; served by its start instead, a
+    # plan can exceed one revolution when the start angle sits in a sector's
+    # second half
+    clusters = [Cluster(members=members, centroid=waypoints.positions[members].mean(axis=0),
+                        mean_angle=wrap_angle(sector * width + width / 2.0))
+                for sector, members in enumerate(bins) if members]
+    cluster_plan = order_clusters(clusters, start_angle)
+    return _make_plan(cluster_plan, [c.members for c in cluster_plan.clusters])
 
 
 def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
@@ -341,7 +317,7 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
         else:
             local_pts = positions[list(members)]
             local_start = int(np.linalg.norm(local_pts - previous_pos, axis=1).argmin())
-            seq = [members[i] for i in greedy_chain(local_pts, start=local_start).order]
+            seq = [members[i] for i in greedy_chain(local_pts, start=local_start)]
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)

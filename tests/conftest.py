@@ -12,6 +12,11 @@ from turnplan.geometry import Waypoints
 from turnplan.sequencing import DistanceMatrix
 
 
+def path_length(m: DistanceMatrix, order) -> float:
+    """Open-path length of a visit order over the matrix's indices."""
+    return float(sum(m.d[a][b] for a, b in zip(order, order[1:])))
+
+
 def brute_force_open_path(m: DistanceMatrix, start: int) -> tuple[float, tuple[int, ...]]:
     """Exhaustive minimum open path from `start`; first minimal permutation wins."""
     rest = [i for i in range(m.n) if i != start]
@@ -19,7 +24,7 @@ def brute_force_open_path(m: DistanceMatrix, start: int) -> tuple[float, tuple[i
     best_order = (start,)
     for perm in itertools.permutations(rest):
         order = (start,) + perm
-        length = sum(m.d[a][b] for a, b in zip(order, order[1:]))
+        length = path_length(m, order)
         if length < best_length:
             best_length, best_order = length, order
     return best_length, best_order

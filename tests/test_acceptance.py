@@ -8,7 +8,7 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from conftest import brute_force_open_path, make_waypoints
+from conftest import brute_force_open_path, make_waypoints, path_length
 from turnplan.angles import TWO_PI, circular_separation, wrap_angle
 from turnplan.bench import hemisphere_scenario
 from turnplan.clustering import ClusterParams, DegenerateMeanError, circular_mean
@@ -53,7 +53,7 @@ def test_criterion_1_greedy_never_beats_exact_oracle():
     for _ in range(500):
         n = int(rng.integers(2, 11))
         m = distance_matrix(rng.uniform(-1.0, 1.0, (n, 3)))
-        if greedy_sequence(m, 0).length(m) < optimal_sequence(m, 0).length(m):
+        if path_length(m, greedy_sequence(m, 0)) < path_length(m, optimal_sequence(m, 0)):
             violations += 1
     elapsed = time.perf_counter() - tic
     assert violations == 0
@@ -70,7 +70,7 @@ def test_criterion_2_exact_oracle_matches_exhaustive_search():
         n = int(rng.integers(2, 9))
         m = distance_matrix(rng.uniform(-1.0, 1.0, (n, 3)))
         start = int(rng.integers(0, n))
-        dp_length = optimal_sequence(m, start).length(m)
+        dp_length = path_length(m, optimal_sequence(m, start))
         brute_length, _ = brute_force_open_path(m, start)
         worst = max(worst, abs(dp_length - brute_length))
     elapsed = time.perf_counter() - tic

@@ -9,6 +9,7 @@ from conftest import count_waypoint_generation
 from turnplan.angles import TWO_PI
 from turnplan.bench import (ALGORITHMS, PLOT_COLUMNS, Scenario, comparison_rows,
                             hemisphere_scenario, plot_data_rows, run_comparison, without_timing)
+from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.metrics import PLANNERS, benchmark, write_csv
 
@@ -124,6 +125,13 @@ def test_run_comparison_generates_waypoints_once(monkeypatch):
     result = run_comparison(hemisphere_scenario(n=8), trials=3)
     assert len(calls) == 1
     assert all(len(result.reports[name]) == 3 for name in ALGORITHMS)
+
+
+def test_trial_seeds_count_up_from_the_cluster_params_seed():
+    scenario = Scenario(hemisphere_layout(12, 0.15, seed=7), cluster_params=ClusterParams(seed=9))
+    assert [r.seed for r in benchmark("greedy", scenario, 2)] == [9, 10]
+    result = run_comparison(scenario, 2)
+    assert all([r.seed for r in result.reports[name]] == [9, 10] for name in ALGORITHMS)
 
 
 def test_run_comparison_rejects_zero_trials():

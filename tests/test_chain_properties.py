@@ -55,8 +55,8 @@ SIZES = st.one_of(st.integers(1, 2 * CHAIN_TABLE_MIN_POINTS), st.integers(1, MAX
 def test_greedy_chain_matches_matrix_greedy_on_any_layout(kind, n, seed, start_fraction):
     pts = cloud(kind, n, np.random.default_rng(seed))
     start = int(start_fraction * n)
-    expected = greedy_sequence(distance_matrix(pts), start).order
-    assert greedy_chain(pts, start).order == expected
+    expected = greedy_sequence(distance_matrix(pts), start)
+    assert greedy_chain(pts, start) == expected
 
 
 @PROPERTY_SETTINGS
@@ -77,5 +77,5 @@ def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
     pts = pts[shuffle]
     start = int(np.flatnonzero(shuffle == 0)[0])
     assert len(pts) > CHAIN_TABLE_MIN_POINTS
-    expected = greedy_sequence(distance_matrix(pts), start).order
-    assert greedy_chain(pts, start).order == expected
+    expected = greedy_sequence(distance_matrix(pts), start)
+    assert greedy_chain(pts, start) == expected

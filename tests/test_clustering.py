@@ -115,6 +115,16 @@ def test_cluster_points_rejects_non_finite_positions(bad, n):
         cluster_points(pts, ClusterParams(k=3, seed=0), angles=np.zeros(n))
 
 
+@pytest.mark.parametrize("n", [3, 50])  # singletons, and k-means proper
+def test_cluster_points_rejects_coordinates_whose_squares_overflow(n):
+    unit = np.random.default_rng(6).normal(size=(n, 3))
+    unit /= np.abs(unit).max()
+    assert len(cluster_points(2.0**499 * unit, ClusterParams(k=5, seed=0))) == min(n, 5)
+    for scale in (2.0**500, 1e200):
+        with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
+            cluster_points(scale * unit, ClusterParams(k=5, seed=0))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_cluster_points_rejects_non_finite_angles(bad):
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 3))
@@ -240,7 +250,7 @@ def _plan_of_one_cluster(angles, mean_angle):
     waypoints = make_waypoints([(math.cos(a), math.sin(a), 0.0) for a in angles])
     cluster = Cluster(members=tuple(range(len(angles))), centroid=np.zeros(3),
                       mean_angle=mean_angle)
-    plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(0.0,), total_rotation=0.0)
+    plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(0.0,))
     return plan, waypoints
 
 
@@ -272,10 +282,10 @@ def test_reachability_flags_violation():
 def test_cluster_plan_rejects_duplicated_members():
     clusters = (_singleton(0, 0.1), _singleton(0, 0.2))
     with pytest.raises(ValueError):
-        ClusterPlan(clusters=clusters, rotation_deltas=(0.1, 0.1), total_rotation=0.2)
+        ClusterPlan(clusters=clusters, rotation_deltas=(0.1, 0.1))
 
 
 def test_cluster_plan_rejects_excess_rotation():
     clusters = (_singleton(0, 0.1), _singleton(1, 0.2))
     with pytest.raises(ValueError):
-        ClusterPlan(clusters=clusters, rotation_deltas=(5.0, 5.0), total_rotation=10.0)
+        ClusterPlan(clusters=clusters, rotation_deltas=(5.0, 5.0))

@@ -1,7 +1,7 @@
 """Golden plans: sha256 digests of visit orders and rotation schedules.
 
 The digests were recorded from the per-hole reference implementation
-(one `Rotation.from_matrix` and one `turntable_angle` per hole, k-means with
+(one `Rotation.from_matrix` and one table-angle call per hole, k-means with
 per-cluster boolean masks, and a greedy chain over a dense distance matrix).
 The array-first core must reproduce those plans bit for bit. The plan far
 from the origin was recorded from k-means with an einsum distance per

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import count_waypoint_generation
 from turnplan.bench import hemisphere_scenario
-from turnplan.clustering import Cluster, ClusterPlan
+from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
 from turnplan.metrics import (BenchmarkReport, CellModel, REPORT_COLUMNS, benchmark,
                               estimate_execution_time, report_rows, ssp_distance, strip_timing,
@@ -17,8 +17,7 @@ from turnplan.sequencing import Plan, plan_waypoints
 def _manual_plan(order, rotation=0.0):
     """Single-cluster plan visiting `order` with one up-front rotation."""
     cluster = Cluster(members=tuple(sorted(order)), centroid=np.zeros(3), mean_angle=0.0)
-    cluster_plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(rotation,),
-                               total_rotation=rotation)
+    cluster_plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(rotation,))
     return Plan(cluster_plan=cluster_plan, sequences=(tuple(order),),
                 flattened_order=tuple(order))
 
@@ -93,7 +92,7 @@ def test_execution_time_monotonicity():
 
 def test_execution_time_improves_with_pipeline_over_baseline():
     # seed chosen so the greedy plan cuts both travel and rotation
-    scenario = hemisphere_scenario(base_seed=0)
+    scenario = hemisphere_scenario()
     reports = {name: benchmark(name, scenario, trials=1)[0]
                for name in ("baseline", "greedy")}
     assert reports["greedy"].ssp_distance < reports["baseline"].ssp_distance
@@ -120,7 +119,7 @@ def test_cell_model_rejects_non_finite_values(field, value):
 # --- benchmark harness ------------------------------------------------------
 
 def test_benchmark_one_report_per_trial_with_distinct_seeds():
-    scenario = hemisphere_scenario(base_seed=5)
+    scenario = hemisphere_scenario(cluster_params=ClusterParams(seed=5))
     reports = benchmark("greedy", scenario, trials=3)
     assert len(reports) == 3
     assert [r.seed for r in reports] == [5, 6, 7]

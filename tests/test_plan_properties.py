@@ -1,0 +1,67 @@
+"""Property tests: the invariants of every plan, stated once, for every planner.
+
+`ClusterPlan` checks that its clusters partition 0..N-1 and that its
+rotations stay within one revolution; `Plan` checks that each sequence
+reorders its cluster's members and that `flattened_order` concatenates the
+sequences. Nothing downstream re-checks them, so this file states what the
+two checks together promise, over generated layouts, cluster counts, seeds
+and robot settings, for every planner in `PLANNERS`.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_waypoints
+from turnplan.angles import TWO_PI
+from turnplan.bench import Scenario
+from turnplan.clustering import ClusterParams
+from turnplan.geometry import PartModel
+from turnplan.metrics import PLANNERS, ssp_distance
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+LAYOUTS = ("normal", "ring", "duplicates", "on_axis", "lattice", "far")
+
+
+def _points(layout: str, n: int, rng) -> np.ndarray:
+    if layout == "normal":
+        return rng.normal(size=(n, 3))
+    if layout == "ring":  # every angle in use, clusters wrap through 0
+        angles = rng.uniform(0.0, TWO_PI, n)
+        return np.column_stack([np.cos(angles), np.sin(angles), rng.uniform(0.0, 0.1, n)])
+    if layout == "duplicates":
+        distinct = rng.normal(size=(max(1, n // 4), 3))
+        return distinct[rng.integers(0, len(distinct), n)]
+    if layout == "on_axis":  # about half the points on the table axis, at angle 0
+        points = rng.normal(size=(n, 3))
+        points[rng.random(n) < 0.5, :2] = 0.0
+        return points
+    if layout == "lattice":
+        return rng.integers(0, 4, (n, 3)).astype(float)
+    return rng.uniform(-0.2, 0.2, (n, 3)) + np.array([1e3, -5e2, 2e2])  # far
+
+
+def _path_length(points: np.ndarray, order: np.ndarray) -> float:
+    steps = points[order[1:]] - points[order[:-1]]
+    return float(np.sqrt((steps * steps).sum(axis=1)).sum())
+
+
+@PROPERTY_SETTINGS
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 200), k=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), center=st.floats(0.0, TWO_PI, exclude_max=True),
+       home=st.tuples(*[st.floats(-2.0, 2.0)] * 3), name=st.sampled_from(sorted(PLANNERS)))
+def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, home, name):
+    points = _points(layout, n, np.random.default_rng(seed))
+    scenario = Scenario(part=PartModel(), robot_center_angle=center, robot_home=home)
+    plan = PLANNERS[name](make_waypoints(points), scenario, ClusterParams(k=k, seed=seed))
+    cluster_plan = plan.cluster_plan
+
+    assert sorted(plan.flattened_order) == list(range(n))
+    assert len(plan.sequences) == len(cluster_plan.clusters)
+    for sequence, cluster in zip(plan.sequences, cluster_plan.clusters):
+        assert sorted(sequence) == sorted(cluster.members)
+    assert cluster_plan.total_rotation == sum(cluster_plan.rotation_deltas) <= TWO_PI + 1e-9
+    expected = _path_length(points, np.array(plan.flattened_order))
+    assert math.isclose(ssp_distance(plan, points), expected, rel_tol=1e-12, abs_tol=1e-12)

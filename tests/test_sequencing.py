@@ -5,12 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import brute_force_open_path, make_waypoints
+from conftest import brute_force_open_path, make_waypoints, path_length
 from turnplan.angles import TWO_PI
 from turnplan.clustering import Cluster, ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, InstanceTooLargeError,
-                                 Plan, Sequence, baseline_angle_sequence, distance_matrix,
+                                 Plan, baseline_angle_sequence, distance_matrix,
                                  greedy_chain, greedy_sequence, optimal_sequence, plan_records,
                                  plan_waypoints, save_plan)
 
@@ -53,24 +53,24 @@ def test_distance_matrix_type_validation():
 # --- greedy ----------------------------------------------------------------
 
 def test_greedy_single_point():
-    assert greedy_sequence(distance_matrix([(0, 0, 0)])).order == (0,)
+    assert greedy_sequence(distance_matrix([(0, 0, 0)])) == (0,)
 
 
 def test_greedy_collinear_chain():
     m = distance_matrix([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     seq = greedy_sequence(m, start=0)
-    assert seq.order == (0, 1, 2)
-    assert abs(seq.length(m) - 2.0) < 1e-12
+    assert seq == (0, 1, 2)
+    assert abs(path_length(m, seq) - 2.0) < 1e-12
 
 
 def test_greedy_can_be_beaten_by_optimal():
     # a line with a trap: greedy runs right and pays a long hop back left
     pts = [(0.0, 0, 0), (1.0, 0, 0), (2.0, 0, 0), (-1.2, 0, 0), (-2.2, 0, 0), (3.1, 0, 0)]
     m = distance_matrix(pts)
-    greedy_len = greedy_sequence(m, start=0).length(m)
+    greedy_len = path_length(m, greedy_sequence(m, start=0))
     best_len, _ = brute_force_open_path(m, start=0)
     assert greedy_len > best_len + 1e-9
-    assert abs(optimal_sequence(m, start=0).length(m) - best_len) < 1e-12
+    assert abs(path_length(m, optimal_sequence(m, start=0)) - best_len) < 1e-12
 
 
 def test_greedy_steps_are_locally_optimal():
@@ -78,7 +78,7 @@ def test_greedy_steps_are_locally_optimal():
     for _ in range(50):
         n = int(rng.integers(2, 25))
         m = distance_matrix(rng.uniform(-1, 1, (n, 3)))
-        order = greedy_sequence(m, start=0).order
+        order = greedy_sequence(m, start=0)
         visited = {0}
         for a, b in zip(order, order[1:]):
             candidates = [m.d[a][j] for j in range(n) if j not in visited]
@@ -92,25 +92,25 @@ def test_greedy_chain_matches_matrix_greedy():
         n = int(rng.integers(1, 40))
         pts = rng.uniform(-1, 1, (n, 3))
         start = int(rng.integers(0, n))
-        assert greedy_chain(pts, start).order == greedy_sequence(distance_matrix(pts), start).order
+        assert greedy_chain(pts, start) == greedy_sequence(distance_matrix(pts), start)
     # lattice points: many exactly equal distances, so every step is a tie-break
     lattice = np.array([(x, y, z) for x in range(4) for y in range(3) for z in range(2)], float)
     for scale in (1.0, 0.1, 0.05):
         pts = scale * lattice
         for start in range(len(pts)):
-            expected = greedy_sequence(distance_matrix(pts), start).order
-            assert greedy_chain(pts, start).order == expected
+            expected = greedy_sequence(distance_matrix(pts), start)
+            assert greedy_chain(pts, start) == expected
 
 
 def test_greedy_deterministic_and_scale_invariant():
     rng = np.random.default_rng(12)
     pts = rng.uniform(-1, 1, (15, 3))
     m = distance_matrix(pts)
-    order = greedy_sequence(m, start=3).order
-    assert greedy_sequence(m, start=3).order == order
+    order = greedy_sequence(m, start=3)
+    assert greedy_sequence(m, start=3) == order
     scaled = distance_matrix(2.5 * pts)
-    assert greedy_sequence(scaled, start=3).order == order
-    assert abs(greedy_sequence(scaled, 3).length(scaled) - 2.5 * Sequence(order).length(m)) < 1e-9
+    assert greedy_sequence(scaled, start=3) == order
+    assert abs(path_length(scaled, greedy_sequence(scaled, 3)) - 2.5 * path_length(m, order)) < 1e-9
 
 
 def test_greedy_rejects_bad_start():
@@ -139,11 +139,11 @@ def test_greedy_chain_rejects_coordinates_it_cannot_square(n, bad):
 # --- exact search ----------------------------------------------------------
 
 def test_optimal_single_point_and_chain():
-    assert optimal_sequence(distance_matrix([(0, 0, 0)])).order == (0,)
+    assert optimal_sequence(distance_matrix([(0, 0, 0)])) == (0,)
     m = distance_matrix([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     seq = optimal_sequence(m, start=0)
-    assert seq.order == (0, 1, 2)
-    assert abs(seq.length(m) - 2.0) < 1e-12
+    assert seq == (0, 1, 2)
+    assert abs(path_length(m, seq) - 2.0) < 1e-12
 
 
 def test_optimal_matches_exhaustive_search():
@@ -154,8 +154,8 @@ def test_optimal_matches_exhaustive_search():
         start = int(rng.integers(0, n))
         seq = optimal_sequence(m, start)
         best_len, best_order = brute_force_open_path(m, start)
-        assert abs(seq.length(m) - best_len) < 1e-9
-        assert seq.order == best_order  # lexicographic tie-break agreement
+        assert abs(path_length(m, seq) - best_len) < 1e-9
+        assert seq == best_order  # lexicographic tie-break agreement
 
 
 def test_optimal_dominates_greedy():
@@ -163,7 +163,8 @@ def test_optimal_dominates_greedy():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         m = distance_matrix(rng.uniform(-1, 1, (n, 3)))
-        assert optimal_sequence(m, 0).length(m) <= greedy_sequence(m, 0).length(m) + 1e-12
+        optimal, greedy = optimal_sequence(m, 0), greedy_sequence(m, 0)
+        assert path_length(m, optimal) <= path_length(m, greedy) + 1e-12
 
 
 def test_optimal_rejects_large_instances():
@@ -243,8 +244,8 @@ def test_pipeline_greedy_never_beats_exact_oracle():
     positions = np.array([w.pose.position for w in generate_waypoints(part, 0.05, 0.0)])
     m = distance_matrix(positions)
     start = plan.flattened_order[0]
-    greedy_len = Sequence(plan.flattened_order).length(m)
-    optimal_len = optimal_sequence(m, start=start).length(m)
+    greedy_len = path_length(m, plan.flattened_order)
+    optimal_len = path_length(m, optimal_sequence(m, start=start))
     assert greedy_len >= optimal_len - 1e-12
 
 
@@ -268,6 +269,13 @@ def test_plan_waypoints_input_mode_keeps_member_order():
     plan = plan_waypoints(wps, ClusterParams(k=4, seed=2), within_cluster="input")
     for seq, cluster in zip(plan.sequences, plan.cluster_plan.clusters):
         assert seq == cluster.members
+
+
+def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
+    # the "input" mode runs no greedy chain, so cluster_points must refuse them
+    wps = make_waypoints(1e200 * np.random.default_rng(20).normal(size=(50, 3)))
+    with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
+        plan_waypoints(wps, ClusterParams(k=5, seed=0), within_cluster="input")
 
 
 def test_plan_waypoints_rejects_unknown_modes():
@@ -309,14 +317,14 @@ def test_plan_validation_names_each_fault(fault, message):
         Plan(cluster_plan=plan.cluster_plan, sequences=sequences, flattened_order=flattened)
 
 
-def test_plan_validation_rejects_a_non_permutation():
-    # a ClusterPlan's clusters always partition 0..N-1, so a stand-in whose
-    # cluster skips index 0 reaches the last check
+def test_plan_rejects_a_stand_in_cluster_plan():
+    # only a ClusterPlan is known to partition 0..N-1, which makes every Plan
+    # a permutation; a stand-in whose cluster skips index 0 is turned away
     plan = _two_cluster_plan()
     cluster = plan.cluster_plan.clusters[0]
     stand_in = SimpleNamespace(clusters=(Cluster(members=(1, 2), centroid=cluster.centroid,
                                                  mean_angle=cluster.mean_angle),))
-    with pytest.raises(ValueError, match="permutation of all waypoints"):
+    with pytest.raises(TypeError, match="cluster_plan must be a ClusterPlan"):
         Plan(cluster_plan=stand_in, sequences=((2, 1),), flattened_order=(2, 1))
 
 
