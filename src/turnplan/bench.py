@@ -1,23 +1,31 @@
 """Desk-scale benchmark scenarios: the 40-hole hemisphere and a three-way
 comparison of the angle baseline, clustering only, and the full greedy
-pipeline.
+pipeline, with the two CSV files that report it.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import os
 from dataclasses import dataclass, field
 from statistics import fmean
 
 from .clustering import ClusterParams
 from .geometry import PartModel, _as_vector3, generate_waypoints, hemisphere_layout
-from .metrics import (BenchmarkReport, CellModel, PLANNERS, REPORT_COLUMNS, report_rows,
-                      strip_timing, trial_reports)
+from .metrics import BenchmarkReport, CellModel, PLANNERS, trial_reports
 
 ALGORITHMS = tuple(PLANNERS)
 
+# (CSV column, BenchmarkReport field) of each quality metric, in file order
+METRICS = (
+    ("ssp_distance_m", "ssp_distance"),
+    ("total_rotation_rad", "total_rotation"),
+    ("estimated_execution_time_s", "estimated_execution_time"),
+)
+REPORT_COLUMNS = ["algorithm", "trial", "seed", "n_points", "planning_time_s",
+                  *(column for column, _ in METRICS), "improvement_vs_baseline"]
 PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
-PLOT_METRICS = ["ssp_distance_m", "total_rotation_rad", "estimated_execution_time_s"]
 
 
 @dataclass(frozen=True)
@@ -50,65 +58,69 @@ def hemisphere_scenario(n: int = 40, radius: float = 0.15, standoff: float = 0.0
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Per-algorithm trial reports with means and improvement vs the baseline."""
+    """Per-algorithm trial reports; the means and the improvement derive from them."""
 
     reports: dict[str, list[BenchmarkReport]]
-    mean_execution_time: dict[str, float]
-    mean_ssp_distance: dict[str, float]
-    improvement_vs_baseline: dict[str, float]
+
+    def _means(self, key: str) -> dict[str, float]:
+        return {name: fmean(getattr(r, key) for r in reports)
+                for name, reports in self.reports.items()}
+
+    @property
+    def mean_execution_time(self) -> dict[str, float]:
+        return self._means("estimated_execution_time")
+
+    @property
+    def mean_ssp_distance(self) -> dict[str, float]:
+        return self._means("ssp_distance")
+
+    @property
+    def improvement_vs_baseline(self) -> dict[str, float]:
+        """1 - t / t_baseline on the mean estimated execution time."""
+        mean_time = self.mean_execution_time
+        base_time = mean_time["baseline"]
+        if base_time == 0.0:
+            raise ValueError("the baseline's mean execution time is 0 s, so the improvement "
+                             "vs baseline is undefined")
+        return {name: 1.0 - t / base_time for name, t in mean_time.items()}
 
 
 def run_comparison(scenario: Scenario, trials: int) -> ComparisonResult:
-    """Benchmark all three algorithms on one waypoint bundle with shared trial seeds.
-
-    Improvement is (1 - t / t_baseline) on the mean estimated execution time.
-    """
+    """Benchmark all three algorithms on one waypoint bundle with shared trial seeds."""
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    reports = {name: trial_reports(PLANNERS[name], name, waypoints, scenario, trials)
-               for name in ALGORITHMS}
-    mean_time = {name: fmean(r.estimated_execution_time for r in rs)
-                 for name, rs in reports.items()}
-    mean_ssp = {name: fmean(r.ssp_distance for r in rs) for name, rs in reports.items()}
-    base_time = mean_time["baseline"]
-    improvement = {name: 1.0 - mean_time[name] / base_time for name in ALGORITHMS}
-    return ComparisonResult(reports=reports, mean_execution_time=mean_time,
-                            mean_ssp_distance=mean_ssp,
-                            improvement_vs_baseline=improvement)
-
-
-def without_timing(result: ComparisonResult) -> ComparisonResult:
-    """The same result with wall-clock planning times zeroed (for file artifacts)."""
-    return ComparisonResult(
-        reports={name: strip_timing(rs) for name, rs in result.reports.items()},
-        mean_execution_time=result.mean_execution_time,
-        mean_ssp_distance=result.mean_ssp_distance,
-        improvement_vs_baseline=result.improvement_vs_baseline,
-    )
+    return ComparisonResult({name: trial_reports(PLANNERS[name], name, waypoints, scenario, trials)
+                             for name in ALGORITHMS})
 
 
 def comparison_rows(result: ComparisonResult) -> list[list]:
-    """Report rows plus an improvement column, filled on the mean rows."""
-    rows = [REPORT_COLUMNS + ["improvement_vs_baseline"]]
-    for name in ALGORITHMS:
-        for row in report_rows(result.reports[name]):
-            if row[1] == "mean":
-                row = row + [repr(result.improvement_vs_baseline[name])]
-            else:
-                row = row + [""]
-            rows.append(row)
+    """REPORT_COLUMNS, then per algorithm its trial rows and a mean row.
+
+    Only the mean row fills `improvement_vs_baseline`. The file stays
+    byte-identical across runs with the same inputs and seeds, so the
+    wall-clock planning time is written as 0.0; it is reported on stdout only.
+    """
+    improvement = result.improvement_vs_baseline
+    rows = [REPORT_COLUMNS]
+    for name, reports in result.reports.items():
+        rows.extend([name, trial, r.seed, r.n_points, repr(0.0),
+                     *(repr(getattr(r, key)) for _, key in METRICS), ""]
+                    for trial, r in enumerate(reports, 1))
+        rows.append([name, "mean", "", reports[0].n_points, repr(0.0),
+                     *(repr(fmean(getattr(r, key) for r in reports)) for _, key in METRICS),
+                     repr(improvement[name])])
     return rows
 
 
 def plot_data_rows(result: ComparisonResult) -> list[list]:
     """Long-format per-trial points for improvement-vs-algorithm charts."""
     rows = [PLOT_COLUMNS]
-    for name in ALGORITHMS:
-        for report in result.reports[name]:
-            values = {
-                "ssp_distance_m": report.ssp_distance,
-                "total_rotation_rad": report.total_rotation,
-                "estimated_execution_time_s": report.estimated_execution_time,
-            }
-            rows.extend([name, report.seed, metric, repr(values[metric])]
-                        for metric in PLOT_METRICS)
+    for name, reports in result.reports.items():
+        for r in reports:
+            rows.extend([name, r.seed, column, repr(getattr(r, key))] for column, key in METRICS)
     return rows
+
+
+def write_csv(rows: list[list], path: str | os.PathLike) -> None:
+    """Write rows as a UTF-8 CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)

@@ -12,11 +12,12 @@ import json
 import math
 import sys
 import time
+from statistics import fmean
 
-from .bench import Scenario, comparison_rows, plot_data_rows, run_comparison, without_timing
+from .bench import Scenario, comparison_rows, plot_data_rows, run_comparison, write_csv
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
-from .metrics import CellModel, PLANNERS, ssp_distance, write_csv
+from .metrics import CellModel, PLANNERS, ssp_distance
 from .sequencing import save_plan
 
 
@@ -89,32 +90,31 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    part = load_part_layout(args.layout)
-    scenario = _scenario(args, part)
+    scenario = _scenario(args, load_part_layout(args.layout))
     result = run_comparison(scenario, args.trials)
-    # file artifacts stay byte-identical across runs with the same inputs and
-    # seeds, so wall-clock timing is zeroed there and reported on stdout only
-    write_csv(comparison_rows(without_timing(result)), args.report)
+    # built before any file is written: a zero baseline time raises here
+    ssp, exec_time = result.mean_ssp_distance, result.mean_execution_time
+    improvement = result.improvement_vs_baseline
+    summary = {
+        name: {
+            "mean_ssp_distance_m": ssp[name],
+            "mean_estimated_execution_time_s": exec_time[name],
+            "mean_planning_time_s": fmean(r.planning_time for r in reports),
+            "improvement_vs_baseline": improvement[name],
+        }
+        for name, reports in result.reports.items()
+    }
+    write_csv(comparison_rows(result), args.report)
     write_csv(plot_data_rows(result), args.plot_data)
     if args.format == "json":
-        summary = {
-            name: {
-                "mean_ssp_distance_m": result.mean_ssp_distance[name],
-                "mean_estimated_execution_time_s": result.mean_execution_time[name],
-                "mean_planning_time_s":
-                    sum(r.planning_time for r in result.reports[name]) / args.trials,
-                "improvement_vs_baseline": result.improvement_vs_baseline[name],
-            }
-            for name in result.reports
-        }
         print(json.dumps(summary))
     else:
         print(f"{'algorithm':<10} {'ssp_m':>10} {'exec_s':>10} {'plan_s':>10} {'improve':>9}")
-        for name, reports in result.reports.items():
-            mean_planning = sum(r.planning_time for r in reports) / len(reports)
-            print(f"{name:<10} {result.mean_ssp_distance[name]:>10.4f} "
-                  f"{result.mean_execution_time[name]:>10.2f} {mean_planning:>10.4f} "
-                  f"{result.improvement_vs_baseline[name]:>8.1%}")
+        for name, row in summary.items():
+            print(f"{name:<10} {row['mean_ssp_distance_m']:>10.4f} "
+                  f"{row['mean_estimated_execution_time_s']:>10.2f} "
+                  f"{row['mean_planning_time_s']:>10.4f} "
+                  f"{row['improvement_vs_baseline']:>8.1%}")
         if scenario.cell == CellModel():
             print("note: execution times use placeholder cell speeds "
                   "(override with --robot-speed / --table-speed / --dwell)")

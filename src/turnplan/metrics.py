@@ -10,14 +10,10 @@ not measurements of any particular cell.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import os
 import time
 from dataclasses import dataclass, replace
-from statistics import fmean
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,11 +23,6 @@ from .sequencing import Plan
 
 if TYPE_CHECKING:
     from .bench import Scenario
-
-REPORT_COLUMNS = [
-    "algorithm", "trial", "seed", "n_points",
-    "planning_time_s", "ssp_distance_m", "total_rotation_rad", "estimated_execution_time_s",
-]
 
 
 @dataclass(frozen=True)
@@ -72,14 +63,10 @@ class BenchmarkReport:
             raise ValueError("report metrics must be finite and non-negative")
 
 
-def _positions_array(positions) -> np.ndarray:
-    pts = np.asarray(positions, dtype=float)
-    return pts.reshape(len(pts), 3)
-
-
 def ssp_distance(plan: Plan, positions) -> float:
     """Total straight-line length of the open path through the plan's visit order."""
-    pts = _positions_array(positions)
+    pts = np.asarray(positions, dtype=float)
+    pts = pts.reshape(len(pts), 3)
     # a Plan visits 0..n_points-1 once each, so only the count needs checking
     if plan.n_points != len(pts):
         raise ValueError("plan does not cover exactly the supplied positions")
@@ -165,43 +152,3 @@ def trial_reports(plan_fn, name: str, waypoints: Waypoints, scenario: Scenario,
             seed=seed,
         ))
     return reports
-
-
-def _report_row(report: BenchmarkReport, trial: int) -> list:
-    return [report.algorithm_name, trial, report.seed, report.n_points,
-            repr(report.planning_time), repr(report.ssp_distance),
-            repr(report.total_rotation), repr(report.estimated_execution_time)]
-
-
-def _mean_row(reports: list[BenchmarkReport]) -> list:
-    return [reports[0].algorithm_name, "mean", "", reports[0].n_points,
-            repr(fmean(r.planning_time for r in reports)),
-            repr(fmean(r.ssp_distance for r in reports)),
-            repr(fmean(r.total_rotation for r in reports)),
-            repr(fmean(r.estimated_execution_time for r in reports))]
-
-
-def report_rows(reports: list[BenchmarkReport]) -> list[list]:
-    """Trial rows grouped by algorithm, each group followed by its mean row."""
-    groups: dict[str, list[BenchmarkReport]] = {}
-    for report in reports:
-        groups.setdefault(report.algorithm_name, []).append(report)
-    rows = []
-    for group in groups.values():
-        rows.extend(_report_row(r, i + 1) for i, r in enumerate(group))
-        rows.append(_mean_row(group))
-    return rows
-
-
-def write_csv(rows: list[list], path: str | os.PathLike | TextIO) -> None:
-    """Write rows as CSV to a file path or to an open text stream."""
-    if isinstance(path, io.TextIOBase):
-        csv.writer(path).writerows(rows)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-
-
-def strip_timing(reports: list[BenchmarkReport]) -> list[BenchmarkReport]:
-    """Copies with planning_time zeroed, for byte-reproducible file artifacts."""
-    return [replace(r, planning_time=0.0) for r in reports]

@@ -268,24 +268,27 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
                             start_angle: float = 0.0) -> Plan:
     """Bin waypoints into equal angular sectors with no ordering inside a bin.
 
-    The base case: `groups` sectors of width 2*pi/groups, each a cluster at
-    its sector center, scheduled by `order_clusters` from `start_angle`, input
-    order kept within each sector. Deterministic.
+    The base case: `groups` sectors of width 2*pi/groups; each occupied
+    sector is a cluster at its center angle, scheduled by `order_clusters`
+    from `start_angle`, input order kept within each sector. Deterministic.
+    Only occupied sectors are binned, so the cost grows with the number of
+    waypoints and does not depend on `groups`.
     """
     if not len(waypoints):
         raise ValueError("no waypoints to sequence")
     if groups < 1:
         raise ValueError(f"groups must be >= 1, got {groups!r}")
     width = TWO_PI / groups
-    bins: list[list[int]] = [[] for _ in range(groups)]
+    # Python-int sector keys cannot overflow, however large `groups` is
+    bins: dict[int, list[int]] = {}
     for index, angle in enumerate(waypoints.table_angles.tolist()):
-        bins[min(int(angle // width), groups - 1)].append(index)
+        bins.setdefault(min(int(angle // width), groups - 1), []).append(index)
     # a sector is served at its center angle; served by its start instead, a
     # plan can exceed one revolution when the start angle sits in a sector's
     # second half
     clusters = [Cluster(members=members, centroid=waypoints.positions[members].mean(axis=0),
                         mean_angle=wrap_angle(sector * width + width / 2.0))
-                for sector, members in enumerate(bins) if members]
+                for sector, members in sorted(bins.items())]
     cluster_plan = order_clusters(clusters, start_angle)
     return _make_plan(cluster_plan, [c.members for c in cluster_plan.clusters])
 

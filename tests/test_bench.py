@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import replace
 from statistics import fmean
@@ -7,11 +6,12 @@ import pytest
 
 from conftest import count_waypoint_generation
 from turnplan.angles import TWO_PI
-from turnplan.bench import (ALGORITHMS, PLOT_COLUMNS, Scenario, comparison_rows,
-                            hemisphere_scenario, plot_data_rows, run_comparison, without_timing)
+from turnplan.bench import (ALGORITHMS, METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario,
+                            comparison_rows, hemisphere_scenario, plot_data_rows, run_comparison,
+                            write_csv)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
-from turnplan.metrics import PLANNERS, benchmark, write_csv
+from turnplan.metrics import PLANNERS, benchmark
 
 
 def _cluster_only_plan(scenario, seed=0):
@@ -98,26 +98,40 @@ def test_plot_data_rows_shape():
     assert len(rows) == 1 + 3 * 4 * 3  # algorithms x trials x metrics
 
 
-def test_csv_writers_accept_buffers():
+def test_csv_writers_write_files(tmp_path):
     scenario = hemisphere_scenario()
     result = run_comparison(scenario, trials=2)
-    report_buffer, plot_buffer = io.StringIO(), io.StringIO()
-    write_csv(comparison_rows(result), report_buffer)
-    write_csv(plot_data_rows(result), plot_buffer)
-    assert report_buffer.getvalue().startswith("algorithm,trial,seed,n_points")
-    assert plot_buffer.getvalue().startswith("algorithm,seed,metric,value")
+    report_path, plot_path = tmp_path / "report.csv", tmp_path / "plot.csv"
+    write_csv(comparison_rows(result), report_path)
+    write_csv(plot_data_rows(result), plot_path)
+    assert report_path.read_text().startswith("algorithm,trial,seed,n_points")
+    assert plot_path.read_text().startswith("algorithm,seed,metric,value")
 
 
 def test_without_timing_preserves_everything_else():
-    scenario = hemisphere_scenario()
-    result = run_comparison(scenario, trials=2)
-    stripped = without_timing(result)
-    for name in ALGORITHMS:
-        for raw, clean in zip(result.reports[name], stripped.reports[name]):
-            assert clean.planning_time == 0.0
-            assert clean.ssp_distance == raw.ssp_distance
-            assert clean.estimated_execution_time == raw.estimated_execution_time
-    assert stripped.improvement_vs_baseline == result.improvement_vs_baseline
+    """comparison_rows zeroes only the planning-time cells; the reports keep their times."""
+    result = run_comparison(hemisphere_scenario(), trials=2)
+    measured = {name: [r.planning_time for r in rs] for name, rs in result.reports.items()}
+    rows = comparison_rows(result)
+    time_column = REPORT_COLUMNS.index("planning_time_s")
+    assert all(row[time_column] == "0.0" for row in rows[1:])
+    assert {name: [r.planning_time for r in rs] for name, rs in result.reports.items()} == measured
+    assert all(t > 0.0 for times in measured.values() for t in times)
+    metric_columns = [REPORT_COLUMNS.index(column) for column, _ in METRICS]
+    body = iter(rows[1:])
+    for name, reports in result.reports.items():
+        for trial, report in enumerate(reports, 1):
+            row = next(body)
+            assert row[:4] == [name, trial, report.seed, report.n_points]
+            assert [row[c] for c in metric_columns] == [repr(getattr(report, key))
+                                                       for _, key in METRICS]
+            assert row[-1] == ""
+        row = next(body)
+        assert row[:4] == [name, "mean", "", reports[0].n_points]
+        assert [row[c] for c in metric_columns] == [
+            repr(fmean(getattr(r, key) for r in reports)) for _, key in METRICS]
+        assert row[-1] == repr(result.improvement_vs_baseline[name])
+    assert next(body, None) is None
 
 
 def test_run_comparison_generates_waypoints_once(monkeypatch):

@@ -197,6 +197,21 @@ def test_bench_json_summary(tmp_path, capsys):
     assert summary["greedy"]["improvement_vs_baseline"] > 0.0
 
 
+def test_bench_rejects_a_zero_baseline_time_without_writing_files(tmp_path, capsys):
+    # one point served at the baseline's sector center with no dwell: 0 s
+    layout = _generate(tmp_path, n=1)
+    capsys.readouterr()
+    report, plot = tmp_path / "r.csv", tmp_path / "p.csv"
+    code = main(["bench", str(layout), "--k", "1", "--robot-center-deg", "180", "--dwell", "0",
+                 "--trials", "1", "--report", str(report), "--plot-data", str(plot)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "baseline" in line and "0 s" in line
+    assert not report.exists() and not plot.exists()
+
+
 def test_bench_rejects_zero_trials(tmp_path, capsys):
     layout = _generate(tmp_path, n=3)
     code = main(["bench", str(layout), "--trials", "0",

@@ -1,16 +1,15 @@
-import io
 import time
 
 import numpy as np
 import pytest
 
 from conftest import count_waypoint_generation
-from turnplan.bench import hemisphere_scenario
+from turnplan.bench import (REPORT_COLUMNS, ComparisonResult, comparison_rows,
+                            hemisphere_scenario, write_csv)
 from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
-from turnplan.metrics import (BenchmarkReport, CellModel, REPORT_COLUMNS, benchmark,
-                              estimate_execution_time, report_rows, ssp_distance, strip_timing,
-                              write_csv)
+from turnplan.metrics import (BenchmarkReport, CellModel, benchmark, estimate_execution_time,
+                              ssp_distance)
 from turnplan.sequencing import Plan, plan_waypoints
 
 
@@ -181,12 +180,12 @@ def test_benchmark_generates_waypoints_once_outside_the_timer(monkeypatch):
 
 # --- report export ----------------------------------------------------------
 
-def test_report_csv_shape_and_columns():
+def test_report_csv_shape_and_columns(tmp_path):
     scenario = hemisphere_scenario()
     reports = benchmark("baseline", scenario, trials=3)
-    buffer = io.StringIO()
-    write_csv([REPORT_COLUMNS] + report_rows(reports), buffer)
-    lines = buffer.getvalue().strip().splitlines()
+    path = tmp_path / "report.csv"
+    write_csv(comparison_rows(ComparisonResult({"baseline": reports})), path)
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)
     assert len(lines) == 1 + 3 + 1  # header + trials + mean
     mean = lines[-1].split(",")
@@ -194,10 +193,14 @@ def test_report_csv_shape_and_columns():
 
 
 def test_strip_timing_zeroes_only_planning_time():
-    report = BenchmarkReport(algorithm_name="x", planning_time=1.5, ssp_distance=2.0,
+    """The report file writes planning time as 0.0 and every other field as measured."""
+    report = BenchmarkReport(algorithm_name="baseline", planning_time=1.5, ssp_distance=2.0,
                              estimated_execution_time=3.0, total_rotation=1.0,
                              n_points=4, seed=9)
-    (stripped,) = strip_timing([report])
-    assert stripped.planning_time == 0.0
-    assert stripped.ssp_distance == 2.0
-    assert stripped.seed == 9
+    header, trial, _ = comparison_rows(ComparisonResult({"baseline": [report]}))
+    cell = dict(zip(header, trial))
+    assert cell["planning_time_s"] == "0.0"
+    assert cell["ssp_distance_m"] == "2.0"
+    assert cell["estimated_execution_time_s"] == "3.0"
+    assert cell["seed"] == 9
+    assert report.planning_time == 1.5

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import brute_force_open_path, make_waypoints, path_length
 from turnplan.angles import TWO_PI
 from turnplan.clustering import Cluster, ClusterParams
-from turnplan.geometry import generate_waypoints, hemisphere_layout
+from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, InstanceTooLargeError,
                                  Plan, baseline_angle_sequence, distance_matrix,
                                  greedy_chain, greedy_sequence, optimal_sequence, plan_records,
@@ -213,6 +214,31 @@ def test_baseline_respects_one_revolution_for_any_start():
 def test_baseline_rejects_empty_input():
     with pytest.raises(ValueError):
         baseline_angle_sequence([])
+
+
+def _hemisphere40_waypoints(layout_path):
+    return generate_waypoints(load_part_layout(layout_path), 0.05, 0.0)
+
+
+def test_baseline_memory_does_not_grow_with_groups(bundled_layout_path):
+    wps = _hemisphere40_waypoints(bundled_layout_path)
+    tracemalloc.start()
+    try:
+        baseline_angle_sequence(wps, groups=2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_baseline_huge_groups_give_one_cluster_per_occupied_sector(bundled_layout_path):
+    wps = _hemisphere40_waypoints(bundled_layout_path)
+    angles = wps.table_angles.tolist()
+    assert len(set(angles)) == 40  # sectors of ~5e-21 rad split every distinct angle
+    plan = baseline_angle_sequence(wps, groups=2**70)
+    assert len(plan.cluster_plan.clusters) == 40
+    assert sorted(plan.flattened_order) == list(range(40))
+    assert plan.cluster_plan.total_rotation <= TWO_PI + 1e-9
 
 
 # --- pipeline --------------------------------------------------------------
