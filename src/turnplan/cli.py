@@ -8,6 +8,7 @@ inputs and seeds; measured planning times appear on stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -122,6 +123,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# one shared parser per process: parse_args leaves it unchanged, and each
+# cmd_* looks up the module globals it calls when it runs
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turnplan",

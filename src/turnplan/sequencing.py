@@ -8,7 +8,6 @@ All path lengths are open: the robot is not required to return to its start.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -326,32 +325,31 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     return _make_plan(cluster_plan, sequences)
 
 
-def plan_records(plan: Plan, waypoints: Waypoints) -> list[dict]:
-    """One record per visited waypoint, in visit order.
-
-    rotation_before is the table rotation applied immediately before reaching
-    that waypoint: the cluster's delta for the first point of each cluster,
-    zero otherwise.
-    """
-    positions = waypoints.positions.tolist()
-    angles = waypoints.table_angles.tolist()
-    records = []
-    for cluster_index, (sequence, delta) in enumerate(
-            zip(plan.sequences, plan.cluster_plan.rotation_deltas)):
-        for position_in_cluster, waypoint_index in enumerate(sequence):
-            records.append({
-                "waypoint_index": waypoint_index,
-                "cluster_index": cluster_index,
-                "position": positions[waypoint_index],
-                "table_angle": angles[waypoint_index],
-                "rotation_before": float(delta) if position_in_cluster == 0 else 0.0,
-            })
-    return records
+# one visit record as json.dump(..., indent=2) writes it: json.encoder emits
+# finite ints and floats by their repr
+_RECORD = ('  {\n    "waypoint_index": %d,\n    "cluster_index": %d,\n    "position": [\n'
+           '      %r,\n      %r,\n      %r\n    ],\n'
+           '    "table_angle": %r,\n    "rotation_before": %r\n  }')
 
 
 def save_plan(plan: Plan, waypoints: Waypoints, path: str | os.PathLike) -> None:
-    """Serialize a plan as a JSON array of visit records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_records(plan, waypoints), fh, indent=2)
-        fh.write("\n")
+    """Write a plan as a JSON array of visit records, one per visited waypoint.
 
+    rotation_before is the table rotation applied immediately before reaching
+    that waypoint: the cluster's delta for the first point of each cluster,
+    zero otherwise. Records are streamed, one format per record.
+    """
+    if plan.n_points != len(waypoints):
+        raise ValueError("plan does not cover exactly the supplied waypoints")
+    positions = waypoints.positions.tolist()
+    angles = waypoints.table_angles.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        separator = "[\n"
+        for cluster_index, (sequence, delta) in enumerate(
+                zip(plan.sequences, plan.cluster_plan.rotation_deltas)):
+            rotation = delta
+            for i in sequence:
+                fh.write(separator)
+                fh.write(_RECORD % (i, cluster_index, *positions[i], angles[i], rotation))
+                separator, rotation = ",\n", 0.0
+        fh.write("\n]\n")

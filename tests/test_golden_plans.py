@@ -10,18 +10,24 @@ in the expanded distance |p|^2 - 2 p.c + |c|^2 a kilometre out.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import turnplan
 from conftest import make_waypoints
 from turnplan.bench import Scenario
 from turnplan.cli import main
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import PLANNERS
-from turnplan.sequencing import plan_waypoints
+from turnplan.sequencing import baseline_angle_sequence, plan_waypoints, save_plan
 
 
 def plan_digest(plan) -> str:
@@ -38,6 +44,10 @@ def waypoints_digest(waypoints) -> str:
         h.update(np.asarray(w.pose.orientation, dtype=np.float64).tobytes())
         h.update(np.float64(w.table_angle).tobytes())
     return h.hexdigest()
+
+
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _hemisphere40_plan(layout_path, algorithm, seed):
@@ -102,6 +112,20 @@ EMPTY_CLUSTER_REPAIR = "9084afd3b204b5ec70886cdd084e29e4d65e63739d0b51969d1601bd
 FAR_FROM_ORIGIN = "83b9631867621ec5fe5179539945bcdb25554e6d024eaa1c1fccdbd5e33a461c"
 WAYPOINTS_4000_ATTACK = "a930ec5b4459e1598f59f83331ba0dfb6d0927ca9ce5d018ebfb8243292cdcb0"
 
+# sha256 of the plan file `turnplan plan hemisphere40.json --algorithm A` writes,
+# recorded from `json.dump(records, indent=2)`; False: default flags, True: NON_DEFAULT
+NON_DEFAULT = ["--k", "3", "--seed", "9", "--attack-deg", "10", "--robot-center-deg", "30"]
+PLAN_FILE = {
+    ("baseline", False): "cf937394e804ef532cffafb33a34e37ebea9f25500a59d103db7574e824f9567",
+    ("baseline", True): "4864db27fe7b8a48ba66af6fb5c9333588b78a42f7d75ad201fb3f2bd631550d",
+    ("cluster", False): "74962dde98e2f4ccb7e6d3c1f1ba60599ff19f56f4dfe98f4ed2e04cbf908955",
+    ("cluster", True): "4ecefd9e8ec74b6ffa8685dec248e3d7f510fbe61b4fd631e373136bb542f01f",
+    ("greedy", False): "744de57994ef083b4d32672b969569cb776909efb1b9250aa0a2c4b6dfcb06ec",
+    ("greedy", True): "8c7add331290eeb0e1befc60e8001a37e510f7efa3cc1720ebcb2e86463babf0",
+}
+# save_plan of the 4000-hole layout (seed 7) at attack 0.3 rad, k=5, seed 0
+PLAN_FILE_4000_ATTACK = "0195b2aaafffe73c737a03632630fb5f705210137bb0046a2adec04d2dd6865a"
+
 # `turnplan bench hemisphere40.json --trials 3` with default flags
 BENCH_REPORT_CSV = "7f198f7b4be79fe750d9bf649f907bbccc33f848fb5fb81d9e598bc04dd3307c"
 BENCH_PLOT_DATA_CSV = "38592e8206ae9b9b91998dbaa32aee6729946796759667459e5f8fb20d45852c"
@@ -141,3 +165,66 @@ def test_bench_csvs_match_golden(bundled_layout_path, tmp_path):
                  "--plot-data", str(plot_data)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == BENCH_REPORT_CSV
     assert hashlib.sha256(plot_data.read_bytes()).hexdigest() == BENCH_PLOT_DATA_CSV
+
+
+@pytest.mark.parametrize("algorithm,non_default", sorted(PLAN_FILE))
+def test_plan_files_match_golden(bundled_layout_path, tmp_path, algorithm, non_default):
+    out = tmp_path / "plan.json"
+    flags = NON_DEFAULT if non_default else []
+    assert main(["plan", bundled_layout_path, "--algorithm", algorithm,
+                 "--out", str(out), *flags]) == 0
+    assert file_digest(out) == PLAN_FILE[algorithm, non_default]
+
+
+def test_4000_hole_plan_file_matches_golden(tmp_path):
+    waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.3)
+    out = tmp_path / "plan.json"
+    save_plan(plan_waypoints(waypoints, ClusterParams(k=5, seed=0)), waypoints, out)
+    assert file_digest(out) == PLAN_FILE_4000_ATTACK
+
+
+def test_plan_file_is_the_json_module_s_indent_2_encoding(tmp_path):
+    # values whose repr is signed zero, subnormal, exponent form or huge
+    special = [-0.0, 5e-324, 1e-05, 1e300, 1.5e-7, -2.5e16, 1e16, 0.1, -1e-300]
+    rng = np.random.default_rng(5)
+    positions = np.vstack([np.reshape(special, (3, 3)), rng.normal(0.0, 1e3, (9, 3)),
+                           [(1e-05, -0.0, 5e-324)]])
+    waypoints = make_waypoints(positions)
+    plan = baseline_angle_sequence(waypoints, groups=3)  # k-means refuses 1e300
+    out = tmp_path / "plan.json"
+    save_plan(plan, waypoints, out)
+    rows, angles = positions.tolist(), waypoints.table_angles.tolist()
+    records = []
+    for cluster_index, (sequence, delta) in enumerate(
+            zip(plan.sequences, plan.cluster_plan.rotation_deltas)):
+        for position_in_cluster, i in enumerate(sequence):
+            records.append({"waypoint_index": i, "cluster_index": cluster_index,
+                            "position": rows[i], "table_angle": angles[i],
+                            "rotation_before": delta if position_in_cluster == 0 else 0.0})
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(records, indent=2) + "\n"
+    for literal in ("-0.0,", "5e-324", "1e-05", "1e+300", "-2.5e+16"):
+        assert literal in text
+
+
+def test_cached_parser_keeps_no_state_between_calls(bundled_layout_path, tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    assert main(["plan", bundled_layout_path, "--out", str(out),
+                 "--k", "3", "--seed", "9", "--attack-deg", "10"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", bundled_layout_path, "--out", str(out), "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["plan", bundled_layout_path, "--out", str(out)]) == 0
+    assert file_digest(out) == PLAN_FILE["greedy", False]
+
+
+def test_fresh_process_plan_file_matches_golden(bundled_layout_path, tmp_path):
+    out = tmp_path / "plan.json"
+    package_root = str(Path(turnplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "turnplan.cli", "plan", bundled_layout_path,
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("n=40 ")
+    assert file_digest(out) == PLAN_FILE["greedy", False]

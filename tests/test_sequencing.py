@@ -12,7 +12,7 @@ from turnplan.clustering import Cluster, ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, InstanceTooLargeError,
                                  Plan, baseline_angle_sequence, distance_matrix,
-                                 greedy_chain, greedy_sequence, optimal_sequence, plan_records,
+                                 greedy_chain, greedy_sequence, optimal_sequence,
                                  plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
@@ -366,13 +366,23 @@ def test_plan_records_and_serialization(tmp_path):
     part = hemisphere_layout(12, 0.15, seed=4)
     wps = generate_waypoints(part, 0.05, 0.0)
     plan = plan_waypoints(wps, ClusterParams(k=3, seed=1))
-    records = plan_records(plan, wps)
+    path = tmp_path / "plan.json"
+    save_plan(plan, wps, path)
+    records = json.loads(path.read_text())
     assert [r["waypoint_index"] for r in records] == list(plan.flattened_order)
     # rotation happens before the first waypoint of each cluster only
     expected = []
     for delta, seq in zip(plan.cluster_plan.rotation_deltas, plan.sequences):
         expected.extend([delta] + [0.0] * (len(seq) - 1))
     assert [r["rotation_before"] for r in records] == expected
+
+
+@pytest.mark.parametrize("n_bundle", [11, 13])
+def test_save_plan_rejects_a_bundle_the_plan_does_not_cover(tmp_path, n_bundle):
+    plan = plan_waypoints(generate_waypoints(hemisphere_layout(12, 0.15, seed=4), 0.05, 0.0),
+                          ClusterParams(k=3, seed=1))
+    other = generate_waypoints(hemisphere_layout(n_bundle, 0.15, seed=4), 0.05, 0.0)
     path = tmp_path / "plan.json"
-    save_plan(plan, wps, path)
-    assert json.loads(path.read_text()) == records
+    with pytest.raises(ValueError, match="^plan does not cover exactly the supplied waypoints$"):
+        save_plan(plan, other, path)
+    assert not path.exists()
