@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import TWO_PI, circular_separation, forward_delta, wrap_angle
-from .geometry import _DEFAULT_PART, Waypoints, _table_angles
+from .geometry import Waypoints
 
 DEFAULT_CLUSTER_COUNT = 5
 # Sector the robot can reach without moving the table: 72 degrees.
@@ -44,14 +44,15 @@ class ClusterParams:
             raise ValueError(f"angular_bound must lie in (0, 2*pi], got {self.angular_bound!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Cluster:
-    """A group of waypoint indices with its 3D centroid and mean table angle."""
+    """A group of waypoint indices with its mean table angle."""
 
     members: tuple[int, ...]
-    centroid: np.ndarray
     mean_angle: float
 
     def __post_init__(self):
@@ -59,11 +60,6 @@ class Cluster:
         if not members:
             raise ValueError("cluster must have at least one member")
         object.__setattr__(self, "members", members)
-        centroid = np.array(self.centroid, dtype=float)
-        if centroid.shape != (3,):
-            raise ValueError(f"centroid must be a 3-vector, got shape {centroid.shape}")
-        centroid.setflags(write=False)
-        object.__setattr__(self, "centroid", centroid)
         angle = float(self.mean_angle)
         if not 0.0 <= angle < TWO_PI:
             raise ValueError(f"mean_angle must lie in [0, 2*pi), got {angle!r}")
@@ -318,9 +314,8 @@ def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, counts: np.ndarra
     return assign
 
 
-def _singleton_clusters(points: np.ndarray, angles: np.ndarray) -> list[Cluster]:
-    return [Cluster(members=(i,), centroid=points[i], mean_angle=wrap_angle(float(angles[i])))
-            for i in range(len(points))]
+def _singleton_clusters(angles: np.ndarray) -> list[Cluster]:
+    return [Cluster(members=(i,), mean_angle=angle) for i, angle in enumerate(angles.tolist())]
 
 
 def _member_mean_angle(angles: np.ndarray, members: np.ndarray) -> float:
@@ -329,38 +324,28 @@ def _member_mean_angle(angles: np.ndarray, members: np.ndarray) -> float:
     except DegenerateMeanError:
         # opposed angles (e.g. collinear points through the axis): fall back to
         # the lowest-index member so planning never dies on crafted inputs
-        return wrap_angle(float(angles[members.min()]))
+        return float(angles[members.min()])
 
 
-def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluster]:
-    """Partition positions into up to `params.k` spatial clusters.
+def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]:
+    """Partition the waypoints into up to `params.k` clusters by their positions.
 
     Runs Lloyd's k-means seeded from `params.seed` (initial centroids are
-    distinct input points). `angles` supplies each point's table angle for the
-    cluster means; when omitted it is derived from the in-plane coordinates
-    under the default axis convention. With fewer points than k, every point
-    becomes its own cluster.
+    distinct input points); each cluster's angle is the circular mean of its
+    members' table angles. With fewer points than k, every point becomes its
+    own cluster.
     """
-    points = np.asarray(positions, dtype=float)
-    if points.size == 0:
+    if not len(waypoints):
         raise ValueError("cannot cluster an empty point set")
-    points = points.reshape(len(points), 3)
+    points, angles = waypoints.positions, waypoints.table_angles
     # the bound greedy_chain uses: beyond it squared distances overflow
     if not np.abs(points).max() < 2.0**500:
         raise ValueError("positions must be finite and below 2**500 in magnitude")
-    if angles is None:
-        angle_arr = np.array(_table_angles(points, _DEFAULT_PART)[0])
-    else:
-        angle_arr = np.asarray(angles, dtype=float)
-    if angle_arr.shape != (len(points),):
-        raise ValueError("need exactly one angle per position")
-    if not np.isfinite(angle_arr).all():
-        raise ValueError("angles must be finite")
 
     n = len(points)
     k = min(params.k, n)
     if n <= k:
-        return _singleton_clusters(points, angle_arr)
+        return _singleton_clusters(angles)
 
     rng = np.random.default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
@@ -384,9 +369,8 @@ def cluster_points(positions, params: ClusterParams, angles=None) -> list[Cluste
         centroids = (sums.reshape(3, k) / counts).T
 
     members = np.split(np.argsort(assign, kind="stable"), np.cumsum(counts)[:-1])
-    return [Cluster(members=m.tolist(), centroid=centroids[j],
-                    mean_angle=_member_mean_angle(angle_arr, m))
-            for j, m in enumerate(members)]
+    return [Cluster(members=m.tolist(), mean_angle=_member_mean_angle(angles, m))
+            for m in members]
 
 
 def order_clusters(clusters, start_angle: float) -> ClusterPlan:

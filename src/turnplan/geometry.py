@@ -139,9 +139,6 @@ class PartModel:
                      for origin, frame in zip(self.origins, self.frames))
 
 
-_DEFAULT_PART = PartModel()
-
-
 @dataclass(frozen=True, eq=False)
 class Waypoints:
     """Read-only waypoint arrays: positions (N, 3), orientations (N, 4) and table angles (N,).
@@ -231,7 +228,8 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     approach direction is the rotated -y axis, pointing into the hole).
 
     A waypoint that lands exactly on the turntable axis gets table angle 0.0:
-    such a point is presented to the robot at every table rotation.
+    such a point is presented to the robot at every table rotation. Waypoints
+    at or beyond 2**500 from the origin or from the table center are rejected.
     """
     if not len(part.origins):
         raise ValueError("part has no holes")
@@ -241,7 +239,14 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
         raise ValueError(f"attack must be finite, got {attack!r}")
     # a stacked matmul runs the same 3x3 product per frame as a single-frame `@`
     rotated = part.frames @ _rot_x(attack)
-    positions = part.origins + standoff * rotated[:, :, 1]
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
+        positions = part.origins + standoff * rotated[:, :, 1]
+    # the angles square offsets from the table center, and the planners square
+    # positions: below 2**500 neither overflows
+    if not (np.abs(positions).max() < 2.0**500
+            and np.abs(positions - part.turntable_center).max() < 2.0**500):
+        raise ValueError("waypoints and their offsets from the turntable center must lie "
+                         "below 2**500 in magnitude")
     quats = Rotation.from_matrix(rotated).as_quat()[:, [3, 0, 1, 2]]  # (w, x, y, z)
     # canonical sign: first nonzero component positive, so equal rotations
     # serialize identically
@@ -274,6 +279,8 @@ def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     idx = np.arange(n)
     golden = math.pi * (3.0 - math.sqrt(5.0))

@@ -1,6 +1,6 @@
-"""Waypoint ordering: greedy nearest-neighbor within clusters, an exact
-open-path oracle for small instances, the angle-sector baseline, and the
-planning pipeline over generated waypoints (clusters -> schedule -> sequences).
+"""Waypoint ordering: greedy nearest-neighbor within clusters, the angle-sector
+baseline, and the planning pipeline over generated waypoints (clusters ->
+schedule -> sequences).
 
 All path lengths are open: the robot is not required to return to its start.
 """
@@ -8,7 +8,6 @@ All path lengths are open: the robot is not required to return to its start.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
@@ -19,19 +18,12 @@ from .angles import TWO_PI, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
 from .geometry import Waypoints, _as_vector3
 
-# Exact search is capped here; beyond this the subset table gets unwieldy.
-EXACT_SEARCH_MAX_POINTS = 12
-
 # The greedy chain's candidate table (see greedy_chain): neighbours listed per
 # point, and the cluster size above which the table pays for its build (it
 # must stay above CHAIN_CANDIDATES, since the query needs that many others).
 CHAIN_CANDIDATES = 8
 CHAIN_TABLE_MIN_POINTS = 32
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
-
-
-class InstanceTooLargeError(ValueError):
-    """Raised when an instance exceeds the exact solver's size cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,58 +163,6 @@ def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
     return tuple(order)
 
 
-def optimal_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
-    """Minimum-length open path from `start`, by dynamic programming over subsets.
-
-    Exact but exponential; capped at EXACT_SEARCH_MAX_POINTS points. Ties are
-    broken toward the lexicographically smallest visit order.
-    """
-    n = m.n
-    if n > EXACT_SEARCH_MAX_POINTS:
-        raise InstanceTooLargeError(
-            f"exact search handles at most {EXACT_SEARCH_MAX_POINTS} points, got {n}")
-    if not 0 <= start < n:
-        raise ValueError(f"start must lie in [0, {n}), got {start!r}")
-    if n == 1:
-        return (0,)
-
-    d = m.d.tolist()
-    size = 1 << n
-    # best[mask][j]: shortest path starting at j that visits exactly `mask` (j in mask)
-    best = [[math.inf] * n for _ in range(size)]
-    for j in range(n):
-        best[1 << j][j] = 0.0
-    members_of = [[j for j in range(n) if mask >> j & 1] for mask in range(size)]
-    for mask in range(3, size):
-        members = members_of[mask]
-        if len(members) < 2:
-            continue
-        for j in members:
-            rest = mask ^ (1 << j)
-            rest_best = best[rest]
-            dj = d[j]
-            value = math.inf
-            for k in members_of[rest]:
-                cand = dj[k] + rest_best[k]
-                if cand < value:
-                    value = cand
-            best[mask][j] = value
-
-    order = [start]
-    mask = size - 1
-    current = start
-    while mask != 1 << current:
-        rest = mask ^ (1 << current)
-        target = best[mask][current]
-        for k in members_of[rest]:  # ascending: smallest index achieving the optimum
-            if d[current][k] + best[rest][k] == target:
-                order.append(k)
-                mask = rest
-                current = k
-                break
-    return tuple(order)
-
-
 @dataclass(frozen=True, eq=False)
 class Plan:
     """Ordered clusters with their rotation schedule and per-cluster visit order.
@@ -285,8 +225,7 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
     # a sector is served at its center angle; served by its start instead, a
     # plan can exceed one revolution when the start angle sits in a sector's
     # second half
-    clusters = [Cluster(members=members, centroid=waypoints.positions[members].mean(axis=0),
-                        mean_angle=wrap_angle(sector * width + width / 2.0))
+    clusters = [Cluster(members=members, mean_angle=wrap_angle(sector * width + width / 2.0))
                 for sector, members in sorted(bins.items())]
     cluster_plan = order_clusters(clusters, start_angle)
     return _make_plan(cluster_plan, [c.members for c in cluster_plan.clusters])
@@ -308,7 +247,7 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
     previous_pos = np.zeros(3) if robot_home is None else _as_vector3(robot_home, "robot_home")
     positions = waypoints.positions
-    clusters = cluster_points(positions, params, angles=waypoints.table_angles)
+    clusters = cluster_points(waypoints, params)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
 
     sequences = []

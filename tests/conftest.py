@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from importlib.resources import files
 
@@ -28,6 +29,66 @@ def brute_force_open_path(m: DistanceMatrix, start: int) -> tuple[float, tuple[i
         if length < best_length:
             best_length, best_order = length, order
     return best_length, best_order
+
+
+# Exact search is capped here; beyond this the subset table gets unwieldy.
+EXACT_SEARCH_MAX_POINTS = 12
+
+
+class InstanceTooLargeError(ValueError):
+    """Raised when an instance exceeds the exact solver's size cap."""
+
+
+def optimal_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
+    """Minimum-length open path from `start`, by dynamic programming over subsets.
+
+    Exact but exponential; capped at EXACT_SEARCH_MAX_POINTS points. Ties are
+    broken toward the lexicographically smallest visit order.
+    """
+    n = m.n
+    if n > EXACT_SEARCH_MAX_POINTS:
+        raise InstanceTooLargeError(
+            f"exact search handles at most {EXACT_SEARCH_MAX_POINTS} points, got {n}")
+    if not 0 <= start < n:
+        raise ValueError(f"start must lie in [0, {n}), got {start!r}")
+    if n == 1:
+        return (0,)
+
+    d = m.d.tolist()
+    size = 1 << n
+    # best[mask][j]: shortest path starting at j that visits exactly `mask` (j in mask)
+    best = [[math.inf] * n for _ in range(size)]
+    for j in range(n):
+        best[1 << j][j] = 0.0
+    members_of = [[j for j in range(n) if mask >> j & 1] for mask in range(size)]
+    for mask in range(3, size):
+        members = members_of[mask]
+        if len(members) < 2:
+            continue
+        for j in members:
+            rest = mask ^ (1 << j)
+            rest_best = best[rest]
+            dj = d[j]
+            value = math.inf
+            for k in members_of[rest]:
+                cand = dj[k] + rest_best[k]
+                if cand < value:
+                    value = cand
+            best[mask][j] = value
+
+    order = [start]
+    mask = size - 1
+    current = start
+    while mask != 1 << current:
+        rest = mask ^ (1 << current)
+        target = best[mask][current]
+        for k in members_of[rest]:  # ascending: smallest index achieving the optimum
+            if d[current][k] + best[rest][k] == target:
+                order.append(k)
+                mask = rest
+                current = k
+                break
+    return tuple(order)
 
 
 def make_waypoints(positions) -> Waypoints:

@@ -8,14 +8,14 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from conftest import brute_force_open_path, make_waypoints, path_length
+from conftest import brute_force_open_path, make_waypoints, optimal_sequence, path_length
 from turnplan.angles import TWO_PI, circular_separation, wrap_angle
 from turnplan.bench import hemisphere_scenario
 from turnplan.clustering import ClusterParams, DegenerateMeanError, circular_mean
 from turnplan.geometry import generate_waypoints
 from turnplan.metrics import benchmark, ssp_distance
 from turnplan.sequencing import (baseline_angle_sequence, distance_matrix, greedy_sequence,
-                                 optimal_sequence, plan_waypoints)
+                                 plan_waypoints)
 
 
 @pytest.fixture(scope="module")

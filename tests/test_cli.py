@@ -129,6 +129,70 @@ def test_non_finite_flags_fail_cleanly(tmp_path, capsys, command, flag, value, f
     assert len(err.strip().splitlines()) == 1
 
 
+def _far_out(tmp_path, case):
+    """A 5-hole layout with waypoints at or beyond 2**500, and the flags that put them there."""
+    layout = _generate(tmp_path, n=5)
+    doc = json.loads(layout.read_text())
+    flags = []
+    if case == "standoff":
+        flags = ["--standoff", "1e160"]
+    elif case == "center":
+        doc["turntable_center"] = [1e300, 0.0, 0.0]
+    elif case == "shifted":
+        for hole in doc["holes"]:
+            hole["origin"] = [c + 2.0**505 for c in hole["origin"]]
+    else:  # origins near the largest double, and a stand-off that overflows their sum
+        for hole in doc["holes"]:
+            hole["origin"] = [1.7e308, 0.0, 0.0]
+        flags = ["--standoff", "1e308"]
+    layout.write_text(json.dumps(doc))
+    return layout, flags
+
+
+_COMMANDS = {
+    "plan-baseline": ["plan", "--algorithm", "baseline", "--out", "p.json"],
+    "plan-cluster": ["plan", "--algorithm", "cluster", "--out", "p.json"],
+    "plan-greedy": ["plan", "--algorithm", "greedy", "--out", "p.json"],
+    "bench": ["bench", "--trials", "1", "--report", "r.csv", "--plot-data", "d.csv"],
+}
+
+
+def _run_in(tmp_path, command, layout, flags, capsys, monkeypatch):
+    """Run a _COMMANDS entry on `layout` in tmp_path; returns (exit code, stderr, new files)."""
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.iterdir())
+    name, *rest = _COMMANDS[command]
+    code = main([name, str(layout), *rest, *flags])
+    return code, capsys.readouterr().err, set(tmp_path.iterdir()) - before
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("case", ["standoff", "center", "shifted", "overflow"])
+def test_far_out_waypoints_fail_cleanly(tmp_path, capsys, monkeypatch, command, case):
+    # each planner, and the bench, turns them away: one line, and no numpy warning
+    layout, flags = _far_out(tmp_path, case)
+    capsys.readouterr()
+    code, err, written = _run_in(tmp_path, command, layout, flags, capsys, monkeypatch)
+    assert code == 2
+    assert err == ("error: waypoints and their offsets from the turntable center must lie "
+                   "below 2**500 in magnitude\n")
+    assert not written
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_negative_seed_fails_cleanly(tmp_path, capsys, monkeypatch, command):
+    layout = _generate(tmp_path, n=5)
+    capsys.readouterr()
+    code, err, written = _run_in(tmp_path, command, layout, ["--seed", "-1"], capsys, monkeypatch)
+    assert (code, err, written) == (2, "error: seed must be >= 0, got -1\n", set())
+
+
+def test_generate_rejects_a_negative_seed(tmp_path, capsys):
+    code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "g.json")])
+    assert (code, capsys.readouterr().err) == (2, "error: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_plan_generates_waypoints_once(tmp_path, monkeypatch):
     layout = _generate(tmp_path)
     calls = count_waypoint_generation(monkeypatch)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from turnplan.angles import TWO_PI, circular_separation, wrap_angle
 from turnplan.clustering import (Cluster, ClusterParams, ClusterPlan, DegenerateMeanError,
                                  center_offset, circular_mean, cluster_points,
                                  order_clusters, reachability_report)
-from turnplan.geometry import generate_waypoints, hemisphere_layout
+from turnplan.geometry import Waypoints, generate_waypoints, hemisphere_layout
 
 DEG = math.pi / 180.0
 
 
 def _singleton(index: int, angle: float) -> Cluster:
-    return Cluster(members=(index,), centroid=np.zeros(3), mean_angle=angle)
+    return Cluster(members=(index,), mean_angle=angle)
 
 
 # --- circular mean ---------------------------------------------------------
@@ -73,82 +74,72 @@ def test_circular_mean_matches_grid_search_argmin():
 # --- k-means clustering ----------------------------------------------------
 
 def test_cluster_points_singleton():
-    clusters = cluster_points([(0.2, 0.1, 0.0)], ClusterParams(k=1, seed=0))
+    wps = make_waypoints([(0.2, 0.1, 0.0)])
+    clusters = cluster_points(wps, ClusterParams(k=1, seed=0))
     assert len(clusters) == 1
     assert clusters[0].members == (0,)
-    np.testing.assert_allclose(clusters[0].centroid, [0.2, 0.1, 0.0])
+    assert clusters[0].mean_angle == wps.table_angles[0]
 
 
 def test_cluster_points_separates_well_separated_groups():
     rng = np.random.default_rng(3)
     left = rng.normal((1.0, 0.0, 0.0), 0.02, (8, 3))
     right = rng.normal((-1.0, 0.0, 0.0), 0.02, (8, 3))
-    clusters = cluster_points(np.vstack([left, right]), ClusterParams(k=2, seed=5))
+    clusters = cluster_points(make_waypoints(np.vstack([left, right])), ClusterParams(k=2, seed=5))
     groups = sorted(tuple(sorted(c.members)) for c in clusters)
     assert groups == [tuple(range(8)), tuple(range(8, 16))]
 
 
 def test_cluster_points_deterministic_for_fixed_seed():
-    part = hemisphere_layout(40, 0.15, seed=7)
-    positions = np.array([h.origin for h in part.holes])
-    a = cluster_points(positions, ClusterParams(k=5, seed=9))
-    b = cluster_points(positions, ClusterParams(k=5, seed=9))
+    wps = make_waypoints(hemisphere_layout(40, 0.15, seed=7).origins)
+    a = cluster_points(wps, ClusterParams(k=5, seed=9))
+    b = cluster_points(wps, ClusterParams(k=5, seed=9))
     assert [c.members for c in a] == [c.members for c in b]
-    for ca, cb in zip(a, b):
-        assert np.array_equal(ca.centroid, cb.centroid)
-        assert ca.mean_angle == cb.mean_angle
+    assert [c.mean_angle for c in a] == [c.mean_angle for c in b]
 
 
 def test_cluster_points_rejects_empty_input():
-    with pytest.raises(ValueError):
-        cluster_points([], ClusterParams())
+    with pytest.raises(ValueError, match="cannot cluster an empty point set"):
+        cluster_points(make_waypoints([]), ClusterParams())
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("n", [3, 12])  # singletons, and k-means proper
 def test_cluster_points_rejects_non_finite_positions(bad, n):
+    # the bundle refuses them, so neither clustering path ever sees one
     pts = np.random.default_rng(4).uniform(-1.0, 1.0, (n, 3))
     pts[1, 2] = bad
     with pytest.raises(ValueError, match="positions must be finite"):
-        cluster_points(pts, ClusterParams(k=3, seed=0))
-    with pytest.raises(ValueError, match="positions must be finite"):
-        cluster_points(pts, ClusterParams(k=3, seed=0), angles=np.zeros(n))
+        cluster_points(make_waypoints(pts), ClusterParams(k=3, seed=0))
 
 
 @pytest.mark.parametrize("n", [3, 50])  # singletons, and k-means proper
 def test_cluster_points_rejects_coordinates_whose_squares_overflow(n):
     unit = np.random.default_rng(6).normal(size=(n, 3))
     unit /= np.abs(unit).max()
-    assert len(cluster_points(2.0**499 * unit, ClusterParams(k=5, seed=0))) == min(n, 5)
+    params = ClusterParams(k=5, seed=0)
+    assert len(cluster_points(make_waypoints(2.0**499 * unit), params)) == min(n, 5)
     for scale in (2.0**500, 1e200):
         with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
-            cluster_points(scale * unit, ClusterParams(k=5, seed=0))
+            cluster_points(make_waypoints(scale * unit), params)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_cluster_points_rejects_non_finite_angles(bad):
+    # as for positions, the bundle refuses them first
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 3))
     angles = np.full(12, 0.5)
     angles[7] = bad
-    with pytest.raises(ValueError, match="angles must be finite"):
-        cluster_points(pts, ClusterParams(k=3, seed=0), angles=angles)
-
-
-def test_cluster_points_default_angles_are_the_waypoint_table_angles():
-    bundle = generate_waypoints(hemisphere_layout(4000, 0.15, seed=1), 0.05, 0.0)
-    params = ClusterParams(k=60, seed=1)
-    derived = cluster_points(bundle.positions, params)
-    given = cluster_points(bundle.positions, params, angles=bundle.table_angles)
-    assert [c.members for c in derived] == [c.members for c in given]
-    for a, b in zip(derived, given):
-        assert np.array_equal(a.centroid, b.centroid)
-        assert a.mean_angle == b.mean_angle
+    with pytest.raises(ValueError, match=r"table angles must lie in \[0, 2\*pi\)"):
+        cluster_points(Waypoints(positions=pts, orientations=np.tile([1.0, 0.0, 0.0, 0.0], (12, 1)),
+                                 table_angles=angles), ClusterParams(k=3, seed=0))
 
 
 def test_cluster_points_fewer_points_than_k_gives_singletons():
-    pts = [(0.1, 0.0, 0.0), (0.0, 0.2, 0.0), (0.0, 0.0, 0.3)]
-    clusters = cluster_points(pts, ClusterParams(k=5, seed=1))
+    wps = make_waypoints([(0.1, 0.0, 0.0), (0.0, 0.2, 0.0), (0.0, 0.0, 0.3)])
+    clusters = cluster_points(wps, ClusterParams(k=5, seed=1))
     assert [c.members for c in clusters] == [(0,), (1,), (2,)]
+    assert [c.mean_angle for c in clusters] == wps.table_angles.tolist()
 
 
 def test_cluster_points_partition_and_nearest_centroid():
@@ -156,11 +147,12 @@ def test_cluster_points_partition_and_nearest_centroid():
     for seed in range(10):
         n = int(rng.integers(6, 50))
         pts = rng.uniform(-1.0, 1.0, (n, 3))
-        clusters = cluster_points(pts, ClusterParams(k=5, seed=seed))
+        clusters = cluster_points(make_waypoints(pts), ClusterParams(k=5, seed=seed))
         members = sorted(i for c in clusters for i in c.members)
         assert members == list(range(n))
         assert all(len(c.members) >= 1 for c in clusters)
-        centroids = np.array([c.centroid for c in clusters])
+        # the centroids are the member means
+        centroids = np.array([pts[list(c.members)].mean(axis=0) for c in clusters])
         for ci, cluster in enumerate(clusters):
             for i in cluster.members:
                 dists = np.linalg.norm(centroids - pts[i], axis=1)
@@ -168,8 +160,8 @@ def test_cluster_points_partition_and_nearest_centroid():
 
 
 def test_cluster_points_survives_coincident_points():
-    pts = np.tile([(0.3, 0.2, 0.1)], (12, 1))
-    clusters = cluster_points(pts, ClusterParams(k=4, seed=0))
+    wps = make_waypoints(np.tile([(0.3, 0.2, 0.1)], (12, 1)))
+    clusters = cluster_points(wps, ClusterParams(k=4, seed=0))
     assert len(clusters) == 4
     assert sorted(i for c in clusters for i in c.members) == list(range(12))
 
@@ -177,16 +169,33 @@ def test_cluster_points_survives_coincident_points():
 def test_cluster_mean_angle_uses_member_table_angles():
     # two tight groups at angles ~0 and ~pi/2
     pts = np.array([(1.0, 0.01, 0.0), (1.0, -0.01, 0.0), (0.01, 1.0, 0.5), (-0.01, 1.0, 0.5)])
-    clusters = cluster_points(pts, ClusterParams(k=2, seed=2))
+    clusters = cluster_points(make_waypoints(pts), ClusterParams(k=2, seed=2))
     angles = sorted(c.mean_angle for c in clusters)
     assert circular_separation(angles[0], 0.0) < 0.05
     assert circular_separation(angles[1], math.pi / 2.0) < 0.05
 
 
+def test_cluster_mean_angle_is_about_a_tilted_off_centre_axis():
+    # the bundle's angles, not the xy plane's, set each cluster's mean angle
+    axis = np.array([1.0, 1.0, 2.0]) / math.sqrt(6.0)
+    part = replace(hemisphere_layout(60, 0.15, seed=3), turntable_axis=axis,
+                   turntable_center=(0.04, -0.03, 0.02))
+    wps = generate_waypoints(part, 0.05, 0.2)
+    params = ClusterParams(k=6, seed=4)
+    clusters = cluster_points(wps, params)
+    assert sorted(i for c in clusters for i in c.members) == list(range(60))
+    for cluster in clusters:
+        assert cluster.mean_angle == circular_mean(wps.table_angles[list(cluster.members)])
+    # the same positions with angles in the xy plane: same members, other angles
+    in_xy_plane = cluster_points(make_waypoints(wps.positions), params)
+    assert [c.members for c in in_xy_plane] == [c.members for c in clusters]
+    assert all(a.mean_angle != b.mean_angle for a, b in zip(in_xy_plane, clusters))
+
+
 def test_cluster_points_opposed_angles_fall_back_instead_of_raising():
     # both points in one cluster with table angles 0 and pi
-    pts = np.array([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
-    clusters = cluster_points(pts, ClusterParams(k=1, seed=0))
+    wps = make_waypoints([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
+    clusters = cluster_points(wps, ClusterParams(k=1, seed=0))
     assert clusters[0].mean_angle == 0.0  # lowest-index member's angle
 
 
@@ -248,8 +257,7 @@ def test_center_offset_always_in_range():
 
 def _plan_of_one_cluster(angles, mean_angle):
     waypoints = make_waypoints([(math.cos(a), math.sin(a), 0.0) for a in angles])
-    cluster = Cluster(members=tuple(range(len(angles))), centroid=np.zeros(3),
-                      mean_angle=mean_angle)
+    cluster = Cluster(members=tuple(range(len(angles))), mean_angle=mean_angle)
     plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(0.0,))
     return plan, waypoints
 

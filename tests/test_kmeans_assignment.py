@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_waypoints
 from turnplan import clustering
 from turnplan.clustering import (ClusterParams, _fix_empty_clusters, _NearestCentroid,
                                  _squared_distances, cluster_points)
@@ -83,7 +84,7 @@ def test_lattice_k_means_takes_the_exact_fallback(monkeypatch):
     points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     points = np.vstack([points, points[::7]])  # and some duplicates
     rows = _counting_squared_distances(monkeypatch)
-    cluster_points(points, ClusterParams(k=8, seed=0))
+    cluster_points(make_waypoints(points), ClusterParams(k=8, seed=0))
     assert rows and max(rows) < len(points)  # tied rows only, not an empty-cluster repair
 
 
@@ -91,7 +92,7 @@ def test_hemisphere_k_means_needs_no_exact_fallback(monkeypatch):
     bundle = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
     rows = _counting_squared_distances(monkeypatch)
     for k in (5, 60):
-        cluster_points(bundle.positions, ClusterParams(k=k, seed=3), angles=bundle.table_angles)
+        cluster_points(bundle, ClusterParams(k=k, seed=3))
     assert rows == []
 
 
@@ -116,7 +117,7 @@ def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
             break
         previous = assign
         centroids = np.array([points[assign == j].mean(axis=0) for j in range(k)])
-    return [tuple(np.flatnonzero(assign == j).tolist()) for j in range(k)], centroids
+    return [tuple(np.flatnonzero(assign == j).tolist()) for j in range(k)]
 
 
 @PROPERTY_SETTINGS
@@ -127,13 +128,9 @@ def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed, upkeep):
     points = _points(layout, n, np.random.default_rng(seed))
     params = ClusterParams(k=k, max_iterations=max_iterations, seed=seed)
     with _bounds_kept_from(upkeep):
-        clusters = cluster_points(points, params, angles=np.zeros(n))
-    if n <= k:
-        members, centroids = [(i,) for i in range(n)], points
-    else:
-        members, centroids = _lloyd(points, k, max_iterations, seed)
+        clusters = cluster_points(make_waypoints(points), params)
+    members = [(i,) for i in range(n)] if n <= k else _lloyd(points, k, max_iterations, seed)
     assert [c.members for c in clusters] == members
-    assert np.array_equal(np.array([c.centroid for c in clusters]), centroids)
 
 
 def _exact_gaps(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -202,6 +199,6 @@ def test_hemisphere_k_means_recomputes_few_rows(monkeypatch):
         return recompute(self, stale, *args)
 
     monkeypatch.setattr(_NearestCentroid, "_recompute", counted)
-    cluster_points(bundle.positions, ClusterParams(k=60, seed=3), angles=bundle.table_angles)
+    cluster_points(bundle, ClusterParams(k=60, seed=3))
     assert rows[0] == 4000 and len(rows) > 10
     assert sum(rows[1:]) < 0.5 * 4000 * len(rows[1:])

@@ -15,7 +15,7 @@ from turnplan.sequencing import Plan, plan_waypoints
 
 def _manual_plan(order, rotation=0.0):
     """Single-cluster plan visiting `order` with one up-front rotation."""
-    cluster = Cluster(members=tuple(sorted(order)), centroid=np.zeros(3), mean_angle=0.0)
+    cluster = Cluster(members=tuple(sorted(order)), mean_angle=0.0)
     cluster_plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(rotation,))
     return Plan(cluster_plan=cluster_plan, sequences=(tuple(order),),
                 flattened_order=tuple(order))

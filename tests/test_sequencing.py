@@ -6,14 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import brute_force_open_path, make_waypoints, path_length
+from conftest import (InstanceTooLargeError, brute_force_open_path, make_waypoints,
+                      optimal_sequence, path_length)
 from turnplan.angles import TWO_PI
 from turnplan.clustering import Cluster, ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
-from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, InstanceTooLargeError,
-                                 Plan, baseline_angle_sequence, distance_matrix,
-                                 greedy_chain, greedy_sequence, optimal_sequence,
-                                 plan_waypoints, save_plan)
+from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
+                                 baseline_angle_sequence, distance_matrix, greedy_chain,
+                                 greedy_sequence, plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
 
@@ -348,8 +348,7 @@ def test_plan_rejects_a_stand_in_cluster_plan():
     # a permutation; a stand-in whose cluster skips index 0 is turned away
     plan = _two_cluster_plan()
     cluster = plan.cluster_plan.clusters[0]
-    stand_in = SimpleNamespace(clusters=(Cluster(members=(1, 2), centroid=cluster.centroid,
-                                                 mean_angle=cluster.mean_angle),))
+    stand_in = SimpleNamespace(clusters=(Cluster(members=(1, 2), mean_angle=cluster.mean_angle),))
     with pytest.raises(TypeError, match="cluster_plan must be a ClusterPlan"):
         Plan(cluster_plan=stand_in, sequences=((2, 1),), flattened_order=(2, 1))
 
