@@ -1,9 +1,9 @@
-"""Work-cell geometry: poses, hole frames, and end-effector waypoint generation.
+"""Work-cell geometry: hole frames and waypoint generation.
 
 Conventions used throughout the package:
 
 - positions are meters, expressed in the turntable frame
-- quaternions are scalar-first (w, x, y, z) unit quaternions
+- a waypoint is a position and a table angle: plans carry no tool orientation
 - every hole carries a right-handed orthonormal frame whose y axis runs
   along the hole centerline; the tool approaches along -y from a stand-off
   point above the hole
@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 The attack angle tilts the stand-off direction itself (the hole frame is
 rotated about its own x axis first, then the stand-off translation is
-applied along the rotated y axis), not merely the tool orientation.
+applied along the rotated y axis).
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .angles import wrap_angle
 
-# Unit-norm / orthogonality tolerance for frames and quaternions.
+# Unit-norm / orthogonality tolerance for hole frames and the turntable axis.
 UNIT_TOL = 1e-9
 
 # In-plane radius below which a point is considered "on the table axis".
@@ -51,6 +50,8 @@ def _as_vector3(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 3-vector of numbers, got {value!r}") from None
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
+    if any(isinstance(c, (str, bool, np.bool_)) for c in value):  # np.array takes "0.1", True
+        raise ValueError(f"{name} must be a 3-vector of numbers, got {value!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return _freeze(arr)
@@ -58,10 +59,9 @@ def _as_vector3(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """End-effector target: position (m) plus unit quaternion (w, x, y, z); a bundle row view."""
+    """End-effector target position (m); a bundle row view."""
 
     position: np.ndarray
-    orientation: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,40 +141,34 @@ class PartModel:
 
 @dataclass(frozen=True, eq=False)
 class Waypoints:
-    """Read-only waypoint arrays: positions (N, 3), orientations (N, 4) and table angles (N,).
+    """Read-only waypoint arrays: positions (N, 3) and table angles (N,).
 
     Indexing and iteration yield `Waypoint` views, so per-hole callers keep
     working; the planners read the arrays directly.
     """
 
     positions: np.ndarray
-    orientations: np.ndarray
     table_angles: np.ndarray
 
     def __post_init__(self):
         positions = np.array(self.positions, dtype=float)
-        quats = np.array(self.orientations, dtype=float)
         angles = np.array(self.table_angles, dtype=float)
         n = len(angles)
-        if angles.shape != (n,) or positions.shape != (n, 3) or quats.shape != (n, 4):
-            raise ValueError(f"need (N, 3) positions, (N, 4) orientations and (N,) angles, got "
-                             f"{positions.shape}, {quats.shape} and {angles.shape}")
+        if angles.shape != (n,) or positions.shape != (n, 3):
+            raise ValueError(f"need (N, 3) positions and (N,) angles, got "
+                             f"{positions.shape} and {angles.shape}")
         if not np.all(np.isfinite(positions)):
             raise ValueError("positions must be finite")
-        if np.any(np.abs(np.linalg.norm(quats, axis=1) - 1.0) > UNIT_TOL):
-            raise ValueError("orientations must be unit quaternions")
         if not np.all((angles >= 0.0) & (angles < 2.0 * math.pi)):
             raise ValueError("table angles must lie in [0, 2*pi)")
         object.__setattr__(self, "positions", _freeze(positions))
-        object.__setattr__(self, "orientations", _freeze(quats))
         object.__setattr__(self, "table_angles", _freeze(angles))
 
     def __len__(self) -> int:
         return len(self.table_angles)
 
     def __getitem__(self, index: int) -> Waypoint:
-        return Waypoint(pose=Pose(position=self.positions[index],
-                                  orientation=self.orientations[index]),
+        return Waypoint(pose=Pose(position=self.positions[index]),
                         table_angle=float(self.table_angles[index]))
 
     def __iter__(self):
@@ -223,9 +217,8 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     """Waypoints for every hole of the part, in hole order, as one bundle.
 
     Each hole frame is rotated by `attack` counter-clockwise about its own x
-    axis, then the position is offset by `standoff` along the rotated y axis.
-    The waypoint orientation is the rotated frame's quaternion (the tool
-    approach direction is the rotated -y axis, pointing into the hole).
+    axis, then the position is offset by `standoff` along the rotated y axis
+    (the tool approaches along the rotated -y axis, into the hole).
 
     A waypoint that lands exactly on the turntable axis gets table angle 0.0:
     such a point is presented to the robot at every table rotation. Waypoints
@@ -247,13 +240,8 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
             and np.abs(positions - part.turntable_center).max() < 2.0**500):
         raise ValueError("waypoints and their offsets from the turntable center must lie "
                          "below 2**500 in magnitude")
-    quats = Rotation.from_matrix(rotated).as_quat()[:, [3, 0, 1, 2]]  # (w, x, y, z)
-    # canonical sign: first nonzero component positive, so equal rotations
-    # serialize identically
-    first = quats[np.arange(len(quats)), (quats != 0.0).argmax(axis=1)]
-    quats[first < 0.0] *= -1.0
     angles, _ = _table_angles(positions, part)
-    return Waypoints(positions=positions, orientations=quats, table_angles=angles)
+    return Waypoints(positions=positions, table_angles=angles)
 
 
 def _frame_from_outward_y(y_axis: np.ndarray, roll: float) -> tuple[np.ndarray, np.ndarray]:
@@ -322,13 +310,16 @@ def save_part_layout(part: PartModel, path: str | os.PathLike) -> None:
 
 def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:
     """Field `name` of every hole as an (N, 3) array; a malformed entry is named with its hole."""
+    rows = [h[name] for h in holes]
     try:
-        values = np.array([h[name] for h in holes], dtype=float)
+        values = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
         values = None
-    if values is None or values.shape != (len(holes), 3):
-        for index, hole in enumerate(holes):
-            _as_vector3(hole[name], f"{name} of hole {index}")
+    # JSON numbers load as int or float; numpy would also take "0.1" and true
+    if (values is None or values.shape != (len(holes), 3)
+            or not {type(c) for row in rows for c in row} <= {int, float}):
+        for index, row in enumerate(rows):
+            _as_vector3(row, f"{name} of hole {index}")
     return values.reshape(-1, 3)
 
 

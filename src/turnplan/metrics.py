@@ -57,10 +57,10 @@ class BenchmarkReport:
     seed: int
 
     def __post_init__(self):
-        values = (self.planning_time, self.ssp_distance,
-                  self.estimated_execution_time, self.total_rotation, float(self.n_points))
-        if any(not np.isfinite(v) or v < 0.0 for v in values):
-            raise ValueError("report metrics must be finite and non-negative")
+        for name in ("planning_time", "ssp_distance", "estimated_execution_time",
+                     "total_rotation", "n_points"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:  # False for NaN too
+                raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
 
 
 def ssp_distance(plan: Plan, positions) -> float:

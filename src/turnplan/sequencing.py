@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .angles import TWO_PI, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
@@ -98,6 +97,9 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     and a row with d_i < 2^-500 certifies nothing, as does a row with
     d_i = 0 (more than CHAIN_CANDIDATES + 1 coincident copies).
     """
+    # imported here: only clusters above CHAIN_TABLE_MIN_POINTS come here, so small plans skip scipy
+    from scipy.spatial import cKDTree
+
     near = cKDTree(pts).query(pts, CHAIN_CANDIDATES + 1)[1]
     diff = pts[near]
     np.subtract(pts[:, None, :], diff, out=diff)

@@ -92,11 +92,10 @@ def optimal_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
 
 
 def make_waypoints(positions) -> Waypoints:
-    """A bundle at the given positions, identity orientations, angles from the xy plane."""
+    """A bundle at the given positions, angles from the xy plane."""
     pts = np.asarray(positions, dtype=float).reshape(-1, 3)
     angles = [float(np.mod(np.arctan2(p[1], p[0]), 2.0 * np.pi)) for p in pts]
-    return Waypoints(positions=pts, orientations=np.tile([1.0, 0.0, 0.0, 0.0], (len(pts), 1)),
-                     table_angles=[0.0 if a >= 2.0 * np.pi else a for a in angles])
+    return Waypoints(positions=pts, table_angles=[0.0 if a >= 2.0 * np.pi else a for a in angles])
 
 
 def count_waypoint_generation(monkeypatch, delay: float = 0.0) -> list:

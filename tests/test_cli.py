@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turnplan
 from conftest import count_waypoint_generation
 from turnplan.cli import main
 from turnplan.geometry import load_part_layout
@@ -274,6 +279,34 @@ def test_bench_rejects_a_zero_baseline_time_without_writing_files(tmp_path, caps
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and "baseline" in line and "0 s" in line
     assert not report.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--robot-speed", "1e-320"), ("--table-speed", "1e-320"), ("--dwell", "1e308"),
+])
+def test_bench_names_an_overflowing_metric_without_writing_files(tmp_path, capsys, flag, value):
+    # each flag passes CellModel's checks, but the execution time overflows to inf
+    layout = _generate(tmp_path, n=5)
+    capsys.readouterr()
+    report, plot = tmp_path / "r.csv", tmp_path / "p.csv"
+    code = main(["bench", str(layout), flag, value, "--trials", "1",
+                 "--report", str(report), "--plot-data", str(plot)])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "estimated_execution_time" in line and "inf" in line
+    assert not report.exists() and not plot.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter: this test session has imported scipy already
+    code = ("import sys, turnplan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    package_root = str(Path(turnplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_bench_rejects_zero_trials(tmp_path, capsys):

@@ -131,8 +131,7 @@ def test_cluster_points_rejects_non_finite_angles(bad):
     angles = np.full(12, 0.5)
     angles[7] = bad
     with pytest.raises(ValueError, match=r"table angles must lie in \[0, 2\*pi\)"):
-        cluster_points(Waypoints(positions=pts, orientations=np.tile([1.0, 0.0, 0.0, 0.0], (12, 1)),
-                                 table_angles=angles), ClusterParams(k=3, seed=0))
+        cluster_points(Waypoints(positions=pts, table_angles=angles), ClusterParams(k=3, seed=0))
 
 
 def test_cluster_points_fewer_points_than_k_gives_singletons():

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from turnplan.cli import main
-from turnplan.geometry import (HoleFrame, PartModel, Waypoints, _table_angles,
+from turnplan.geometry import (HoleFrame, PartModel, _table_angles,
                                generate_waypoints, hemisphere_layout, load_part_layout,
                                save_part_layout)
 
@@ -26,12 +26,6 @@ def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
     """The waypoint of one hole, through the batched generator."""
     return generate_waypoints(one_hole_part(hole.origin, hole.x_axis, hole.y_axis, hole.z_axis,
                                             part), standoff, attack)[0]
-
-
-def test_pose_rejects_non_unit_quaternion():
-    with pytest.raises(ValueError, match="unit quaternions"):
-        Waypoints(positions=[(0.0, 0.0, 0.0)], orientations=[(1.0, 1.0, 0.0, 0.0)],
-                  table_angles=[0.0])
 
 
 def test_hole_frame_rejects_non_unit_axis():
@@ -56,7 +50,6 @@ def test_hole_frame_rejects_left_handed_frame():
 def test_generate_waypoint_identity_case():
     wp = generate_waypoint(HoleFrame(**WORLD_FRAME), standoff=0.0, attack=0.0)
     assert_allclose(wp.pose.position, [0.0, 0.0, 0.0], atol=1e-12)
-    assert_allclose(wp.pose.orientation, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert wp.table_angle == 0.0  # on-axis position maps to angle zero
 
 
@@ -85,8 +78,6 @@ def test_generate_waypoint_attack_matches_homogeneous_composition():
     assert_allclose(wp.pose.position, oracle[:3, 3], atol=1e-12)
     # frozen values for the right-angle case
     assert_allclose(wp.pose.position, [0.0, 0.0, 0.1], atol=1e-12)
-    h = math.sqrt(0.5)
-    assert_allclose(wp.pose.orientation, [h, h, 0.0, 0.0], atol=1e-12)
 
 
 def test_generate_waypoint_attack_matches_oracle_on_random_frames():
@@ -224,20 +215,28 @@ def test_layout_writer_reproduces_bundled_file(bundled_layout_path, tmp_path):
     ("origin", lambda hole: [math.nan, 0.0, 0.1]),
     ("y_axis", lambda hole: hole["x_axis"]),
     ("z_axis", lambda hole: [-v for v in hole["z_axis"]]),
+    ("origin", lambda hole: ["0.1", "0", "0"]),
+    ("origin", lambda hole: [True, 0, 0.1]),
+    ("turntable_center", lambda doc: ["0", "0", "0"]),
+    ("turntable_axis", lambda doc: [False, False, True]),
 ], ids=["non-unit-y_axis", "2-element-origin", "scalar-origin", "4-element-z_axis",
-        "string-x_axis", "nan-origin", "non-orthogonal", "left-handed"])
+        "string-x_axis", "nan-origin", "non-orthogonal", "left-handed",
+        "numeric-string-origin", "boolean-origin", "numeric-string-turntable_center",
+        "boolean-turntable_axis"])
 def test_layout_loader_rejects_invalid_frames(tmp_path, capsys, field, edit):
     part = hemisphere_layout(3, 0.15, seed=3)
     path = tmp_path / "layout.json"
     save_part_layout(part, path)
     doc = json.loads(path.read_text())
-    doc["holes"][1][field] = edit(doc["holes"][1])
+    owner = doc if field.startswith("turntable_") else doc["holes"][1]
+    owner[field] = edit(owner)
     path.write_text(json.dumps(doc))
     code = main(["plan", str(path), "--out", str(tmp_path / "plan.json")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert str(path) in err and field in err and "hole 1" in err
+    assert str(path) in err and field in err
+    assert owner is doc or "hole 1" in err
 
 
 def test_layout_loader_rejects_missing_fields(tmp_path):
