@@ -1,6 +1,6 @@
-"""Desk-scale benchmark scenarios: the 40-hole hemisphere and a three-way
-comparison of the angle baseline, clustering only, and the full greedy
-pipeline, with the two CSV files that report it.
+"""Desk-scale benchmark: the planner registry, seeded trials scored by `metrics`,
+the 40-hole hemisphere, and a comparison of the angle baseline, clustering only
+and the full greedy pipeline, with the two CSV files that report it.
 """
 
 from __future__ import annotations
@@ -8,14 +8,15 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from statistics import fmean
 
+from . import sequencing
 from .clustering import ClusterParams
-from .geometry import PartModel, _as_vector3, generate_waypoints, hemisphere_layout
-from .metrics import BenchmarkReport, CellModel, PLANNERS, trial_reports
-
-ALGORITHMS = tuple(PLANNERS)
+from .geometry import PartModel, Waypoints, _as_vector3, generate_waypoints, hemisphere_layout
+from .metrics import CellModel, estimate_execution_time, ssp_distance
+from .sequencing import Plan
 
 # (CSV column, BenchmarkReport field) of each quality metric, in file order
 METRICS = (
@@ -49,6 +50,77 @@ class Scenario:
         _as_vector3(self.robot_home, "robot_home")
 
 
+@dataclass(frozen=True)
+class BenchmarkReport:
+    """One trial's worth of benchmark criteria."""
+
+    planning_time: float
+    ssp_distance: float
+    estimated_execution_time: float
+    total_rotation: float
+    n_points: int
+    seed: int
+
+    def __post_init__(self):
+        for name in ("planning_time", "ssp_distance", "estimated_execution_time",
+                     "total_rotation", "n_points"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:  # False for NaN too
+                raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
+
+
+def _plan_baseline(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
+    return sequencing.baseline_angle_sequence(waypoints, groups=params.k,
+                                              start_angle=scenario.robot_center_angle)
+
+
+def _plan_cluster_only(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
+    return sequencing.plan_waypoints(waypoints, params,
+                                     robot_center_angle=scenario.robot_center_angle,
+                                     within_cluster="input")
+
+
+def _plan_greedy(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
+    return sequencing.plan_waypoints(waypoints, params,
+                                     robot_center_angle=scenario.robot_center_angle,
+                                     robot_home=scenario.robot_home)
+
+
+# Every planner takes (waypoints, scenario, params) -> Plan; params carries the trial's seed.
+PLANNERS = {
+    "baseline": _plan_baseline,
+    "cluster": _plan_cluster_only,
+    "greedy": _plan_greedy,
+}
+
+
+def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
+                  trials: int) -> list[BenchmarkReport]:
+    """Plan and score `trials` seeded trials of one planner on one waypoint bundle.
+
+    Trial i uses seed scenario.cluster_params.seed + i. The planning time is
+    wall clock around the planner call only.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    positions = waypoints.positions
+    reports = []
+    for trial in range(trials):
+        seed = scenario.cluster_params.seed + trial
+        params = replace(scenario.cluster_params, seed=seed)
+        tic = time.perf_counter()
+        plan = plan_fn(waypoints, scenario, params)
+        elapsed = time.perf_counter() - tic
+        reports.append(BenchmarkReport(
+            planning_time=elapsed,
+            ssp_distance=ssp_distance(plan, positions),
+            estimated_execution_time=estimate_execution_time(plan, positions, scenario.cell),
+            total_rotation=plan.cluster_plan.total_rotation,
+            n_points=plan.n_points,
+            seed=seed,
+        ))
+    return reports
+
+
 def hemisphere_scenario(n: int = 40, radius: float = 0.15, standoff: float = 0.05,
                         layout_seed: int = 7, **overrides) -> Scenario:
     """The stock test scenario: holes over a hemisphere, sprayed from a stand-off."""
@@ -62,17 +134,18 @@ class ComparisonResult:
 
     reports: dict[str, list[BenchmarkReport]]
 
-    def _means(self, key: str) -> dict[str, float]:
+    def means(self, key: str) -> dict[str, float]:
+        """Per algorithm, the mean over its trials of the `BenchmarkReport` field `key`."""
         return {name: fmean(getattr(r, key) for r in reports)
                 for name, reports in self.reports.items()}
 
     @property
     def mean_execution_time(self) -> dict[str, float]:
-        return self._means("estimated_execution_time")
+        return self.means("estimated_execution_time")
 
     @property
     def mean_ssp_distance(self) -> dict[str, float]:
-        return self._means("ssp_distance")
+        return self.means("ssp_distance")
 
     @property
     def improvement_vs_baseline(self) -> dict[str, float]:
@@ -86,10 +159,10 @@ class ComparisonResult:
 
 
 def run_comparison(scenario: Scenario, trials: int) -> ComparisonResult:
-    """Benchmark all three algorithms on one waypoint bundle with shared trial seeds."""
+    """Run every planner's trials on one waypoint bundle, generated once, with shared seeds."""
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    return ComparisonResult({name: trial_reports(PLANNERS[name], name, waypoints, scenario, trials)
-                             for name in ALGORITHMS})
+    return ComparisonResult({name: trial_reports(plan_fn, waypoints, scenario, trials)
+                             for name, plan_fn in PLANNERS.items()})
 
 
 def comparison_rows(result: ComparisonResult) -> list[list]:
@@ -100,14 +173,14 @@ def comparison_rows(result: ComparisonResult) -> list[list]:
     wall-clock planning time is written as 0.0; it is reported on stdout only.
     """
     improvement = result.improvement_vs_baseline
+    means = [result.means(key) for _, key in METRICS]
     rows = [REPORT_COLUMNS]
     for name, reports in result.reports.items():
         rows.extend([name, trial, r.seed, r.n_points, repr(0.0),
                      *(repr(getattr(r, key)) for _, key in METRICS), ""]
                     for trial, r in enumerate(reports, 1))
         rows.append([name, "mean", "", reports[0].n_points, repr(0.0),
-                     *(repr(fmean(getattr(r, key) for r in reports)) for _, key in METRICS),
-                     repr(improvement[name])])
+                     *(repr(mean[name]) for mean in means), repr(improvement[name])])
     return rows
 
 

@@ -13,12 +13,12 @@ import json
 import math
 import sys
 import time
-from statistics import fmean
 
-from .bench import Scenario, comparison_rows, plot_data_rows, run_comparison, write_csv
+from .bench import (PLANNERS, Scenario, comparison_rows, plot_data_rows, run_comparison,
+                    write_csv)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
-from .metrics import CellModel, PLANNERS, ssp_distance
+from .metrics import CellModel, ssp_distance
 from .sequencing import save_plan
 
 
@@ -95,15 +95,15 @@ def cmd_bench(args) -> int:
     result = run_comparison(scenario, args.trials)
     # built before any file is written: a zero baseline time raises here
     ssp, exec_time = result.mean_ssp_distance, result.mean_execution_time
-    improvement = result.improvement_vs_baseline
+    plan_time, improvement = result.means("planning_time"), result.improvement_vs_baseline
     summary = {
         name: {
             "mean_ssp_distance_m": ssp[name],
             "mean_estimated_execution_time_s": exec_time[name],
-            "mean_planning_time_s": fmean(r.planning_time for r in reports),
+            "mean_planning_time_s": plan_time[name],
             "improvement_vs_baseline": improvement[name],
         }
-        for name, reports in result.reports.items()
+        for name in result.reports
     }
     write_csv(comparison_rows(result), args.report)
     write_csv(plot_data_rows(result), args.plot_data)

@@ -9,6 +9,7 @@ only rotate one way, never needs more than one full revolution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,16 @@ class DegenerateMeanError(ValueError):
     """Raised when angles cancel out and their circular mean is undefined."""
 
 
+def _as_int(value, name: str) -> int:
+    """`value` as an int; numpy integers pass, bools and non-integers raise naming `name`."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClusterParams:
     """Knobs for the clustering step."""
@@ -38,6 +49,8 @@ class ClusterParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "max_iterations", "seed"):
+            _as_int(getattr(self, name), name)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
         if not 0.0 < self.angular_bound <= TWO_PI:
@@ -379,6 +392,8 @@ def order_clusters(clusters, start_angle: float) -> ClusterPlan:
     Each rotation delta is the forward arc from the previous angular target to
     the next, so the whole plan never exceeds one revolution.
     """
+    if not math.isfinite(start_angle):
+        raise ValueError(f"start_angle must be finite, got {start_angle!r}")
     clusters = list(clusters)
     if not clusters:
         raise ValueError("no clusters to order")

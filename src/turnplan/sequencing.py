@@ -8,13 +8,15 @@ All path lengths are open: the robot is not required to return to its start.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
+from .clustering import (Cluster, ClusterParams, ClusterPlan, _as_int, cluster_points,
+                         order_clusters)
 from .geometry import Waypoints, _as_vector3
 
 # The greedy chain's candidate table (see greedy_chain): neighbours listed per
@@ -217,7 +219,7 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
     """
     if not len(waypoints):
         raise ValueError("no waypoints to sequence")
-    if groups < 1:
+    if _as_int(groups, "groups") < 1:
         raise ValueError(f"groups must be >= 1, got {groups!r}")
     width = TWO_PI / groups
     # Python-int sector keys cannot overflow, however large `groups` is
@@ -247,6 +249,8 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
         raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
+    if not math.isfinite(robot_center_angle):
+        raise ValueError(f"robot_center_angle must be finite, got {robot_center_angle!r}")
     previous_pos = np.zeros(3) if robot_home is None else _as_vector3(robot_home, "robot_home")
     positions = waypoints.positions
     clusters = cluster_points(waypoints, params)

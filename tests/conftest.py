@@ -8,7 +8,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from turnplan import bench, cli, geometry, metrics, sequencing
+from turnplan import bench, cli, geometry, sequencing
 from turnplan.geometry import Waypoints
 from turnplan.sequencing import DistanceMatrix
 
@@ -109,7 +109,7 @@ def count_waypoint_generation(monkeypatch, delay: float = 0.0) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (geometry, sequencing, metrics, bench, cli):
+    for module in (geometry, sequencing, bench, cli):
         if getattr(module, "generate_waypoints", None) is original:
             monkeypatch.setattr(module, "generate_waypoints", counted)
     return calls

@@ -10,10 +10,10 @@ import pytest
 
 from conftest import brute_force_open_path, make_waypoints, optimal_sequence, path_length
 from turnplan.angles import TWO_PI, circular_separation, wrap_angle
-from turnplan.bench import hemisphere_scenario
+from turnplan.bench import hemisphere_scenario, run_comparison
 from turnplan.clustering import ClusterParams, DegenerateMeanError, circular_mean
 from turnplan.geometry import generate_waypoints
-from turnplan.metrics import benchmark, ssp_distance
+from turnplan.metrics import ssp_distance
 from turnplan.sequencing import (baseline_angle_sequence, distance_matrix, greedy_sequence,
                                  plan_waypoints)
 
@@ -24,7 +24,7 @@ def hundred_seed_batch():
     40-hole hemisphere (radius 0.15 m, stand-off 0.05 m)."""
     scenario = hemisphere_scenario(n=40, radius=0.15, standoff=0.05)
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    positions = [w.pose.position for w in waypoints]
+    positions = waypoints.positions
     tic = time.perf_counter()
     baseline = baseline_angle_sequence(waypoints, groups=scenario.cluster_params.k,
                                        start_angle=scenario.robot_center_angle)
@@ -140,10 +140,10 @@ def test_criterion_6_circular_mean_against_grid_search():
 
 def test_criterion_7_baseline_constant_pipeline_varies():
     scenario = hemisphere_scenario()
-    baseline_reports = benchmark("baseline", scenario, trials=3)
-    baseline_values = {r.ssp_distance for r in baseline_reports}
-    greedy_reports = benchmark("greedy", scenario, trials=10)
-    greedy_values = [r.ssp_distance for r in greedy_reports]
+    baseline_values = {r.ssp_distance
+                       for r in run_comparison(scenario, trials=3).reports["baseline"]}
+    greedy_values = [r.ssp_distance
+                     for r in run_comparison(scenario, trials=10).reports["greedy"]]
     assert len(baseline_values) == 1
     assert float(np.var(greedy_values)) > 0.0
     print(f"\nPASS criterion 7: baseline ssp constant at "

@@ -6,12 +6,11 @@ import pytest
 
 from conftest import count_waypoint_generation
 from turnplan.angles import TWO_PI
-from turnplan.bench import (ALGORITHMS, METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario,
+from turnplan.bench import (METRICS, PLANNERS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario,
                             comparison_rows, hemisphere_scenario, plot_data_rows, run_comparison,
-                            write_csv)
+                            trial_reports, write_csv)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
-from turnplan.metrics import PLANNERS, benchmark
 
 
 def _cluster_only_plan(scenario, seed=0):
@@ -21,7 +20,7 @@ def _cluster_only_plan(scenario, seed=0):
 
 def test_hemisphere_scenario_shapes():
     scenario = hemisphere_scenario()
-    assert len(scenario.part.holes) == 40
+    assert len(scenario.part.origins) == 40
     assert scenario.standoff == 0.05
     assert scenario.cluster_params.k == 5
 
@@ -42,8 +41,7 @@ def test_clustering_only_plan_deterministic():
 def test_clustering_only_sits_between_baseline_and_greedy():
     scenario = hemisphere_scenario()
     trials = 50
-    reports = {name: benchmark(name, scenario, trials) for name in ALGORITHMS}
-    means = {name: fmean(r.ssp_distance for r in rs) for name, rs in reports.items()}
+    means = run_comparison(scenario, trials).mean_ssp_distance
     assert means["greedy"] < means["cluster"] < means["baseline"]
 
 
@@ -60,7 +58,7 @@ def test_greedy_improvement_beats_clustering_only_per_seed():
 def test_run_comparison_means_and_improvement():
     scenario = hemisphere_scenario()
     result = run_comparison(scenario, trials=3)
-    assert set(result.reports) == set(ALGORITHMS)
+    assert set(result.reports) == set(PLANNERS)
     assert all(len(rs) == 3 for rs in result.reports.values())
     assert result.improvement_vs_baseline["baseline"] == 0.0
     assert result.improvement_vs_baseline["greedy"] > 0.0
@@ -138,14 +136,15 @@ def test_run_comparison_generates_waypoints_once(monkeypatch):
     calls = count_waypoint_generation(monkeypatch)
     result = run_comparison(hemisphere_scenario(n=8), trials=3)
     assert len(calls) == 1
-    assert all(len(result.reports[name]) == 3 for name in ALGORITHMS)
+    assert all(len(result.reports[name]) == 3 for name in PLANNERS)
 
 
 def test_trial_seeds_count_up_from_the_cluster_params_seed():
     scenario = Scenario(hemisphere_layout(12, 0.15, seed=7), cluster_params=ClusterParams(seed=9))
-    assert [r.seed for r in benchmark("greedy", scenario, 2)] == [9, 10]
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    assert [r.seed for r in trial_reports(PLANNERS["greedy"], waypoints, scenario, 2)] == [9, 10]
     result = run_comparison(scenario, 2)
-    assert all([r.seed for r in result.reports[name]] == [9, 10] for name in ALGORITHMS)
+    assert all([r.seed for r in result.reports[name]] == [9, 10] for name in PLANNERS)
 
 
 def test_run_comparison_rejects_zero_trials():

@@ -22,13 +22,13 @@ def _generate(tmp_path, name="layout.json", n=40, seed=7):
 def test_generate_writes_loadable_layout(tmp_path, capsys):
     path = _generate(tmp_path)
     part = load_part_layout(path)
-    assert len(part.holes) == 40
+    assert len(part.origins) == 40
     assert "40 holes" in capsys.readouterr().out
 
 
 def test_generate_minimal_layout(tmp_path):
     path = _generate(tmp_path, n=1)
-    assert len(load_part_layout(path).holes) == 1
+    assert len(load_part_layout(path).origins) == 1
 
 
 def test_generate_round_trip_is_byte_identical(tmp_path):

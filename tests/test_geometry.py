@@ -6,12 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from turnplan.cli import main
-from turnplan.geometry import (HoleFrame, PartModel, _table_angles,
-                               generate_waypoints, hemisphere_layout, load_part_layout,
-                               save_part_layout)
+from turnplan.geometry import (PartModel, Waypoints, _table_angles, generate_waypoints,
+                               hemisphere_layout, load_part_layout, save_part_layout)
 
 WORLD_FRAME = dict(origin=(0.0, 0.0, 0.0), x_axis=(1.0, 0.0, 0.0),
                    y_axis=(0.0, 1.0, 0.0), z_axis=(0.0, 0.0, 1.0))
+WORLD_ORIGIN, WORLD_AXES = np.zeros(3), np.eye(3)
 
 
 def one_hole_part(origin, x_axis, y_axis, z_axis, part: PartModel | None = None) -> PartModel:
@@ -21,11 +21,11 @@ def one_hole_part(origin, x_axis, y_axis, z_axis, part: PartModel | None = None)
                      turntable_axis=part.turntable_axis, turntable_center=part.turntable_center)
 
 
-def generate_waypoint(hole: HoleFrame, standoff: float, attack: float,
-                      part: PartModel | None = None):
-    """The waypoint of one hole, through the batched generator."""
-    return generate_waypoints(one_hole_part(hole.origin, hole.x_axis, hole.y_axis, hole.z_axis,
-                                            part), standoff, attack)[0]
+def hole_waypoints(origin, frame, standoff: float, attack: float,
+                   part: PartModel | None = None) -> Waypoints:
+    """The one-row bundle of one hole (frame columns: its x, y, z axes), through the
+    batched generator."""
+    return generate_waypoints(one_hole_part(origin, *np.asarray(frame).T, part), standoff, attack)
 
 
 def test_hole_frame_rejects_non_unit_axis():
@@ -48,21 +48,21 @@ def test_hole_frame_rejects_left_handed_frame():
 
 
 def test_generate_waypoint_identity_case():
-    wp = generate_waypoint(HoleFrame(**WORLD_FRAME), standoff=0.0, attack=0.0)
-    assert_allclose(wp.pose.position, [0.0, 0.0, 0.0], atol=1e-12)
-    assert wp.table_angle == 0.0  # on-axis position maps to angle zero
+    bundle = hole_waypoints(WORLD_ORIGIN, WORLD_AXES, standoff=0.0, attack=0.0)
+    assert_allclose(bundle.positions[0], [0.0, 0.0, 0.0], atol=1e-12)
+    assert bundle.table_angles[0] == 0.0  # on-axis position maps to angle zero
 
 
 def test_generate_waypoint_pure_translation_along_y():
-    wp = generate_waypoint(HoleFrame(**WORLD_FRAME), standoff=0.1, attack=0.0)
-    assert_allclose(wp.pose.position, [0.0, 0.1, 0.0], atol=1e-12)
+    bundle = hole_waypoints(WORLD_ORIGIN, WORLD_AXES, standoff=0.1, attack=0.0)
+    assert_allclose(bundle.positions[0], [0.0, 0.1, 0.0], atol=1e-12)
 
 
-def _homogeneous_oracle(hole: HoleFrame, standoff: float, attack: float) -> np.ndarray:
+def _homogeneous_oracle(origin, frame, standoff: float, attack: float) -> np.ndarray:
     """Independent route: compose 4x4 transforms frame * rot_x(attack) * lift(standoff)."""
     t_frame = np.eye(4)
-    t_frame[:3, :3] = np.column_stack([hole.x_axis, hole.y_axis, hole.z_axis])
-    t_frame[:3, 3] = hole.origin
+    t_frame[:3, :3] = frame
+    t_frame[:3, 3] = origin
     c, s = math.cos(attack), math.sin(attack)
     t_attack = np.eye(4)
     t_attack[:3, :3] = [[1, 0, 0], [0, c, -s], [0, s, c]]
@@ -72,28 +72,28 @@ def _homogeneous_oracle(hole: HoleFrame, standoff: float, attack: float) -> np.n
 
 
 def test_generate_waypoint_attack_matches_homogeneous_composition():
-    hole = HoleFrame(**WORLD_FRAME)
-    wp = generate_waypoint(hole, standoff=0.1, attack=math.pi / 2.0)
-    oracle = _homogeneous_oracle(hole, 0.1, math.pi / 2.0)
-    assert_allclose(wp.pose.position, oracle[:3, 3], atol=1e-12)
+    position = hole_waypoints(WORLD_ORIGIN, WORLD_AXES, standoff=0.1,
+                              attack=math.pi / 2.0).positions[0]
+    oracle = _homogeneous_oracle(WORLD_ORIGIN, WORLD_AXES, 0.1, math.pi / 2.0)
+    assert_allclose(position, oracle[:3, 3], atol=1e-12)
     # frozen values for the right-angle case
-    assert_allclose(wp.pose.position, [0.0, 0.0, 0.1], atol=1e-12)
+    assert_allclose(position, [0.0, 0.0, 0.1], atol=1e-12)
 
 
 def test_generate_waypoint_attack_matches_oracle_on_random_frames():
     part = hemisphere_layout(25, 0.2, seed=11)
     rng = np.random.default_rng(4)
-    for hole in part.holes[:10]:
+    for origin, frame in zip(part.origins[:10], part.frames[:10]):
         standoff = float(rng.uniform(0.0, 0.2))
         attack = float(rng.uniform(-math.pi, math.pi))
-        wp = generate_waypoint(hole, standoff, attack, part)
-        oracle = _homogeneous_oracle(hole, standoff, attack)
-        assert_allclose(wp.pose.position, oracle[:3, 3], atol=1e-12)
+        position = hole_waypoints(origin, frame, standoff, attack, part).positions[0]
+        oracle = _homogeneous_oracle(origin, frame, standoff, attack)
+        assert_allclose(position, oracle[:3, 3], atol=1e-12)
 
 
 def test_generate_waypoint_rejects_negative_standoff():
     with pytest.raises(ValueError):
-        generate_waypoint(HoleFrame(**WORLD_FRAME), standoff=-0.01, attack=0.0)
+        hole_waypoints(WORLD_ORIGIN, WORLD_AXES, standoff=-0.01, attack=0.0)
 
 
 @pytest.mark.parametrize("field, standoff, attack", [
@@ -105,18 +105,18 @@ def test_generate_waypoints_rejects_non_finite_arguments(field, standoff, attack
 
 def test_zero_attack_translates_exactly_along_y():
     part = hemisphere_layout(15, 0.2, seed=6)
-    for hole in part.holes:
-        wp = generate_waypoint(hole, 0.05, 0.0, part)
-        assert_allclose(wp.pose.position, hole.origin + 0.05 * hole.y_axis, atol=1e-12)
+    for origin, frame in zip(part.origins, part.frames):
+        position = hole_waypoints(origin, frame, 0.05, 0.0, part).positions[0]
+        assert_allclose(position, origin + 0.05 * frame[:, 1], atol=1e-12)
 
 
 def test_standoff_is_preserved_under_any_attack():
     part = hemisphere_layout(10, 0.15, seed=2)
     rng = np.random.default_rng(8)
-    for hole in part.holes:
+    for origin, frame in zip(part.origins, part.frames):
         attack = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-        wp = generate_waypoint(hole, 0.07, attack, part)
-        assert abs(np.linalg.norm(wp.pose.position - hole.origin) - 0.07) < 1e-12
+        position = hole_waypoints(origin, frame, 0.07, attack, part).positions[0]
+        assert abs(np.linalg.norm(position - origin) - 0.07) < 1e-12
 
 
 def turntable_angle(position, part: PartModel) -> float:
@@ -150,33 +150,31 @@ def test_turntable_angle_handles_axis_parallel_to_x():
 
 def test_generated_table_angles_are_consistent():
     part = hemisphere_layout(30, 0.15, seed=9)
-    for wp in generate_waypoints(part, 0.05, 0.1):
-        assert abs(wp.table_angle - turntable_angle(wp.pose.position, part)) < 1e-12
+    bundle = generate_waypoints(part, 0.05, 0.1)
+    for position, angle in zip(bundle.positions, bundle.table_angles):
+        assert abs(angle - turntable_angle(position, part)) < 1e-12
 
 
 def test_hemisphere_layout_single_hole_points_up():
     part = hemisphere_layout(1, 0.1, seed=0)
-    (hole,) = part.holes
-    assert abs(np.linalg.norm(hole.y_axis) - 1.0) < 1e-9
-    assert float(hole.y_axis @ [0.0, 0.0, 1.0]) > 0.0
+    (y_axis,) = part.frames[:, :, 1]
+    assert abs(np.linalg.norm(y_axis) - 1.0) < 1e-9
+    assert float(y_axis @ [0.0, 0.0, 1.0]) > 0.0
 
 
 def test_hemisphere_layout_origins_on_sphere():
     part = hemisphere_layout(40, 0.15, seed=7)
-    assert len(part.holes) == 40
-    for hole in part.holes:
-        assert abs(np.linalg.norm(hole.origin) - 0.15) < 1e-9
-        assert hole.origin[2] > 0.0
+    assert len(part.origins) == 40
+    for origin in part.origins:
+        assert abs(np.linalg.norm(origin) - 0.15) < 1e-9
+        assert origin[2] > 0.0
 
 
 def test_hemisphere_layout_deterministic():
     a = hemisphere_layout(17, 0.2, seed=42)
     b = hemisphere_layout(17, 0.2, seed=42)
-    for ha, hb in zip(a.holes, b.holes):
-        assert np.array_equal(ha.origin, hb.origin)
-        assert np.array_equal(ha.x_axis, hb.x_axis)
-        assert np.array_equal(ha.y_axis, hb.y_axis)
-        assert np.array_equal(ha.z_axis, hb.z_axis)
+    assert np.array_equal(a.origins, b.origins)
+    assert np.array_equal(a.frames, b.frames)  # every x, y and z axis
 
 
 def test_hemisphere_layout_rejects_bad_inputs():
@@ -192,10 +190,9 @@ def test_layout_round_trip(tmp_path):
     path = tmp_path / "layout.json"
     save_part_layout(part, path)
     loaded = load_part_layout(path)
-    assert len(loaded.holes) == 12
-    for ha, hb in zip(part.holes, loaded.holes):
-        assert np.array_equal(ha.origin, hb.origin)
-        assert np.array_equal(ha.y_axis, hb.y_axis)
+    assert len(loaded.origins) == 12
+    assert np.array_equal(part.origins, loaded.origins)
+    assert np.array_equal(part.frames[:, :, 1], loaded.frames[:, :, 1])
     assert np.array_equal(part.turntable_axis, loaded.turntable_axis)
 
 

@@ -22,11 +22,10 @@ import pytest
 
 import turnplan
 from conftest import make_waypoints
-from turnplan.bench import Scenario
+from turnplan.bench import PLANNERS, Scenario
 from turnplan.cli import main
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
-from turnplan.metrics import PLANNERS
 from turnplan.sequencing import baseline_angle_sequence, plan_waypoints, save_plan
 
 
@@ -38,11 +37,9 @@ def plan_digest(plan) -> str:
 
 
 def waypoints_digest(waypoints) -> str:
-    h = hashlib.sha256()
-    for w in waypoints:
-        h.update(np.asarray(w.pose.position, dtype=np.float64).tobytes())
-        h.update(np.float64(w.table_angle).tobytes())
-    return h.hexdigest()
+    # row i is waypoint i's position and angle, as float64 bytes
+    rows = np.column_stack([waypoints.positions, waypoints.table_angles])
+    return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def file_digest(path) -> str:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import count_waypoint_generation
-from turnplan.bench import (REPORT_COLUMNS, ComparisonResult, comparison_rows,
-                            hemisphere_scenario, write_csv)
+from turnplan.bench import (PLANNERS, REPORT_COLUMNS, BenchmarkReport, ComparisonResult,
+                            comparison_rows, hemisphere_scenario, run_comparison, trial_reports,
+                            write_csv)
 from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
-from turnplan.metrics import (BenchmarkReport, CellModel, benchmark, estimate_execution_time,
-                              ssp_distance)
+from turnplan.metrics import CellModel, estimate_execution_time, ssp_distance
 from turnplan.sequencing import Plan, plan_waypoints
 
 
@@ -92,8 +92,7 @@ def test_execution_time_monotonicity():
 def test_execution_time_improves_with_pipeline_over_baseline():
     # seed chosen so the greedy plan cuts both travel and rotation
     scenario = hemisphere_scenario()
-    reports = {name: benchmark(name, scenario, trials=1)[0]
-               for name in ("baseline", "greedy")}
+    reports = {name: rs[0] for name, rs in run_comparison(scenario, trials=1).reports.items()}
     assert reports["greedy"].ssp_distance < reports["baseline"].ssp_distance
     assert reports["greedy"].total_rotation < reports["baseline"].total_rotation
     assert (reports["greedy"].estimated_execution_time
@@ -119,7 +118,7 @@ def test_cell_model_rejects_non_finite_values(field, value):
 
 def test_benchmark_one_report_per_trial_with_distinct_seeds():
     scenario = hemisphere_scenario(cluster_params=ClusterParams(seed=5))
-    reports = benchmark("greedy", scenario, trials=3)
+    reports = run_comparison(scenario, trials=3).reports["greedy"]
     assert len(reports) == 3
     assert [r.seed for r in reports] == [5, 6, 7]
     assert all(r.n_points == 40 for r in reports)
@@ -127,22 +126,21 @@ def test_benchmark_one_report_per_trial_with_distinct_seeds():
 
 def test_benchmark_baseline_is_constant_across_trials():
     scenario = hemisphere_scenario()
-    reports = benchmark("baseline", scenario, trials=3)
+    reports = run_comparison(scenario, trials=3).reports["baseline"]
     assert len({r.ssp_distance for r in reports}) == 1
 
 
 def test_benchmark_pipeline_varies_across_seeds():
     scenario = hemisphere_scenario()
-    reports = benchmark("greedy", scenario, trials=10)
+    reports = run_comparison(scenario, trials=10).reports["greedy"]
     assert len({r.ssp_distance for r in reports}) > 1
 
 
 def test_benchmark_rejects_bad_inputs():
     scenario = hemisphere_scenario()
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     with pytest.raises(ValueError):
-        benchmark("greedy", scenario, trials=0)
-    with pytest.raises(ValueError):
-        benchmark("annealing", scenario, trials=1)
+        trial_reports(PLANNERS["greedy"], waypoints, scenario, trials=0)
 
 
 def test_benchmark_times_only_the_planning_call():
@@ -152,11 +150,9 @@ def test_benchmark_times_only_the_planning_call():
     def canned(waypoints, scenario, params):
         return prebuilt["plan"]
 
-    prebuilt["plan"] = plan_waypoints(
-        generate_waypoints(scenario.part, scenario.standoff, scenario.attack),
-        scenario.cluster_params)
-    report = benchmark(canned, scenario, trials=1)[0]
-    assert report.algorithm_name == "canned"
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    prebuilt["plan"] = plan_waypoints(waypoints, scenario.cluster_params)
+    report = trial_reports(canned, waypoints, scenario, trials=1)[0]
     assert report.planning_time < 0.01  # no-op planner: metric evaluation is untimed
 
 
@@ -166,23 +162,24 @@ def test_benchmark_slow_planner_is_measured():
         time.sleep(0.05)
         return plan_waypoints(waypoints, params)
 
-    report = benchmark(sleepy, scenario, trials=1)[0]
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    report = trial_reports(sleepy, waypoints, scenario, trials=1)[0]
     assert report.planning_time >= 0.05
 
 
 def test_benchmark_generates_waypoints_once_outside_the_timer(monkeypatch):
     scenario = hemisphere_scenario(n=5)
     calls = count_waypoint_generation(monkeypatch, delay=0.05)
-    reports = benchmark("greedy", scenario, trials=3)
+    result = run_comparison(scenario, trials=3)
     assert len(calls) == 1
-    assert max(r.planning_time for r in reports) < 0.05
+    assert max(r.planning_time for rs in result.reports.values() for r in rs) < 0.05
 
 
 # --- report export ----------------------------------------------------------
 
 def test_report_csv_shape_and_columns(tmp_path):
     scenario = hemisphere_scenario()
-    reports = benchmark("baseline", scenario, trials=3)
+    reports = run_comparison(scenario, trials=3).reports["baseline"]
     path = tmp_path / "report.csv"
     write_csv(comparison_rows(ComparisonResult({"baseline": reports})), path)
     lines = path.read_text().strip().splitlines()
@@ -194,7 +191,7 @@ def test_report_csv_shape_and_columns(tmp_path):
 
 def test_strip_timing_zeroes_only_planning_time():
     """The report file writes planning time as 0.0 and every other field as measured."""
-    report = BenchmarkReport(algorithm_name="baseline", planning_time=1.5, ssp_distance=2.0,
+    report = BenchmarkReport(planning_time=1.5, ssp_distance=2.0,
                              estimated_execution_time=3.0, total_rotation=1.0,
                              n_points=4, seed=9)
     header, trial, _ = comparison_rows(ComparisonResult({"baseline": [report]}))

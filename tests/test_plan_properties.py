@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import make_waypoints
 from turnplan.angles import TWO_PI
-from turnplan.bench import Scenario
+from turnplan.bench import PLANNERS, Scenario
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import PartModel
-from turnplan.metrics import PLANNERS, ssp_distance
+from turnplan.metrics import ssp_distance
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 LAYOUTS = ("normal", "ring", "duplicates", "on_axis", "lattice", "far")

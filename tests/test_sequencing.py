@@ -9,7 +9,7 @@ import pytest
 from conftest import (InstanceTooLargeError, brute_force_open_path, make_waypoints,
                       optimal_sequence, path_length)
 from turnplan.angles import TWO_PI
-from turnplan.clustering import Cluster, ClusterParams
+from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
                                  baseline_angle_sequence, distance_matrix, greedy_chain,
@@ -267,7 +267,7 @@ def test_pipeline_deterministic_for_fixed_seed():
 def test_pipeline_greedy_never_beats_exact_oracle():
     part = hemisphere_layout(10, 0.15, seed=5)
     plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(k=1, seed=0))
-    positions = np.array([w.pose.position for w in generate_waypoints(part, 0.05, 0.0)])
+    positions = generate_waypoints(part, 0.05, 0.0).positions
     m = distance_matrix(positions)
     start = plan.flattened_order[0]
     greedy_len = path_length(m, plan.flattened_order)
@@ -302,6 +302,36 @@ def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
     wps = make_waypoints(1e200 * np.random.default_rng(20).normal(size=(50, 3)))
     with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
         plan_waypoints(wps, ClusterParams(k=5, seed=0), within_cluster="input")
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, start", [
+    ("robot_center_angle", lambda wps, a: plan_waypoints(wps, ClusterParams(),
+                                                         robot_center_angle=a)),
+    ("start_angle", lambda wps, a: baseline_angle_sequence(wps, start_angle=a)),
+    ("start_angle", lambda wps, a: order_clusters(cluster_points(wps, ClusterParams()), a)),
+], ids=["plan_waypoints", "baseline_angle_sequence", "order_clusters"])
+def test_a_non_finite_start_angle_is_named(name, start, angle):
+    wps = generate_waypoints(hemisphere_layout(12, 0.15, seed=0), 0.05, 0.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        start(wps, angle)
+
+
+INTEGER_SETTINGS = {
+    "k": lambda v: ClusterParams(k=v),
+    "seed": lambda v: ClusterParams(seed=v),
+    "max_iterations": lambda v: ClusterParams(max_iterations=v),
+    "groups": lambda v: baseline_angle_sequence(make_waypoints([(1, 0, 0)]), groups=v),
+}
+
+
+@pytest.mark.parametrize("value", [5.0, 2.5, True, np.float64(3.0), "3"])
+@pytest.mark.parametrize("name", INTEGER_SETTINGS)
+def test_integer_settings_reject_non_integers(name, value):
+    make = INTEGER_SETTINGS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make(value)
+    make(np.int64(3))  # numpy integers are integers
 
 
 def test_plan_waypoints_rejects_unknown_modes():

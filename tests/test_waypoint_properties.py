@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from turnplan.angles import wrap_angle
-from turnplan.geometry import (AXIS_RADIUS_TOL, HoleFrame, PartModel, _rot_x,
-                               generate_waypoints)
+from turnplan.geometry import AXIS_RADIUS_TOL, PartModel, _rot_x, generate_waypoints
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -24,9 +23,9 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def reference_waypoint(hole: HoleFrame, standoff: float, attack: float, part: PartModel):
-    rotated = np.column_stack([hole.x_axis, hole.y_axis, hole.z_axis]) @ _rot_x(attack)
-    position = hole.origin + standoff * rotated[:, 1]
+def reference_waypoint(origin, frame, standoff: float, attack: float, part: PartModel):
+    rotated = frame @ _rot_x(attack)
+    position = origin + standoff * rotated[:, 1]
 
     axis = part.turntable_axis
     v = (position - part.turntable_center).tolist()
@@ -88,8 +87,8 @@ def test_generate_waypoints_matches_per_hole_reference(hole_list, axis, center, 
     part = _part(hole_list, axis, center)
     bundle = generate_waypoints(part, standoff, attack)
     assert len(bundle) == len(hole_list)
-    for i, hole in enumerate(part.holes):
-        position, angle = reference_waypoint(hole, standoff, attack, part)
+    for i, (origin, frame) in enumerate(zip(part.origins, part.frames)):
+        position, angle = reference_waypoint(origin, frame, standoff, attack, part)
         assert _bits(bundle.positions[i]) == _bits(position)
         assert _bits(bundle.table_angles[i]) == _bits(angle)
 
@@ -101,4 +100,4 @@ def test_on_axis_waypoint_gets_angle_zero(axis, center, lift, standoff, other):
     part = _part([other, (center + lift * axis, _frame_along(axis))], axis, center)
     bundle = generate_waypoints(part, standoff, 0.0)
     assert bundle.table_angles[1] == 0.0
-    assert reference_waypoint(part.holes[1], standoff, 0.0, part)[1] == 0.0
+    assert reference_waypoint(part.origins[1], part.frames[1], standoff, 0.0, part)[1] == 0.0
