@@ -14,7 +14,8 @@ from statistics import fmean
 
 from . import sequencing
 from .clustering import ClusterParams
-from .geometry import PartModel, Waypoints, _as_vector3, generate_waypoints, hemisphere_layout
+from .geometry import (PartModel, Waypoints, _as_int, _as_real, _as_vector3, generate_waypoints,
+                       hemisphere_layout)
 from .metrics import CellModel, estimate_execution_time, ssp_distance
 from .sequencing import Plan
 
@@ -43,10 +44,9 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("standoff", "attack", "robot_center_angle"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if self.standoff < 0.0:
-            raise ValueError("standoff must be >= 0")
+            raise ValueError(f"standoff must be finite and >= 0, got {self.standoff!r}")
         _as_vector3(self.robot_home, "robot_home")
 
 
@@ -68,24 +68,25 @@ class BenchmarkReport:
                 raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
 
 
-def _plan_baseline(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
-    return sequencing.baseline_angle_sequence(waypoints, groups=params.k,
+def _plan_baseline(waypoints: Waypoints, scenario: Scenario) -> Plan:
+    return sequencing.baseline_angle_sequence(waypoints, groups=scenario.cluster_params.k,
                                               start_angle=scenario.robot_center_angle)
 
 
-def _plan_cluster_only(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
-    return sequencing.plan_waypoints(waypoints, params,
+def _plan_cluster_only(waypoints: Waypoints, scenario: Scenario) -> Plan:
+    return sequencing.plan_waypoints(waypoints, scenario.cluster_params,
                                      robot_center_angle=scenario.robot_center_angle,
                                      within_cluster="input")
 
 
-def _plan_greedy(waypoints: Waypoints, scenario: Scenario, params) -> Plan:
-    return sequencing.plan_waypoints(waypoints, params,
+def _plan_greedy(waypoints: Waypoints, scenario: Scenario) -> Plan:
+    return sequencing.plan_waypoints(waypoints, scenario.cluster_params,
                                      robot_center_angle=scenario.robot_center_angle,
                                      robot_home=scenario.robot_home)
 
 
-# Every planner takes (waypoints, scenario, params) -> Plan; params carries the trial's seed.
+# Every planner takes (waypoints, scenario) -> Plan and reads its cluster settings, the
+# trial's seed included, from scenario.cluster_params alone.
 PLANNERS = {
     "baseline": _plan_baseline,
     "cluster": _plan_cluster_only,
@@ -97,18 +98,17 @@ def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
                   trials: int) -> list[BenchmarkReport]:
     """Plan and score `trials` seeded trials of one planner on one waypoint bundle.
 
-    Trial i uses seed scenario.cluster_params.seed + i. The planning time is
-    wall clock around the planner call only.
+    Trial i plans the scenario with cluster_params.seed raised by i. The
+    planning time is wall clock around the planner call only.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
     positions = waypoints.positions
     reports = []
-    for trial in range(trials):
+    for trial in range(_as_int(trials, "trials", 1)):
         seed = scenario.cluster_params.seed + trial
-        params = replace(scenario.cluster_params, seed=seed)
+        trial_scenario = replace(scenario, cluster_params=replace(scenario.cluster_params,
+                                                                  seed=seed))
         tic = time.perf_counter()
-        plan = plan_fn(waypoints, scenario, params)
+        plan = plan_fn(waypoints, trial_scenario)
         elapsed = time.perf_counter() - tic
         reports.append(BenchmarkReport(
             planning_time=elapsed,

@@ -72,7 +72,7 @@ def cmd_plan(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     tic = time.perf_counter()
-    plan = PLANNERS[args.algorithm](waypoints, scenario, scenario.cluster_params)
+    plan = PLANNERS[args.algorithm](waypoints, scenario)
     planning_time = time.perf_counter() - tic
     save_plan(plan, waypoints, args.out)
     summary = {

@@ -9,13 +9,12 @@ only rotate one way, never needs more than one full revolution.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angles import TWO_PI, circular_separation, forward_delta, wrap_angle
-from .geometry import Waypoints
+from .geometry import Waypoints, _as_int, _as_real
 
 DEFAULT_CLUSTER_COUNT = 5
 # Sector the robot can reach without moving the table: 72 degrees.
@@ -29,16 +28,6 @@ class DegenerateMeanError(ValueError):
     """Raised when angles cancel out and their circular mean is undefined."""
 
 
-def _as_int(value, name: str) -> int:
-    """`value` as an int; numpy integers pass, bools and non-integers raise naming `name`."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ClusterParams:
     """Knobs for the clustering step."""
@@ -49,16 +38,11 @@ class ClusterParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "max_iterations", "seed"):
-            _as_int(getattr(self, name), name)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k!r}")
+        for name, low in (("k", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
+        object.__setattr__(self, "angular_bound", _as_real(self.angular_bound, "angular_bound"))
         if not 0.0 < self.angular_bound <= TWO_PI:
             raise ValueError(f"angular_bound must lie in (0, 2*pi], got {self.angular_bound!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,8 +376,7 @@ def order_clusters(clusters, start_angle: float) -> ClusterPlan:
     Each rotation delta is the forward arc from the previous angular target to
     the next, so the whole plan never exceeds one revolution.
     """
-    if not math.isfinite(start_angle):
-        raise ValueError(f"start_angle must be finite, got {start_angle!r}")
+    start_angle = _as_real(start_angle, "start_angle")
     clusters = list(clusters)
     if not clusters:
         raise ValueError("no clusters to order")

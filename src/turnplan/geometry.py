@@ -18,8 +18,10 @@ applied along the rotated y axis).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -55,6 +57,25 @@ def _as_vector3(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return _freeze(arr)
+
+
+def _as_int(value, name: str, low: int | None = None) -> int:
+    """`value` as an int of at least `low`; numpy integers pass, bools and non-integers raise."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError):  # no __index__: not an integer
+            if low is not None and operator.index(value) < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_real(value, name: str) -> float:
+    """`value` as a finite float; numpy numbers pass, bools, strings and the rest raise."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(real := float(value)):
+                return real
+    raise ValueError(f"{name} must be finite and real, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +247,10 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     """
     if not len(part.origins):
         raise ValueError("part has no holes")
-    if not math.isfinite(standoff) or standoff < 0.0:
+    if (standoff := _as_real(standoff, "standoff")) < 0.0:
         raise ValueError(f"standoff must be finite and >= 0, got {standoff!r}")
-    if not math.isfinite(attack):
-        raise ValueError(f"attack must be finite, got {attack!r}")
     # a stacked matmul runs the same 3x3 product per frame as a single-frame `@`
-    rotated = part.frames @ _rot_x(attack)
+    rotated = part.frames @ _rot_x(_as_real(attack, "attack"))
     with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
         positions = part.origins + standoff * rotated[:, :, 1]
     # the angles square offsets from the table center, and the planners square
@@ -263,13 +282,10 @@ def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
     planner must not rely on a tidy incoming order). The same (n, radius,
     seed) always produces the same part.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if not 0.0 < radius < math.inf:
+    n = _as_int(n, "n", 1)
+    if not (radius := _as_real(radius, "radius")) > 0.0:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_int(seed, "seed", 0))
     idx = np.arange(n)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     azimuth = golden * idx + rng.uniform(-0.3, 0.3, n) * golden

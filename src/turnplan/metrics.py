@@ -10,11 +10,11 @@ not measurements of any particular cell.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .geometry import _as_real
 from .sequencing import Plan
 
 
@@ -28,12 +28,13 @@ class CellModel:
     planner_overhead_per_point: float = 0.0  # s; emulates motion-planner search time
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so NaN is rejected too
+        for name in (f.name for f in fields(self)):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         for name in ("robot_linear_speed", "turntable_angular_speed"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         for name in ("dwell_per_point", "planner_overhead_per_point"):
-            if not 0.0 <= getattr(self, name) < math.inf:
+            if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 

@@ -8,16 +8,14 @@ All path lengths are open: the robot is not required to return to its start.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .clustering import (Cluster, ClusterParams, ClusterPlan, _as_int, cluster_points,
-                         order_clusters)
-from .geometry import Waypoints, _as_vector3
+from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
+from .geometry import Waypoints, _as_int, _as_real, _as_vector3
 
 # The greedy chain's candidate table (see greedy_chain): neighbours listed per
 # point, and the cluster size above which the table pays for its build (it
@@ -60,7 +58,7 @@ def distance_matrix(positions) -> DistanceMatrix:
 
 def greedy_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
     """Nearest-neighbor chain over a distance matrix from `start`; ties go to the lowest index."""
-    if not 0 <= start < m.n:
+    if not 0 <= (start := _as_int(start, "start")) < m.n:
         raise ValueError(f"start must lie in [0, {m.n}), got {start!r}")
     unvisited = np.ones(m.n, dtype=bool)
     order = [start]
@@ -136,7 +134,7 @@ def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
     """
     pts = np.array(positions, dtype=float).reshape(-1, 3)
     m = len(pts)
-    if not 0 <= start < m:
+    if not 0 <= (start := _as_int(start, "start")) < m:
         raise ValueError(f"start must lie in [0, {m}), got {start!r}")
     if not np.abs(pts).max() < 2.0**500:
         raise ValueError("positions must be finite and below 2**500 in magnitude")
@@ -219,8 +217,7 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
     """
     if not len(waypoints):
         raise ValueError("no waypoints to sequence")
-    if _as_int(groups, "groups") < 1:
-        raise ValueError(f"groups must be >= 1, got {groups!r}")
+    groups = _as_int(groups, "groups", 1)
     width = TWO_PI / groups
     # Python-int sector keys cannot overflow, however large `groups` is
     bins: dict[int, list[int]] = {}
@@ -249,8 +246,7 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
         raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
-    if not math.isfinite(robot_center_angle):
-        raise ValueError(f"robot_center_angle must be finite, got {robot_center_angle!r}")
+    robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
     previous_pos = np.zeros(3) if robot_home is None else _as_vector3(robot_home, "robot_home")
     positions = waypoints.positions
     clusters = cluster_points(waypoints, params)

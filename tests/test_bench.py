@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from statistics import fmean
 
+import numpy as np
 import pytest
 
 from conftest import count_waypoint_generation
@@ -15,7 +16,8 @@ from turnplan.geometry import generate_waypoints, hemisphere_layout
 
 def _cluster_only_plan(scenario, seed=0):
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    return PLANNERS["cluster"](waypoints, scenario, replace(scenario.cluster_params, seed=seed))
+    params = replace(scenario.cluster_params, seed=seed)
+    return PLANNERS["cluster"](waypoints, replace(scenario, cluster_params=params))
 
 
 def test_hemisphere_scenario_shapes():
@@ -145,6 +147,33 @@ def test_trial_seeds_count_up_from_the_cluster_params_seed():
     assert [r.seed for r in trial_reports(PLANNERS["greedy"], waypoints, scenario, 2)] == [9, 10]
     result = run_comparison(scenario, 2)
     assert all([r.seed for r in result.reports[name]] == [9, 10] for name in PLANNERS)
+
+
+def test_each_trial_plans_the_caller_s_scenario_with_its_own_seed():
+    base = 2**63 - 1  # given as a numpy int64, base + 1 must not wrap
+    scenario = Scenario(hemisphere_layout(12, 0.15, seed=7), robot_center_angle=0.3,
+                        cluster_params=ClusterParams(k=3, seed=np.int64(base)))
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    seen = []
+
+    def recording(waypoints, trial_scenario):
+        seen.append(trial_scenario)
+        return PLANNERS["greedy"](waypoints, trial_scenario)
+
+    trial_reports(recording, waypoints, scenario, 3)
+    assert [s.cluster_params.seed for s in seen] == [base, base + 1, base + 2]
+    for trial, s in enumerate(seen):
+        assert s.cluster_params == replace(scenario.cluster_params, seed=base + trial)
+        assert replace(s, cluster_params=scenario.cluster_params) == scenario
+
+
+def test_a_negative_standoff_gets_one_message():
+    part = hemisphere_layout(4, 0.1, seed=0)
+    message = "^standoff must be finite and >= 0, got -1.0$"
+    with pytest.raises(ValueError, match=message):
+        Scenario(part=part, standoff=-1.0)
+    with pytest.raises(ValueError, match=message):
+        generate_waypoints(part, -1.0, 0.0)
 
 
 def test_run_comparison_rejects_zero_trials():

@@ -14,7 +14,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +47,9 @@ def file_digest(path) -> str:
 
 def _hemisphere40_plan(layout_path, algorithm, seed):
     part = load_part_layout(layout_path)
-    scenario = Scenario(part=part)
+    scenario = Scenario(part=part, cluster_params=ClusterParams(seed=seed))
     return PLANNERS[algorithm](generate_waypoints(part, scenario.standoff, scenario.attack),
-                               scenario, replace(scenario.cluster_params, seed=seed))
+                               scenario)
 
 
 def _large_plan(k, seed):

@@ -147,7 +147,7 @@ def test_benchmark_times_only_the_planning_call():
     scenario = hemisphere_scenario(n=5)
     prebuilt = {}
 
-    def canned(waypoints, scenario, params):
+    def canned(waypoints, scenario):
         return prebuilt["plan"]
 
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
@@ -158,9 +158,9 @@ def test_benchmark_times_only_the_planning_call():
 
 def test_benchmark_slow_planner_is_measured():
     scenario = hemisphere_scenario(n=5)
-    def sleepy(waypoints, scenario, params):
+    def sleepy(waypoints, scenario):
         time.sleep(0.05)
-        return plan_waypoints(waypoints, params)
+        return plan_waypoints(waypoints, scenario.cluster_params)
 
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     report = trial_reports(sleepy, waypoints, scenario, trials=1)[0]

@@ -54,8 +54,9 @@ def _path_length(points: np.ndarray, order: np.ndarray) -> float:
        home=st.tuples(*[st.floats(-2.0, 2.0)] * 3), name=st.sampled_from(sorted(PLANNERS)))
 def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, home, name):
     points = _points(layout, n, np.random.default_rng(seed))
-    scenario = Scenario(part=PartModel(), robot_center_angle=center, robot_home=home)
-    plan = PLANNERS[name](make_waypoints(points), scenario, ClusterParams(k=k, seed=seed))
+    scenario = Scenario(part=PartModel(), cluster_params=ClusterParams(k=k, seed=seed),
+                        robot_center_angle=center, robot_home=home)
+    plan = PLANNERS[name](make_waypoints(points), scenario)
     cluster_plan = plan.cluster_plan
 
     assert sorted(plan.flattened_order) == list(range(n))

@@ -9,8 +9,10 @@ import pytest
 from conftest import (InstanceTooLargeError, brute_force_open_path, make_waypoints,
                       optimal_sequence, path_length)
 from turnplan.angles import TWO_PI
+from turnplan.bench import Scenario, comparison_rows, run_comparison
 from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
+from turnplan.metrics import CellModel
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
                                  baseline_angle_sequence, distance_matrix, greedy_chain,
                                  greedy_sequence, plan_waypoints, save_plan)
@@ -304,34 +306,86 @@ def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
         plan_waypoints(wps, ClusterParams(k=5, seed=0), within_cluster="input")
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name, start", [
-    ("robot_center_angle", lambda wps, a: plan_waypoints(wps, ClusterParams(),
-                                                         robot_center_angle=a)),
-    ("start_angle", lambda wps, a: baseline_angle_sequence(wps, start_angle=a)),
-    ("start_angle", lambda wps, a: order_clusters(cluster_points(wps, ClusterParams()), a)),
-], ids=["plan_waypoints", "baseline_angle_sequence", "order_clusters"])
-def test_a_non_finite_start_angle_is_named(name, start, angle):
-    wps = generate_waypoints(hemisphere_layout(12, 0.15, seed=0), 0.05, 0.0)
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        start(wps, angle)
+def _plan_key(plan):
+    """What a golden plan digest hashes: the visit order and the rotations."""
+    return plan.flattened_order, plan.cluster_plan.rotation_deltas
 
 
-INTEGER_SETTINGS = {
-    "k": lambda v: ClusterParams(k=v),
-    "seed": lambda v: ClusterParams(seed=v),
-    "max_iterations": lambda v: ClusterParams(max_iterations=v),
-    "groups": lambda v: baseline_angle_sequence(make_waypoints([(1, 0, 0)]), groups=v),
+def _hemisphere_waypoints(n=12, layout_seed=0, radius=0.15, standoff=0.05, attack=0.0):
+    return generate_waypoints(hemisphere_layout(n, radius, seed=layout_seed), standoff, attack)
+
+
+def _hemisphere_plan(n=12, layout_seed=0, radius=0.15, standoff=0.05, attack=0.0, **params):
+    waypoints = _hemisphere_waypoints(n, layout_seed, radius, standoff, attack)
+    return _plan_key(plan_waypoints(waypoints, ClusterParams(**params)))
+
+
+def _comparison_rows(trials=1, **settings):
+    """The bench report rows of all three planners on a 12-hole scenario."""
+    scenario = Scenario(part=hemisphere_layout(12, 0.15, seed=0), **settings)
+    return comparison_rows(run_comparison(scenario, trials))
+
+
+CELL_FIELDS = ("robot_linear_speed", "turntable_angular_speed", "dwell_per_point",
+               "planner_overhead_per_point")
+# test id: (the field an error must name, a call that plans or scores with the value)
+REAL_SETTINGS = {
+    "plan_waypoints": ("robot_center_angle", lambda wps, v: _plan_key(
+        plan_waypoints(wps, ClusterParams(), robot_center_angle=v))),
+    "baseline_angle_sequence": ("start_angle", lambda wps, v: _plan_key(
+        baseline_angle_sequence(wps, start_angle=v))),
+    "order_clusters": ("start_angle", lambda wps, v: order_clusters(
+        cluster_points(wps, ClusterParams()), v).rotation_deltas),
+    "generate_waypoints.standoff": ("standoff", lambda wps, v: _hemisphere_plan(standoff=v)),
+    "generate_waypoints.attack": ("attack", lambda wps, v: _hemisphere_plan(attack=v)),
+    "hemisphere_layout.radius": ("radius", lambda wps, v: _hemisphere_plan(radius=v)),
+    "ClusterParams.angular_bound": ("angular_bound",
+                                    lambda wps, v: ClusterParams(angular_bound=v)),
+    **{f"Scenario.{field}": (field, lambda wps, v, field=field: _comparison_rows(**{field: v}))
+       for field in ("standoff", "attack", "robot_center_angle")},
+    **{f"CellModel.{field}": (field, lambda wps, v, field=field: _comparison_rows(
+        cell=CellModel(**{field: v}))) for field in CELL_FIELDS},
 }
 
 
-@pytest.mark.parametrize("value", [5.0, 2.5, True, np.float64(3.0), "3"])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "0", True,
+                                   pytest.param(np.True_, id="numpy_bool")])
+@pytest.mark.parametrize("name", REAL_SETTINGS)
+def test_a_non_finite_start_angle_is_named(name, angle):
+    field, call = REAL_SETTINGS[name]
+    wps = _hemisphere_waypoints()
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        call(wps, angle)
+    # numpy floats and integers are real numbers, planning and scoring the same
+    assert call(wps, np.float64(0.5)) == call(wps, 0.5)
+    assert call(wps, np.int64(1)) == call(wps, 1) == call(wps, 1.0)
+
+
+CHAIN_POINTS = np.random.default_rng(13).uniform(-1, 1, (CHAIN_TABLE_MIN_POINTS + 8, 3))
+# test id: (the field an error must name, a call that plans with the value)
+INTEGER_SETTINGS = {
+    "k": ("k", lambda v: _hemisphere_plan(k=v)),
+    "seed": ("seed", lambda v: _hemisphere_plan(seed=v)),
+    "max_iterations": ("max_iterations", lambda v: _hemisphere_plan(max_iterations=v)),
+    "groups": ("groups", lambda v: _plan_key(
+        baseline_angle_sequence(_hemisphere_waypoints(), groups=v))),
+    "hemisphere_layout.n": ("n", lambda v: _hemisphere_plan(n=v)),
+    "hemisphere_layout.seed": ("seed", lambda v: _hemisphere_plan(layout_seed=v)),
+    "run_comparison.trials": ("trials", lambda v: _comparison_rows(trials=v)),
+    "greedy_chain.start": ("start", lambda v: greedy_chain(CHAIN_POINTS, start=v)),
+    "greedy_sequence.start": ("start", lambda v: greedy_sequence(distance_matrix(CHAIN_POINTS),
+                                                                 start=v)),
+}
+
+
+@pytest.mark.parametrize("value", [5.0, 2.5, True, np.float64(3.0), "3",
+                                   pytest.param(np.True_, id="numpy_bool")])
 @pytest.mark.parametrize("name", INTEGER_SETTINGS)
 def test_integer_settings_reject_non_integers(name, value):
-    make = INTEGER_SETTINGS[name]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        make(value)
-    make(np.int64(3))  # numpy integers are integers
+    field, call = INTEGER_SETTINGS[name]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        call(value)
+    assert call(np.int64(3)) == call(3)  # numpy integers are integers, planning the same
 
 
 def test_plan_waypoints_rejects_unknown_modes():
