@@ -25,7 +25,8 @@ from .sequencing import save_plan
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=5, help="number of clusters / angle groups")
     parser.add_argument("--angular-bound-deg", type=float, default=72.0,
-                        help="reachable sector width in degrees")
+                        help="reachable sector width in degrees; checked, but no planner "
+                             "reads it yet")
     parser.add_argument("--standoff", type=float, default=0.05,
                         help="stand-off distance along the hole axis, meters")
     parser.add_argument("--attack-deg", type=float, default=0.0,

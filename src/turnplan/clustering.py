@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import TWO_PI, circular_separation, forward_delta, wrap_angle
+from .angles import TWO_PI, forward_delta, wrap_angle
 from .geometry import Waypoints, _as_int, _as_real
 
 DEFAULT_CLUSTER_COUNT = 5
@@ -332,8 +332,6 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     members' table angles. With fewer points than k, every point becomes its
     own cluster.
     """
-    if not len(waypoints):
-        raise ValueError("cannot cluster an empty point set")
     points, angles = waypoints.positions, waypoints.table_angles
     # the bound greedy_chain uses: beyond it squared distances overflow
     if not np.abs(points).max() < 2.0**500:
@@ -389,36 +387,3 @@ def order_clusters(clusters, start_angle: float) -> ClusterPlan:
         deltas.append(forward_delta(previous, cluster.mean_angle))
         previous = cluster.mean_angle
     return ClusterPlan(clusters=tuple(ordered), rotation_deltas=tuple(deltas))
-
-
-def center_offset(cluster: Cluster, robot_center_angle: float) -> float:
-    """Forward table rotation that brings the cluster mean onto the robot's center angle."""
-    return forward_delta(cluster.mean_angle, robot_center_angle)
-
-
-@dataclass(frozen=True)
-class ClusterReach:
-    """How far a cluster's members stray from its mean angle."""
-
-    cluster_index: int
-    extent: float
-    within_bound: bool
-
-
-def reachability_report(plan: ClusterPlan, waypoints: Waypoints,
-                        params: ClusterParams) -> list[ClusterReach]:
-    """Per-cluster angular extent versus half the reachable bound.
-
-    Advisory only: clustering runs on 3D positions, so nothing forces a
-    cluster to fit the angular bound.
-    """
-    n = len(waypoints)
-    report = []
-    for index, cluster in enumerate(plan.clusters):
-        if max(cluster.members) >= n:
-            raise ValueError("plan references waypoints beyond the supplied bundle")
-        extent = max(circular_separation(angle, cluster.mean_angle)
-                     for angle in waypoints.table_angles[list(cluster.members)].tolist())
-        report.append(ClusterReach(cluster_index=index, extent=extent,
-                                   within_bound=extent <= params.angular_bound / 2.0))
-    return report

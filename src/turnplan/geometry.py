@@ -162,7 +162,7 @@ class PartModel:
 
 @dataclass(frozen=True, eq=False)
 class Waypoints:
-    """Read-only waypoint arrays: positions (N, 3) and table angles (N,).
+    """Read-only waypoint arrays: positions (N, 3) and table angles (N,), N >= 1.
 
     Indexing and iteration yield `Waypoint` views, so per-hole callers keep
     working; the planners read the arrays directly.
@@ -174,9 +174,9 @@ class Waypoints:
     def __post_init__(self):
         positions = np.array(self.positions, dtype=float)
         angles = np.array(self.table_angles, dtype=float)
-        n = len(angles)
-        if angles.shape != (n,) or positions.shape != (n, 3):
-            raise ValueError(f"need (N, 3) positions and (N,) angles, got "
+        n = angles.size
+        if not n or angles.shape != (n,) or positions.shape != (n, 3):
+            raise ValueError(f"need (N, 3) positions and (N,) angles with N >= 1, got "
                              f"{positions.shape} and {angles.shape}")
         if not np.all(np.isfinite(positions)):
             raise ValueError("positions must be finite")

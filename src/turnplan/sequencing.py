@@ -215,8 +215,6 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
     Only occupied sectors are binned, so the cost grows with the number of
     waypoints and does not depend on `groups`.
     """
-    if not len(waypoints):
-        raise ValueError("no waypoints to sequence")
     groups = _as_int(groups, "groups", 1)
     width = TWO_PI / groups
     # Python-int sector keys cannot overflow, however large `groups` is
@@ -233,7 +231,7 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
 
 
 def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
-                   robot_home=None, within_cluster: str = "greedy") -> Plan:
+                   robot_home=(0.0, 0.0, 0.0), within_cluster: str = "greedy") -> Plan:
     """Cluster waypoints, schedule the turntable, and order each cluster.
 
     within_cluster: "greedy" runs the nearest-neighbor chain per cluster
@@ -242,12 +240,10 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     to the end of the previous cluster (the robot home for the first);
     "input" keeps members in input order (the clustering-only variant).
     """
-    if not len(waypoints):
-        raise ValueError("no waypoints to plan")
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
     robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
-    previous_pos = np.zeros(3) if robot_home is None else _as_vector3(robot_home, "robot_home")
+    previous_pos = _as_vector3(robot_home, "robot_home")
     positions = waypoints.positions
     clusters = cluster_points(waypoints, params)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)

@@ -192,6 +192,17 @@ def test_a_negative_seed_fails_cleanly(tmp_path, capsys, monkeypatch, command):
     assert (code, err, written) == (2, "error: seed must be >= 0, got -1\n", set())
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_an_empty_layout_fails_cleanly(tmp_path, capsys, monkeypatch, command):
+    layout = _generate(tmp_path, n=1)
+    doc = json.loads(layout.read_text())
+    doc["holes"] = []
+    layout.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, err, written = _run_in(tmp_path, command, layout, [], capsys, monkeypatch)
+    assert (code, err, written) == (2, "error: part has no holes\n", set())
+
+
 def test_generate_rejects_a_negative_seed(tmp_path, capsys):
     code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "g.json")])
     assert (code, capsys.readouterr().err) == (2, "error: seed must be >= 0, got -1\n")

@@ -7,8 +7,7 @@ import pytest
 from conftest import make_waypoints
 from turnplan.angles import TWO_PI, circular_separation, wrap_angle
 from turnplan.clustering import (Cluster, ClusterParams, ClusterPlan, DegenerateMeanError,
-                                 center_offset, circular_mean, cluster_points,
-                                 order_clusters, reachability_report)
+                                 circular_mean, cluster_points, order_clusters)
 from turnplan.geometry import Waypoints, generate_waypoints, hemisphere_layout
 
 DEG = math.pi / 180.0
@@ -99,7 +98,8 @@ def test_cluster_points_deterministic_for_fixed_seed():
 
 
 def test_cluster_points_rejects_empty_input():
-    with pytest.raises(ValueError, match="cannot cluster an empty point set"):
+    # an empty bundle cannot be built, so clustering never sees one
+    with pytest.raises(ValueError, match=r"need \(N, 3\) positions"):
         cluster_points(make_waypoints([]), ClusterParams())
 
 
@@ -236,52 +236,6 @@ def test_order_clusters_permutation_and_single_revolution():
 def test_order_clusters_rejects_empty_list():
     with pytest.raises(ValueError):
         order_clusters([], start_angle=0.0)
-
-
-def test_center_offset_cases():
-    assert center_offset(_singleton(0, 1.25), 1.25) == 0.0
-    assert abs(center_offset(_singleton(0, 90 * DEG), 0.0) - 270 * DEG) < 1e-12
-    assert abs(center_offset(_singleton(0, 300 * DEG), 0.0) - 60 * DEG) < 1e-12
-
-
-def test_center_offset_always_in_range():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        offset = center_offset(_singleton(0, float(rng.uniform(0.0, TWO_PI))),
-                               float(rng.uniform(-10.0, 10.0)))
-        assert 0.0 <= offset < TWO_PI
-
-
-# --- reachability ----------------------------------------------------------
-
-def _plan_of_one_cluster(angles, mean_angle):
-    waypoints = make_waypoints([(math.cos(a), math.sin(a), 0.0) for a in angles])
-    cluster = Cluster(members=tuple(range(len(angles))), mean_angle=mean_angle)
-    plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(0.0,))
-    return plan, waypoints
-
-
-def test_reachability_zero_extent():
-    plan, wps = _plan_of_one_cluster([1.0, 1.0], mean_angle=1.0)
-    (entry,) = reachability_report(plan, wps, ClusterParams())
-    assert entry.extent < 1e-12
-    assert entry.within_bound
-
-
-def test_reachability_within_bound():
-    mean = 2.0
-    plan, wps = _plan_of_one_cluster([mean - 30 * DEG, mean + 30 * DEG], mean_angle=mean)
-    (entry,) = reachability_report(plan, wps, ClusterParams())
-    assert abs(entry.extent - 30 * DEG) < 1e-9
-    assert entry.within_bound
-
-
-def test_reachability_flags_violation():
-    mean = 2.0
-    plan, wps = _plan_of_one_cluster([mean - 50 * DEG, mean + 50 * DEG], mean_angle=mean)
-    (entry,) = reachability_report(plan, wps, ClusterParams())
-    assert abs(entry.extent - 50 * DEG) < 1e-9
-    assert not entry.within_bound
 
 
 # --- plan invariants -------------------------------------------------------

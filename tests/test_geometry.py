@@ -155,6 +155,17 @@ def test_generated_table_angles_are_consistent():
         assert abs(angle - turntable_angle(position, part)) < 1e-12
 
 
+@pytest.mark.parametrize("positions, angles", [
+    ([[0.0, 0.0, 0.0]], 0.5),
+    (np.empty((0, 3)), []),
+    (np.zeros((2, 2)), [0.0, 1.0]),
+    (np.zeros((3, 3)), [0.0, 1.0]),
+], ids=["scalar-angles", "empty", "2d-positions", "count-mismatch"])
+def test_waypoints_bundle_rejects_bad_shapes(positions, angles):
+    with pytest.raises(ValueError, match=r"^need \(N, 3\) positions"):
+        Waypoints(positions=positions, table_angles=angles)
+
+
 def test_hemisphere_layout_single_hole_points_up():
     part = hemisphere_layout(1, 0.1, seed=0)
     (y_axis,) = part.frames[:, :, 1]

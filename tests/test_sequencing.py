@@ -214,8 +214,8 @@ def test_baseline_respects_one_revolution_for_any_start():
 
 
 def test_baseline_rejects_empty_input():
-    with pytest.raises(ValueError):
-        baseline_angle_sequence([])
+    with pytest.raises(ValueError, match=r"need \(N, 3\) positions"):
+        baseline_angle_sequence(make_waypoints([]))
 
 
 def _hemisphere40_waypoints(layout_path):
