@@ -99,7 +99,10 @@ def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
     """Plan and score `trials` seeded trials of one planner on one waypoint bundle.
 
     Trial i plans the scenario with cluster_params.seed raised by i. The
-    planning time is wall clock around the planner call only.
+    planning time is wall clock around the planner call only. Every trial
+    plans the same bundle, so the first greedy trial's time includes
+    building the bundle's chain table (see `sequencing.plan_waypoints`) and
+    later trials, which reuse it, do not.
     """
     positions = waypoints.positions
     reports = []

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random on first use: import it here, so that the first
+# plan of a process does not spend its time importing it
+from numpy.random import default_rng
 
 from .angles import TWO_PI, forward_delta, wrap_angle
 from .geometry import Waypoints, _as_int, _as_real
@@ -342,7 +345,7 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     if n <= k:
         return _singleton_clusters(angles)
 
-    rng = np.random.default_rng(params.seed)
+    rng = default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
     nearest = _NearestCentroid(points, k)
     # centroid sums come from one bincount over (axis, cluster) bins, with

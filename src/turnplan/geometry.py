@@ -19,6 +19,7 @@ applied along the rotated y axis).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -184,6 +185,17 @@ class Waypoints:
             raise ValueError("table angles must lie in [0, 2*pi)")
         object.__setattr__(self, "positions", _freeze(positions))
         object.__setattr__(self, "table_angles", _freeze(angles))
+
+    @functools.cached_property
+    def _chain_table(self) -> np.ndarray:
+        """The greedy chain's certified candidate table over every point, with bundle indices.
+
+        Built by the first plan whose cluster needs it and kept, read-only, as
+        long as the bundle: every cluster and every later plan of this bundle
+        walks the same table (see `sequencing._certified_candidates`).
+        """
+        from .sequencing import _certified_candidates  # sequencing imports this module
+        return _freeze(_certified_candidates(self.positions).ravel())
 
     def __len__(self) -> int:
         return len(self.table_angles)

@@ -17,9 +17,12 @@ from .angles import TWO_PI, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
 from .geometry import Waypoints, _as_int, _as_real, _as_vector3
 
-# The greedy chain's candidate table (see greedy_chain): neighbours listed per
-# point, and the cluster size above which the table pays for its build (it
-# must stay above CHAIN_CANDIDATES, since the query needs that many others).
+# The greedy chain's candidate table (see _certified_candidates): neighbours
+# listed per point, and the cluster size above which a cluster walks the table
+# rather than distance rows. plan_waypoints builds one table per waypoint
+# bundle, over all its points, the first time a cluster above the threshold
+# needs it; smaller clusters never build one. The threshold must stay above
+# CHAIN_CANDIDATES, since the query needs that many others.
 CHAIN_CANDIDATES = 8
 CHAIN_TABLE_MIN_POINTS = 32
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
@@ -79,10 +82,13 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     c_i = d_i (1 - 64 eps), where d_i is the row's largest distance; every
     other slot holds i itself. Each distance is computed with the chain's
     own expression (`here - other`, the same einsum, sqrt), so it is bitwise
-    the value the chain's distance row would hold.
+    the value the chain's distance row would hold. The build is one tree
+    over the m points and O(m K) memory, K = CHAIN_CANDIDATES; a plan builds
+    it once per `Waypoints` bundle, over all of the bundle's points
+    (`Waypoints._chain_table`), and every cluster walks that one table.
 
-    Why the first unvisited certified point is the row's argmin. Write
-    u = eps/2. The einsum distance is within 4u, relative, of the true
+    Why the first open certified point is the argmin over any open subset.
+    Write u = eps/2. The einsum distance is within 4u, relative, of the true
     distance (a rounded difference, squared, summed in two adds, a rounded
     sqrt); so is the tree's, which sums the same squares in its own order.
     Let j be a point the query did not return and c* the listed point at
@@ -90,12 +96,16 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     the rounding of its pruning bounds, so tree(j) >= tree(c*) (1 - 4u), and
     then einsum(j) >= d_i (1 - 4u)^3 / (1 + 4u)^2 > d_i (1 - 10 eps). A
     certified point (einsum < c_i, and c_i is itself rounded by at most u)
-    is therefore strictly nearer than every point off the list, visited or
-    not; and among listed points the (distance, index) order is argmin's
-    rule: least distance, ties to the lowest index. The bounds assume no
-    overflow or underflow: the caller rejects coordinates of 2^500 or more,
-    and a row with d_i < 2^-500 certifies nothing, as does a row with
-    d_i = 0 (more than CHAIN_CANDIDATES + 1 coincident copies).
+    is therefore strictly nearer than every point of the whole set off the
+    list, and uncertified listed points lie at d >= c_i, further still. So
+    for any set of open points (a cluster's unvisited members), the first
+    certified entry that is open is strictly nearer than every open point
+    off the list, and among listed points the (distance, index) order is
+    argmin's rule: least distance, ties to the lowest index. It is the
+    argmin of the open points' distance row. The bounds assume no overflow
+    or underflow: the caller rejects coordinates of 2^500 or more, and a
+    row with d_i < 2^-500 certifies nothing, as does a row with d_i = 0
+    (more than CHAIN_CANDIDATES + 1 coincident copies).
     """
     # imported here: only clusters above CHAIN_TABLE_MIN_POINTS come here, so small plans skip scipy
     from scipy.spatial import cKDTree
@@ -113,9 +123,58 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     d_max = dist[:, -1:]
     limit = np.where(d_max >= 2.0**-500, d_max * _CERTIFICATE, 0.0)
     # an uncertified slot names the row's own point, which the walk has
-    # always visited when it reads the row, so the slot is skipped
+    # always closed when it reads the row, so the slot is skipped
     np.copyto(near, np.arange(len(pts))[:, None], where=dist >= limit)
     return near
+
+
+def _chain(pts: np.ndarray, table: np.ndarray | None, members, start: int,
+           slot: list[int]) -> list[int]:
+    """The greedy chain over the points `members` of `pts`, from member `start`.
+
+    Indices in and out are rows of `pts`. `table` is `_certified_candidates`
+    over all of `pts`, flattened, or None to take every step from a distance
+    row. `slot` is a list of len(pts) zeros, shared by every cluster of a
+    plan: the walk stores each open member's position in `members` plus one
+    there and zeroes it when the member is visited, so it leaves all zeros
+    and its setup costs O(m) for m members, not O(len(pts)). A step takes
+    the current point's first open table entry; entries of other clusters
+    are zero in `slot`, so they are skipped like visited ones. With none
+    open it computes one row of distances over the members, with every
+    visited member overwritten by inf (written only now, for the members
+    closed since the last row), and takes the row's argmin.
+    """
+    width = CHAIN_CANDIDATES + 1 if table is not None else 0
+    # point i's candidates fill slots [i * width, (i + 1) * width) of a flat
+    # memoryview, which keeps no Python object per table entry
+    table = memoryview(table) if width else ()
+    for local, point in enumerate(members):
+        slot[point] = local + 1
+    remaining = pts[list(members)]  # visited members overwritten with inf before each row
+    diff = np.empty_like(remaining)
+    dist = np.empty(len(remaining))
+    closed = []  # members visited since the last distance row, by position in `members`
+    order = [start]
+    current = start
+    for _ in range(len(remaining) - 1):
+        closed.append(slot[current] - 1)
+        slot[current] = 0
+        row = current * width
+        for nxt in table[row:row + width]:
+            if slot[nxt]:
+                break
+        else:  # no certified candidate left: one row of distances
+            # a lone index (each step of a row-only walk) is a cheaper write than a list
+            remaining[closed[0] if len(closed) == 1 else closed] = np.inf
+            closed.clear()
+            np.subtract(pts[current], remaining, out=diff)
+            # the same einsum as distance_matrix, so each row is bitwise equal to its row
+            np.einsum("ij,ij->i", diff, diff, out=dist)
+            nxt = members[int(np.sqrt(dist, out=dist).argmin())]
+        order.append(nxt)
+        current = nxt
+    slot[current] = 0
+    return order
 
 
 def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
@@ -125,12 +184,14 @@ def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
     nearest candidates (`_certified_candidates`: O(m K) memory for m points,
     K = CHAIN_CANDIDATES). A step takes the current point's first unvisited
     candidate, in plain Python. Only when there is none does it compute one
-    row of distances from the current point (O(m) memory), with every
-    visited point overwritten by inf in a private copy, and take the row's
-    argmin. Fewer points build no table, so each of their steps is a row.
-    Either way a step picks what the distance matrix's row would: the
-    nearest unvisited point, ties to the lowest index. Coordinates must be
-    finite and below 2^500 in magnitude, so that no squared distance overflows.
+    row of distances from the current point (O(m) memory) and take the
+    argmin over the unvisited points. Fewer points build no table, so each
+    of their steps is a row. Either way a step picks what the distance
+    matrix's row would: the nearest unvisited point, ties to the lowest
+    index. This is the walk `plan_waypoints` runs per cluster, with all the
+    points as one cluster; it keeps no table between calls. Coordinates
+    must be finite and below 2^500 in magnitude, so that no squared
+    distance overflows.
     """
     pts = np.array(positions, dtype=float).reshape(-1, 3)
     m = len(pts)
@@ -138,31 +199,8 @@ def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
         raise ValueError(f"start must lie in [0, {m}), got {start!r}")
     if not np.abs(pts).max() < 2.0**500:
         raise ValueError("positions must be finite and below 2**500 in magnitude")
-    # point i's candidates fill slots [i * width, (i + 1) * width) of a flat
-    # memoryview, which keeps no Python object per table entry
-    width = CHAIN_CANDIDATES + 1 if m > CHAIN_TABLE_MIN_POINTS else 0
-    table = memoryview(_certified_candidates(pts).ravel()) if width else ()
-    remaining = pts.copy()  # visited points overwritten with inf
-    diff = np.empty_like(pts)
-    dist = np.empty(m)
-    visited = [False] * m
-    order = [start]
-    current = start
-    for _ in range(m - 1):
-        visited[current] = True
-        remaining[current] = np.inf
-        row = current * width
-        for nxt in table[row:row + width]:
-            if not visited[nxt]:
-                break
-        else:  # no certified candidate left: one row of distances
-            np.subtract(pts[current], remaining, out=diff)
-            # the same einsum as distance_matrix, so each row is bitwise equal to its row
-            np.einsum("ij,ij->i", diff, diff, out=dist)
-            nxt = int(np.sqrt(dist, out=dist).argmin())
-        order.append(nxt)
-        current = nxt
-    return tuple(order)
+    table = _certified_candidates(pts).ravel() if m > CHAIN_TABLE_MIN_POINTS else None
+    return tuple(_chain(pts, table, range(m), start, [0] * m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +273,20 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     """Cluster waypoints, schedule the turntable, and order each cluster.
 
     within_cluster: "greedy" runs the nearest-neighbor chain per cluster
-    (`greedy_chain`: a certified candidate table with a distance-row
-    fallback, O(m K) memory for m members), starting at the member closest
-    to the end of the previous cluster (the robot home for the first);
-    "input" keeps members in input order (the clustering-only variant).
+    (the walk of `greedy_chain`), starting at the member closest to the end
+    of the previous cluster (the robot home for the first); "input" keeps
+    members in input order (the clustering-only variant).
+
+    A cluster of more than CHAIN_TABLE_MIN_POINTS members walks the bundle's
+    certified candidate table (`Waypoints._chain_table`: one cKDTree query
+    over all N points, O(N K) memory, K = CHAIN_CANDIDATES), which the first
+    such plan of the bundle builds and every later cluster and plan of that
+    bundle reuses; it lives as long as the bundle. So the first plan of a
+    bundle pays for the table and replans do not. Each step takes the
+    current point's first open certified entry, which is the argmin over
+    the cluster's open members (see `_certified_candidates`), or else one
+    distance row over the members. Smaller clusters take every step from a
+    row, so a plan with none above the threshold builds no table.
     """
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
@@ -248,15 +296,17 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     clusters = cluster_points(waypoints, params)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
 
+    slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
     sequences = []
     for cluster in cluster_plan.clusters:
         members = cluster.members
         if within_cluster == "input" or len(members) == 1:
             seq = members
         else:
-            local_pts = positions[list(members)]
-            local_start = int(np.linalg.norm(local_pts - previous_pos, axis=1).argmin())
-            seq = [members[i] for i in greedy_chain(local_pts, start=local_start)]
+            offsets = positions[list(members)] - previous_pos
+            start = members[int(np.linalg.norm(offsets, axis=1).argmin())]
+            table = waypoints._chain_table if len(members) > CHAIN_TABLE_MIN_POINTS else None
+            seq = _chain(positions, table, members, start, slot)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)

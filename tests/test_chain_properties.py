@@ -8,7 +8,8 @@ copies of a point than the table lists (every step falls back), far from the
 origin (large rounding in the differences), very tight spreads, and a shell
 of points at exactly one distance whose rounded distances the tree and the
 row order differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the
-row-only and the table walk run.
+row-only and the table walk run. The same layouts, cut into interleaved
+clusters that walk one shared table, check plan_waypoints' per-cluster walk.
 """
 
 import itertools
@@ -17,8 +18,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, distance_matrix,
-                                 greedy_chain, greedy_sequence)
+from turnplan.geometry import Waypoints
+from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
+                                 distance_matrix, greedy_chain, greedy_sequence)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -59,23 +61,55 @@ def test_greedy_chain_matches_matrix_greedy_on_any_layout(kind, n, seed, start_f
     assert greedy_chain(pts, start) == expected
 
 
+def shell(extra: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """A center, 48 points at exactly one distance from it, and `extra` far points,
+    shuffled; returns the points and the center's index.
+
+    The 48 sign changes and permutations of one vector lie at one distance
+    from the center, but their rounded sums of squares differ by an ulp, and
+    the tree sums them in another order than the row: only the certificate's
+    margin keeps a step from the center, taken from the table, the row's.
+    """
+    radius = 10.0 ** int(rng.integers(-3, 3))
+    vector = radius * rng.uniform(0.5, 1.5, 3)
+    points = sorted({tuple(s * v for s, v in zip(signs, perm))
+                     for perm in itertools.permutations(vector.tolist())
+                     for signs in itertools.product((1.0, -1.0), repeat=3)})
+    pts = np.vstack([np.zeros((1, 3)), points, 10.0 * radius * rng.normal(size=(extra, 3))])
+    shuffle = rng.permutation(len(pts))
+    return pts[shuffle], int(np.flatnonzero(shuffle == 0)[0])
+
+
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40))
 def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
-    # the 48 sign changes and permutations of one vector lie at exactly one
-    # distance from the center, but their rounded sums of squares differ by
-    # an ulp, and the tree sums them in another order than the row: only the
-    # certificate's margin keeps the first step, taken from the table, the row's
-    rng = np.random.default_rng(seed)
-    radius = 10.0 ** int(rng.integers(-3, 3))
-    vector = radius * rng.uniform(0.5, 1.5, 3)
-    shell = sorted({tuple(s * v for s, v in zip(signs, perm))
-                    for perm in itertools.permutations(vector.tolist())
-                    for signs in itertools.product((1.0, -1.0), repeat=3)})
-    pts = np.vstack([np.zeros((1, 3)), shell, 10.0 * radius * rng.normal(size=(extra, 3))])
-    shuffle = rng.permutation(len(pts))
-    pts = pts[shuffle]
-    start = int(np.flatnonzero(shuffle == 0)[0])
+    pts, start = shell(extra, np.random.default_rng(seed))
     assert len(pts) > CHAIN_TABLE_MIN_POINTS
     expected = greedy_sequence(distance_matrix(pts), start)
     assert greedy_chain(pts, start) == expected
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(KINDS + ("shell",)), n=st.integers(1, MAX_POINTS),
+       parts=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, seed):
+    # plan_waypoints' walk: one bundle table over all points, clusters of
+    # interleaved random members (so most listed neighbours belong to other
+    # clusters), the table only for clusters above CHAIN_TABLE_MIN_POINTS,
+    # and one slot list shared by every cluster
+    rng = np.random.default_rng(seed)
+    pts, center = shell(n // 2, rng) if kind == "shell" else (cloud(kind, n, rng), -1)
+    bundle = Waypoints(positions=pts, table_angles=np.zeros(len(pts)))
+    labels = rng.integers(0, parts, len(pts))
+    slot = [0] * len(pts)
+    for part in range(parts):
+        members = np.flatnonzero(labels == part).tolist()
+        if not members:
+            continue
+        local_start = members.index(center) if center in members else int(
+            rng.integers(len(members)))
+        table = bundle._chain_table if len(members) > CHAIN_TABLE_MIN_POINTS else None
+        order = _chain(bundle.positions, table, members, members[local_start], slot)
+        expected = greedy_sequence(distance_matrix(pts[members]), local_start)
+        assert order == [members[i] for i in expected]
+    assert not any(slot)

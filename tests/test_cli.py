@@ -308,16 +308,38 @@ def test_bench_names_an_overflowing_metric_without_writing_files(tmp_path, capsy
     assert not report.exists() and not plot.exists()
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # a fresh interpreter: this test session has imported scipy already
-    code = ("import sys, turnplan.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that imports this turnplan; return its stdout."""
     package_root = str(Path(turnplan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter: this test session has imported scipy already
+    code = ("import sys, turnplan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("algorithm", ["baseline", "cluster", "greedy"])
+def test_timed_plan_call_imports_nothing(bundled_layout_path, algorithm):
+    # planning_time_s times only the planner call: a module it imported on
+    # first use would be counted as planning time
+    code = f"""
+import sys
+from turnplan.cli import PLANNERS, _scenario, build_parser, generate_waypoints, load_part_layout
+args = build_parser().parse_args(["plan", {bundled_layout_path!r}, "--out", "unused.json"])
+scenario = _scenario(args, load_part_layout(args.layout))
+waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+before = set(sys.modules)
+PLANNERS[{algorithm!r}](waypoints, scenario)
+print(sorted(set(sys.modules) - before))
+"""
+    assert _fresh_python(code) == "[]"
 
 
 def test_bench_rejects_zero_trials(tmp_path, capsys):

@@ -24,7 +24,8 @@ from conftest import make_waypoints
 from turnplan.bench import PLANNERS, Scenario
 from turnplan.cli import main
 from turnplan.clustering import ClusterParams
-from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
+from turnplan import sequencing
+from turnplan.geometry import Waypoints, generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.sequencing import baseline_angle_sequence, plan_waypoints, save_plan
 
 
@@ -124,6 +125,11 @@ PLAN_FILE_4000_ATTACK = "0195b2aaafffe73c737a03632630fb5f705210137bb0046a2adec04
 # `turnplan bench hemisphere40.json --trials 3` with default flags
 BENCH_REPORT_CSV = "7f198f7b4be79fe750d9bf649f907bbccc33f848fb5fb81d9e598bc04dd3307c"
 BENCH_PLOT_DATA_CSV = "38592e8206ae9b9b91998dbaa32aee6729946796759667459e5f8fb20d45852c"
+# `turnplan bench` on `turnplan generate --n 4000` with --k 60 --trials 3, recorded
+# from the per-cluster candidate tables; greedy's trials 2 and 3 replan the bundle
+# trial 1 planned, so they walk its cached table
+BENCH_4000_REPORT_CSV = "b435da7b97fdd6bb7184162ca920bea11cbf68724063ab77c84cda15355689cc"
+BENCH_4000_PLOT_DATA_CSV = "72adacf895a6f8032ce9c07a98cc526fce50be4826d53862d617239b2b1663b2"
 
 
 @pytest.mark.parametrize("algorithm,seed", sorted(HEMISPHERE40))
@@ -160,6 +166,36 @@ def test_bench_csvs_match_golden(bundled_layout_path, tmp_path):
                  "--plot-data", str(plot_data)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == BENCH_REPORT_CSV
     assert hashlib.sha256(plot_data.read_bytes()).hexdigest() == BENCH_PLOT_DATA_CSV
+
+
+def test_4000_hole_bench_csvs_match_golden(tmp_path):
+    layout, report, plot_data = tmp_path / "l.json", tmp_path / "r.csv", tmp_path / "p.csv"
+    assert main(["generate", "--n", "4000", "--out", str(layout)]) == 0
+    assert main(["bench", str(layout), "--k", "60", "--trials", "3", "--report", str(report),
+                 "--plot-data", str(plot_data)]) == 0
+    assert file_digest(report) == BENCH_4000_REPORT_CSV
+    assert file_digest(plot_data) == BENCH_4000_PLOT_DATA_CSV
+
+
+def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
+    original, built = sequencing._certified_candidates, []
+
+    def counted(pts):
+        built.append(len(pts))
+        return original(pts)
+
+    monkeypatch.setattr(sequencing, "_certified_candidates", counted)
+    part = hemisphere_layout(4000, 0.15, seed=7)
+    waypoints = generate_waypoints(part, 0.05, 0.0)
+    plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
+    warm = plan_waypoints(waypoints, ClusterParams(k=5, seed=0))
+    assert built == [4000]
+    assert plan_digest(warm) == LARGE[5, 0]  # a replan on the cached table equals a cold plan
+    # the table belongs to the bundle, not to its positions
+    plan_waypoints(Waypoints(waypoints.positions, waypoints.table_angles), ClusterParams(k=5))
+    assert built == [4000, 4000]
+    _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # clusters of at most 32 points
+    assert built == [4000, 4000]
 
 
 @pytest.mark.parametrize("algorithm,non_default", sorted(PLAN_FILE))
