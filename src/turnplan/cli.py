@@ -14,8 +14,8 @@ import math
 import sys
 import time
 
-from .bench import (PLANNERS, Scenario, comparison_rows, plot_data_rows, run_comparison,
-                    write_csv)
+from .bench import (PLANNERS, Scenario, _import_before_timing, comparison_rows, plot_data_rows,
+                    run_comparison, write_csv)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
 from .metrics import CellModel, ssp_distance
@@ -72,6 +72,7 @@ def cmd_generate(args) -> int:
 def cmd_plan(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    _import_before_timing(args.algorithm, waypoints, scenario)
     tic = time.perf_counter()
     plan = PLANNERS[args.algorithm](waypoints, scenario)
     planning_time = time.perf_counter() - tic

@@ -187,15 +187,15 @@ class Waypoints:
         object.__setattr__(self, "table_angles", _freeze(angles))
 
     @functools.cached_property
-    def _chain_table(self) -> np.ndarray:
-        """The greedy chain's certified candidate table over every point, with bundle indices.
+    def _chain_index(self):
+        """The greedy chain's `sequencing._ChainIndex` over every point, with bundle indices.
 
-        Built by the first plan whose cluster needs it and kept, read-only, as
-        long as the bundle: every cluster and every later plan of this bundle
-        walks the same table (see `sequencing._certified_candidates`).
+        Built by the first plan whose cluster needs it and kept as long as
+        the bundle: every cluster and every later plan of this bundle walks
+        the same tree, table and deep rows.
         """
-        from .sequencing import _certified_candidates  # sequencing imports this module
-        return _freeze(_certified_candidates(self.positions).ravel())
+        from .sequencing import _ChainIndex  # sequencing imports this module
+        return _ChainIndex(self.positions)
 
     def __len__(self) -> int:
         return len(self.table_angles)

@@ -17,13 +17,16 @@ from .angles import TWO_PI, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
 from .geometry import Waypoints, _as_int, _as_real, _as_vector3
 
-# The greedy chain's candidate table (see _certified_candidates): neighbours
-# listed per point, and the cluster size above which a cluster walks the table
-# rather than distance rows. plan_waypoints builds one table per waypoint
-# bundle, over all its points, the first time a cluster above the threshold
-# needs it; smaller clusters never build one. The threshold must stay above
-# CHAIN_CANDIDATES, since the query needs that many others.
+# The greedy chain's candidate lists (see _certified_candidates): neighbours
+# listed per point in the table, neighbours listed in a deep row, and the
+# cluster size above which a cluster walks the table rather than distance
+# rows. plan_waypoints builds one table per waypoint bundle, over all its
+# points, the first time a cluster above the threshold needs it; smaller
+# clusters never build one. Deep rows are built only for the points where a
+# walk on the bundle has fallen back (see _ChainIndex). The threshold must
+# stay above CHAIN_CANDIDATES, since the query needs that many others.
 CHAIN_CANDIDATES = 8
+CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 32
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
 
@@ -73,19 +76,22 @@ def greedy_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _certified_candidates(pts: np.ndarray) -> np.ndarray:
-    """Per point, the nearest others that a greedy step may take without a distance row.
+def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) -> np.ndarray:
+    """Per query point, the nearest others that a greedy step may take without a distance row.
 
-    Row i holds point i's CHAIN_CANDIDATES + 1 nearest points (itself
-    included) from one cKDTree query, sorted by (distance, index). A point
-    is certified when its distance is below the row's certificate
-    c_i = d_i (1 - 64 eps), where d_i is the row's largest distance; every
-    other slot holds i itself. Each distance is computed with the chain's
-    own expression (`here - other`, the same einsum, sqrt), so it is bitwise
-    the value the chain's distance row would hold. The build is one tree
-    over the m points and O(m K) memory, K = CHAIN_CANDIDATES; a plan builds
-    it once per `Waypoints` bundle, over all of the bundle's points
-    (`Waypoints._chain_table`), and every cluster walks that one table.
+    Row r holds point i = query[r]'s `width` nearest points of `pts` (itself
+    included) from one query on `tree`, a cKDTree over `pts`, sorted by
+    (distance, index). `query` is any subset of the point indices and
+    `width` any count from 2 to len(pts): the argument below holds for
+    each. A point is certified when its distance is below the row's
+    certificate c_i = d_i (1 - 64 eps), where d_i is the row's largest
+    distance; every other slot holds i itself. Each distance is computed
+    with the chain's own expression (`here - other`, the same einsum, sqrt),
+    so it is bitwise the value the chain's distance row would hold. The
+    build is O(q w) memory for q query points. A bundle's `_ChainIndex`
+    makes two kinds of rows with it: the table, every point at width
+    CHAIN_CANDIDATES + 1, and deep rows, a few points at width
+    CHAIN_DEEP_CANDIDATES + 1.
 
     Why the first open certified point is the argmin over any open subset.
     Write u = eps/2. The einsum distance is within 4u, relative, of the true
@@ -102,20 +108,19 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     certified entry that is open is strictly nearer than every open point
     off the list, and among listed points the (distance, index) order is
     argmin's rule: least distance, ties to the lowest index. It is the
-    argmin of the open points' distance row. The bounds assume no overflow
-    or underflow: the caller rejects coordinates of 2^500 or more, and a
-    row with d_i < 2^-500 certifies nothing, as does a row with d_i = 0
-    (more than CHAIN_CANDIDATES + 1 coincident copies).
+    argmin of the open points' distance row. Nothing here depends on which
+    point is queried or on how many are listed. The bounds assume no
+    overflow or underflow: the caller rejects coordinates of 2^500 or more,
+    and a row with d_i < 2^-500 certifies nothing, as does a row with
+    d_i = 0 (more than `width` coincident copies).
     """
-    # imported here: only clusters above CHAIN_TABLE_MIN_POINTS come here, so small plans skip scipy
-    from scipy.spatial import cKDTree
-
-    near = cKDTree(pts).query(pts, CHAIN_CANDIDATES + 1)[1]
+    here = pts[query]
+    near = tree.query(here, width)[1]
     diff = pts[near]
-    np.subtract(pts[:, None, :], diff, out=diff)
+    np.subtract(here[:, None, :], diff, out=diff)
     diff = diff.reshape(-1, 3)
     dist = np.einsum("ij,ij->i", diff, diff).reshape(near.shape)
-    del diff  # the largest temporary: free it before the table is built
+    del diff  # the largest temporary: free it before the rows are built
     np.sqrt(dist, out=dist)
     by_distance = np.lexsort((near, dist))
     near = np.take_along_axis(near, by_distance, axis=1)
@@ -124,30 +129,78 @@ def _certified_candidates(pts: np.ndarray) -> np.ndarray:
     limit = np.where(d_max >= 2.0**-500, d_max * _CERTIFICATE, 0.0)
     # an uncertified slot names the row's own point, which the walk has
     # always closed when it reads the row, so the slot is skipped
-    np.copyto(near, np.arange(len(pts))[:, None], where=dist >= limit)
+    np.copyto(near, query[:, None], where=dist >= limit)
     return near
 
 
-def _chain(pts: np.ndarray, table: np.ndarray | None, members, start: int,
+class _ChainIndex:
+    """One point set's certified candidate lists for the greedy chain: a tree, a table, deep rows.
+
+    The cKDTree over all the points is built once and kept. `table` holds
+    every point's CHAIN_CANDIDATES + 1 certified candidates, flattened. A
+    walk whose table entries are used up tries the point's deep row, its
+    CHAIN_DEEP_CANDIDATES + 1 certified candidates, before it takes a
+    distance row. Deep rows exist only for points where an earlier walk fell
+    back: `_chain` records such a point in `fallen`, and `deepen` builds the
+    rows of every recorded point in one tree query. Point i's deep row
+    starts at deep_at[i] in the flat `deep`, or deep_at[i] is -1. A point
+    with a deep row is never recorded again, so no row is built twice.
+    Memory is at most N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 3)
+    indices for N points. A `Waypoints` bundle keeps one index as long as
+    the bundle lives (`Waypoints._chain_index`).
+    """
+
+    def __init__(self, pts: np.ndarray):
+        # imported here: only clusters above CHAIN_TABLE_MIN_POINTS build an
+        # index, so small plans skip scipy
+        from scipy.spatial import cKDTree
+
+        self.pts = pts
+        self.tree = cKDTree(pts)
+        everyone = np.arange(len(pts))
+        self.table = _certified_candidates(self.tree, pts, everyone, CHAIN_CANDIDATES + 1).ravel()
+        self.deep_width = min(CHAIN_DEEP_CANDIDATES + 1, len(pts))
+        self.deep = np.empty(0, dtype=self.table.dtype)
+        self.deep_at = np.full(len(pts), -1)
+        self.fallen: list[int] = []
+
+    def deepen(self) -> None:
+        """Build the deep rows of every point recorded in `fallen`, in one batch, and clear it."""
+        if self.fallen:
+            query = np.array(self.fallen)
+            self.fallen.clear()
+            rows = _certified_candidates(self.tree, self.pts, query, self.deep_width)
+            self.deep_at[query] = len(self.deep) + self.deep_width * np.arange(len(query))
+            self.deep = np.concatenate([self.deep, rows.ravel()])
+
+
+def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
            slot: list[int]) -> list[int]:
     """The greedy chain over the points `members` of `pts`, from member `start`.
 
-    Indices in and out are rows of `pts`. `table` is `_certified_candidates`
-    over all of `pts`, flattened, or None to take every step from a distance
-    row. `slot` is a list of len(pts) zeros, shared by every cluster of a
-    plan: the walk stores each open member's position in `members` plus one
-    there and zeroes it when the member is visited, so it leaves all zeros
-    and its setup costs O(m) for m members, not O(len(pts)). A step takes
-    the current point's first open table entry; entries of other clusters
-    are zero in `slot`, so they are skipped like visited ones. With none
-    open it computes one row of distances over the members, with every
-    visited member overwritten by inf (written only now, for the members
-    closed since the last row), and takes the row's argmin.
+    Indices in and out are rows of `pts`. `index` is a `_ChainIndex` over
+    all of `pts`, or None to take every step from a distance row. `slot` is
+    a list of len(pts) zeros, shared by every cluster of a plan: the walk
+    stores each open member's position in `members` plus one there and
+    zeroes it when the member is visited, so it leaves all zeros and its
+    setup costs O(m) for m members, not O(len(pts)). A step takes the
+    current point's first open table entry; entries of other clusters are
+    zero in `slot`, so they are skipped like visited ones. With none open it
+    takes the first open entry of the point's deep row, if the index holds
+    one, and otherwise records the point in `index.fallen`. With still none,
+    it computes one row of distances over the members, with every visited
+    member overwritten by inf (written only now, for the members closed
+    since the last row), and takes the row's argmin.
     """
-    width = CHAIN_CANDIDATES + 1 if table is not None else 0
     # point i's candidates fill slots [i * width, (i + 1) * width) of a flat
-    # memoryview, which keeps no Python object per table entry
-    table = memoryview(table) if width else ()
+    # memoryview, and its deep row [deep_at[i], deep_at[i] + deep_width):
+    # no Python object per entry
+    if index is None:
+        width, table = 0, ()
+    else:
+        width, table = CHAIN_CANDIDATES + 1, memoryview(index.table)
+        deep, deep_at = memoryview(index.deep), memoryview(index.deep_at)
+        deep_width, fallen = index.deep_width, index.fallen
     for local, point in enumerate(members):
         slot[point] = local + 1
     remaining = pts[list(members)]  # visited members overwritten with inf before each row
@@ -163,14 +216,24 @@ def _chain(pts: np.ndarray, table: np.ndarray | None, members, start: int,
         for nxt in table[row:row + width]:
             if slot[nxt]:
                 break
-        else:  # no certified candidate left: one row of distances
-            # a lone index (each step of a row-only walk) is a cheaper write than a list
-            remaining[closed[0] if len(closed) == 1 else closed] = np.inf
-            closed.clear()
-            np.subtract(pts[current], remaining, out=diff)
-            # the same einsum as distance_matrix, so each row is bitwise equal to its row
-            np.einsum("ij,ij->i", diff, diff, out=dist)
-            nxt = members[int(np.sqrt(dist, out=dist).argmin())]
+        else:  # no certified candidate left: the deep row, else one row of distances
+            nxt = -1
+            if width:
+                if (at := deep_at[current]) < 0:
+                    fallen.append(current)
+                else:
+                    for candidate in deep[at:at + deep_width]:
+                        if slot[candidate]:
+                            nxt = candidate
+                            break
+            if nxt < 0:
+                # a lone index (each step of a row-only walk) is a cheaper write than a list
+                remaining[closed[0] if len(closed) == 1 else closed] = np.inf
+                closed.clear()
+                np.subtract(pts[current], remaining, out=diff)
+                # the same einsum as distance_matrix, so each row is bitwise equal to its row
+                np.einsum("ij,ij->i", diff, diff, out=dist)
+                nxt = members[int(np.sqrt(dist, out=dist).argmin())]
         order.append(nxt)
         current = nxt
     slot[current] = 0
@@ -180,18 +243,19 @@ def _chain(pts: np.ndarray, table: np.ndarray | None, members, start: int,
 def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
     """The nearest-neighbor chain of greedy_sequence(distance_matrix(positions)), matrix-free.
 
-    More than CHAIN_TABLE_MIN_POINTS points first build a table of certified
-    nearest candidates (`_certified_candidates`: O(m K) memory for m points,
-    K = CHAIN_CANDIDATES). A step takes the current point's first unvisited
-    candidate, in plain Python. Only when there is none does it compute one
-    row of distances from the current point (O(m) memory) and take the
-    argmin over the unvisited points. Fewer points build no table, so each
-    of their steps is a row. Either way a step picks what the distance
-    matrix's row would: the nearest unvisited point, ties to the lowest
-    index. This is the walk `plan_waypoints` runs per cluster, with all the
-    points as one cluster; it keeps no table between calls. Coordinates
-    must be finite and below 2^500 in magnitude, so that no squared
-    distance overflows.
+    More than CHAIN_TABLE_MIN_POINTS points first build a `_ChainIndex`, a
+    table of certified nearest candidates (`_certified_candidates`: O(m K)
+    memory for m points, K = CHAIN_CANDIDATES). A step takes the current
+    point's first unvisited candidate, in plain Python. Only when there is
+    none does it compute one row of distances from the current point (O(m)
+    memory) and take the argmin over the unvisited points. Fewer points
+    build no table, so each of their steps is a row. Either way a step
+    picks what the distance matrix's row would: the nearest unvisited point,
+    ties to the lowest index. This is the walk `plan_waypoints` runs per
+    cluster, with all the points as one cluster. The index lives for this
+    one walk, so it builds no deep row and keeps nothing between calls.
+    Coordinates must be finite and below 2^500 in magnitude, so that no
+    squared distance overflows.
     """
     pts = np.array(positions, dtype=float).reshape(-1, 3)
     m = len(pts)
@@ -199,8 +263,8 @@ def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
         raise ValueError(f"start must lie in [0, {m}), got {start!r}")
     if not np.abs(pts).max() < 2.0**500:
         raise ValueError("positions must be finite and below 2**500 in magnitude")
-    table = _certified_candidates(pts).ravel() if m > CHAIN_TABLE_MIN_POINTS else None
-    return tuple(_chain(pts, table, range(m), start, [0] * m))
+    index = _ChainIndex(pts) if m > CHAIN_TABLE_MIN_POINTS else None
+    return tuple(_chain(pts, index, range(m), start, [0] * m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,15 +342,23 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     members in input order (the clustering-only variant).
 
     A cluster of more than CHAIN_TABLE_MIN_POINTS members walks the bundle's
-    certified candidate table (`Waypoints._chain_table`: one cKDTree query
-    over all N points, O(N K) memory, K = CHAIN_CANDIDATES), which the first
-    such plan of the bundle builds and every later cluster and plan of that
-    bundle reuses; it lives as long as the bundle. So the first plan of a
-    bundle pays for the table and replans do not. Each step takes the
-    current point's first open certified entry, which is the argmin over
-    the cluster's open members (see `_certified_candidates`), or else one
-    distance row over the members. Smaller clusters take every step from a
-    row, so a plan with none above the threshold builds no table.
+    chain index (`Waypoints._chain_index`, a `_ChainIndex`: one cKDTree over
+    all N points and its certified candidate table, O(N K) memory,
+    K = CHAIN_CANDIDATES), which the first such plan of the bundle builds
+    and every later cluster and plan of that bundle reuses; it lives as long
+    as the bundle. So the first plan of a bundle pays for the table and
+    replans do not. Each step takes the current point's first open
+    certified entry, which is the argmin over the cluster's open members
+    (see `_certified_candidates`); else the first open certified entry of
+    the point's deep row, if it has one; else one distance row over the
+    members. A walk that takes a distance row at a point with no deep row
+    records the point on the index, and the next plan of the bundle builds
+    deep rows (CHAIN_DEEP_CANDIDATES wide) for every recorded point in one
+    tree query, before its first table walk. So a bundle planned once
+    builds no deep row, its second plan pays for the first plan's
+    fallbacks, and replans with other seeds take most of those steps
+    without a distance row. Smaller clusters take every step from a row, so
+    a plan with none above the threshold builds nothing.
     """
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
@@ -297,6 +369,7 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
 
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
+    index = None  # the bundle's chain index, fetched by the plan's first table walk
     sequences = []
     for cluster in cluster_plan.clusters:
         members = cluster.members
@@ -305,8 +378,13 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
         else:
             offsets = positions[list(members)] - previous_pos
             start = members[int(np.linalg.norm(offsets, axis=1).argmin())]
-            table = waypoints._chain_table if len(members) > CHAIN_TABLE_MIN_POINTS else None
-            seq = _chain(positions, table, members, start, slot)
+            if len(members) <= CHAIN_TABLE_MIN_POINTS:
+                seq = _chain(positions, None, members, start, slot)
+            else:
+                if index is None:
+                    index = waypoints._chain_index
+                    index.deepen()  # the points where earlier plans fell back
+                seq = _chain(positions, index, members, start, slot)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)

@@ -9,7 +9,8 @@ origin (large rounding in the differences), very tight spreads, and a shell
 of points at exactly one distance whose rounded distances the tree and the
 row order differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the
 row-only and the table walk run. The same layouts, cut into interleaved
-clusters that walk one shared table, check plan_waypoints' per-cluster walk.
+clusters that walk one shared table, check plan_waypoints' per-cluster walk,
+and replanned on one bundle, the deep rows that its later plans walk.
 """
 
 import itertools
@@ -18,9 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_waypoints
+from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
 from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
-                                 distance_matrix, greedy_chain, greedy_sequence)
+                                 distance_matrix, greedy_chain, greedy_sequence, plan_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -108,8 +111,31 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
             continue
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
-        table = bundle._chain_table if len(members) > CHAIN_TABLE_MIN_POINTS else None
-        order = _chain(bundle.positions, table, members, members[local_start], slot)
+        index = bundle._chain_index if len(members) > CHAIN_TABLE_MIN_POINTS else None
+        order = _chain(bundle.positions, index, members, members[local_start], slot)
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(KINDS + ("shell",)), n=st.integers(2, MAX_POINTS),
+       seed=st.integers(0, 2**32 - 1),
+       replans=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2**16)),
+                        min_size=3, max_size=6))
+def test_replans_on_deep_rows_match_fresh_plans_and_matrix_greedy(kind, n, seed, replans):
+    # one bundle replanned with other seeds and k: from the second plan on it
+    # walks deep rows for the points where earlier plans fell back, and each
+    # plan must still equal a fresh bundle's, which has none, and the matrix
+    # greedy per cluster; a shell's equal distances test the tie rule in a deep row
+    rng = np.random.default_rng(seed)
+    pts = shell(n // 2, rng)[0] if kind == "shell" else cloud(kind, n, rng)
+    bundle = make_waypoints(pts)
+    for k, plan_seed in replans:
+        params = ClusterParams(k=k, seed=plan_seed)
+        plan = plan_waypoints(bundle, params)
+        assert plan.sequences == plan_waypoints(make_waypoints(pts), params).sequences
+        for seq in plan.sequences:
+            members = sorted(seq)
+            expected = greedy_sequence(distance_matrix(pts[members]), members.index(seq[0]))
+            assert list(seq) == [members[i] for i in expected]

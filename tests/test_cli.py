@@ -325,21 +325,40 @@ def test_importing_the_cli_loads_no_scipy():
     assert _fresh_python(code) == "[]"
 
 
-@pytest.mark.parametrize("algorithm", ["baseline", "cluster", "greedy"])
-def test_timed_plan_call_imports_nothing(bundled_layout_path, algorithm):
+@pytest.mark.parametrize("command,n,algorithm,flags", [
+    *(pytest.param("plan", 40, algorithm, [], id=algorithm)
+      for algorithm in ("baseline", "cluster", "greedy")),
+    # one cluster of 64 points: the greedy plan builds the bundle's chain index
+    pytest.param("plan", 64, "greedy", ["--k", "1"], id="greedy-64-holes-k1"),
+    pytest.param("bench", 64, "greedy", ["--k", "1", "--trials", "2"],
+                 id="bench-greedy-64-holes-k1"),
+])
+def test_timed_plan_call_imports_nothing(bundled_layout_path, tmp_path, command, n, algorithm,
+                                         flags):
     # planning_time_s times only the planner call: a module it imported on
     # first use would be counted as planning time
+    layout = bundled_layout_path if n == 40 else str(_generate(tmp_path, n=n))
+    outputs = (["--algorithm", algorithm, "--out", str(tmp_path / "plan.json")]
+               if command == "plan" else
+               ["--report", str(tmp_path / "r.csv"), "--plot-data", str(tmp_path / "p.csv")])
     code = f"""
-import sys
-from turnplan.cli import PLANNERS, _scenario, build_parser, generate_waypoints, load_part_layout
-args = build_parser().parse_args(["plan", {bundled_layout_path!r}, "--out", "unused.json"])
-scenario = _scenario(args, load_part_layout(args.layout))
-waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-before = set(sys.modules)
-PLANNERS[{algorithm!r}](waypoints, scenario)
-print(sorted(set(sys.modules) - before))
+import contextlib, io, sys
+from turnplan import cli
+plan_fn, loaded = cli.PLANNERS[{algorithm!r}], []
+
+def timed(waypoints, scenario):
+    before = set(sys.modules)
+    plan = plan_fn(waypoints, scenario)
+    loaded.append(sorted(set(sys.modules) - before))
+    return plan
+
+cli.PLANNERS[{algorithm!r}] = timed
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({[command, layout, *outputs, *flags]!r}) == 0
+print(loaded, "scipy.spatial" in sys.modules)
 """
-    assert _fresh_python(code) == "[]"
+    calls = 2 if command == "bench" else 1
+    assert _fresh_python(code) == f"{[[]] * calls} {n > 40}"
 
 
 def test_bench_rejects_zero_trials(tmp_path, capsys):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 import turnplan
 from conftest import make_waypoints
@@ -130,6 +131,11 @@ BENCH_PLOT_DATA_CSV = "38592e8206ae9b9b91998dbaa32aee6729946796759667459e5f8fb20
 # trial 1 planned, so they walk its cached table
 BENCH_4000_REPORT_CSV = "b435da7b97fdd6bb7184162ca920bea11cbf68724063ab77c84cda15355689cc"
 BENCH_4000_PLOT_DATA_CSV = "72adacf895a6f8032ce9c07a98cc526fce50be4826d53862d617239b2b1663b2"
+# the same layout with --k 5 --trials 4, recorded before deep rows existed: greedy's
+# trials 2 to 4 walk deep rows, for the points where the trials before fell back,
+# on clusters of about 800 points
+BENCH_4000_K5_REPORT_CSV = "f49df7b6d25ba3a3de5111d4d8027943beb18f3bec0364e761f22083d2c0926e"
+BENCH_4000_K5_PLOT_DATA_CSV = "27b9f643d365eaf9352d94a869a70dc920549aa5bb90082fd6e805f6a01c6727"
 
 
 @pytest.mark.parametrize("algorithm,seed", sorted(HEMISPHERE40))
@@ -168,21 +174,31 @@ def test_bench_csvs_match_golden(bundled_layout_path, tmp_path):
     assert hashlib.sha256(plot_data.read_bytes()).hexdigest() == BENCH_PLOT_DATA_CSV
 
 
-def test_4000_hole_bench_csvs_match_golden(tmp_path):
+def _bench_4000_digests(tmp_path, k, trials):
     layout, report, plot_data = tmp_path / "l.json", tmp_path / "r.csv", tmp_path / "p.csv"
     assert main(["generate", "--n", "4000", "--out", str(layout)]) == 0
-    assert main(["bench", str(layout), "--k", "60", "--trials", "3", "--report", str(report),
-                 "--plot-data", str(plot_data)]) == 0
-    assert file_digest(report) == BENCH_4000_REPORT_CSV
-    assert file_digest(plot_data) == BENCH_4000_PLOT_DATA_CSV
+    assert main(["bench", str(layout), "--k", str(k), "--trials", str(trials),
+                 "--report", str(report), "--plot-data", str(plot_data)]) == 0
+    return file_digest(report), file_digest(plot_data)
+
+
+def test_4000_hole_bench_csvs_match_golden(tmp_path):
+    assert _bench_4000_digests(tmp_path, 60, 3) == (BENCH_4000_REPORT_CSV,
+                                                    BENCH_4000_PLOT_DATA_CSV)
+
+
+def test_4000_hole_k5_bench_csvs_match_golden(tmp_path):
+    assert _bench_4000_digests(tmp_path, 5, 4) == (BENCH_4000_K5_REPORT_CSV,
+                                                   BENCH_4000_K5_PLOT_DATA_CSV)
 
 
 def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
     original, built = sequencing._certified_candidates, []
 
-    def counted(pts):
-        built.append(len(pts))
-        return original(pts)
+    def counted(tree, pts, query, width):
+        if width == sequencing.CHAIN_CANDIDATES + 1:  # the table, not a deep row
+            built.append(len(query))
+        return original(tree, pts, query, width)
 
     monkeypatch.setattr(sequencing, "_certified_candidates", counted)
     part = hemisphere_layout(4000, 0.15, seed=7)
@@ -196,6 +212,43 @@ def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
     assert built == [4000, 4000]
     _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # clusters of at most 32 points
     assert built == [4000, 4000]
+
+
+def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
+        monkeypatch, bundled_layout_path):
+    original, batches, trees = sequencing._certified_candidates, [], []
+    tree_class = scipy.spatial.cKDTree
+
+    def counted(tree, pts, query, width):
+        if width == sequencing.CHAIN_DEEP_CANDIDATES + 1:
+            batches.append(query.tolist())
+        return original(tree, pts, query, width)
+
+    def counted_tree(pts):
+        trees.append(len(pts))
+        return tree_class(pts)
+
+    monkeypatch.setattr(sequencing, "_certified_candidates", counted)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted_tree)
+    waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
+    plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
+    index = waypoints._chain_index
+    fallen = list(index.fallen)
+    assert fallen and batches == [] and not (index.deep_at >= 0).any()  # planned once: no row
+    plan_waypoints(waypoints, ClusterParams(k=60, seed=2))
+    assert batches == [fallen]  # one batch, of exactly the first plan's fallback points
+    for k, seed in ((5, 3), (60, 4), (5, 5)):
+        plan_waypoints(waypoints, ClusterParams(k=k, seed=seed))
+    deep = [point for batch in batches for point in batch]
+    assert len(deep) == len(set(deep))  # no point's deep row is built twice
+    assert sorted(deep) == np.flatnonzero(index.deep_at >= 0).tolist()
+    assert len(index.deep) == len(deep) * (sequencing.CHAIN_DEEP_CANDIDATES + 1)
+    assert trees == [4000]  # one tree per bundle, for the table and every deep row
+    assert plan_digest(plan_waypoints(waypoints, ClusterParams(k=5, seed=0))) == LARGE[5, 0]
+    batches.clear()
+    trees.clear()
+    _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # clusters of at most 32 points
+    assert batches == [] and trees == []
 
 
 @pytest.mark.parametrize("algorithm,non_default", sorted(PLAN_FILE))
