@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .angles import TWO_PI, forward_delta, wrap_angle
-from .geometry import Waypoints, _as_int, _as_real
+from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze
 
 DEFAULT_CLUSTER_COUNT = 5
 # Sector the robot can reach without moving the table: 72 degrees.
@@ -25,6 +25,8 @@ DEFAULT_ANGULAR_BOUND = TWO_PI / 5.0
 
 # Resultant-vector norm below which a set of angles has no usable mean.
 DEGENERATE_RESULTANT_TOL = 1e-9
+
+_PARTITION = "clusters must partition waypoint indices 0..N-1 exactly"
 
 
 class DegenerateMeanError(ValueError):
@@ -50,14 +52,14 @@ class ClusterParams:
 
 @dataclass(frozen=True, eq=False)
 class Cluster:
-    """A group of waypoint indices with its mean table angle."""
+    """A group of waypoint indices, a read-only np.intp array, with its mean table angle."""
 
-    members: tuple[int, ...]
+    members: np.ndarray
     mean_angle: float
 
     def __post_init__(self):
-        members = tuple(map(int, self.members))
-        if not members:
+        members = _as_indices(self.members, "members", _PARTITION)
+        if not len(members):
             raise ValueError("cluster must have at least one member")
         object.__setattr__(self, "members", members)
         angle = float(self.mean_angle)
@@ -93,9 +95,13 @@ class ClusterPlan:
             raise ValueError("rotation deltas must lie in [0, 2*pi)")
         if self.total_rotation > TWO_PI + 1e-9:
             raise ValueError("plan exceeds one turntable revolution")
-        all_members = [i for c in clusters for i in c.members]
-        if sorted(all_members) != list(range(len(all_members))):
-            raise ValueError("clusters must partition waypoint indices 0..N-1 exactly")
+        members = np.concatenate([c.members for c in clusters])
+        n = len(members)
+        # range first, so that bincount allocates no more than n bins; as
+        # unsigned, a negative index is above n too
+        if not members.view(np.uintp).max() < n or \
+                np.count_nonzero(np.bincount(members, minlength=n)) != n:
+            raise ValueError(_PARTITION)
 
 
 def circular_mean(angles) -> float:
@@ -315,7 +321,9 @@ def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, counts: np.ndarra
 
 
 def _singleton_clusters(angles: np.ndarray) -> list[Cluster]:
-    return [Cluster(members=(i,), mean_angle=angle) for i, angle in enumerate(angles.tolist())]
+    points = _freeze(np.arange(len(angles)))
+    return [Cluster(members=points[i:i + 1], mean_angle=angle)
+            for i, angle in enumerate(angles.tolist())]
 
 
 def _member_mean_angle(angles: np.ndarray, members: np.ndarray) -> float:
@@ -366,9 +374,10 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
         sums = np.bincount((axis_offsets + assign).ravel(), weights=coords, minlength=3 * k)
         centroids = (sums.reshape(3, k) / counts).T
 
-    members = np.split(np.argsort(assign, kind="stable"), np.cumsum(counts)[:-1])
-    return [Cluster(members=m.tolist(), mean_angle=_member_mean_angle(angles, m))
-            for m in members]
+    # each cluster's members are a read-only slice of one stable argsort
+    by_cluster = _freeze(np.argsort(assign, kind="stable"))
+    members = np.split(by_cluster, np.cumsum(counts)[:-1])
+    return [Cluster(members=m, mean_angle=_member_mean_angle(angles, m)) for m in members]
 
 
 def order_clusters(clusters, start_angle: float) -> ClusterPlan:

@@ -79,6 +79,26 @@ def _as_real(value, name: str) -> float:
     raise ValueError(f"{name} must be finite and real, got {value!r}")
 
 
+def _as_indices(values, name: str, out_of_range: str) -> np.ndarray:
+    """`values` as a read-only 1-D np.intp array; numpy integers pass, bools and the rest raise.
+
+    A read-only 1-D np.intp array is returned as it is, a writable one copied;
+    anything else is checked value by value. An integer beyond np.intp raises
+    `out_of_range`, since no index set can hold it.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.intp and values.ndim == 1:
+        return _freeze(values.copy()) if values.flags.writeable else values
+    values = list(values.tolist() if isinstance(values, np.ndarray) else values)
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            bad = next(v for v in values if type(v) is kind)
+            raise ValueError(f"{name} must be integers, got {bad!r}")
+    try:
+        return _freeze(np.array(values, dtype=np.intp))
+    except OverflowError:
+        raise ValueError(out_of_range) from None
+
+
 @dataclass(frozen=True, eq=False)
 class Pose:
     """End-effector target position (m); a bundle row view."""

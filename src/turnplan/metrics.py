@@ -45,7 +45,7 @@ def ssp_distance(plan: Plan, positions) -> float:
     # a Plan visits 0..n_points-1 once each, so only the count needs checking
     if plan.n_points != len(pts):
         raise ValueError("plan does not cover exactly the supplied positions")
-    path = pts[list(plan.flattened_order)]
+    path = pts[plan.flattened_order]
     return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
 
 

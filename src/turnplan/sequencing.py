@@ -7,7 +7,6 @@ All path lengths are open: the robot is not required to return to its start.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
-from .geometry import Waypoints, _as_int, _as_real, _as_vector3
+from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _freeze
 
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
@@ -108,11 +107,13 @@ def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) 
     certified entry that is open is strictly nearer than every open point
     off the list, and among listed points the (distance, index) order is
     argmin's rule: least distance, ties to the lowest index. It is the
-    argmin of the open points' distance row. Nothing here depends on which
-    point is queried or on how many are listed. The bounds assume no
-    overflow or underflow: the caller rejects coordinates of 2^500 or more,
-    and a row with d_i < 2^-500 certifies nothing, as does a row with
-    d_i = 0 (more than `width` coincident copies).
+    argmin of the open points' distance row. Only the rows the tree returned
+    out of that order are lexsorted: a row's indices are distinct, so a row
+    whose adjacent pairs are all in order is already its lexsort. Nothing
+    here depends on which point is queried or on how many are listed. The
+    bounds assume no overflow or underflow: the caller rejects coordinates
+    of 2^500 or more, and a row with d_i < 2^-500 certifies nothing, as does
+    a row with d_i = 0 (more than `width` coincident copies).
     """
     here = pts[query]
     near = tree.query(here, width)[1]
@@ -122,9 +123,13 @@ def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) 
     dist = np.einsum("ij,ij->i", diff, diff).reshape(near.shape)
     del diff  # the largest temporary: free it before the rows are built
     np.sqrt(dist, out=dist)
-    by_distance = np.lexsort((near, dist))
-    near = np.take_along_axis(near, by_distance, axis=1)
-    dist = np.take_along_axis(dist, by_distance, axis=1)
+    # lexsort only the rows the tree returned out of (distance, index) order
+    step, before = dist[:, 1:], dist[:, :-1]
+    unsorted = (step < before) | ((step == before) & (near[:, 1:] < near[:, :-1]))
+    if len(rows := unsorted.any(axis=1).nonzero()[0]):
+        by_distance = np.lexsort((near[rows], dist[rows]))
+        near[rows] = np.take_along_axis(near[rows], by_distance, axis=1)
+        dist[rows] = np.take_along_axis(dist[rows], by_distance, axis=1)
     d_max = dist[:, -1:]
     limit = np.where(d_max >= 2.0**-500, d_max * _CERTIFICATE, 0.0)
     # an uncertified slot names the row's own point, which the walk has
@@ -175,10 +180,11 @@ class _ChainIndex:
 
 
 def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
-           slot: list[int]) -> list[int]:
+           slot: list[int], remaining: np.ndarray) -> list[int]:
     """The greedy chain over the points `members` of `pts`, from member `start`.
 
-    Indices in and out are rows of `pts`. `index` is a `_ChainIndex` over
+    Indices in and out are rows of `pts`; `remaining` is pts[members], a
+    copy that the walk overwrites. `index` is a `_ChainIndex` over
     all of `pts`, or None to take every step from a distance row. `slot` is
     a list of len(pts) zeros, shared by every cluster of a plan: the walk
     stores each open member's position in `members` plus one there and
@@ -203,7 +209,6 @@ def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
         deep_width, fallen = index.deep_width, index.fallen
     for local, point in enumerate(members):
         slot[point] = local + 1
-    remaining = pts[list(members)]  # visited members overwritten with inf before each row
     diff = np.empty_like(remaining)
     dist = np.empty(len(remaining))
     closed = []  # members visited since the last distance row, by position in `members`
@@ -264,7 +269,11 @@ def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
     if not np.abs(pts).max() < 2.0**500:
         raise ValueError("positions must be finite and below 2**500 in magnitude")
     index = _ChainIndex(pts) if m > CHAIN_TABLE_MIN_POINTS else None
-    return tuple(_chain(pts, index, range(m), start, [0] * m))
+    return tuple(_chain(pts, index, range(m), start, [0] * m, pts.copy()))
+
+
+_REORDER = "each sequence must reorder exactly its cluster's members"
+_CONCATENATE = "flattened_order must concatenate the per-cluster sequences"
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,29 +282,42 @@ class Plan:
 
     Each sequence reorders its cluster's members and `flattened_order`
     concatenates the sequences; as the `ClusterPlan` partitions 0..N-1, the
-    plan visits every waypoint exactly once.
+    plan visits every waypoint exactly once. Each sequence and
+    `flattened_order` is a read-only np.intp array.
     """
 
     cluster_plan: ClusterPlan
-    sequences: tuple[tuple[int, ...], ...]
-    flattened_order: tuple[int, ...]
+    sequences: tuple[np.ndarray, ...]
+    flattened_order: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.cluster_plan, ClusterPlan):
             raise TypeError(f"cluster_plan must be a ClusterPlan, "
                             f"got {type(self.cluster_plan).__name__}")
-        sequences = tuple(tuple(map(int, seq)) for seq in self.sequences)
-        order = tuple(itertools.chain.from_iterable(sequences))
-        flattened = tuple(self.flattened_order)
+        sequences = tuple(_as_indices(seq, "sequences", _REORDER) for seq in self.sequences)
         object.__setattr__(self, "sequences", sequences)
-        object.__setattr__(self, "flattened_order", order)  # once checked equal below
-        if len(sequences) != len(self.cluster_plan.clusters):
+        clusters = self.cluster_plan.clusters
+        if len(sequences) != len(clusters):
             raise ValueError("need one sequence per cluster")
-        for seq, cluster in zip(sequences, self.cluster_plan.clusters):
-            if sorted(seq) != sorted(cluster.members):
-                raise ValueError("each sequence must reorder exactly its cluster's members")
-        if flattened != order and tuple(map(int, flattened)) != order:
-            raise ValueError("flattened_order must concatenate the per-cluster sequences")
+        # as the clusters partition 0..N-1, each sequence reorders its
+        # cluster's members when it has their count, every index lies in its
+        # own cluster, and no index repeats
+        sizes = [len(c.members) for c in clusters]
+        order = np.concatenate(sequences)
+        n = len(order)
+        # as unsigned, a negative index is above n too
+        if sizes != list(map(len, sequences)) or not order.view(np.uintp).max() < n:
+            raise ValueError(_REORDER)
+        own = np.arange(len(clusters)).repeat(sizes)  # the cluster of each visit
+        labels = np.empty(n, dtype=np.intp)  # the cluster of each waypoint
+        labels[np.concatenate([c.members for c in clusters])] = own
+        if np.count_nonzero(labels[order] != own) or \
+                np.count_nonzero(np.bincount(order, minlength=n)) != n:
+            raise ValueError(_REORDER)
+        flattened = _as_indices(self.flattened_order, "flattened_order", _CONCATENATE)
+        if not np.array_equal(flattened, order):
+            raise ValueError(_CONCATENATE)
+        object.__setattr__(self, "flattened_order", _freeze(order))
 
     @property
     def n_points(self) -> int:
@@ -304,7 +326,7 @@ class Plan:
 
 def _make_plan(cluster_plan: ClusterPlan, sequences: list) -> Plan:
     return Plan(cluster_plan=cluster_plan, sequences=sequences,
-                flattened_order=tuple(itertools.chain.from_iterable(sequences)))
+                flattened_order=np.concatenate(sequences))
 
 
 def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
@@ -326,7 +348,8 @@ def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
     # a sector is served at its center angle; served by its start instead, a
     # plan can exceed one revolution when the start angle sits in a sector's
     # second half
-    clusters = [Cluster(members=members, mean_angle=wrap_angle(sector * width + width / 2.0))
+    clusters = [Cluster(members=np.array(members),
+                        mean_angle=wrap_angle(sector * width + width / 2.0))
                 for sector, members in sorted(bins.items())]
     cluster_plan = order_clusters(clusters, start_angle)
     return _make_plan(cluster_plan, [c.members for c in cluster_plan.clusters])
@@ -372,19 +395,21 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     index = None  # the bundle's chain index, fetched by the plan's first table walk
     sequences = []
     for cluster in cluster_plan.clusters:
-        members = cluster.members
-        if within_cluster == "input" or len(members) == 1:
-            seq = members
-        else:
-            offsets = positions[list(members)] - previous_pos
-            start = members[int(np.linalg.norm(offsets, axis=1).argmin())]
+        seq = cluster.members
+        if within_cluster == "greedy" and len(seq) > 1:
+            local = positions[seq]  # picks the start, then the walk overwrites it
+            offsets = local - previous_pos
+            # np.linalg.norm(offsets, axis=1)'s own expression, so ties break as with it
+            start = int(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).argmin())
+            members = seq.tolist()
             if len(members) <= CHAIN_TABLE_MIN_POINTS:
-                seq = _chain(positions, None, members, start, slot)
+                walk = _chain(positions, None, members, members[start], slot, local)
             else:
                 if index is None:
                     index = waypoints._chain_index
                     index.deepen()  # the points where earlier plans fell back
-                seq = _chain(positions, index, members, start, slot)
+                walk = _chain(positions, index, members, members[start], slot, local)
+            seq = _freeze(np.array(walk, dtype=np.intp))
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)
@@ -413,7 +438,7 @@ def save_plan(plan: Plan, waypoints: Waypoints, path: str | os.PathLike) -> None
         for cluster_index, (sequence, delta) in enumerate(
                 zip(plan.sequences, plan.cluster_plan.rotation_deltas)):
             rotation = delta
-            for i in sequence:
+            for i in sequence.tolist():
                 fh.write(separator)
                 fh.write(_RECORD % (i, cluster_index, *positions[i], angles[i], rotation))
                 separator, rotation = ",\n", 0.0

@@ -30,14 +30,14 @@ def test_hemisphere_scenario_shapes():
 def test_clustering_only_plan_single_hole():
     scenario = Scenario(part=hemisphere_layout(1, 0.1, seed=0))
     plan = _cluster_only_plan(scenario)
-    assert plan.flattened_order == (0,)
+    assert plan.flattened_order.tolist() == [0]
 
 
 def test_clustering_only_plan_deterministic():
     scenario = hemisphere_scenario()
     a = _cluster_only_plan(scenario, seed=4)
     b = _cluster_only_plan(scenario, seed=4)
-    assert a.flattened_order == b.flattened_order
+    assert np.array_equal(a.flattened_order, b.flattened_order)
 
 
 def test_clustering_only_sits_between_baseline_and_greedy():

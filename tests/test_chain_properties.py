@@ -10,7 +10,9 @@ of points at exactly one distance whose rounded distances the tree and the
 row order differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the
 row-only and the table walk run. The same layouts, cut into interleaved
 clusters that walk one shared table, check plan_waypoints' per-cluster walk,
-and replanned on one bundle, the deep rows that its later plans walk.
+and replanned on one bundle, the deep rows that its later plans walk. The
+certified rows themselves are checked against a full (distance, index)
+lexsort, which they skip for rows the tree already lists in that order.
 """
 
 import itertools
@@ -18,12 +20,14 @@ import itertools
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import make_waypoints
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
-from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
-                                 distance_matrix, greedy_chain, greedy_sequence, plan_waypoints)
+from turnplan.sequencing import (_CERTIFICATE, CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
+                                 _certified_candidates, distance_matrix, greedy_chain,
+                                 greedy_sequence, plan_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -92,6 +96,56 @@ def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
     assert greedy_chain(pts, start) == expected
 
 
+def _lexsorted_rows(tree, pts: np.ndarray, query: np.ndarray, width: int):
+    """The certified rows with every row lexsorted by (distance, index), and the rows as
+    the tree returned them, whose einsum distances `_certified_candidates` reads."""
+    near = tree.query(pts[query], width)[1]
+    diff = (pts[query][:, None, :] - pts[near]).reshape(-1, 3)
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(near.shape)
+    by_distance = np.lexsort((near, dist))
+    rows = np.take_along_axis(near, by_distance, axis=1)
+    row_dist = np.take_along_axis(dist, by_distance, axis=1)
+    limit = np.where(row_dist[:, -1:] >= 2.0**-500, row_dist[:, -1:] * _CERTIFICATE, 0.0)
+    return np.where(row_dist < limit, rows, query[:, None]), near, dist
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(KINDS + ("shell",)), n=st.integers(2, MAX_POINTS),
+       seed=st.integers(0, 2**32 - 1), query_fraction=st.floats(0.0, 1.0),
+       width_fraction=st.floats(0.0, 1.0))
+def test_certified_rows_equal_a_full_lexsort(kind, n, seed, query_fraction, width_fraction):
+    # _certified_candidates lexsorts only the rows the tree returned out of
+    # (distance, index) order: lattices, duplicates and shells hold ties the
+    # tree lists out of index order
+    rng = np.random.default_rng(seed)
+    pts = shell(n // 2, rng)[0] if kind == "shell" else cloud(kind, n, rng)
+    query = rng.permutation(len(pts))[:max(1, int(query_fraction * len(pts)))]
+    width = 2 + int(width_fraction * (len(pts) - 2))
+    tree = cKDTree(pts)
+    expected = _lexsorted_rows(tree, pts, query, width)[0]
+    assert np.array_equal(_certified_candidates(tree, pts, query, width), expected)
+
+
+class _ReversingTree:
+    """A cKDTree whose query lists each row's other neighbours farthest first."""
+
+    def __init__(self, pts: np.ndarray):
+        self.tree = cKDTree(pts)
+
+    def query(self, x, k):
+        dist, near = self.tree.query(x, k)
+        return dist, np.concatenate([near[:, :1], near[:, :0:-1]], axis=1)
+
+
+def test_certified_rows_sort_rows_listed_out_of_distance_order():
+    # distinct distances, so only the distance comparison flags these rows
+    pts = cloud("normal", 60, np.random.default_rng(2))
+    tree, query = _ReversingTree(pts), np.arange(60)
+    expected, _, listed_dist = _lexsorted_rows(tree, pts, query, 9)
+    assert (np.diff(listed_dist, axis=1) < 0.0).any(axis=1).all()
+    assert np.array_equal(_certified_candidates(tree, pts, query, 9), expected)
+
+
 @PROPERTY_SETTINGS
 @given(kind=st.sampled_from(KINDS + ("shell",)), n=st.integers(1, MAX_POINTS),
        parts=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -112,7 +166,8 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
         index = bundle._chain_index if len(members) > CHAIN_TABLE_MIN_POINTS else None
-        order = _chain(bundle.positions, index, members, members[local_start], slot)
+        order = _chain(bundle.positions, index, members, members[local_start], slot,
+                       pts[members])
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)
@@ -134,7 +189,8 @@ def test_replans_on_deep_rows_match_fresh_plans_and_matrix_greedy(kind, n, seed,
     for k, plan_seed in replans:
         params = ClusterParams(k=k, seed=plan_seed)
         plan = plan_waypoints(bundle, params)
-        assert plan.sequences == plan_waypoints(make_waypoints(pts), params).sequences
+        fresh = plan_waypoints(make_waypoints(pts), params)
+        assert [s.tolist() for s in plan.sequences] == [s.tolist() for s in fresh.sequences]
         for seq in plan.sequences:
             members = sorted(seq)
             expected = greedy_sequence(distance_matrix(pts[members]), members.index(seq[0]))

@@ -76,7 +76,7 @@ def test_cluster_points_singleton():
     wps = make_waypoints([(0.2, 0.1, 0.0)])
     clusters = cluster_points(wps, ClusterParams(k=1, seed=0))
     assert len(clusters) == 1
-    assert clusters[0].members == (0,)
+    assert clusters[0].members.tolist() == [0]
     assert clusters[0].mean_angle == wps.table_angles[0]
 
 
@@ -93,7 +93,7 @@ def test_cluster_points_deterministic_for_fixed_seed():
     wps = make_waypoints(hemisphere_layout(40, 0.15, seed=7).origins)
     a = cluster_points(wps, ClusterParams(k=5, seed=9))
     b = cluster_points(wps, ClusterParams(k=5, seed=9))
-    assert [c.members for c in a] == [c.members for c in b]
+    assert [c.members.tolist() for c in a] == [c.members.tolist() for c in b]
     assert [c.mean_angle for c in a] == [c.mean_angle for c in b]
 
 
@@ -137,7 +137,7 @@ def test_cluster_points_rejects_non_finite_angles(bad):
 def test_cluster_points_fewer_points_than_k_gives_singletons():
     wps = make_waypoints([(0.1, 0.0, 0.0), (0.0, 0.2, 0.0), (0.0, 0.0, 0.3)])
     clusters = cluster_points(wps, ClusterParams(k=5, seed=1))
-    assert [c.members for c in clusters] == [(0,), (1,), (2,)]
+    assert [c.members.tolist() for c in clusters] == [[0], [1], [2]]
     assert [c.mean_angle for c in clusters] == wps.table_angles.tolist()
 
 
@@ -187,7 +187,7 @@ def test_cluster_mean_angle_is_about_a_tilted_off_centre_axis():
         assert cluster.mean_angle == circular_mean(wps.table_angles[list(cluster.members)])
     # the same positions with angles in the xy plane: same members, other angles
     in_xy_plane = cluster_points(make_waypoints(wps.positions), params)
-    assert [c.members for c in in_xy_plane] == [c.members for c in clusters]
+    assert [c.members.tolist() for c in in_xy_plane] == [c.members.tolist() for c in clusters]
     assert all(a.mean_angle != b.mean_angle for a, b in zip(in_xy_plane, clusters))
 
 
@@ -250,3 +250,36 @@ def test_cluster_plan_rejects_excess_rotation():
     clusters = (_singleton(0, 0.1), _singleton(1, 0.2))
     with pytest.raises(ValueError):
         ClusterPlan(clusters=clusters, rotation_deltas=(5.0, 5.0))
+
+
+@pytest.mark.parametrize("members", [(0.9,), (1.7, True, np.True_), (True,), (np.True_,),
+                                     (0, 1.0), (np.float64(2.0),), ("1",),
+                                     np.array([0.0, 1.0]), np.array([True, False])])
+def test_cluster_rejects_non_integer_members(members):
+    with pytest.raises(ValueError, match="^members must be integers, got"):
+        Cluster(members=members, mean_angle=0.5)
+
+
+@pytest.mark.parametrize("members", [(-1, 0), (0, 2), (0, 0), (0, 2**70), (0, 2**63)])
+def test_cluster_plan_rejects_indices_outside_a_partition(members):
+    # an index beyond np.intp cannot be held, and gets the partition's message too
+    with pytest.raises(ValueError, match="^clusters must partition waypoint indices 0..N-1"):
+        ClusterPlan(clusters=(Cluster(members=members, mean_angle=0.5),),
+                    rotation_deltas=(0.5,))
+
+
+def test_cluster_members_are_read_only_index_arrays():
+    wps = make_waypoints(hemisphere_layout(40, 0.15, seed=7).origins)
+    clusters = cluster_points(wps, ClusterParams(k=5, seed=9)) + cluster_points(
+        make_waypoints([(0.1, 0.0, 0.0), (0.0, 0.2, 0.0)]), ClusterParams(k=5, seed=1))
+    clusters.append(Cluster(members=[3, np.int32(1), np.uint64(2)], mean_angle=0.5))
+    for cluster in clusters:
+        assert cluster.members.dtype == np.intp and cluster.members.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            cluster.members[0] = 0
+    assert clusters[-1].members.tolist() == [3, 1, 2]
+    # a writable array is copied, so the caller's later writes do not reach the cluster
+    source = np.array([4, 5])
+    cluster = Cluster(members=source, mean_angle=0.5)
+    source[0] = 0
+    assert cluster.members.tolist() == [4, 5] and source.flags.writeable

@@ -281,7 +281,7 @@ def test_plan_file_is_the_json_module_s_indent_2_encoding(tmp_path):
     records = []
     for cluster_index, (sequence, delta) in enumerate(
             zip(plan.sequences, plan.cluster_plan.rotation_deltas)):
-        for position_in_cluster, i in enumerate(sequence):
+        for position_in_cluster, i in enumerate(sequence.tolist()):
             records.append({"waypoint_index": i, "cluster_index": cluster_index,
                             "position": rows[i], "table_angle": angles[i],
                             "rotation_before": delta if position_in_cluster == 0 else 0.0})

@@ -130,7 +130,7 @@ def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed, upkeep):
     with _bounds_kept_from(upkeep):
         clusters = cluster_points(make_waypoints(points), params)
     members = [(i,) for i in range(n)] if n <= k else _lloyd(points, k, max_iterations, seed)
-    assert [c.members for c in clusters] == members
+    assert [tuple(c.members.tolist()) for c in clusters] == members
 
 
 def _exact_gaps(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,13 +188,13 @@ def test_baseline_single_occupied_sector():
     wps = _ring_waypoints([10.0, 10.0, 10.0])
     plan = baseline_angle_sequence(wps, groups=5)
     assert len(plan.cluster_plan.clusters) == 1
-    assert plan.flattened_order == (0, 1, 2)  # input order kept
+    assert plan.flattened_order.tolist() == [0, 1, 2]  # input order kept
 
 
 def test_baseline_hand_binning():
     wps = _ring_waypoints([10.0, 80.0, 100.0])
     plan = baseline_angle_sequence(wps, groups=5)
-    assert plan.sequences == ((0,), (1, 2))
+    assert [s.tolist() for s in plan.sequences] == [[0], [1, 2]]
 
 
 def test_baseline_deterministic():
@@ -201,7 +202,7 @@ def test_baseline_deterministic():
     wps = make_waypoints(rng.uniform(-1, 1, (25, 3)))
     a = baseline_angle_sequence(wps)
     b = baseline_angle_sequence(wps)
-    assert a.flattened_order == b.flattened_order
+    assert np.array_equal(a.flattened_order, b.flattened_order)
     assert a.cluster_plan.rotation_deltas == b.cluster_plan.rotation_deltas
 
 
@@ -248,8 +249,8 @@ def test_baseline_huge_groups_give_one_cluster_per_occupied_sector(bundled_layou
 def test_pipeline_single_hole():
     part = hemisphere_layout(1, 0.1, seed=0)
     plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(seed=0))
-    assert plan.flattened_order == (0,)
-    assert plan.sequences == ((0,),)
+    assert plan.flattened_order.tolist() == [0]
+    assert [s.tolist() for s in plan.sequences] == [[0]]
 
 
 def test_pipeline_covers_all_waypoints_within_one_revolution():
@@ -263,7 +264,7 @@ def test_pipeline_deterministic_for_fixed_seed():
     part = hemisphere_layout(40, 0.15, seed=7)
     a = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(seed=21))
     b = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(seed=21))
-    assert a.flattened_order == b.flattened_order
+    assert np.array_equal(a.flattened_order, b.flattened_order)
 
 
 def test_pipeline_greedy_never_beats_exact_oracle():
@@ -296,7 +297,7 @@ def test_plan_waypoints_input_mode_keeps_member_order():
     wps = make_waypoints(rng.uniform(-1, 1, (20, 3)))
     plan = plan_waypoints(wps, ClusterParams(k=4, seed=2), within_cluster="input")
     for seq, cluster in zip(plan.sequences, plan.cluster_plan.clusters):
-        assert seq == cluster.members
+        assert np.array_equal(seq, cluster.members)
 
 
 def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
@@ -308,7 +309,7 @@ def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
 
 def _plan_key(plan):
     """What a golden plan digest hashes: the visit order and the rotations."""
-    return plan.flattened_order, plan.cluster_plan.rotation_deltas
+    return plan.flattened_order.tolist(), plan.cluster_plan.rotation_deltas
 
 
 def _hemisphere_waypoints(n=12, layout_seed=0, radius=0.15, standoff=0.05, attack=0.0):
@@ -425,6 +426,45 @@ def test_plan_validation_names_each_fault(fault, message):
     }[fault]
     with pytest.raises(ValueError, match=message):
         Plan(cluster_plan=plan.cluster_plan, sequences=sequences, flattened_order=flattened)
+
+
+@pytest.mark.parametrize("sequences,flattened,message", [
+    (((1.2, 0.0),), (1, 0), "^sequences must be integers, got 1.2"),
+    (((1, True),), (1, 0), "^sequences must be integers, got True"),
+    (((np.True_, 0),), (1, 0), "^sequences must be integers, got np.True_"),
+    ((np.array([1.0, 0.0]),), (1, 0), "^sequences must be integers, got 1.0"),
+    (((1, 0),), (1.0, 0.0), "^flattened_order must be integers, got 1.0"),
+    (((1, 0),), (True, 0), "^flattened_order must be integers, got True"),
+], ids=["float", "bool", "numpy_bool", "float_array", "float_order", "bool_order"])
+def test_plan_rejects_non_integer_indices(sequences, flattened, message):
+    plan = plan_waypoints(make_waypoints([(1, 0, 0), (0, 1, 0)]), ClusterParams(k=1, seed=0))
+    with pytest.raises(ValueError, match=message):
+        Plan(cluster_plan=plan.cluster_plan, sequences=sequences, flattened_order=flattened)
+
+
+@pytest.mark.parametrize("within_cluster", ["greedy", "input"])
+def test_plan_records_are_read_only_index_arrays(within_cluster):
+    part = hemisphere_layout(400, 0.15, seed=4)
+    plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(k=3, seed=1),
+                          within_cluster=within_cluster)
+    assert any(len(seq) > CHAIN_TABLE_MIN_POINTS for seq in plan.sequences)
+    for record in (*plan.sequences, plan.flattened_order):
+        assert record.dtype == np.intp and record.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            record[0] = 0
+
+
+def test_a_plan_rebuilt_from_numpy_integer_tuples_equals_the_planner_s():
+    # how a caller holding plain tuples rebuilds a plan: they must give the same record
+    part = hemisphere_layout(400, 0.15, seed=4)
+    plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(k=3, seed=1))
+    sequences = [list(s) for s in plan.sequences]
+    rebuilt = replace(plan, sequences=tuple(map(tuple, sequences)),
+                      flattened_order=tuple(i for s in sequences for i in s))
+    assert isinstance(sequences[0][0], np.int64)
+    assert [s.tolist() for s in rebuilt.sequences] == [s.tolist() for s in plan.sequences]
+    assert np.array_equal(rebuilt.flattened_order, plan.flattened_order)
+    assert rebuilt.flattened_order.dtype == np.intp and not rebuilt.flattened_order.flags.writeable
 
 
 def test_plan_rejects_a_stand_in_cluster_plan():
