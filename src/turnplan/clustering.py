@@ -62,7 +62,7 @@ class Cluster:
         if not len(members):
             raise ValueError("cluster must have at least one member")
         object.__setattr__(self, "members", members)
-        angle = float(self.mean_angle)
+        angle = _as_real(self.mean_angle, "mean_angle")
         if not 0.0 <= angle < TWO_PI:
             raise ValueError(f"mean_angle must lie in [0, 2*pi), got {angle!r}")
         object.__setattr__(self, "mean_angle", angle)
@@ -83,7 +83,7 @@ class ClusterPlan:
 
     def __post_init__(self):
         clusters = tuple(self.clusters)
-        deltas = tuple(float(d) for d in self.rotation_deltas)
+        deltas = tuple(_as_real(d, "rotation_deltas") for d in self.rotation_deltas)
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "rotation_deltas", deltas)
         object.__setattr__(self, "total_rotation", sum(deltas))
@@ -344,7 +344,7 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     own cluster.
     """
     points, angles = waypoints.positions, waypoints.table_angles
-    # the bound greedy_chain uses: beyond it squared distances overflow
+    # the bound the greedy chain needs: beyond it squared distances overflow
     if not np.abs(points).max() < 2.0**500:
         raise ValueError("positions must be finite and below 2**500 in magnitude")
 

@@ -212,7 +212,7 @@ class Waypoints:
 
         Built by the first plan whose cluster needs it and kept as long as
         the bundle: every cluster and every later plan of this bundle walks
-        the same tree, table and deep rows.
+        the same tree and certified rows.
         """
         from .sequencing import _ChainIndex  # sequencing imports this module
         return _ChainIndex(self.positions)
@@ -374,11 +374,14 @@ def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:
 def load_part_layout(path: str | os.PathLike) -> PartModel:
     """Load a part layout written by save_part_layout, revalidating every frame.
 
-    Malformed documents (missing fields, wrong JSON types, invalid frames)
-    raise ValueError.
+    Malformed documents (missing fields, wrong JSON types, invalid frames,
+    nesting too deep for the decoder) raise ValueError.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"layout file {path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"layout file {path} must hold a JSON object, got {type(doc).__name__}")
     try:

@@ -139,20 +139,22 @@ def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) 
 
 
 class _ChainIndex:
-    """One point set's certified candidate lists for the greedy chain: a tree, a table, deep rows.
+    """One point set's certified candidate rows for the greedy chain, in one flat store.
 
-    The cKDTree over all the points is built once and kept. `table` holds
-    every point's CHAIN_CANDIDATES + 1 certified candidates, flattened. A
-    walk whose table entries are used up tries the point's deep row, its
-    CHAIN_DEEP_CANDIDATES + 1 certified candidates, before it takes a
-    distance row. Deep rows exist only for points where an earlier walk fell
-    back: `_chain` records such a point in `fallen`, and `deepen` builds the
-    rows of every recorded point in one tree query. Point i's deep row
-    starts at deep_at[i] in the flat `deep`, or deep_at[i] is -1. A point
-    with a deep row is never recorded again, so no row is built twice.
-    Memory is at most N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 3)
-    indices for N points. A `Waypoints` bundle keeps one index as long as
-    the bundle lives (`Waypoints._chain_index`).
+    The cKDTree over all the points is built once and kept. Point i's row is
+    rows[at[i]:end[i]]: at first its CHAIN_CANDIDATES + 1 certified
+    candidates (the table), which `_chain` scans before it takes a distance
+    row. A walk that takes a distance row at a point whose row is still
+    table-wide records the point in `fallen`, and `deepen` builds the rows of
+    every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in one tree query;
+    it appends them to `rows` and repoints `at` and `end`, so a deepened
+    point's row replaces its table row. Either row's first open certified
+    entry is the argmin over the open members (see `_certified_candidates`),
+    so the walk does not depend on which row a point has. A deepened point
+    is never recorded again, so no row is built twice. Memory is at most
+    N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 4) indices for N points. A
+    `Waypoints` bundle keeps one index as long as the bundle lives
+    (`Waypoints._chain_index`).
     """
 
     def __init__(self, pts: np.ndarray):
@@ -163,20 +165,21 @@ class _ChainIndex:
         self.pts = pts
         self.tree = cKDTree(pts)
         everyone = np.arange(len(pts))
-        self.table = _certified_candidates(self.tree, pts, everyone, CHAIN_CANDIDATES + 1).ravel()
-        self.deep_width = min(CHAIN_DEEP_CANDIDATES + 1, len(pts))
-        self.deep = np.empty(0, dtype=self.table.dtype)
-        self.deep_at = np.full(len(pts), -1)
+        self.rows = _certified_candidates(self.tree, pts, everyone, CHAIN_CANDIDATES + 1).ravel()
+        self.at = everyone * (CHAIN_CANDIDATES + 1)
+        self.end = self.at + (CHAIN_CANDIDATES + 1)
         self.fallen: list[int] = []
 
     def deepen(self) -> None:
-        """Build the deep rows of every point recorded in `fallen`, in one batch, and clear it."""
+        """Replace the row of every point recorded in `fallen` by its deep row, in one batch."""
         if self.fallen:
             query = np.array(self.fallen)
             self.fallen.clear()
-            rows = _certified_candidates(self.tree, self.pts, query, self.deep_width)
-            self.deep_at[query] = len(self.deep) + self.deep_width * np.arange(len(query))
-            self.deep = np.concatenate([self.deep, rows.ravel()])
+            width = min(CHAIN_DEEP_CANDIDATES + 1, len(self.pts))
+            deep = _certified_candidates(self.tree, self.pts, query, width)
+            self.at[query] = len(self.rows) + width * np.arange(len(query))
+            self.end[query] = self.at[query] + width
+            self.rows = np.concatenate([self.rows, deep.ravel()])
 
 
 def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
@@ -190,23 +193,22 @@ def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
     stores each open member's position in `members` plus one there and
     zeroes it when the member is visited, so it leaves all zeros and its
     setup costs O(m) for m members, not O(len(pts)). A step takes the
-    current point's first open table entry; entries of other clusters are
+    current point's first open certified entry; entries of other clusters are
     zero in `slot`, so they are skipped like visited ones. With none open it
-    takes the first open entry of the point's deep row, if the index holds
-    one, and otherwise records the point in `index.fallen`. With still none,
-    it computes one row of distances over the members, with every visited
+    records the point in `index.fallen` if its row is still table-wide, and
+    computes one row of distances over the members, with every visited
     member overwritten by inf (written only now, for the members closed
     since the last row), and takes the row's argmin.
     """
-    # point i's candidates fill slots [i * width, (i + 1) * width) of a flat
-    # memoryview, and its deep row [deep_at[i], deep_at[i] + deep_width):
-    # no Python object per entry
+    # point i's row is rows[at[i]:end[i]] of flat memoryviews: no Python
+    # object per entry. Without an index `at` and `end` are both `slot`, any
+    # list of len(pts): every slice of () is empty, and as end - at is 0, no
+    # point is recorded.
     if index is None:
-        width, table = 0, ()
+        rows, at, end, fallen = (), slot, slot, None
     else:
-        width, table = CHAIN_CANDIDATES + 1, memoryview(index.table)
-        deep, deep_at = memoryview(index.deep), memoryview(index.deep_at)
-        deep_width, fallen = index.deep_width, index.fallen
+        rows, at, end = memoryview(index.rows), memoryview(index.at), memoryview(index.end)
+        fallen = index.fallen
     for local, point in enumerate(members):
         slot[point] = local + 1
     diff = np.empty_like(remaining)
@@ -217,59 +219,23 @@ def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
     for _ in range(len(remaining) - 1):
         closed.append(slot[current] - 1)
         slot[current] = 0
-        row = current * width
-        for nxt in table[row:row + width]:
+        for nxt in rows[at[current]:end[current]]:
             if slot[nxt]:
                 break
-        else:  # no certified candidate left: the deep row, else one row of distances
-            nxt = -1
-            if width:
-                if (at := deep_at[current]) < 0:
-                    fallen.append(current)
-                else:
-                    for candidate in deep[at:at + deep_width]:
-                        if slot[candidate]:
-                            nxt = candidate
-                            break
-            if nxt < 0:
-                # a lone index (each step of a row-only walk) is a cheaper write than a list
-                remaining[closed[0] if len(closed) == 1 else closed] = np.inf
-                closed.clear()
-                np.subtract(pts[current], remaining, out=diff)
-                # the same einsum as distance_matrix, so each row is bitwise equal to its row
-                np.einsum("ij,ij->i", diff, diff, out=dist)
-                nxt = members[int(np.sqrt(dist, out=dist).argmin())]
+        else:  # no certified candidate left: one row of distances
+            if end[current] - at[current] == CHAIN_CANDIDATES + 1:
+                fallen.append(current)
+            # a lone index (each step of a row-only walk) is a cheaper write than a list
+            remaining[closed[0] if len(closed) == 1 else closed] = np.inf
+            closed.clear()
+            np.subtract(pts[current], remaining, out=diff)
+            # the same einsum as distance_matrix, so each row is bitwise equal to its row
+            np.einsum("ij,ij->i", diff, diff, out=dist)
+            nxt = members[int(np.sqrt(dist, out=dist).argmin())]
         order.append(nxt)
         current = nxt
     slot[current] = 0
     return order
-
-
-def greedy_chain(positions, start: int = 0) -> tuple[int, ...]:
-    """The nearest-neighbor chain of greedy_sequence(distance_matrix(positions)), matrix-free.
-
-    More than CHAIN_TABLE_MIN_POINTS points first build a `_ChainIndex`, a
-    table of certified nearest candidates (`_certified_candidates`: O(m K)
-    memory for m points, K = CHAIN_CANDIDATES). A step takes the current
-    point's first unvisited candidate, in plain Python. Only when there is
-    none does it compute one row of distances from the current point (O(m)
-    memory) and take the argmin over the unvisited points. Fewer points
-    build no table, so each of their steps is a row. Either way a step
-    picks what the distance matrix's row would: the nearest unvisited point,
-    ties to the lowest index. This is the walk `plan_waypoints` runs per
-    cluster, with all the points as one cluster. The index lives for this
-    one walk, so it builds no deep row and keeps nothing between calls.
-    Coordinates must be finite and below 2^500 in magnitude, so that no
-    squared distance overflows.
-    """
-    pts = np.array(positions, dtype=float).reshape(-1, 3)
-    m = len(pts)
-    if not 0 <= (start := _as_int(start, "start")) < m:
-        raise ValueError(f"start must lie in [0, {m}), got {start!r}")
-    if not np.abs(pts).max() < 2.0**500:
-        raise ValueError("positions must be finite and below 2**500 in magnitude")
-    index = _ChainIndex(pts) if m > CHAIN_TABLE_MIN_POINTS else None
-    return tuple(_chain(pts, index, range(m), start, [0] * m, pts.copy()))
 
 
 _REORDER = "each sequence must reorder exactly its cluster's members"
@@ -359,29 +325,20 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
                    robot_home=(0.0, 0.0, 0.0), within_cluster: str = "greedy") -> Plan:
     """Cluster waypoints, schedule the turntable, and order each cluster.
 
-    within_cluster: "greedy" runs the nearest-neighbor chain per cluster
-    (the walk of `greedy_chain`), starting at the member closest to the end
-    of the previous cluster (the robot home for the first); "input" keeps
-    members in input order (the clustering-only variant).
+    within_cluster: "greedy" runs the nearest-neighbor chain (`_chain`) per
+    cluster, starting at the member closest to the end of the previous
+    cluster (the robot home for the first); "input" keeps members in input
+    order (the clustering-only variant).
 
     A cluster of more than CHAIN_TABLE_MIN_POINTS members walks the bundle's
-    chain index (`Waypoints._chain_index`, a `_ChainIndex`: one cKDTree over
-    all N points and its certified candidate table, O(N K) memory,
-    K = CHAIN_CANDIDATES), which the first such plan of the bundle builds
-    and every later cluster and plan of that bundle reuses; it lives as long
-    as the bundle. So the first plan of a bundle pays for the table and
-    replans do not. Each step takes the current point's first open
-    certified entry, which is the argmin over the cluster's open members
-    (see `_certified_candidates`); else the first open certified entry of
-    the point's deep row, if it has one; else one distance row over the
-    members. A walk that takes a distance row at a point with no deep row
-    records the point on the index, and the next plan of the bundle builds
-    deep rows (CHAIN_DEEP_CANDIDATES wide) for every recorded point in one
-    tree query, before its first table walk. So a bundle planned once
-    builds no deep row, its second plan pays for the first plan's
-    fallbacks, and replans with other seeds take most of those steps
-    without a distance row. Smaller clusters take every step from a row, so
-    a plan with none above the threshold builds nothing.
+    chain index (`Waypoints._chain_index`, a `_ChainIndex`), which the first
+    such plan of the bundle builds and every later cluster and plan of that
+    bundle reuses. Before its first such walk, a plan deepens the rows of
+    the points where earlier plans fell back. So a bundle planned once pays
+    for the table and builds no deep row, its second plan pays for the
+    first plan's fallbacks, and replans with other seeds take most of those
+    steps without a distance row. Smaller clusters take every step from a
+    row, so a plan with none above the threshold builds nothing.
     """
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")

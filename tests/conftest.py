@@ -98,6 +98,18 @@ def make_waypoints(positions) -> Waypoints:
     return Waypoints(positions=pts, table_angles=[0.0 if a >= 2.0 * np.pi else a for a in angles])
 
 
+def chain_walk(positions, start: int) -> tuple[int, ...]:
+    """plan_waypoints' greedy walk over all the points as one cluster of a fresh bundle.
+
+    Above CHAIN_TABLE_MIN_POINTS points it walks the bundle's chain index, as
+    a plan's large cluster does; at or below, every step is a distance row.
+    """
+    bundle = make_waypoints(positions)
+    pts, m = bundle.positions, len(bundle)
+    index = bundle._chain_index if m > sequencing.CHAIN_TABLE_MIN_POINTS else None
+    return tuple(sequencing._chain(pts, index, list(range(m)), start, [0] * m, pts.copy()))
+
+
 def count_waypoint_generation(monkeypatch, delay: float = 0.0) -> list:
     """Wrap generate_waypoints in every turnplan module that binds it; each call
     sleeps `delay` seconds, then is appended to the returned list."""

@@ -1,18 +1,21 @@
-"""Property tests: greedy_chain against the distance-matrix greedy, on layouts built for ties.
+"""Property tests: the greedy chain against the distance-matrix greedy, on layouts built for ties.
 
-greedy_chain takes most steps from a table of certified nearest candidates
-and falls back to a full distance row otherwise; greedy_sequence over
-distance_matrix is the reference. The layouts are the ones where a candidate
-table could go wrong: exact ties (lattices, duplicates), more coincident
-copies of a point than the table lists (every step falls back), far from the
-origin (large rounding in the differences), very tight spreads, and a shell
-of points at exactly one distance whose rounded distances the tree and the
-row order differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the
-row-only and the table walk run. The same layouts, cut into interleaved
-clusters that walk one shared table, check plan_waypoints' per-cluster walk,
-and replanned on one bundle, the deep rows that its later plans walk. The
-certified rows themselves are checked against a full (distance, index)
-lexsort, which they skip for rows the tree already lists in that order.
+The chain (`_chain`, the walk plan_waypoints runs per cluster) takes most
+steps from a point's row of certified nearest candidates and falls back to
+a full distance row otherwise; greedy_sequence over distance_matrix is the
+reference, and `chain_walk` runs the chain over all the points as one
+cluster. The layouts are the ones where a candidate table could go wrong:
+exact ties (lattices, duplicates), more coincident copies of a point than
+the table lists (every step falls back), far from the origin (large
+rounding in the differences), very tight spreads, and a shell of points at
+exactly one distance whose rounded distances the tree and the row order
+differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the row-only
+and the table walk run. The same layouts, cut into interleaved clusters that
+walk one shared table, check plan_waypoints' per-cluster walk, and
+replanned on one bundle, the deep rows that replace the table rows of the
+points where earlier plans fell back. The certified rows themselves are
+checked against a full (distance, index) lexsort, which they skip for rows
+the tree already lists in that order.
 """
 
 import itertools
@@ -22,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import make_waypoints
+from conftest import chain_walk, make_waypoints
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
 from turnplan.sequencing import (_CERTIFICATE, CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
-                                 _certified_candidates, distance_matrix, greedy_chain,
-                                 greedy_sequence, plan_waypoints)
+                                 _certified_candidates, distance_matrix, greedy_sequence,
+                                 plan_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -65,7 +68,7 @@ def test_greedy_chain_matches_matrix_greedy_on_any_layout(kind, n, seed, start_f
     pts = cloud(kind, n, np.random.default_rng(seed))
     start = int(start_fraction * n)
     expected = greedy_sequence(distance_matrix(pts), start)
-    assert greedy_chain(pts, start) == expected
+    assert chain_walk(pts, start) == expected
 
 
 def shell(extra: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -93,7 +96,7 @@ def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
     pts, start = shell(extra, np.random.default_rng(seed))
     assert len(pts) > CHAIN_TABLE_MIN_POINTS
     expected = greedy_sequence(distance_matrix(pts), start)
-    assert greedy_chain(pts, start) == expected
+    assert chain_walk(pts, start) == expected
 
 
 def _lexsorted_rows(tree, pts: np.ndarray, query: np.ndarray, width: int):

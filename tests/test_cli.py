@@ -184,6 +184,15 @@ def test_far_out_waypoints_fail_cleanly(tmp_path, capsys, monkeypatch, command, 
     assert not written
 
 
+@pytest.mark.parametrize("command", ["plan-greedy", "bench"])
+def test_a_too_deeply_nested_layout_fails_cleanly(tmp_path, capsys, monkeypatch, command):
+    # json.load raises RecursionError, not ValueError, on an array this deep
+    layout = tmp_path / "nested.json"
+    layout.write_text('{"holes": ' + "[" * 200000)
+    code, err, written = _run_in(tmp_path, command, layout, [], capsys, monkeypatch)
+    assert (code, err, written) == (2, f"error: layout file {layout} is nested too deeply\n", set())
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_a_negative_seed_fails_cleanly(tmp_path, capsys, monkeypatch, command):
     layout = _generate(tmp_path, n=5)

@@ -260,6 +260,26 @@ def test_cluster_rejects_non_integer_members(members):
         Cluster(members=members, mean_angle=0.5)
 
 
+@pytest.mark.parametrize("value", ["0.5", "0", True, False, pytest.param(np.True_, id="numpy_bool"),
+                                   math.nan, math.inf, None])
+def test_cluster_records_reject_angles_that_are_not_real_numbers(value):
+    with pytest.raises(ValueError, match="^mean_angle must be finite and real, got"):
+        Cluster(members=(0,), mean_angle=value)
+    with pytest.raises(ValueError, match="^rotation_deltas must be finite and real, got"):
+        ClusterPlan(clusters=(_singleton(0, 0.5),), rotation_deltas=(value,))
+
+
+def test_cluster_records_store_numpy_reals_as_floats_and_keep_their_range_messages():
+    cluster = Cluster(members=(0,), mean_angle=np.float32(0.5))
+    plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(np.int64(1),))
+    assert type(cluster.mean_angle) is float and cluster.mean_angle == 0.5
+    assert type(plan.rotation_deltas[0]) is float and plan.rotation_deltas == (1.0,)
+    with pytest.raises(ValueError, match=r"^mean_angle must lie in \[0, 2\*pi\), got 7.0$"):
+        Cluster(members=(0,), mean_angle=np.float64(7.0))
+    with pytest.raises(ValueError, match=r"^rotation deltas must lie in \[0, 2\*pi\)$"):
+        ClusterPlan(clusters=(cluster,), rotation_deltas=(-0.1,))
+
+
 @pytest.mark.parametrize("members", [(-1, 0), (0, 2), (0, 0), (0, 2**70), (0, 2**63)])
 def test_cluster_plan_rejects_indices_outside_a_partition(members):
     # an index beyond np.intp cannot be held, and gets the partition's message too

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (InstanceTooLargeError, brute_force_open_path, make_waypoints,
+from conftest import (InstanceTooLargeError, brute_force_open_path, chain_walk, make_waypoints,
                       optimal_sequence, path_length)
 from turnplan.angles import TWO_PI
 from turnplan.bench import Scenario, comparison_rows, run_comparison
@@ -15,8 +15,8 @@ from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_cl
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
 from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
-                                 baseline_angle_sequence, distance_matrix, greedy_chain,
-                                 greedy_sequence, plan_waypoints, save_plan)
+                                 baseline_angle_sequence, distance_matrix, greedy_sequence,
+                                 plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
 
@@ -96,14 +96,14 @@ def test_greedy_chain_matches_matrix_greedy():
         n = int(rng.integers(1, 40))
         pts = rng.uniform(-1, 1, (n, 3))
         start = int(rng.integers(0, n))
-        assert greedy_chain(pts, start) == greedy_sequence(distance_matrix(pts), start)
+        assert chain_walk(pts, start) == greedy_sequence(distance_matrix(pts), start)
     # lattice points: many exactly equal distances, so every step is a tie-break
     lattice = np.array([(x, y, z) for x in range(4) for y in range(3) for z in range(2)], float)
     for scale in (1.0, 0.1, 0.05):
         pts = scale * lattice
         for start in range(len(pts)):
             expected = greedy_sequence(distance_matrix(pts), start)
-            assert greedy_chain(pts, start) == expected
+            assert chain_walk(pts, start) == expected
 
 
 def test_greedy_deterministic_and_scale_invariant():
@@ -121,23 +121,6 @@ def test_greedy_rejects_bad_start():
     m = distance_matrix([(0, 0, 0), (1, 0, 0)])
     with pytest.raises(ValueError):
         greedy_sequence(m, start=2)
-
-
-@pytest.mark.parametrize("n", [5, CHAIN_TABLE_MIN_POINTS + 1])
-@pytest.mark.parametrize("side", ["past_end", "negative"])
-def test_greedy_chain_rejects_bad_start(n, side):
-    pts = np.random.default_rng(13).uniform(-1, 1, (n, 3))
-    with pytest.raises(ValueError, match="start must lie in"):
-        greedy_chain(pts, start=n if side == "past_end" else -1)
-
-
-@pytest.mark.parametrize("n", [5, CHAIN_TABLE_MIN_POINTS + 1])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e160])
-def test_greedy_chain_rejects_coordinates_it_cannot_square(n, bad):
-    pts = np.random.default_rng(14).uniform(-1, 1, (n, 3))
-    pts[n // 2, 1] = bad
-    with pytest.raises(ValueError, match="positions must be finite and below"):
-        greedy_chain(pts)
 
 
 # --- exact search ----------------------------------------------------------
@@ -373,7 +356,6 @@ INTEGER_SETTINGS = {
     "hemisphere_layout.n": ("n", lambda v: _hemisphere_plan(n=v)),
     "hemisphere_layout.seed": ("seed", lambda v: _hemisphere_plan(layout_seed=v)),
     "run_comparison.trials": ("trials", lambda v: _comparison_rows(trials=v)),
-    "greedy_chain.start": ("start", lambda v: greedy_chain(CHAIN_POINTS, start=v)),
     "greedy_sequence.start": ("start", lambda v: greedy_sequence(distance_matrix(CHAIN_POINTS),
                                                                  start=v)),
 }
