@@ -130,12 +130,11 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-# Margins of the assignment step (derived in _NearestCentroid): the tie
-# margin per unit of M^2, the gap margin and the drift padding per unit of
-# M, where M = max|p|. And when keeping gap bounds pays: a skipped row saves
-# the work of about k + _ROW_PAIRS (row, centroid) pairs, and the bounds'
-# upkeep costs about _UPKEEP_PAIRS of them (both measured on a 2 vCPU Xeon).
-_TIE_TOL = 256.0 * float(np.finfo(float).eps)
+# Margins of the assignment step (derived in _NearestCentroid): the gap
+# margin and the drift padding per unit of M, where M = max|p|. And when
+# keeping gap bounds pays: a skipped row saves the work of about
+# k + _ROW_PAIRS (row, centroid) pairs, and the bounds' upkeep costs about
+# _UPKEEP_PAIRS of them (both measured on a 2 vCPU Xeon).
 _GAP_TOL = 2.0**-23
 _DRIFT_PAD = 16.0 * float(np.finfo(float).eps)
 _ROW_PAIRS = 12
@@ -150,14 +149,14 @@ class _NearestCentroid:
     Every centroid must be a mean of the points, so that |c| <= M = max|p|
     (up to the rounding of the mean, far below every margin here).
 
-    Per point the step can keep its label and a lower bound b on its gap G:
+    Every recomputed row gets its label a and a lower bound b on its gap G:
     the distance to its second-nearest centroid minus that to its nearest.
-    A call then lowers every bound by the centroids' drift since the last
-    call and recomputes only the stale rows, those with b <= 0 (all of them
-    when most are stale); the others keep their labels. Keeping bounds
-    costs a drift update, a row selection and a second matmul per
-    recomputed row, so a call keeps them for the next one only while the
-    rows it skipped, times k + _ROW_PAIRS, reach _UPKEEP_PAIRS. A call that
+    A call that keeps the bounds lets the next one lower every bound by the
+    centroids' drift since this call and recompute only the stale rows,
+    those with b <= 0 (all of them when most are stale); the others keep
+    their labels. Keeping bounds costs a drift update and a row selection
+    per call, so a call keeps them for the next one only while the rows it
+    skipped, times k + _ROW_PAIRS, reach _UPKEEP_PAIRS. A call that
     recomputes every row counts as skipping n, so fewer than
     2^15 / (k + 12) points never keep bounds, and a call that skipped too
     little hands a full recompute to the next one.
@@ -172,20 +171,11 @@ class _NearestCentroid:
     the terms' magnitudes sum to at most 2|p||c| + |c|^2 <= 3 M^2, so q_j
     is within 3u M^2 + 4u * 3 M^2 = 15u M^2 of D_j^2 - |p|^2.
 
-    Without bounds to keep, a tie scan makes it exact. The einsum value of
-    D_j^2 is off by at most 5u D_j^2 <= 20u M^2 (a rounded difference,
-    squared, then three terms), so q + |p|^2 and the einsum value differ by
-    at most B = 35u M^2 < 18 eps M^2. If every other centroid's q exceeds
-    the row's best by more than tol = _TIE_TOL * M^2 = 256 eps M^2, over
-    14 B, which also covers the rounding of best + tol, its einsum value
-    exceeds the best's too: the einsum argmin is a, uniquely, whatever
-    order and however many threads BLAS uses.
-
-    With bounds, the gap replaces the scan. For its best q and for the
-    least q of the other centroids (taken from a (k, rows) product), the
-    row gets d = fl(sqrt(max(fl(q + P), 0))), with P = fl(|p|^2) off by at
-    most 3u M^2 and the sum rounding by at most 4u M^2, so that fl(q + P)
-    is within e = 22u M^2 = 11 eps M^2 of D^2; each d is then within
+    The gap check makes it exact. For its best q and for the least q of
+    the other centroids (taken from a (k, rows) product), the row gets
+    d = fl(sqrt(max(fl(q + P), 0))), with P = fl(|p|^2) off by at most
+    3u M^2 and the sum rounding by at most 4u M^2, so that fl(q + P) is
+    within e = 22u M^2 = 11 eps M^2 of D^2; each d is then within
     sqrt(e) + 2u M of the true distance (|sqrt(x) - sqrt(y)| <= sqrt|x - y|,
     and the sqrt's own rounding), and h = fl(d_second - d_best) is within
     E = 2 sqrt(e) + 6u M = (2 sqrt(11 eps) + 3 eps) M < 9.9e-8 M of G.
@@ -193,9 +183,10 @@ class _NearestCentroid:
     > 1.19e-7 M, so that b <= G - m with m = margin - E > 2e-8 M. A row
     with b > 0 therefore has G > m > 6 eps M; as the einsum values are
     within 5u, relative, of D^2 and D_a <= 2M, every other centroid's
-    einsum value exceeds a's, so a is the einsum argmin. A row with b <= 0
-    is a near tie: it is recomputed with the exact einsum, whose argmin
-    sends ties to the lowest index, and its bound becomes -inf.
+    einsum value exceeds a's, so a is the einsum argmin, whatever order and
+    however many threads BLAS uses. A row with b <= 0 is a near tie: it is
+    recomputed with the exact einsum, whose argmin sends ties to the lowest
+    index, and its bound becomes -inf.
 
     Drift keeps b <= G - m. When centroid j moves by Delta_j, D_a grows by
     at most Delta_a and every other D_j shrinks by at most max(Delta), so
@@ -218,17 +209,15 @@ class _NearestCentroid:
         self.lifted = np.ones((n, 4))  # a row per point: (x, y, z, 1)
         self.lifted[:, :3] = points
         self.squares = np.einsum("ij,ij->i", points, points)
-        scale2 = float(self.squares.max())
-        self.tol = _TIE_TOL * scale2
-        self.margin = _GAP_TOL * math.sqrt(scale2)
-        self.pad = _DRIFT_PAD * math.sqrt(scale2)
+        scale = math.sqrt(float(self.squares.max()))
+        self.margin = _GAP_TOL * scale
+        self.pad = _DRIFT_PAD * scale
         self.coeffs = np.empty((4, k))  # a column per centroid: (-2c, |c|^2)
         self.labels = self.bounds = None
         self.centroids = None  # those of the last call, while its bounds are kept
         self._cols = np.arange(n)
         # room for the matmul outputs, (rows, k) and then (k, rows)
         self._products = np.empty(n * k)
-        self._near = self._products.reshape(n, k)
 
     def __call__(self, centroids: np.ndarray) -> np.ndarray:
         n, k = len(self.points), len(centroids)
@@ -247,63 +236,45 @@ class _NearestCentroid:
         # bounds are kept only while the rows they skip pay for their upkeep
         keep = skipped * (k + _ROW_PAIRS) >= _UPKEEP_PAIRS
         if rows is None or 2 * len(rows) > n:  # most rows stale: recompute them all
-            labels, self.bounds = self._recompute(None, centroids, keep)
+            labels, self.bounds = self._recompute(None, centroids)
         else:
             labels = self.labels.copy()
-            labels[rows], bounds = self._recompute(rows, centroids, keep)
-            if keep:
-                self.bounds[rows] = bounds
+            labels[rows], self.bounds[rows] = self._recompute(rows, centroids)
         self.labels = labels
         self.centroids = centroids.copy() if keep else None
         return labels
 
-    def _recompute(self, rows, centroids: np.ndarray, bounded: bool):
-        """Labels of the given rows of the points (None: all), and their gap
-        bounds if `bounded`."""
-        k = len(centroids)
+    def _recompute(self, rows, centroids: np.ndarray):
+        """Labels and gap bounds of the given rows of the points (None: all)."""
         if rows is None:
-            lifted, cols, near = self.lifted, self._cols, self._near
+            lifted, cols, squares = self.lifted, self._cols, self.squares
         else:
             lifted = np.take(self.lifted, rows, axis=0)
-            cols = self._cols[:len(rows)]
-            near = self._products[:len(rows) * k].reshape(len(rows), k)
-        r = len(lifted)
-        np.matmul(lifted, self.coeffs, out=near)
-        labels = near.argmin(axis=1)
-        bounds = None
-        if bounded:
-            # the second-best from the (k, rows) product, where a min over
-            # centroids runs down contiguous rows; it overwrites `near`
-            far = np.matmul(self.coeffs.T, lifted.T, out=self._products[:r * k].reshape(k, r))
-            best = far[labels, cols]
-            far[labels, cols] = np.inf
-            bounds = np.minimum.reduce(far, axis=0)  # the second-best, until the gap
-            squares = self.squares if rows is None else self.squares[rows]
-            for q in (best, bounds):
-                q += squares
-                np.sqrt(np.maximum(q, 0.0, out=q), out=q)
-            bounds -= best
-            bounds -= self.margin
-            tied = (~(bounds > 0.0)).nonzero()[0]
-        else:
-            best = near[cols, labels]
-            best += self.tol
-            close = near <= best[:, None]
-            tied = ()
-            # every row counts its own best; more than r means some row is tied
-            if np.count_nonzero(close) > r:
-                tied = (np.count_nonzero(close, axis=1) > 1).nonzero()[0]
+            cols, squares = self._cols[:len(rows)], self.squares[rows]
+        r, k = len(lifted), len(centroids)
+        products = self._products[:r * k]
+        labels = np.matmul(lifted, self.coeffs, out=products.reshape(r, k)).argmin(axis=1)
+        # the second-best from the (k, rows) product, where a min over
+        # centroids runs down contiguous rows; it overwrites the first
+        far = np.matmul(self.coeffs.T, lifted.T, out=products.reshape(k, r))
+        best = far[labels, cols]
+        far[labels, cols] = np.inf
+        bounds = np.minimum.reduce(far, axis=0)  # the second-best, until the gap
+        for q in (best, bounds):
+            q += squares
+            np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+        bounds -= best
+        bounds -= self.margin
+        tied = (~(bounds > 0.0)).nonzero()[0]
         if len(tied):
             points = self.points[tied if rows is None else rows[tied]]
             labels[tied] = _squared_distances(points, centroids).argmin(axis=1)
-            if bounded:
-                bounds[tied] = -np.inf
+            bounds[tied] = -np.inf
         return labels, bounds
 
     def relabel(self, labels: np.ndarray) -> None:
         """Take labels changed outside the step; the rows that moved lose their bounds."""
-        if self.bounds is not None:
-            self.bounds[labels != self.labels] = -np.inf
+        self.bounds[labels != self.labels] = -np.inf
         self.labels = labels
 
 

@@ -374,14 +374,17 @@ def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:
 def load_part_layout(path: str | os.PathLike) -> PartModel:
     """Load a part layout written by save_part_layout, revalidating every frame.
 
-    Malformed documents (missing fields, wrong JSON types, invalid frames,
-    nesting too deep for the decoder) raise ValueError.
+    Malformed documents (not UTF-8 JSON, missing fields, wrong JSON types,
+    invalid frames, nesting too deep for the decoder) raise ValueError that
+    names the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"layout file {path} is nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"layout file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"layout file {path} must hold a JSON object, got {type(doc).__name__}")
     try:

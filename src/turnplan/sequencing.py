@@ -7,6 +7,7 @@ All path lengths are open: the robot is not required to return to its start.
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -147,14 +148,17 @@ class _ChainIndex:
     row. A walk that takes a distance row at a point whose row is still
     table-wide records the point in `fallen`, and `deepen` builds the rows of
     every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in one tree query;
-    it appends them to `rows` and repoints `at` and `end`, so a deepened
-    point's row replaces its table row. Either row's first open certified
-    entry is the argmin over the open members (see `_certified_candidates`),
-    so the walk does not depend on which row a point has. A deepened point
-    is never recorded again, so no row is built twice. Memory is at most
-    N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 4) indices for N points. A
-    `Waypoints` bundle keeps one index as long as the bundle lives
-    (`Waypoints._chain_index`).
+    it writes them into `rows` after the first `filled` entries and repoints
+    `at` and `end`, so a deepened point's row replaces its table row. Either
+    row's first open certified entry is the argmin over the open members
+    (see `_certified_candidates`), so the walk does not depend on which row
+    a point has. A deepened point is never recorded again, so no row is
+    built twice, and the first batch moves the table once into a store with
+    room for every point's deep row, which later batches fill in place. The
+    store is N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 2) indices for N
+    points, of which only the table and the rows built so far are ever
+    written. A `Waypoints` bundle keeps one index as long as the bundle
+    lives (`Waypoints._chain_index`).
     """
 
     def __init__(self, pts: np.ndarray):
@@ -166,6 +170,7 @@ class _ChainIndex:
         self.tree = cKDTree(pts)
         everyone = np.arange(len(pts))
         self.rows = _certified_candidates(self.tree, pts, everyone, CHAIN_CANDIDATES + 1).ravel()
+        self.filled = len(self.rows)  # rows[filled:] is room for deep rows, not yet written
         self.at = everyone * (CHAIN_CANDIDATES + 1)
         self.end = self.at + (CHAIN_CANDIDATES + 1)
         self.fallen: list[int] = []
@@ -176,10 +181,18 @@ class _ChainIndex:
             query = np.array(self.fallen)
             self.fallen.clear()
             width = min(CHAIN_DEEP_CANDIDATES + 1, len(self.pts))
-            deep = _certified_candidates(self.tree, self.pts, query, width)
-            self.at[query] = len(self.rows) + width * np.arange(len(query))
+            if self.filled == len(self.rows):  # the first batch: make room for them all
+                # in a mapping of its own, whose pages take memory only once
+                # written: a malloc'd block may take over pages already in use
+                room = mmap.mmap(-1, (self.filled + width * len(self.pts)) * self.rows.itemsize)
+                store = np.frombuffer(room, self.rows.dtype)
+                store[:self.filled] = self.rows
+                self.rows = store
+            deep = _certified_candidates(self.tree, self.pts, query, width).ravel()
+            self.at[query] = self.filled + width * np.arange(len(query))
             self.end[query] = self.at[query] + width
-            self.rows = np.concatenate([self.rows, deep.ravel()])
+            self.rows[self.filled:self.filled + len(deep)] = deep
+            self.filled += len(deep)
 
 
 def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,

@@ -193,6 +193,18 @@ def test_a_too_deeply_nested_layout_fails_cleanly(tmp_path, capsys, monkeypatch,
     assert (code, err, written) == (2, f"error: layout file {layout} is nested too deeply\n", set())
 
 
+@pytest.mark.parametrize("command", ["plan-greedy", "bench"])
+@pytest.mark.parametrize("broken", ["truncated", "not-utf-8"])
+def test_an_undecodable_layout_names_its_file(tmp_path, capsys, monkeypatch, command, broken):
+    layout = _generate(tmp_path, n=5)
+    data = layout.read_bytes()
+    layout.write_bytes(data[:100] if broken == "truncated" else b"\xff\xfe" + data)
+    capsys.readouterr()
+    code, err, written = _run_in(tmp_path, command, layout, [], capsys, monkeypatch)
+    assert (code, written) == (2, set())
+    assert err.startswith(f"error: layout file {layout}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_a_negative_seed_fails_cleanly(tmp_path, capsys, monkeypatch, command):
     layout = _generate(tmp_path, n=5)

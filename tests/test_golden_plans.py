@@ -235,16 +235,18 @@ def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
     index = waypoints._chain_index
     fallen = list(index.fallen)
     table = len(waypoints) * (sequencing.CHAIN_CANDIDATES + 1)
-    assert fallen and batches == [] and len(index.rows) == table  # planned once: no row
+    assert fallen and batches == [] and index.filled == table  # planned once: no row
     plan_waypoints(waypoints, ClusterParams(k=60, seed=2))
     assert batches == [fallen]  # one batch, of exactly the first plan's fallback points
+    store = index.rows
     for k, seed in ((5, 3), (60, 4), (5, 5)):
         plan_waypoints(waypoints, ClusterParams(k=k, seed=seed))
+    assert len(batches) > 1 and index.rows is store  # later batches fill the store in place
     deep = [point for batch in batches for point in batch]
     assert len(deep) == len(set(deep))  # no point's deep row is built twice
     deep_width = sequencing.CHAIN_DEEP_CANDIDATES + 1
     assert sorted(deep) == np.flatnonzero(index.end - index.at == deep_width).tolist()
-    assert len(index.rows) == table + len(deep) * deep_width
+    assert index.filled == table + len(deep) * deep_width
     assert trees == [4000]  # one tree per bundle, for the table and every deep row
     assert plan_digest(plan_waypoints(waypoints, ClusterParams(k=5, seed=0))) == LARGE[5, 0]
     batches.clear()

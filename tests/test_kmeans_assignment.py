@@ -1,4 +1,4 @@
-"""The k-means assignment step: one matmul, an exact tie check, and gap bounds.
+"""The k-means assignment step: labels from a matmul, made exact by gap bounds.
 
 `_NearestCentroid` must pick, for every point, the same centroid as the
 argmin over the exact einsum distances (`_squared_distances`), bit for bit,
