@@ -14,8 +14,7 @@ from statistics import fmean
 
 from . import sequencing
 from .clustering import ClusterParams
-from .geometry import (PartModel, Waypoints, _as_int, _as_real, _as_vector3, generate_waypoints,
-                       hemisphere_layout)
+from .geometry import PartModel, Waypoints, _as_int, _as_real, generate_waypoints, hemisphere_layout
 from .metrics import CellModel, estimate_execution_time, ssp_distance
 from .sequencing import Plan
 
@@ -47,7 +46,7 @@ class Scenario:
             object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if self.standoff < 0.0:
             raise ValueError(f"standoff must be finite and >= 0, got {self.standoff!r}")
-        _as_vector3(self.robot_home, "robot_home")
+        sequencing._as_robot_home(self.robot_home)
 
 
 @dataclass(frozen=True)

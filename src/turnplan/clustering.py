@@ -27,6 +27,7 @@ DEFAULT_ANGULAR_BOUND = TWO_PI / 5.0
 DEGENERATE_RESULTANT_TOL = 1e-9
 
 _PARTITION = "clusters must partition waypoint indices 0..N-1 exactly"
+_MAX_ITERATIONS = 100  # Lloyd iterations, after which k-means stops unconverged
 
 
 class DegenerateMeanError(ValueError):
@@ -39,11 +40,10 @@ class ClusterParams:
 
     k: int = DEFAULT_CLUSTER_COUNT
     angular_bound: float = DEFAULT_ANGULAR_BOUND
-    max_iterations: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("k", 1), ("max_iterations", 1), ("seed", 0)):
+        for name, low in (("k", 1), ("seed", 0)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, low))
         object.__setattr__(self, "angular_bound", _as_real(self.angular_bound, "angular_bound"))
         if not 0.0 < self.angular_bound <= TWO_PI:
@@ -70,29 +70,30 @@ class Cluster:
 
 @dataclass(frozen=True, eq=False)
 class ClusterPlan:
-    """Clusters in serving order plus the forward table rotation before each one.
+    """Clusters in serving order from `start_angle`, and the forward rotation before each.
 
     The one owner of two plan invariants: the clusters partition the waypoint
-    indices 0..N-1, and the rotations, whose sum is `total_rotation`, add up
-    to at most one revolution.
+    indices 0..N-1, and the rotations (each the forward arc from the previous
+    angle, the first from `start_angle`, which is stored wrapped into
+    [0, 2*pi)), whose sum is `total_rotation`, add up to at most one revolution.
     """
 
     clusters: tuple[Cluster, ...]
-    rotation_deltas: tuple[float, ...]
+    start_angle: float
+    rotation_deltas: tuple[float, ...] = field(init=False)
     total_rotation: float = field(init=False)
 
     def __post_init__(self):
         clusters = tuple(self.clusters)
-        deltas = tuple(_as_real(d, "rotation_deltas") for d in self.rotation_deltas)
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "rotation_deltas", deltas)
-        object.__setattr__(self, "total_rotation", sum(deltas))
         if not clusters:
             raise ValueError("cluster plan must contain at least one cluster")
-        if len(deltas) != len(clusters):
-            raise ValueError("need exactly one rotation delta per cluster")
-        if any(not 0.0 <= d < TWO_PI for d in deltas):
-            raise ValueError("rotation deltas must lie in [0, 2*pi)")
+        start = wrap_angle(_as_real(self.start_angle, "start_angle"))
+        angles = [start] + [c.mean_angle for c in clusters]
+        deltas = tuple(map(forward_delta, angles[:-1], angles[1:]))
+        object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "start_angle", start)
+        object.__setattr__(self, "rotation_deltas", deltas)
+        object.__setattr__(self, "total_rotation", sum(deltas))
         if self.total_rotation > TWO_PI + 1e-9:
             raise ValueError("plan exceeds one turntable revolution")
         members = np.concatenate([c.members for c in clusters])
@@ -198,7 +199,7 @@ class _NearestCentroid:
     the two sums' 2u (delta_a + max(delta)) <= 8u M, and the subtraction's
     u |b - x_a| <= 4u M (a finite bound entering an update is at most 2M,
     and negative only when fresh), 26.4u M in all. So b stays at most G - m
-    after any number of updates, and max_iterations has no place in the
+    after any number of updates, and _MAX_ITERATIONS has no place in the
     margin. Empty-cluster repair moves points to clusters that are not
     their nearest; `relabel` makes their bounds -inf.
     """
@@ -291,10 +292,10 @@ def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, counts: np.ndarra
     return assign
 
 
-def _singleton_clusters(angles: np.ndarray) -> list[Cluster]:
-    points = _freeze(np.arange(len(angles)))
-    return [Cluster(members=points[i:i + 1], mean_angle=angle)
-            for i, angle in enumerate(angles.tolist())]
+def _members_by_label(labels: np.ndarray, count: int) -> list[np.ndarray]:
+    """The points of each label 0..count-1, in input order: slices of one stable argsort."""
+    by_label = _freeze(np.argsort(labels, kind="stable"))
+    return np.split(by_label, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def _member_mean_angle(angles: np.ndarray, members: np.ndarray) -> float:
@@ -322,7 +323,8 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     n = len(points)
     k = min(params.k, n)
     if n <= k:
-        return _singleton_clusters(angles)
+        return [Cluster(members=m, mean_angle=a)
+                for m, a in zip(_members_by_label(np.arange(n), n), angles.tolist())]
 
     rng = default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
@@ -333,7 +335,7 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     coords = points.T.ravel()
     axis_offsets = k * np.arange(3)[:, None]
     prev_assign = None
-    for _ in range(params.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         assign = nearest(centroids)  # ties go to the lowest cluster index
         counts = np.bincount(assign, minlength=k)
         if np.count_nonzero(counts) < k:
@@ -345,28 +347,38 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
         sums = np.bincount((axis_offsets + assign).ravel(), weights=coords, minlength=3 * k)
         centroids = (sums.reshape(3, k) / counts).T
 
-    # each cluster's members are a read-only slice of one stable argsort
-    by_cluster = _freeze(np.argsort(assign, kind="stable"))
-    members = np.split(by_cluster, np.cumsum(counts)[:-1])
-    return [Cluster(members=m, mean_angle=_member_mean_angle(angles, m)) for m in members]
+    return [Cluster(members=m, mean_angle=_member_mean_angle(angles, m))
+            for m in _members_by_label(assign, k)]
+
+
+def sector_clusters(waypoints: Waypoints, groups: int) -> list[Cluster]:
+    """A cluster, in input order, per occupied sector of width 2*pi/groups, at its center.
+
+    Served by its start instead, a plan can exceed one revolution when the start
+    angle sits in a sector's second half. The cost does not grow with `groups`.
+    """
+    groups = _as_int(groups, "groups", 1)
+    try:
+        width = TWO_PI / groups
+    except OverflowError:
+        raise ValueError("groups must convert to a float") from None
+    last = float(groups - 1)
+    # indices at or past groups - 1 join the last sector; beyond 2**53, one
+    # that groups - 1 rounds down to stays a sector of its own, at the same center
+    cut = last if last >= groups - 1 else math.nextafter(last, math.inf)
+    sectors, labels = np.unique(np.minimum(waypoints.table_angles // width, cut),
+                                return_inverse=True)
+    return [Cluster(members=m, mean_angle=wrap_angle(min(sector, last) * width + width / 2.0))
+            for m, sector in zip(_members_by_label(labels, len(sectors)), sectors.tolist())]
 
 
 def order_clusters(clusters, start_angle: float) -> ClusterPlan:
-    """Sort clusters by ascending angle from `start_angle` and schedule the rotations.
+    """Serve clusters by ascending forward arc from `start_angle`, equal angles in input order.
 
-    Each rotation delta is the forward arc from the previous angular target to
-    the next, so the whole plan never exceeds one revolution.
+    Where rounding gives two angles one arc, the one at or past the start
+    comes first, then the lower angle: the order in which the table meets them.
     """
-    start_angle = _as_real(start_angle, "start_angle")
-    clusters = list(clusters)
-    if not clusters:
-        raise ValueError("no clusters to order")
-    keys = np.array([forward_delta(start_angle, c.mean_angle) for c in clusters])
-    order = np.argsort(keys, kind="stable")  # equal angles keep input order
-    ordered = [clusters[i] for i in order]
-    deltas = []
-    previous = start_angle
-    for cluster in ordered:
-        deltas.append(forward_delta(previous, cluster.mean_angle))
-        previous = cluster.mean_angle
-    return ClusterPlan(clusters=tuple(ordered), rotation_deltas=tuple(deltas))
+    start = wrap_angle(_as_real(start_angle, "start_angle"))
+    ordered = sorted(clusters, key=lambda c: (forward_delta(start, c.mean_angle),
+                                              c.mean_angle < start, c.mean_angle))
+    return ClusterPlan(clusters=tuple(ordered), start_angle=start)

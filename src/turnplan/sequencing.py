@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap_angle
-from .clustering import Cluster, ClusterParams, ClusterPlan, cluster_points, order_clusters
+from .clustering import ClusterParams, ClusterPlan, cluster_points, order_clusters, sector_clusters
 from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _freeze
 
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
@@ -310,28 +309,17 @@ def _make_plan(cluster_plan: ClusterPlan, sequences: list) -> Plan:
 
 def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
                             start_angle: float = 0.0) -> Plan:
-    """Bin waypoints into equal angular sectors with no ordering inside a bin.
-
-    The base case: `groups` sectors of width 2*pi/groups; each occupied
-    sector is a cluster at its center angle, scheduled by `order_clusters`
-    from `start_angle`, input order kept within each sector. Deterministic.
-    Only occupied sectors are binned, so the cost grows with the number of
-    waypoints and does not depend on `groups`.
-    """
-    groups = _as_int(groups, "groups", 1)
-    width = TWO_PI / groups
-    # Python-int sector keys cannot overflow, however large `groups` is
-    bins: dict[int, list[int]] = {}
-    for index, angle in enumerate(waypoints.table_angles.tolist()):
-        bins.setdefault(min(int(angle // width), groups - 1), []).append(index)
-    # a sector is served at its center angle; served by its start instead, a
-    # plan can exceed one revolution when the start angle sits in a sector's
-    # second half
-    clusters = [Cluster(members=np.array(members),
-                        mean_angle=wrap_angle(sector * width + width / 2.0))
-                for sector, members in sorted(bins.items())]
-    cluster_plan = order_clusters(clusters, start_angle)
+    """The base case: `sector_clusters` scheduled from `start_angle`, in input order within."""
+    cluster_plan = order_clusters(sector_clusters(waypoints, groups), start_angle)
     return _make_plan(cluster_plan, [c.members for c in cluster_plan.clusters])
+
+
+def _as_robot_home(value) -> np.ndarray:
+    home = _as_vector3(value, "robot_home")
+    # the bound of the positions: the start choice squares positions - robot_home
+    if not np.abs(home).max() < 2.0**500:
+        raise ValueError("robot_home must be below 2**500 in magnitude")
+    return home
 
 
 def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
@@ -356,7 +344,7 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
     robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
-    previous_pos = _as_vector3(robot_home, "robot_home")
+    previous_pos = _as_robot_home(robot_home)
     positions = waypoints.positions
     clusters = cluster_points(waypoints, params)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)

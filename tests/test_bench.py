@@ -181,7 +181,8 @@ def test_run_comparison_rejects_zero_trials():
         run_comparison(hemisphere_scenario(), trials=0)
 
 
-@pytest.mark.parametrize("home", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, 0.0)])
+@pytest.mark.parametrize("home", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, 0.0),
+                                  (-1e200, 0.0, 0.0), (0.0, -2.0**500, 0.0)])
 def test_scenario_rejects_a_bad_robot_home(home):
     with pytest.raises(ValueError, match="robot_home"):
         Scenario(part=hemisphere_layout(4, 0.1, seed=0), robot_home=home)

@@ -205,6 +205,16 @@ def test_an_undecodable_layout_names_its_file(tmp_path, capsys, monkeypatch, com
     assert err.startswith(f"error: layout file {layout}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["plan-baseline", "bench"])
+def test_a_k_beyond_the_largest_float_fails_cleanly(tmp_path, capsys, monkeypatch, command):
+    # the baseline's sector width 2*pi/k has no float value
+    layout = _generate(tmp_path, n=5)
+    capsys.readouterr()
+    code, err, written = _run_in(tmp_path, command, layout, ["--k", str(10**400)], capsys,
+                                 monkeypatch)
+    assert (code, err, written) == (2, "error: groups must convert to a float\n", set())
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_a_negative_seed_fails_cleanly(tmp_path, capsys, monkeypatch, command):
     layout = _generate(tmp_path, n=5)

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_waypoints
-from turnplan.angles import TWO_PI, circular_separation, wrap_angle
+from turnplan.angles import TWO_PI, circular_separation, forward_delta, wrap_angle
 from turnplan.clustering import (Cluster, ClusterParams, ClusterPlan, DegenerateMeanError,
-                                 circular_mean, cluster_points, order_clusters)
+                                 circular_mean, cluster_points, order_clusters, sector_clusters)
 from turnplan.geometry import Waypoints, generate_waypoints, hemisphere_layout
 
 DEG = math.pi / 180.0
@@ -233,9 +235,76 @@ def test_order_clusters_permutation_and_single_revolution():
         assert all(0.0 <= d < TWO_PI for d in plan.rotation_deltas)
 
 
+TOP = math.nextafter(TWO_PI, 0.0)
+
+
+@pytest.mark.parametrize("angles,start,served", [
+    ((1e-16, TOP), 1.246718848891573, (TOP, 1e-16)),  # a revolution apart
+    ((TOP, math.nextafter(TOP, 0.0)), 2.170206937812662, (math.nextafter(TOP, 0.0), TOP)),
+    ((0.0, TOP), -4.0, (TOP, 0.0)),  # the arcs from the raw start round to one value
+])
+def test_order_clusters_serves_angles_of_one_rounded_arc_in_table_order(angles, start, served):
+    # each pair's forward arcs from the start round to one value; served in
+    # input order, the second cluster would be almost a revolution on
+    assert len({forward_delta(start, a) for a in angles}) == 1
+    plan = order_clusters([_singleton(i, a) for i, a in enumerate(angles)], start_angle=start)
+    assert tuple(c.mean_angle for c in plan.clusters) == served
+    assert plan.total_rotation < TWO_PI
+
+
 def test_order_clusters_rejects_empty_list():
     with pytest.raises(ValueError):
         order_clusters([], start_angle=0.0)
+
+
+# --- angle sectors ---------------------------------------------------------
+
+def _reference_sectors(angles: list, groups: int) -> list:
+    """The per-hole binning: Python-int sector keys, a list of members per key."""
+    width = TWO_PI / groups
+    bins = {}
+    for index, angle in enumerate(angles):
+        bins.setdefault(min(int(angle // width), groups - 1), []).append(index)
+    return [(members, wrap_angle(sector * width + width / 2.0).hex())
+            for sector, members in sorted(bins.items())]
+
+
+LARGEST_FLOAT_INT = 2**1024 - 2**970 - 1  # the largest integer that converts to a float
+JUST_BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.one_of(st.integers(1, 64), st.integers(2**53, LARGEST_FLOAT_INT),
+                        # 12326027575737698 - 1 rounds down to a float that the
+                        # sector index of the angles just below 2*pi reaches
+                        st.sampled_from([2**53 - 1, 2**53 + 1, 2**70, LARGEST_FLOAT_INT,
+                                         12326027575737698])),
+       pool=st.lists(st.one_of(st.sampled_from([0.0, JUST_BELOW_TWO_PI,
+                                                math.nextafter(JUST_BELOW_TWO_PI, 0.0)]),
+                               st.floats(0.0, TWO_PI, exclude_max=True)), min_size=1, max_size=12),
+       data=st.data(), start=st.floats(-10.0, 10.0))
+def test_sector_clusters_match_the_per_hole_binning(groups, pool, data, start):
+    # drawn from a small pool, so that angles repeat
+    angles = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    wps = Waypoints(positions=np.zeros((len(angles), 3)), table_angles=angles)
+    clusters = sector_clusters(wps, groups)
+    assert [(c.members.tolist(), c.mean_angle.hex()) for c in clusters] == \
+        _reference_sectors(angles, groups)
+    # the derived rotations: the forward arcs along the served order, from the start
+    plan = order_clusters(clusters, start)
+    targets = [c.mean_angle for c in plan.clusters]
+    assert plan.start_angle == wrap_angle(start)
+    deltas = [forward_delta(a, b) for a, b in zip([plan.start_angle] + targets, targets)]
+    assert [d.hex() for d in plan.rotation_deltas] == [d.hex() for d in deltas]
+    assert all(type(d) is float for d in plan.rotation_deltas)
+    assert type(plan.total_rotation) is float and plan.total_rotation == sum(deltas)
+
+
+def test_sector_clusters_reject_a_groups_count_beyond_the_largest_float():
+    wps = make_waypoints([(0.1, 0.0, 0.0)])
+    assert len(sector_clusters(wps, LARGEST_FLOAT_INT)) == 1
+    with pytest.raises(ValueError, match="^groups must convert to a float$"):
+        sector_clusters(wps, LARGEST_FLOAT_INT + 1)
 
 
 # --- plan invariants -------------------------------------------------------
@@ -243,13 +312,15 @@ def test_order_clusters_rejects_empty_list():
 def test_cluster_plan_rejects_duplicated_members():
     clusters = (_singleton(0, 0.1), _singleton(0, 0.2))
     with pytest.raises(ValueError):
-        ClusterPlan(clusters=clusters, rotation_deltas=(0.1, 0.1))
+        ClusterPlan(clusters=clusters, start_angle=0.0)
 
 
 def test_cluster_plan_rejects_excess_rotation():
-    clusters = (_singleton(0, 0.1), _singleton(1, 0.2))
-    with pytest.raises(ValueError):
-        ClusterPlan(clusters=clusters, rotation_deltas=(5.0, 5.0))
+    # a hand-built order whose angles do not ascend from the start turns past one revolution
+    clusters = (_singleton(0, 0.2), _singleton(1, 0.1))
+    assert ClusterPlan(clusters=clusters, start_angle=0.15).total_rotation < TWO_PI
+    with pytest.raises(ValueError, match="^plan exceeds one turntable revolution$"):
+        ClusterPlan(clusters=clusters, start_angle=0.0)
 
 
 @pytest.mark.parametrize("members", [(0.9,), (1.7, True, np.True_), (True,), (np.True_,),
@@ -265,27 +336,26 @@ def test_cluster_rejects_non_integer_members(members):
 def test_cluster_records_reject_angles_that_are_not_real_numbers(value):
     with pytest.raises(ValueError, match="^mean_angle must be finite and real, got"):
         Cluster(members=(0,), mean_angle=value)
-    with pytest.raises(ValueError, match="^rotation_deltas must be finite and real, got"):
-        ClusterPlan(clusters=(_singleton(0, 0.5),), rotation_deltas=(value,))
+    with pytest.raises(ValueError, match="^start_angle must be finite and real, got"):
+        ClusterPlan(clusters=(_singleton(0, 0.5),), start_angle=value)
 
 
 def test_cluster_records_store_numpy_reals_as_floats_and_keep_their_range_messages():
     cluster = Cluster(members=(0,), mean_angle=np.float32(0.5))
-    plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(np.int64(1),))
+    plan = ClusterPlan(clusters=(cluster,), start_angle=np.int64(6))
     assert type(cluster.mean_angle) is float and cluster.mean_angle == 0.5
-    assert type(plan.rotation_deltas[0]) is float and plan.rotation_deltas == (1.0,)
+    assert type(plan.start_angle) is float and plan.start_angle == 6.0
+    assert type(plan.rotation_deltas[0]) is float and type(plan.total_rotation) is float
+    assert plan.rotation_deltas == (forward_delta(6.0, 0.5),) == (plan.total_rotation,)
     with pytest.raises(ValueError, match=r"^mean_angle must lie in \[0, 2\*pi\), got 7.0$"):
         Cluster(members=(0,), mean_angle=np.float64(7.0))
-    with pytest.raises(ValueError, match=r"^rotation deltas must lie in \[0, 2\*pi\)$"):
-        ClusterPlan(clusters=(cluster,), rotation_deltas=(-0.1,))
 
 
 @pytest.mark.parametrize("members", [(-1, 0), (0, 2), (0, 0), (0, 2**70), (0, 2**63)])
 def test_cluster_plan_rejects_indices_outside_a_partition(members):
     # an index beyond np.intp cannot be held, and gets the partition's message too
     with pytest.raises(ValueError, match="^clusters must partition waypoint indices 0..N-1"):
-        ClusterPlan(clusters=(Cluster(members=members, mean_angle=0.5),),
-                    rotation_deltas=(0.5,))
+        ClusterPlan(clusters=(Cluster(members=members, mean_angle=0.5),), start_angle=0.0)
 
 
 def test_cluster_members_are_read_only_index_arrays():

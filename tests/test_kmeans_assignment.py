@@ -126,8 +126,9 @@ def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
        upkeep=st.sampled_from([0, 2**10, 2**13, clustering._UPKEEP_PAIRS]))
 def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed, upkeep):
     points = _points(layout, n, np.random.default_rng(seed))
-    params = ClusterParams(k=k, max_iterations=max_iterations, seed=seed)
-    with _bounds_kept_from(upkeep):
+    params = ClusterParams(k=k, seed=seed)
+    with _bounds_kept_from(upkeep), \
+            mock.patch.object(clustering, "_MAX_ITERATIONS", max_iterations):
         clusters = cluster_points(make_waypoints(points), params)
     members = [(i,) for i in range(n)] if n <= k else _lloyd(points, k, max_iterations, seed)
     assert [tuple(c.members.tolist()) for c in clusters] == members

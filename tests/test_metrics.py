@@ -15,8 +15,8 @@ from turnplan.sequencing import Plan, plan_waypoints
 
 def _manual_plan(order, rotation=0.0):
     """Single-cluster plan visiting `order` with one up-front rotation."""
-    cluster = Cluster(members=tuple(sorted(order)), mean_angle=0.0)
-    cluster_plan = ClusterPlan(clusters=(cluster,), rotation_deltas=(rotation,))
+    cluster = Cluster(members=tuple(sorted(order)), mean_angle=rotation)
+    cluster_plan = ClusterPlan(clusters=(cluster,), start_angle=0.0)
     return Plan(cluster_plan=cluster_plan, sequences=(tuple(order),),
                 flattened_order=tuple(order))
 

@@ -350,7 +350,6 @@ CHAIN_POINTS = np.random.default_rng(13).uniform(-1, 1, (CHAIN_TABLE_MIN_POINTS 
 INTEGER_SETTINGS = {
     "k": ("k", lambda v: _hemisphere_plan(k=v)),
     "seed": ("seed", lambda v: _hemisphere_plan(seed=v)),
-    "max_iterations": ("max_iterations", lambda v: _hemisphere_plan(max_iterations=v)),
     "groups": ("groups", lambda v: _plan_key(
         baseline_angle_sequence(_hemisphere_waypoints(), groups=v))),
     "hemisphere_layout.n": ("n", lambda v: _hemisphere_plan(n=v)),
@@ -460,11 +459,20 @@ def test_plan_rejects_a_stand_in_cluster_plan():
 
 
 @pytest.mark.parametrize("home", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0),
-                                  (0.0, 0.0, 0.0, 0.0), ("home", 0.0, 0.0)])
+                                  (0.0, 0.0, 0.0, 0.0), ("home", 0.0, 0.0),
+                                  (-1e200, 0.0, 0.0), (0.0, 0.0, 2.0**500)])
 def test_plan_waypoints_rejects_a_bad_robot_home(home):
     wps = make_waypoints([(1, 0, 0), (0, 1, 0), (-1, 0, 0)])
     with pytest.raises(ValueError, match="robot_home"):
         plan_waypoints(wps, ClusterParams(k=2, seed=0), robot_home=home)
+
+
+def test_a_robot_home_just_below_the_positions_bound_plans(bundled_layout_path):
+    # the start choice squares positions - robot_home; below 2**500 the squares stay finite
+    below = math.nextafter(2.0**500, 0.0)
+    wps = _hemisphere40_waypoints(bundled_layout_path)
+    plan = plan_waypoints(wps, ClusterParams(k=1, seed=0), robot_home=(-below, below, -below))
+    assert sorted(plan.flattened_order.tolist()) == list(range(len(wps)))
 
 
 def test_plan_records_and_serialization(tmp_path):
