@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -12,6 +14,13 @@ def wrap_angle(angle: float) -> float:
     wrapped = angle % TWO_PI
     # a % TWO_PI can round up to exactly TWO_PI for tiny negative inputs
     return 0.0 if wrapped >= TWO_PI else wrapped
+
+
+def wrap_angles(angles) -> np.ndarray:
+    """`wrap_angle` of each angle, bit for bit: np.remainder rounds as Python's float % does."""
+    wrapped = np.remainder(angles, TWO_PI, dtype=float)
+    wrapped[wrapped >= TWO_PI] = 0.0
+    return wrapped
 
 
 def forward_delta(start: float, end: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import wrap_angle
+from .angles import wrap_angles
 
 # Unit-norm / orthogonality tolerance for hole frames and the turntable axis.
 UNIT_TOL = 1e-9
@@ -243,7 +243,7 @@ def _dot3(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return v[:, 0] * u[0] + v[:, 1] * u[1] + v[:, 2] * u[2]
 
 
-def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[list[float], np.ndarray]:
+def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[np.ndarray, np.ndarray]:
     """Angles of (N, 3) positions about the turntable axis, and which points lie on the axis.
 
     On-axis points (in-plane radius <= AXIS_RADIUS_TOL) get angle 0.0.
@@ -255,9 +255,9 @@ def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[list[float], 
     ref, binormal = _angle_basis(axis)
     # math.atan2, not np.arctan2: numpy's vectorized arctan2 differs from libm
     # in the last bit for some inputs, and that would change plans
-    angles = [0.0 if flag else wrap_angle(math.atan2(y, x))
-              for flag, y, x in zip(on_axis.tolist(), _dot3(v, binormal).tolist(),
-                                    _dot3(v, ref).tolist())]
+    angles = wrap_angles(list(map(math.atan2, _dot3(v, binormal).tolist(),
+                                  _dot3(v, ref).tolist())))
+    angles[on_axis] = 0.0
     return angles, on_axis
 
 
@@ -295,24 +295,27 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     return Waypoints(positions=positions, table_angles=angles)
 
 
-def _frame_from_outward_y(y_axis: np.ndarray, roll: float) -> tuple[np.ndarray, np.ndarray]:
-    """Complete (x, z) for a given unit y axis; `roll` spins the pair about y."""
-    helper = _Z if abs(float(y_axis @ _Z)) < 0.9 else _X
-    x0 = np.cross(helper, y_axis)
-    x0 = x0 / np.linalg.norm(x0)
-    x_axis = math.cos(roll) * x0 + math.sin(roll) * np.cross(y_axis, x0)
-    x_axis = x_axis / np.linalg.norm(x_axis)
-    z_axis = np.cross(x_axis, y_axis)
-    return x_axis, z_axis
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of `rows` (N, 3) divided by its norm, rounded as `v / np.linalg.norm(v)` is."""
+    # a (1, 3) @ (3, 1) matmul per row runs the BLAS dot that np.linalg.norm(v) runs
+    return rows / np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])[:, None]
 
 
 def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
     """A part with `n` holes spread over the upper hemisphere of `radius` meters.
 
     Holes sit on a Fibonacci lattice, jittered deterministically from `seed`;
-    each hole's y axis points radially outward. Hole order is shuffled (the
-    planner must not rely on a tidy incoming order). The same (n, radius,
-    seed) always produces the same part.
+    each hole's y axis points radially outward, and a random roll spins its
+    x and z axes about it. Hole order is shuffled (the planner must not rely
+    on a tidy incoming order). The same (n, radius, seed) always produces the
+    same part.
+
+    The layout bytes are pinned, so every step rounds as a one-hole
+    computation would: the trig is libm's `math.cos`/`math.sin` (numpy's SIMD
+    np.cos and np.sin may differ in the last bit on some CPUs), each norm is
+    `_unit_rows`' per-row BLAS dot (np.einsum and x*x + y*y + z*z add in
+    another order), and `np.cross` on (N, 3) rows rounds each row as it
+    rounds one vector.
     """
     n = _as_int(n, "n", 1)
     if not (radius := _as_real(radius, "radius")) > 0.0:
@@ -320,40 +323,45 @@ def hemisphere_layout(n: int, radius: float, seed: int) -> PartModel:
     rng = np.random.default_rng(_as_int(seed, "seed", 0))
     idx = np.arange(n)
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    azimuth = golden * idx + rng.uniform(-0.3, 0.3, n) * golden
+    azimuth = (golden * idx + rng.uniform(-0.3, 0.3, n) * golden).tolist()
     # keep z strictly inside (0, 1): all holes off the pole and off the equator plane
     z = (idx + 0.5) / n + rng.uniform(-0.45, 0.45, n) / n
     z = np.clip(z, 1e-6, 1.0 - 1e-6)
-    rolls = rng.uniform(0.0, 2.0 * math.pi, n)
+    rolls = rng.uniform(0.0, 2.0 * math.pi, n).tolist()
     in_plane = np.sqrt(1.0 - z * z)
-    origins = np.empty((n, 3))
-    axes = np.empty((n, 3, 3))  # axes[i, j]: hole i's x, y or z axis
-    for i in range(n):
-        outward = np.array([
-            in_plane[i] * math.cos(azimuth[i]),
-            in_plane[i] * math.sin(azimuth[i]),
-            z[i],
-        ])
-        outward = outward / np.linalg.norm(outward)
-        x_axis, z_axis = _frame_from_outward_y(outward, rolls[i])
-        origins[i] = radius * outward
-        axes[i] = x_axis, outward, z_axis
+    outward = _unit_rows(np.stack([in_plane * np.array(list(map(math.cos, azimuth))),
+                                   in_plane * np.array(list(map(math.sin, azimuth))), z], axis=1))
+    # x0 is normal to y and to +z, or to +x where y is within about 26 degrees of +z
+    helper = np.where((np.abs(outward[:, 2]) < 0.9)[:, None], _Z, _X)
+    x0 = _unit_rows(np.cross(helper, outward))
+    x_axis = _unit_rows(np.array(list(map(math.cos, rolls)))[:, None] * x0
+                        + np.array(list(map(math.sin, rolls)))[:, None] * np.cross(outward, x0))
+    axes = np.stack([x_axis, outward, np.cross(x_axis, outward)], axis=2)  # columns: x, y, z
     order = rng.permutation(n)
-    return PartModel(origins=origins[order], frames=axes[order].transpose(0, 2, 1))
+    return PartModel(origins=(radius * outward)[order], frames=axes[order])
+
+
+def _layout_vector(indent: int) -> str:
+    """One 3-vector as json.dump(..., indent=2) writes it, `indent` spaces in: %r per float."""
+    return "[\n" + ",\n".join([" " * (indent + 2) + "%r"] * 3) + "\n" + " " * indent + "]"
+
+
+# the layout as json.dump(..., indent=2) writes it: json.encoder emits finite floats
+# by their repr, and a list with no items as []
+_LAYOUT_HEAD = ('{\n  "turntable_axis": %s,\n  "turntable_center": %s,\n  "holes": ['
+                % (_layout_vector(2), _layout_vector(2)))
+_LAYOUT_HOLE = ("    {\n"
+                + ",\n".join(f'      "{name}": {_layout_vector(6)}' for name in ("origin", *_AXES))
+                + "\n    }")
 
 
 def save_part_layout(part: PartModel, path: str | os.PathLike) -> None:
-    """Write a part layout as JSON (meters)."""
-    doc = {
-        "turntable_axis": part.turntable_axis.tolist(),
-        "turntable_center": part.turntable_center.tolist(),
-        "holes": [{"origin": origin, "x_axis": x_axis, "y_axis": y_axis, "z_axis": z_axis}
-                  for origin, (x_axis, y_axis, z_axis)
-                  in zip(part.origins.tolist(), part.frames.transpose(0, 2, 1).tolist())],
-    }
+    """Write a part layout as JSON (meters), byte for byte as json.dump(doc, indent=2) would."""
+    rows = np.concatenate([part.origins, part.frames.transpose(0, 2, 1).reshape(-1, 9)], axis=1)
+    holes = ",\n".join([_LAYOUT_HOLE % tuple(row) for row in rows.tolist()])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(_LAYOUT_HEAD % (*part.turntable_axis.tolist(), *part.turntable_center.tolist()))
+        fh.write(f"\n{holes}\n  ]\n}}\n" if holes else "]\n}\n")
 
 
 def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:

@@ -55,6 +55,24 @@ def test_generate_rejects_non_finite_radius(tmp_path, capsys, radius):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64",
+    ""], ids=["numpy-message", "bare"])
+def test_generate_out_of_memory_fails_cleanly(tmp_path, capsys, monkeypatch, message):
+    # a stand-in builder: a real 10**12-hole attempt could page in terabytes
+    def no_memory(n, radius, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("turnplan.cli.hemisphere_layout", no_memory)
+    path = tmp_path / "huge.json"
+    code = main(["generate", "--n", "1000000000000", "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and len(err.strip().splitlines()) == 1
+    assert (message or "allocation failed") in err
+    assert not path.exists()
+
+
 def test_plan_baseline_deterministic_file(tmp_path, capsys):
     layout = _generate(tmp_path, n=3)
     out_a, out_b = tmp_path / "a_plan.json", tmp_path / "b_plan.json"

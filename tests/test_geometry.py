@@ -1,10 +1,14 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from turnplan.angles import TWO_PI, wrap_angle, wrap_angles
 from turnplan.cli import main
 from turnplan.geometry import (PartModel, Waypoints, _table_angles, generate_waypoints,
                                hemisphere_layout, load_part_layout, save_part_layout)
@@ -155,6 +159,26 @@ def test_generated_table_angles_are_consistent():
         assert abs(angle - turntable_angle(position, part)) < 1e-12
 
 
+def test_wrap_angles_is_wrap_angle_bit_for_bit():
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, -1e-300, -5e-324, 1e-300, TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0),
+             math.pi, -math.pi, 1e300, -1e300]
+    raw = np.concatenate([edges, rng.uniform(-20.0, 20.0, 20000), rng.normal(0.0, 1e-12, 2000)])
+    wrapped = wrap_angles(raw.tolist())
+    expected = [wrap_angle(a) for a in raw.tolist()]
+    assert wrapped.tobytes() == np.array(expected).tobytes()  # +0.0, never -0.0
+    assert wrapped[:4].tolist() == [0.0, 0.0, 0.0, 0.0]  # tiny negatives round to 2*pi, then 0.0
+
+
+def test_on_axis_points_get_angle_zero():
+    positions = np.array([[0.0, 0.0, 1.0], [-1e-12, -1e-12, -3.0], [-0.0, -0.0, 0.0],
+                          [-1.0, -1e-300, 0.0], [-2.0, 0.0, 0.0]])
+    angles, on_axis = _table_angles(positions, PartModel())
+    assert on_axis.tolist() == [True, True, True, False, False]
+    assert angles.tobytes() == np.array([0.0, 0.0, 0.0, wrap_angle(math.atan2(-1e-300, -1.0)),
+                                         math.pi]).tobytes()
+
+
 @pytest.mark.parametrize("positions, angles", [
     ([[0.0, 0.0, 0.0]], 0.5),
     (np.empty((0, 3)), []),
@@ -194,6 +218,91 @@ def test_hemisphere_layout_rejects_bad_inputs():
     for radius in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="radius"):
             hemisphere_layout(5, radius, seed=0)
+
+
+# sha256 of save_part_layout(hemisphere_layout(n, radius, seed)), recorded with the
+# per-hole generator and json.dump writer that the array versions replaced
+LAYOUT_SHA256 = {
+    (1, 0.15, 0): "33d88f755e1dd90ca5e4f47f108c90900059501d85bf7d00f1ebc5f6dd04a19f",
+    (1, 1.0, 0): "9b68a6fd2bc3096899a535ef340464ee3385409fedd2eda4da479c55733dd0ce",
+    (1, 3.7e-3, 0): "810ba5978aa6e0ff7613f08cf81775dc5158827ef24d4aa66ec1730fdec2065c",
+    (1, 0.15, 7): "e22b8b8bdb347c3e06a369d28264609847bf4572dd06ec743705065c20be400f",
+    (1, 1.0, 7): "fc76465b0c09d6decb57bf84788f8d576f27022bd9e8004b128418efc12b524d",
+    (1, 3.7e-3, 7): "d0c58153edaea9cf2d175501bfeb5c435e1e5345eae3382d5329fdf6131ebe64",
+    (1, 0.15, 31337): "b7a641112eb1c0673125192c6a2bafd3f7762b7a4b03b0d6b840cc0cbd35b79b",
+    (1, 1.0, 31337): "a9cb36ce1c82ee8ac70a709388d3cdd57994d8f743fe228d4ec8196b605e6c16",
+    (1, 3.7e-3, 31337): "2e73fccd1f086296c4ef597ef9e4480795a697342fc943f332a54824de025d8f",
+    (2, 0.15, 0): "2be569cfdbfba27acc4ec57d935be72a8ac3dc468b03970c709e31c5884a843e",
+    (2, 1.0, 0): "16954610cb3bf575bab75d7491bd47b0bc3d9cfdc07c1f99953a048388b7f360",
+    (2, 3.7e-3, 0): "9abe2dee8f28872b779a11778724ea5d41252fcc57d40f44149b326c158dbdc1",
+    (2, 0.15, 7): "04e4751ffa35ef5168c3b4a1ccce0938fb21bbcbf2536ec0c9200a1f7103e5f4",
+    (2, 1.0, 7): "0feee46502e97fe60e6e3209a9d0d0f4983bb0c8627bfbd22211e04d7cbf04e5",
+    (2, 3.7e-3, 7): "5cc548db7c21857fdfce3c198d1804b43e462da59b6105a8d7e1901622c75a5d",
+    (2, 0.15, 31337): "76f4bec0598031ffbdaaeb254cc9126094e30438e4b5214921b797aad07cc290",
+    (2, 1.0, 31337): "9b4f6216202e4c2dea3a62f946395dbd8e93eb3ec9c6edbad1ec567e6bd645c1",
+    (2, 3.7e-3, 31337): "2df6e7318397740498ac0a38874d5daf3a965ec8d905c4645fe01a36240b9e71",
+    (40, 0.15, 0): "f82fa612e9486f2d8d769d736ec20fc7e84fda7da97e5fcf89062d9cbaf9c94f",
+    (40, 1.0, 0): "74acaa8bcca56ecf4a8d0e364ee67e11efdbfd44f6b17e2d17fc004319a15497",
+    (40, 3.7e-3, 0): "3f4ee7aefb292466cf42708c614b4a8ac2d99825c0ef9f964144b28527c17cb4",
+    (40, 0.15, 7): "a9d731eb68bbc9ec938c25c14b7e24702902e8e1cf5ea8b24d5c79b872933f09",
+    (40, 1.0, 7): "704098dfe600046fc0fe18cfd25e9f7b2fb236849a80f6410c675627c957f308",
+    (40, 3.7e-3, 7): "f0c9e011168f9cbe002caeded8ddb296636612fd1f34e53e96e88fc9971454ca",
+    (40, 0.15, 31337): "06ecdfdc193af283db1f5f54c438b312dbd49273086ab68cd7663b247f4c0dcd",
+    (40, 1.0, 31337): "a75860bdca6b12f46255c1cfb13b63ba3cb0b366d636d4b3fa1f1fed0ebe8b2e",
+    (40, 3.7e-3, 31337): "c269a1791bc2bed1991ce487f5c1089c7d96aca3828c19593029aadd1c86ba85",
+    (4000, 0.15, 0): "407c1902439668084e334d7b986221ddccb20079c46c1d3ced565bff3e86cec6",
+    (4000, 1.0, 0): "86492a0c23f636057b359101553f3d42da2d508f91947c2122d50488168dc429",
+    (4000, 3.7e-3, 0): "ccd27a4000853a801de0ef3438ce19981fc86936a130f3121af48b10b9cd9a1e",
+    (4000, 0.15, 7): "61560b8f6cf321c3aeb5d8c7d03f4ade352eb6dc6dd9afed27cfc4a46d063a39",
+    (4000, 1.0, 7): "af4f71e7d4fffe6158fe55863ac24b699ff1b595147607f0c5c8027c99964a3a",
+    (4000, 3.7e-3, 7): "abf9c77506a0023f378ccda6edb3a43223267da049800eaf335caeb53a71d0bc",
+    (4000, 0.15, 31337): "d490f2a1799bfde1f04bc95618bc644f0795cf46223a7f6e271161c7f1561b24",
+    (4000, 1.0, 31337): "f40d28879ec083d7bc14990a9e31f479603a2b07d7601fccf888130a51d22f7c",
+    (4000, 3.7e-3, 31337): "da1f2864b972204ec8b719d743cf662992c7fcb561cd1e5cc108e7f7822dcf0c",
+}
+
+
+@pytest.mark.parametrize("n, radius, seed", LAYOUT_SHA256)
+def test_layout_bytes_are_pinned(tmp_path, n, radius, seed):
+    path = tmp_path / "layout.json"
+    save_part_layout(hemisphere_layout(n, radius, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAYOUT_SHA256[n, radius, seed]
+
+
+def test_empty_layout_bytes_are_pinned(tmp_path):
+    path = tmp_path / "empty.json"
+    save_part_layout(PartModel(), path)
+    assert path.read_bytes() == (b'{\n  "turntable_axis": [\n    0.0,\n    0.0,\n    1.0\n  ],\n'
+                                 b'  "turntable_center": [\n    0.0,\n    0.0,\n    0.0\n  ],\n'
+                                 b'  "holes": []\n}\n')
+
+
+def _json_layout(part: PartModel) -> str:
+    doc = {"turntable_axis": part.turntable_axis.tolist(),
+           "turntable_center": part.turntable_center.tolist(),
+           "holes": [{"origin": origin, "x_axis": x_axis, "y_axis": y_axis, "z_axis": z_axis}
+                     for origin, (x_axis, y_axis, z_axis)
+                     in zip(part.origins.tolist(), part.frames.transpose(0, 2, 1).tolist())]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(origins=st.lists(st.tuples(_FINITE, _FINITE, _FINITE), max_size=4),
+       center=st.tuples(_FINITE, _FINITE, _FINITE), roll=st.sampled_from([0, 1, 2]),
+       zero=st.sampled_from([0.0, -0.0]),
+       axis=st.sampled_from([(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]))
+def test_layout_writer_matches_json_dump(tmp_path_factory, origins, center, roll, zero, axis):
+    """Any finite origins and centre, -0.0 and subnormals included, print as json.dump would."""
+    frame = np.roll(np.eye(3), roll, axis=1)  # a cyclic permutation of the axes: right-handed
+    frames = np.broadcast_to(np.where(frame == 0.0, zero, frame), (len(origins), 3, 3))
+    part = PartModel(origins=np.array(origins, dtype=float).reshape(-1, 3), frames=frames,
+                     turntable_axis=axis, turntable_center=center)
+    path = tmp_path_factory.mktemp("layout") / "layout.json"
+    save_part_layout(part, path)
+    assert path.read_text(encoding="utf-8") == _json_layout(part)
 
 
 def test_layout_round_trip(tmp_path):
