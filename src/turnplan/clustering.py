@@ -132,12 +132,14 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 # Margins of the assignment step (derived in _NearestCentroid): the gap
-# margin and the drift padding per unit of M, where M = max|p|. And when
-# keeping gap bounds pays: a skipped row saves the work of about
-# k + _ROW_PAIRS (row, centroid) pairs, and the bounds' upkeep costs about
-# _UPKEEP_PAIRS of them (both measured on a 2 vCPU Xeon).
+# margin and the drift padding per unit of M, where M = max|p|. When the
+# step pays at all: below _KERNEL_PAIRS (point, centroid) pairs, k-means
+# assigns with the exact argmin itself. And when keeping gap bounds pays: a
+# skipped row saves the work of about k + _ROW_PAIRS pairs, and the bounds'
+# upkeep costs about _UPKEEP_PAIRS of them (all measured on a 2 vCPU Xeon).
 _GAP_TOL = 2.0**-23
 _DRIFT_PAD = 16.0 * float(np.finfo(float).eps)
+_KERNEL_PAIRS = 2**10
 _ROW_PAIRS = 12
 _UPKEEP_PAIRS = 2**15
 
@@ -292,10 +294,16 @@ def _fix_empty_clusters(assign: np.ndarray, dist2: np.ndarray, counts: np.ndarra
     return assign
 
 
-def _members_by_label(labels: np.ndarray, count: int) -> list[np.ndarray]:
-    """The points of each label 0..count-1, in input order: slices of one stable argsort."""
-    by_label = _freeze(np.argsort(labels, kind="stable"))
-    return np.split(by_label, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+def _members_by_key(keys: np.ndarray) -> tuple[list[np.ndarray], list]:
+    """Each distinct key's points in input order, by ascending key, and the keys.
+
+    The points are read-only slices of one stable argsort.
+    """
+    by_key = _freeze(np.argsort(keys, kind="stable"))
+    ordered = keys[by_key]
+    firsts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()]
+    ends = firsts[1:] + [len(keys)]
+    return [by_key[a:b] for a, b in zip(firsts, ends)], ordered[firsts].tolist()
 
 
 def _member_mean_angle(angles: np.ndarray, members: np.ndarray) -> float:
@@ -324,11 +332,12 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     k = min(params.k, n)
     if n <= k:
         return [Cluster(members=m, mean_angle=a)
-                for m, a in zip(_members_by_label(np.arange(n), n), angles.tolist())]
+                for m, a in zip(_members_by_key(np.arange(n))[0], angles.tolist())]
 
     rng = default_rng(params.seed)
     centroids = points[rng.choice(n, size=k, replace=False)]
-    nearest = _NearestCentroid(points, k)
+    # below the crossover, the exact argmin that the kernel reproduces costs less
+    nearest = _NearestCentroid(points, k) if n * k >= _KERNEL_PAIRS else None
     # centroid sums come from one bincount over (axis, cluster) bins, with
     # the coordinates laid out axis by axis; each bin sums its members in
     # index order, so a centroid is bitwise equal to points[assign == j].mean(axis=0)
@@ -336,19 +345,27 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     axis_offsets = k * np.arange(3)[:, None]
     prev_assign = None
     for _ in range(_MAX_ITERATIONS):
-        assign = nearest(centroids)  # ties go to the lowest cluster index
+        if nearest is None:  # ties go to the lowest cluster index
+            dist2 = _squared_distances(points, centroids)
+            assign = dist2.argmin(axis=1)
+        else:
+            assign = nearest(centroids)
         counts = np.bincount(assign, minlength=k)
         if np.count_nonzero(counts) < k:
-            assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
-            nearest.relabel(assign)
+            if nearest is None:
+                assign = _fix_empty_clusters(assign, dist2, counts)
+            else:
+                assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
+                nearest.relabel(assign)
         if prev_assign is not None and not np.count_nonzero(assign != prev_assign):
             break
         prev_assign = assign
         sums = np.bincount((axis_offsets + assign).ravel(), weights=coords, minlength=3 * k)
         centroids = (sums.reshape(3, k) / counts).T
 
+    # the repair leaves every label 0..k-1 with members
     return [Cluster(members=m, mean_angle=_member_mean_angle(angles, m))
-            for m in _members_by_label(assign, k)]
+            for m in _members_by_key(assign)[0]]
 
 
 def sector_clusters(waypoints: Waypoints, groups: int) -> list[Cluster]:
@@ -366,10 +383,9 @@ def sector_clusters(waypoints: Waypoints, groups: int) -> list[Cluster]:
     # indices at or past groups - 1 join the last sector; beyond 2**53, one
     # that groups - 1 rounds down to stays a sector of its own, at the same center
     cut = last if last >= groups - 1 else math.nextafter(last, math.inf)
-    sectors, labels = np.unique(np.minimum(waypoints.table_angles // width, cut),
-                                return_inverse=True)
+    members, sectors = _members_by_key(np.minimum(waypoints.table_angles // width, cut))
     return [Cluster(members=m, mean_angle=wrap_angle(min(sector, last) * width + width / 2.0))
-            for m, sector in zip(_members_by_label(labels, len(sectors)), sectors.tolist())]
+            for m, sector in zip(members, sectors)]
 
 
 def order_clusters(clusters, start_angle: float) -> ClusterPlan:

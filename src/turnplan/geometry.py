@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import operator
@@ -228,13 +229,18 @@ class Waypoints:
         return (self[i] for i in range(len(self)))
 
 
-def _angle_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit in-plane reference and binormal: +x projected, or +y when the axis is parallel to +x."""
+@functools.lru_cache(maxsize=16)
+def _angle_basis(axis_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Unit in-plane reference and binormal: +x projected, or +y when the axis is parallel to +x.
+
+    Computed once per axis value, keyed by its bytes (so -0.0 is not 0.0); read-only.
+    """
+    axis = np.frombuffer(axis_bytes)
     ref = _X - (_X @ axis) * axis
     if np.linalg.norm(ref) <= AXIS_RADIUS_TOL:
         ref = _Y - (_Y @ axis) * axis
     ref = ref / np.linalg.norm(ref)
-    return ref, np.cross(axis, ref)
+    return _freeze(ref), _freeze(np.cross(axis, ref))
 
 
 def _dot3(v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -252,7 +258,7 @@ def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[np.ndarray, n
     v = positions - part.turntable_center
     in_plane = v - _dot3(v, axis)[:, None] * axis
     on_axis = np.linalg.norm(in_plane, axis=1) <= AXIS_RADIUS_TOL
-    ref, binormal = _angle_basis(axis)
+    ref, binormal = _angle_basis(axis.tobytes())
     # math.atan2, not np.arctan2: numpy's vectorized arctan2 differs from libm
     # in the last bit for some inputs, and that would change plans
     angles = wrap_angles(list(map(math.atan2, _dot3(v, binormal).tolist(),
@@ -379,6 +385,23 @@ def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:
     return values.reshape(-1, 3)
 
 
+_FIELDS = ("origin", *_AXES)
+
+
+def _hole_array(holes: list[dict]) -> np.ndarray:
+    """Every hole's origin and x, y and z axes as one (N, 4, 3) array.
+
+    One flat conversion with one type scan; only when that fails does
+    `_hole_vectors` check field by field, to name the first malformed entry.
+    """
+    with contextlib.suppress(KeyError, TypeError, OverflowError):  # diagnosed below
+        vectors = [h[name] for h in holes for name in _FIELDS]
+        flat = list(itertools.chain.from_iterable(vectors))
+        if set(map(len, vectors)) <= {3} and set(map(type, flat)) <= {int, float}:
+            return np.array(flat, dtype=float).reshape(len(holes), 4, 3)
+    return np.stack([_hole_vectors(holes, name) for name in _FIELDS], axis=1)
+
+
 def load_part_layout(path: str | os.PathLike) -> PartModel:
     """Load a part layout written by save_part_layout, revalidating every frame.
 
@@ -399,8 +422,8 @@ def load_part_layout(path: str | os.PathLike) -> PartModel:
         holes = doc["holes"]
         if not isinstance(holes, list) or not all(isinstance(h, dict) for h in holes):
             raise ValueError("holes must be a list of objects")
-        return PartModel(origins=_hole_vectors(holes, "origin"),
-                         frames=np.stack([_hole_vectors(holes, name) for name in _AXES], axis=2),
+        vectors = _hole_array(holes)
+        return PartModel(origins=vectors[:, 0], frames=vectors[:, 1:].transpose(0, 2, 1),
                          turntable_axis=doc["turntable_axis"],
                          turntable_center=doc["turntable_center"])
     except KeyError as exc:

@@ -7,6 +7,7 @@ All path lengths are open: the robot is not required to return to its start.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 from dataclasses import dataclass
@@ -18,12 +19,13 @@ from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _f
 
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
-# cluster size above which a cluster walks the table rather than distance
-# rows. plan_waypoints builds one table per waypoint bundle, over all its
-# points, the first time a cluster above the threshold needs it; smaller
-# clusters never build one. Deep rows are built only for the points where a
-# walk on the bundle has fallen back (see _ChainIndex). The threshold must
-# stay above CHAIN_CANDIDATES, since the query needs that many others.
+# cluster size above which a cluster walks the table rather than its own
+# distance matrix. plan_waypoints builds one table per waypoint bundle, over
+# all its points, the first time a cluster above the threshold needs it;
+# smaller clusters never build one. Deep rows are built only for the points
+# where a walk on the bundle has fallen back (see _ChainIndex). The
+# threshold must stay above CHAIN_CANDIDATES, since the query needs that
+# many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 32
@@ -194,33 +196,26 @@ class _ChainIndex:
             self.filled += len(deep)
 
 
-def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
+def _chain(pts: np.ndarray, index: _ChainIndex, members: list[int], start: int,
            slot: list[int], remaining: np.ndarray) -> list[int]:
-    """The greedy chain over the points `members` of `pts`, from member `start`.
+    """The greedy chain over the points `members` of `pts`, from member `start`, on `index`.
 
     Indices in and out are rows of `pts`; `remaining` is pts[members], a
-    copy that the walk overwrites. `index` is a `_ChainIndex` over
-    all of `pts`, or None to take every step from a distance row. `slot` is
-    a list of len(pts) zeros, shared by every cluster of a plan: the walk
-    stores each open member's position in `members` plus one there and
-    zeroes it when the member is visited, so it leaves all zeros and its
-    setup costs O(m) for m members, not O(len(pts)). A step takes the
-    current point's first open certified entry; entries of other clusters are
-    zero in `slot`, so they are skipped like visited ones. With none open it
-    records the point in `index.fallen` if its row is still table-wide, and
-    computes one row of distances over the members, with every visited
-    member overwritten by inf (written only now, for the members closed
-    since the last row), and takes the row's argmin.
+    copy that the walk overwrites. `index` is a `_ChainIndex` over all of
+    `pts`. `slot` is a list of len(pts) zeros, shared by every cluster of a
+    plan: the walk stores each open member's position in `members` plus one
+    there and zeroes it when the member is visited, so it leaves all zeros
+    and its setup costs O(m) for m members, not O(len(pts)). A step takes
+    the current point's first open certified entry; entries of other
+    clusters are zero in `slot`, so they are skipped like visited ones. With
+    none open it records the point in `index.fallen` if its row is still
+    table-wide, and computes one row of distances over the members, with
+    every visited member overwritten by inf (written only now, for the
+    members closed since the last row), and takes the row's argmin.
     """
     # point i's row is rows[at[i]:end[i]] of flat memoryviews: no Python
-    # object per entry. Without an index `at` and `end` are both `slot`, any
-    # list of len(pts): every slice of () is empty, and as end - at is 0, no
-    # point is recorded.
-    if index is None:
-        rows, at, end, fallen = (), slot, slot, None
-    else:
-        rows, at, end = memoryview(index.rows), memoryview(index.at), memoryview(index.end)
-        fallen = index.fallen
+    # object per entry
+    rows, at, end = memoryview(index.rows), memoryview(index.at), memoryview(index.end)
     for local, point in enumerate(members):
         slot[point] = local + 1
     diff = np.empty_like(remaining)
@@ -236,8 +231,8 @@ def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
                 break
         else:  # no certified candidate left: one row of distances
             if end[current] - at[current] == CHAIN_CANDIDATES + 1:
-                fallen.append(current)
-            # a lone index (each step of a row-only walk) is a cheaper write than a list
+                index.fallen.append(current)
+            # a lone index (a fallback right after another) is a cheaper write than a list
             remaining[closed[0] if len(closed) == 1 else closed] = np.inf
             closed.clear()
             np.subtract(pts[current], remaining, out=diff)
@@ -248,6 +243,33 @@ def _chain(pts: np.ndarray, index: _ChainIndex | None, members, start: int,
         current = nxt
     slot[current] = 0
     return order
+
+
+def _greedy_chain(pts: np.ndarray, members: np.ndarray, start: int, slot: list[int],
+                  remaining: np.ndarray, chain_index) -> np.ndarray:
+    """The greedy chain over the `members` of `pts` from members[start], a read-only np.intp array.
+
+    `remaining` is pts[members], which the walk may overwrite. A cluster of
+    more than CHAIN_TABLE_MIN_POINTS members walks the `_ChainIndex` that
+    `chain_index()` returns (`_chain`, with `slot`). A smaller one computes
+    its (m, m) distances once, with the chain's own expression (`here -
+    other`, the einsum of distance_matrix, sqrt), so each row is bitwise the
+    distance row `_chain` would compute, and walks them in plain Python: a
+    step takes the nearest open member, ties to the lowest position.
+    """
+    if len(members) > CHAIN_TABLE_MIN_POINTS:
+        walk = _chain(pts, chain_index(), members.tolist(), int(members[start]), slot, remaining)
+        return _freeze(np.array(walk, dtype=np.intp))
+    diff = remaining[:, None] - remaining
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).tolist()
+    unvisited = list(range(len(members)))  # ascending, so min() breaks ties to the lowest
+    del unvisited[start]
+    order = [start]
+    while unvisited:
+        nxt = min(unvisited, key=dist[order[-1]].__getitem__)
+        unvisited.remove(nxt)
+        order.append(nxt)
+    return _freeze(members[order])
 
 
 _REORDER = "each sequence must reorder exactly its cluster's members"
@@ -338,8 +360,8 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     the points where earlier plans fell back. So a bundle planned once pays
     for the table and builds no deep row, its second plan pays for the
     first plan's fallbacks, and replans with other seeds take most of those
-    steps without a distance row. Smaller clusters take every step from a
-    row, so a plan with none above the threshold builds nothing.
+    steps without a distance row. Smaller clusters walk their own distance
+    matrix, so a plan with none above the threshold builds nothing.
     """
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
@@ -349,25 +371,22 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     clusters = cluster_points(waypoints, params)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
 
+    @functools.cache
+    def chain_index() -> _ChainIndex:  # fetched by the plan's first table walk
+        index = waypoints._chain_index
+        index.deepen()  # the points where earlier plans fell back
+        return index
+
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
-    index = None  # the bundle's chain index, fetched by the plan's first table walk
     sequences = []
     for cluster in cluster_plan.clusters:
         seq = cluster.members
         if within_cluster == "greedy" and len(seq) > 1:
-            local = positions[seq]  # picks the start, then the walk overwrites it
+            local = positions[seq]  # picks the start, then the walk may overwrite it
             offsets = local - previous_pos
             # np.linalg.norm(offsets, axis=1)'s own expression, so ties break as with it
             start = int(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).argmin())
-            members = seq.tolist()
-            if len(members) <= CHAIN_TABLE_MIN_POINTS:
-                walk = _chain(positions, None, members, members[start], slot, local)
-            else:
-                if index is None:
-                    index = waypoints._chain_index
-                    index.deepen()  # the points where earlier plans fell back
-                walk = _chain(positions, index, members, members[start], slot, local)
-            seq = _freeze(np.array(walk, dtype=np.intp))
+            seq = _greedy_chain(positions, seq, start, slot, local, chain_index)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return _make_plan(cluster_plan, sequences)

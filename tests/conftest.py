@@ -101,13 +101,15 @@ def make_waypoints(positions) -> Waypoints:
 def chain_walk(positions, start: int) -> tuple[int, ...]:
     """plan_waypoints' greedy walk over all the points as one cluster of a fresh bundle.
 
-    Above CHAIN_TABLE_MIN_POINTS points it walks the bundle's chain index, as
-    a plan's large cluster does; at or below, every step is a distance row.
+    It goes through the plans' own dispatch: above CHAIN_TABLE_MIN_POINTS
+    points it walks the bundle's chain index, as a plan's large cluster does;
+    at or below, the cluster's own distance matrix.
     """
     bundle = make_waypoints(positions)
     pts, m = bundle.positions, len(bundle)
-    index = bundle._chain_index if m > sequencing.CHAIN_TABLE_MIN_POINTS else None
-    return tuple(sequencing._chain(pts, index, list(range(m)), start, [0] * m, pts.copy()))
+    walk = sequencing._greedy_chain(pts, np.arange(m), start, [0] * m, pts.copy(),
+                                    lambda: bundle._chain_index)
+    return tuple(walk.tolist())
 
 
 def count_waypoint_generation(monkeypatch, delay: float = 0.0) -> list:

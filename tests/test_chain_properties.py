@@ -1,21 +1,23 @@
 """Property tests: the greedy chain against the distance-matrix greedy, on layouts built for ties.
 
-The chain (`_chain`, the walk plan_waypoints runs per cluster) takes most
-steps from a point's row of certified nearest candidates and falls back to
-a full distance row otherwise; greedy_sequence over distance_matrix is the
-reference, and `chain_walk` runs the chain over all the points as one
-cluster. The layouts are the ones where a candidate table could go wrong:
-exact ties (lattices, duplicates), more coincident copies of a point than
-the table lists (every step falls back), far from the origin (large
-rounding in the differences), very tight spreads, and a shell of points at
-exactly one distance whose rounded distances the tree and the row order
-differently. Sizes run across CHAIN_TABLE_MIN_POINTS, so both the row-only
-and the table walk run. The same layouts, cut into interleaved clusters that
-walk one shared table, check plan_waypoints' per-cluster walk, and
-replanned on one bundle, the deep rows that replace the table rows of the
-points where earlier plans fell back. The certified rows themselves are
-checked against a full (distance, index) lexsort, which they skip for rows
-the tree already lists in that order.
+The chain (`_greedy_chain`, the walk plan_waypoints runs per cluster) walks
+a small cluster's own distance matrix; a cluster above
+CHAIN_TABLE_MIN_POINTS takes most steps from a point's row of certified
+nearest candidates and falls back to a full distance row otherwise.
+greedy_sequence over distance_matrix is the reference, and `chain_walk`
+runs the chain over all the points as one cluster. The layouts are the ones
+where a candidate table could go wrong: exact ties (lattices, duplicates),
+more coincident copies of a point than the table lists (every step falls
+back), far from the origin (large rounding in the differences), very tight
+spreads, and a shell of points at exactly one distance whose rounded
+distances the tree and the row order differently. Sizes run across
+CHAIN_TABLE_MIN_POINTS, so both the matrix walk and the table walk run. The
+same layouts, cut into interleaved clusters that walk one shared table,
+check plan_waypoints' per-cluster walk, and replanned on one bundle, the
+deep rows that replace the table rows of the points where earlier plans
+fell back. The certified rows themselves are checked against a full
+(distance, index) lexsort, which they skip for rows the tree already lists
+in that order.
 """
 
 import itertools
@@ -28,9 +30,9 @@ from scipy.spatial import cKDTree
 from conftest import chain_walk, make_waypoints
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
-from turnplan.sequencing import (_CERTIFICATE, CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
-                                 _certified_candidates, distance_matrix, greedy_sequence,
-                                 plan_waypoints)
+from turnplan.sequencing import (_CERTIFICATE, CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS,
+                                 _certified_candidates, _greedy_chain, distance_matrix,
+                                 greedy_sequence, plan_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -97,6 +99,31 @@ def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
     assert len(pts) > CHAIN_TABLE_MIN_POINTS
     expected = greedy_sequence(distance_matrix(pts), start)
     assert chain_walk(pts, start) == expected
+
+
+def equal_distance_layouts(m: int) -> dict[str, np.ndarray]:
+    """m points with many exactly or nearly equal distances, for the small-cluster walk."""
+    turn = 2.0 * np.pi * np.arange(m) / m
+    polygon = np.column_stack([np.cos(turn), np.sin(turn), np.zeros(m)])
+    half = -(-m // 2)
+    return {
+        "polygon": polygon,  # equal sides, and equal diagonals up to rounding
+        "polygon_and_center": np.vstack([np.zeros((1, 3)), polygon[:m - 1]]),
+        "offset_polygon": 0.05 * polygon + OFFSET,
+        "duplicated": np.repeat(polygon[:half], 2, axis=0)[:m],  # each vertex twice
+        "coincident": np.zeros((m, 3)),
+        "collinear": np.outer(np.arange(m), (1.0, 0.0, 0.0)),  # two neighbours at one distance
+        "collinear_runs": np.outer(np.arange(m) % half, (0.0, 0.05, 0.0)) + OFFSET,
+    }
+
+
+def test_small_cluster_walk_matches_matrix_greedy_from_every_start():
+    # every size that walks its own distance matrix, every start
+    for m in range(2, CHAIN_TABLE_MIN_POINTS + 1):
+        for kind, pts in equal_distance_layouts(m).items():
+            reference = distance_matrix(pts)
+            for start in range(m):
+                assert chain_walk(pts, start) == greedy_sequence(reference, start), (kind, m, start)
 
 
 def _lexsorted_rows(tree, pts: np.ndarray, query: np.ndarray, width: int):
@@ -168,9 +195,8 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
             continue
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
-        index = bundle._chain_index if len(members) > CHAIN_TABLE_MIN_POINTS else None
-        order = _chain(bundle.positions, index, members, members[local_start], slot,
-                       pts[members])
+        order = _greedy_chain(bundle.positions, np.array(members), local_start, slot,
+                              pts[members], lambda: bundle._chain_index).tolist()
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)

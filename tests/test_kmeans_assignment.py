@@ -4,8 +4,12 @@
 argmin over the exact einsum distances (`_squared_distances`), bit for bit,
 including exact ties, which go to the lowest index, also for the rows it
 skips because their gap bounds say no centroid move could have flipped them.
+Below `_KERNEL_PAIRS` (point, centroid) pairs, `cluster_points` takes that
+argmin itself, so tests that mean to run the kernel through `cluster_points`
+patch the crossover to 0.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -83,6 +87,7 @@ def test_lattice_k_means_takes_the_exact_fallback(monkeypatch):
     axis = np.arange(5.0)
     points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     points = np.vstack([points, points[::7]])  # and some duplicates
+    monkeypatch.setattr(clustering, "_KERNEL_PAIRS", 0)
     rows = _counting_squared_distances(monkeypatch)
     cluster_points(make_waypoints(points), ClusterParams(k=8, seed=0))
     assert rows and max(rows) < len(points)  # tied rows only, not an empty-cluster repair
@@ -127,11 +132,49 @@ def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
 def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed, upkeep):
     points = _points(layout, n, np.random.default_rng(seed))
     params = ClusterParams(k=k, seed=seed)
-    with _bounds_kept_from(upkeep), \
+    with _bounds_kept_from(upkeep), mock.patch.object(clustering, "_KERNEL_PAIRS", 0), \
             mock.patch.object(clustering, "_MAX_ITERATIONS", max_iterations):
         clusters = cluster_points(make_waypoints(points), params)
     members = [(i,) for i in range(n)] if n <= k else _lloyd(points, k, max_iterations, seed)
     assert [tuple(c.members.tolist()) for c in clusters] == members
+
+
+def _clusters_with_and_without_the_kernel(points: np.ndarray, k: int, seed: int) -> list:
+    """cluster_points' members and angles (by float.hex), the kernel forced on, then off."""
+    bundle, params = make_waypoints(points), ClusterParams(k=k, seed=seed)
+    runs = []
+    for pairs in (0, math.inf):
+        with mock.patch.object(clustering, "_KERNEL_PAIRS", pairs):
+            runs.append([(c.members.tolist(), c.mean_angle.hex())
+                         for c in cluster_points(bundle, params)])
+    return runs
+
+
+@PROPERTY_SETTINGS
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 300), k=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_small_input_assignment_cannot_change_a_plan(layout, n, k, seed):
+    # duplicates and lattices give exact ties and, with k above the distinct
+    # points, empty clusters to repair; n <= k gives singletons
+    with_kernel, without = _clusters_with_and_without_the_kernel(
+        _points(layout, n, np.random.default_rng(seed)), k, seed)
+    assert with_kernel == without
+
+
+def test_the_small_input_assignment_repairs_empty_clusters_as_the_kernel_does(monkeypatch):
+    # three distinct points, each repeated, and six clusters: the first
+    # assignment leaves clusters empty whichever assignment runs
+    repairs = []
+
+    def counted(assign, dist2, counts):
+        repairs.append(clustering._KERNEL_PAIRS)
+        return _fix_empty_clusters(assign, dist2, counts)
+
+    monkeypatch.setattr(clustering, "_fix_empty_clusters", counted)
+    points = np.random.default_rng(4).normal(size=(3, 3)).repeat(7, axis=0)
+    with_kernel, without = _clusters_with_and_without_the_kernel(points, 6, 1)
+    assert with_kernel == without and len(with_kernel) == 6
+    assert set(repairs) == {0, math.inf}  # a repair on each path
 
 
 def _exact_gaps(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
