@@ -139,11 +139,11 @@ def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
     return reports
 
 
-def hemisphere_scenario(n: int = 40, radius: float = 0.15, standoff: float = 0.05,
-                        layout_seed: int = 7, **overrides) -> Scenario:
-    """The stock test scenario: holes over a hemisphere, sprayed from a stand-off."""
+def hemisphere_scenario(n: int = 40, radius: float = 0.15, layout_seed: int = 7,
+                        **overrides) -> Scenario:
+    """The stock test scenario: holes over a hemisphere; `overrides` are `Scenario` fields."""
     part = hemisphere_layout(n, radius, seed=layout_seed)
-    return Scenario(part=part, standoff=standoff, **overrides)
+    return Scenario(part=part, **overrides)
 
 
 @dataclass(frozen=True)

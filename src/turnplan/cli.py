@@ -23,24 +23,30 @@ from .sequencing import save_plan
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=5, help="number of clusters / angle groups")
-    parser.add_argument("--angular-bound-deg", type=float, default=72.0,
+    # each default is the one its record owns, so a flag left out plans as the record would
+    parser.add_argument("--k", type=int, default=ClusterParams.k,
+                        help="number of clusters / angle groups")
+    parser.add_argument("--angular-bound-deg", type=float,
+                        default=math.degrees(ClusterParams.angular_bound),
                         help="reachable sector width in degrees; checked, but no planner "
                              "reads it yet")
-    parser.add_argument("--standoff", type=float, default=0.05,
+    parser.add_argument("--standoff", type=float, default=Scenario.standoff,
                         help="stand-off distance along the hole axis, meters")
-    parser.add_argument("--attack-deg", type=float, default=0.0,
+    parser.add_argument("--attack-deg", type=float, default=math.degrees(Scenario.attack),
                         help="attack angle about the hole x axis, degrees")
-    parser.add_argument("--robot-center-deg", type=float, default=0.0,
+    parser.add_argument("--robot-center-deg", type=float,
+                        default=math.degrees(Scenario.robot_center_angle),
                         help="table angle the robot works at, degrees")
-    parser.add_argument("--robot-speed", type=float, default=0.5,
+    parser.add_argument("--robot-speed", type=float, default=CellModel.robot_linear_speed,
                         help="robot linear speed, m/s (placeholder default)")
-    parser.add_argument("--table-speed", type=float, default=0.2,
+    parser.add_argument("--table-speed", type=float, default=CellModel.turntable_angular_speed,
                         help="turntable angular speed, rad/s (placeholder default)")
-    parser.add_argument("--dwell", type=float, default=1.0, help="seconds spent per point")
-    parser.add_argument("--planner-overhead", type=float, default=0.0,
+    parser.add_argument("--dwell", type=float, default=CellModel.dwell_per_point,
+                        help="seconds spent per point")
+    parser.add_argument("--planner-overhead", type=float,
+                        default=CellModel.planner_overhead_per_point,
                         help="extra seconds per point to emulate motion-planner search")
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
+    parser.add_argument("--seed", type=int, default=ClusterParams.seed, help="base seed")
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="stdout summary format")
 

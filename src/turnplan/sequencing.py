@@ -7,7 +7,6 @@ All path lengths are open: the robot is not required to return to its start.
 
 from __future__ import annotations
 
-import functools
 import mmap
 import os
 from dataclasses import dataclass
@@ -196,22 +195,22 @@ class _ChainIndex:
             self.filled += len(deep)
 
 
-def _chain(pts: np.ndarray, index: _ChainIndex, members: list[int], start: int,
-           slot: list[int], remaining: np.ndarray) -> list[int]:
-    """The greedy chain over the points `members` of `pts`, from member `start`, on `index`.
+def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
+           remaining: np.ndarray) -> list[int]:
+    """The greedy chain over the points `members` of `index.pts`, from member `start`.
 
-    Indices in and out are rows of `pts`; `remaining` is pts[members], a
-    copy that the walk overwrites. `index` is a `_ChainIndex` over all of
-    `pts`. `slot` is a list of len(pts) zeros, shared by every cluster of a
-    plan: the walk stores each open member's position in `members` plus one
-    there and zeroes it when the member is visited, so it leaves all zeros
-    and its setup costs O(m) for m members, not O(len(pts)). A step takes
-    the current point's first open certified entry; entries of other
-    clusters are zero in `slot`, so they are skipped like visited ones. With
-    none open it records the point in `index.fallen` if its row is still
-    table-wide, and computes one row of distances over the members, with
-    every visited member overwritten by inf (written only now, for the
-    members closed since the last row), and takes the row's argmin.
+    Indices in and out are rows of `pts` = `index.pts`; `remaining` is
+    pts[members], a copy that the walk overwrites. `slot` is a list of
+    len(pts) zeros, shared by every cluster of a plan: the walk stores each
+    open member's position in `members` plus one there and zeroes it when
+    the member is visited, so it leaves all zeros and its setup costs O(m)
+    for m members, not O(len(pts)). A step takes the current point's first
+    open certified entry; entries of other clusters are zero in `slot`, so
+    they are skipped like visited ones. With none open it records the point
+    in `index.fallen` if its row is still table-wide, and computes one row
+    of distances over the members, with every visited member overwritten by
+    inf (written only now, for the members closed since the last row), and
+    takes the row's argmin.
     """
     # point i's row is rows[at[i]:end[i]] of flat memoryviews: no Python
     # object per entry
@@ -235,7 +234,7 @@ def _chain(pts: np.ndarray, index: _ChainIndex, members: list[int], start: int,
             # a lone index (a fallback right after another) is a cheaper write than a list
             remaining[closed[0] if len(closed) == 1 else closed] = np.inf
             closed.clear()
-            np.subtract(pts[current], remaining, out=diff)
+            np.subtract(index.pts[current], remaining, out=diff)
             # the same einsum as distance_matrix, so each row is bitwise equal to its row
             np.einsum("ij,ij->i", diff, diff, out=dist)
             nxt = members[int(np.sqrt(dist, out=dist).argmin())]
@@ -245,20 +244,21 @@ def _chain(pts: np.ndarray, index: _ChainIndex, members: list[int], start: int,
     return order
 
 
-def _greedy_chain(pts: np.ndarray, members: np.ndarray, start: int, slot: list[int],
-                  remaining: np.ndarray, chain_index) -> np.ndarray:
-    """The greedy chain over the `members` of `pts` from members[start], a read-only np.intp array.
+def _greedy_chain(waypoints: Waypoints, members: np.ndarray, start: int, slot: list[int],
+                  remaining: np.ndarray) -> np.ndarray:
+    """The greedy chain over the bundle's `members` from members[start], a read-only np.intp array.
 
-    `remaining` is pts[members], which the walk may overwrite. A cluster of
-    more than CHAIN_TABLE_MIN_POINTS members walks the `_ChainIndex` that
-    `chain_index()` returns (`_chain`, with `slot`). A smaller one computes
+    `remaining` is waypoints.positions[members], which the walk may
+    overwrite. A cluster of more than CHAIN_TABLE_MIN_POINTS members walks
+    the bundle's `_ChainIndex` (`_chain`, with `slot`). A smaller one computes
     its (m, m) distances once, with the chain's own expression (`here -
     other`, the einsum of distance_matrix, sqrt), so each row is bitwise the
     distance row `_chain` would compute, and walks them in plain Python: a
     step takes the nearest open member, ties to the lowest position.
     """
     if len(members) > CHAIN_TABLE_MIN_POINTS:
-        walk = _chain(pts, chain_index(), members.tolist(), int(members[start]), slot, remaining)
+        walk = _chain(waypoints._chain_index, members.tolist(), int(members[start]), slot,
+                      remaining)
         return _freeze(np.array(walk, dtype=np.intp))
     diff = remaining[:, None] - remaining
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).tolist()
@@ -280,15 +280,15 @@ _CONCATENATE = "flattened_order must concatenate the per-cluster sequences"
 class Plan:
     """Ordered clusters with their rotation schedule and per-cluster visit order.
 
-    Each sequence reorders its cluster's members and `flattened_order`
-    concatenates the sequences; as the `ClusterPlan` partitions 0..N-1, the
-    plan visits every waypoint exactly once. Each sequence and
-    `flattened_order` is a read-only np.intp array.
+    Each sequence reorders its cluster's members; as the `ClusterPlan`
+    partitions 0..N-1, the plan visits every waypoint exactly once. The plan
+    derives `flattened_order`, the concatenated sequences; a given one must
+    equal it. Each sequence and `flattened_order` is a read-only np.intp array.
     """
 
     cluster_plan: ClusterPlan
     sequences: tuple[np.ndarray, ...]
-    flattened_order: np.ndarray
+    flattened_order: np.ndarray | None = None
 
     def __post_init__(self):
         if not isinstance(self.cluster_plan, ClusterPlan):
@@ -314,8 +314,8 @@ class Plan:
         if np.count_nonzero(labels[order] != own) or \
                 np.count_nonzero(np.bincount(order, minlength=n)) != n:
             raise ValueError(_REORDER)
-        flattened = _as_indices(self.flattened_order, "flattened_order", _CONCATENATE)
-        if not np.array_equal(flattened, order):
+        if self.flattened_order is not None and not np.array_equal(
+                _as_indices(self.flattened_order, "flattened_order", _CONCATENATE), order):
             raise ValueError(_CONCATENATE)
         object.__setattr__(self, "flattened_order", _freeze(order))
 
@@ -324,16 +324,11 @@ class Plan:
         return len(self.flattened_order)
 
 
-def _make_plan(cluster_plan: ClusterPlan, sequences: list) -> Plan:
-    return Plan(cluster_plan=cluster_plan, sequences=sequences,
-                flattened_order=np.concatenate(sequences))
-
-
 def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
                             start_angle: float = 0.0) -> Plan:
     """The base case: `sector_clusters` scheduled from `start_angle`, in input order within."""
     cluster_plan = order_clusters(sector_clusters(waypoints, groups), start_angle)
-    return _make_plan(cluster_plan, [c.members for c in cluster_plan.clusters])
+    return Plan(cluster_plan, [c.members for c in cluster_plan.clusters])
 
 
 def _as_robot_home(value) -> np.ndarray:
@@ -356,12 +351,12 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     A cluster of more than CHAIN_TABLE_MIN_POINTS members walks the bundle's
     chain index (`Waypoints._chain_index`, a `_ChainIndex`), which the first
     such plan of the bundle builds and every later cluster and plan of that
-    bundle reuses. Before its first such walk, a plan deepens the rows of
-    the points where earlier plans fell back. So a bundle planned once pays
-    for the table and builds no deep row, its second plan pays for the
-    first plan's fallbacks, and replans with other seeds take most of those
-    steps without a distance row. Smaller clusters walk their own distance
-    matrix, so a plan with none above the threshold builds nothing.
+    bundle reuses. A greedy plan with such a cluster fetches the index once,
+    before its first walk, and deepens the rows of the points where earlier
+    plans fell back. So a bundle planned once pays for the table and builds
+    no deep row, its second plan pays for the first plan's fallbacks, and
+    replans with other seeds take most of those steps without a distance
+    row. A plan that walks no such cluster builds nothing.
     """
     if within_cluster not in ("greedy", "input"):
         raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
@@ -370,13 +365,9 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
     positions = waypoints.positions
     clusters = cluster_points(waypoints, params)
     cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
-
-    @functools.cache
-    def chain_index() -> _ChainIndex:  # fetched by the plan's first table walk
-        index = waypoints._chain_index
-        index.deepen()  # the points where earlier plans fell back
-        return index
-
+    if within_cluster == "greedy" and any(
+            len(c.members) > CHAIN_TABLE_MIN_POINTS for c in cluster_plan.clusters):
+        waypoints._chain_index.deepen()  # the points where earlier plans fell back
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
     sequences = []
     for cluster in cluster_plan.clusters:
@@ -386,10 +377,10 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
             offsets = local - previous_pos
             # np.linalg.norm(offsets, axis=1)'s own expression, so ties break as with it
             start = int(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).argmin())
-            seq = _greedy_chain(positions, seq, start, slot, local, chain_index)
+            seq = _greedy_chain(waypoints, seq, start, slot, local)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
-    return _make_plan(cluster_plan, sequences)
+    return Plan(cluster_plan, sequences)
 
 
 # one visit record as json.dump(..., indent=2) writes it: json.encoder emits

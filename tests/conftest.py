@@ -106,9 +106,8 @@ def chain_walk(positions, start: int) -> tuple[int, ...]:
     at or below, the cluster's own distance matrix.
     """
     bundle = make_waypoints(positions)
-    pts, m = bundle.positions, len(bundle)
-    walk = sequencing._greedy_chain(pts, np.arange(m), start, [0] * m, pts.copy(),
-                                    lambda: bundle._chain_index)
+    m = len(bundle)
+    walk = sequencing._greedy_chain(bundle, np.arange(m), start, [0] * m, bundle.positions.copy())
     return tuple(walk.tolist())
 
 

@@ -195,8 +195,7 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
             continue
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
-        order = _greedy_chain(bundle.positions, np.array(members), local_start, slot,
-                              pts[members], lambda: bundle._chain_index).tolist()
+        order = _greedy_chain(bundle, np.array(members), local_start, slot, pts[members]).tolist()
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)

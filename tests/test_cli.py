@@ -8,8 +8,10 @@ import pytest
 
 import turnplan
 from conftest import count_waypoint_generation
+from turnplan import cli
+from turnplan.bench import Scenario
 from turnplan.cli import main
-from turnplan.geometry import load_part_layout
+from turnplan.geometry import hemisphere_layout, load_part_layout
 
 
 def _generate(tmp_path, name="layout.json", n=40, seed=7):
@@ -270,6 +272,13 @@ def test_plan_rejects_unknown_algorithm(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["plan", str(layout), "--algorithm", "santa", "--out", str(tmp_path / "p.json")])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("argv", [["plan", "layout.json", "--out", "plan.json"],
+                                  ["bench", "layout.json"]], ids=["plan", "bench"])
+def test_flags_left_out_give_the_records_own_defaults(argv):
+    part = hemisphere_layout(5, 0.15, seed=7)
+    assert cli._scenario(cli.build_parser().parse_args(argv), part) == Scenario(part=part)
 
 
 def _plan_ssp(layout, algorithm, seed, out, capsys):

@@ -448,6 +448,30 @@ def test_a_plan_rebuilt_from_numpy_integer_tuples_equals_the_planner_s():
     assert rebuilt.flattened_order.dtype == np.intp and not rebuilt.flattened_order.flags.writeable
 
 
+def test_a_plan_derives_its_visit_order_and_checks_a_given_one():
+    plan = _two_cluster_plan()
+    derived = Plan(plan.cluster_plan, plan.sequences)
+    order = derived.flattened_order
+    assert np.array_equal(order, np.concatenate(plan.sequences))
+    assert order.dtype == np.intp and not order.flags.writeable
+    given = Plan(plan.cluster_plan, plan.sequences, np.concatenate(plan.sequences))
+    assert np.array_equal(given.flattened_order, order)
+    assert [s.tolist() for s in given.sequences] == [s.tolist() for s in derived.sequences]
+
+
+@pytest.mark.parametrize("planner", ["input", "baseline"])
+def test_planners_that_walk_no_chain_build_no_chain_index(planner):
+    # their clusters are far above CHAIN_TABLE_MIN_POINTS, but only a greedy
+    # walk reads the bundle's chain index
+    wps = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
+    if planner == "input":
+        plan = plan_waypoints(wps, ClusterParams(k=5, seed=1), within_cluster="input")
+    else:
+        plan = baseline_angle_sequence(wps, groups=5)
+    assert max(map(len, plan.sequences)) > CHAIN_TABLE_MIN_POINTS
+    assert "_chain_index" not in wps.__dict__
+
+
 def test_plan_rejects_a_stand_in_cluster_plan():
     # only a ClusterPlan is known to partition 0..N-1, which makes every Plan
     # a permutation; a stand-in whose cluster skips index 0 is turned away
