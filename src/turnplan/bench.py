@@ -16,7 +16,6 @@ from . import sequencing
 from .clustering import ClusterParams
 from .geometry import PartModel, Waypoints, _as_int, _as_real, generate_waypoints, hemisphere_layout
 from .metrics import CellModel, estimate_execution_time, ssp_distance
-from .sequencing import Plan
 
 # (CSV column, BenchmarkReport field) of each quality metric, in file order
 METRICS = (
@@ -67,43 +66,24 @@ class BenchmarkReport:
                 raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
 
 
-def _plan_baseline(waypoints: Waypoints, scenario: Scenario) -> Plan:
-    return sequencing.baseline_angle_sequence(waypoints, groups=scenario.cluster_params.k,
-                                              start_angle=scenario.robot_center_angle)
-
-
-def _plan_cluster_only(waypoints: Waypoints, scenario: Scenario) -> Plan:
-    return sequencing.plan_waypoints(waypoints, scenario.cluster_params,
-                                     robot_center_angle=scenario.robot_center_angle,
-                                     within_cluster="input")
-
-
-def _plan_greedy(waypoints: Waypoints, scenario: Scenario) -> Plan:
-    return sequencing.plan_waypoints(waypoints, scenario.cluster_params,
-                                     robot_center_angle=scenario.robot_center_angle,
-                                     robot_home=scenario.robot_home)
+def _planner(algorithm: str):
+    return lambda waypoints, scenario: sequencing.plan_waypoints(
+        waypoints, scenario.cluster_params, scenario.robot_center_angle, scenario.robot_home,
+        algorithm)
 
 
 # Every planner takes (waypoints, scenario) -> Plan and reads its cluster settings, the
 # trial's seed included, from scenario.cluster_params alone.
-PLANNERS = {
-    "baseline": _plan_baseline,
-    "cluster": _plan_cluster_only,
-    "greedy": _plan_greedy,
-}
+PLANNERS = {name: _planner(name) for name in sequencing.ALGORITHMS}
 
 
 def _import_before_timing(algorithm: str, waypoints: Waypoints, scenario: Scenario) -> None:
     """Import scipy.spatial now if `algorithm` is certain to walk the bundle's chain index.
 
     Building the index imports it on first use, which would otherwise count
-    as planning time. A greedy plan walks the index when a cluster has more
-    than CHAIN_TABLE_MIN_POINTS members. k-means leaves none of its
-    min(k, N) clusters empty, so some cluster has more when
-    N > CHAIN_TABLE_MIN_POINTS min(k, N). Other plans stay scipy-free.
+    as planning time. Other plans stay scipy-free.
     """
-    n, k = len(waypoints), scenario.cluster_params.k
-    if algorithm == "greedy" and n > sequencing.CHAIN_TABLE_MIN_POINTS * min(k, n):
+    if sequencing._walks_chain_index(algorithm, len(waypoints), scenario.cluster_params.k):
         import scipy.spatial  # noqa: F401
 
 

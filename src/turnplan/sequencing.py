@@ -1,6 +1,6 @@
-"""Waypoint ordering: greedy nearest-neighbor within clusters, the angle-sector
-baseline, and the planning pipeline over generated waypoints (clusters ->
-schedule -> sequences).
+"""Waypoint ordering: greedy nearest-neighbor within clusters, the planner
+registry `ALGORITHMS`, and the one pipeline every planner runs over generated
+waypoints (partition -> schedule -> order within each cluster).
 
 All path lengths are open: the robot is not required to return to its start.
 """
@@ -29,6 +29,13 @@ CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 32
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
+
+
+def _walks_chain_index(algorithm: str, n: int, k: int) -> bool:
+    """Whether a plan by `algorithm` of n points surely walks the chain index: only the greedy
+    order does, on a cluster of more than CHAIN_TABLE_MIN_POINTS members, and every partition
+    makes at most min(k, n) clusters, so some cluster has more when n exceeds this many."""
+    return ALGORITHMS[algorithm][1] is _greedy_order and n > CHAIN_TABLE_MIN_POINTS * min(k, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,13 +331,6 @@ class Plan:
         return len(self.flattened_order)
 
 
-def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
-                            start_angle: float = 0.0) -> Plan:
-    """The base case: `sector_clusters` scheduled from `start_angle`, in input order within."""
-    cluster_plan = order_clusters(sector_clusters(waypoints, groups), start_angle)
-    return Plan(cluster_plan, [c.members for c in cluster_plan.clusters])
-
-
 def _as_robot_home(value) -> np.ndarray:
     home = _as_vector3(value, "robot_home")
     # the bound of the positions: the start choice squares positions - robot_home
@@ -339,40 +339,29 @@ def _as_robot_home(value) -> np.ndarray:
     return home
 
 
-def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
-                   robot_home=(0.0, 0.0, 0.0), within_cluster: str = "greedy") -> Plan:
-    """Cluster waypoints, schedule the turntable, and order each cluster.
+def _input_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> list[np.ndarray]:
+    return [c.members for c in clusters]
 
-    within_cluster: "greedy" runs the nearest-neighbor chain (`_chain`) per
-    cluster, starting at the member closest to the end of the previous
-    cluster (the robot home for the first); "input" keeps members in input
-    order (the clustering-only variant).
 
-    A cluster of more than CHAIN_TABLE_MIN_POINTS members walks the bundle's
-    chain index (`Waypoints._chain_index`, a `_ChainIndex`), which the first
-    such plan of the bundle builds and every later cluster and plan of that
-    bundle reuses. A greedy plan with such a cluster fetches the index once,
-    before its first walk, and deepens the rows of the points where earlier
-    plans fell back. So a bundle planned once pays for the table and builds
-    no deep row, its second plan pays for the first plan's fallbacks, and
-    replans with other seeds take most of those steps without a distance
-    row. A plan that walks no such cluster builds nothing.
+def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> list[np.ndarray]:
+    """Per cluster, the nearest-neighbor chain (`_greedy_chain`) from the member closest
+    to the end of the previous cluster (`robot_home` for the first).
+
+    A plan with a cluster of more than CHAIN_TABLE_MIN_POINTS members fetches
+    the bundle's chain index (`Waypoints._chain_index`) once, before its first
+    walk, and deepens the rows of the points where earlier plans fell back: a
+    bundle planned once pays for the table, its second plan for the first
+    plan's fallbacks, and later replans take most steps without a distance row.
     """
-    if within_cluster not in ("greedy", "input"):
-        raise ValueError(f"unknown within_cluster mode {within_cluster!r}")
-    robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
-    previous_pos = _as_robot_home(robot_home)
     positions = waypoints.positions
-    clusters = cluster_points(waypoints, params)
-    cluster_plan = order_clusters(clusters, start_angle=robot_center_angle)
-    if within_cluster == "greedy" and any(
-            len(c.members) > CHAIN_TABLE_MIN_POINTS for c in cluster_plan.clusters):
+    if any(len(c.members) > CHAIN_TABLE_MIN_POINTS for c in clusters):
         waypoints._chain_index.deepen()  # the points where earlier plans fell back
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
+    previous_pos = robot_home
     sequences = []
-    for cluster in cluster_plan.clusters:
+    for cluster in clusters:
         seq = cluster.members
-        if within_cluster == "greedy" and len(seq) > 1:
+        if len(seq) > 1:
             local = positions[seq]  # picks the start, then the walk may overwrite it
             offsets = local - previous_pos
             # np.linalg.norm(offsets, axis=1)'s own expression, so ties break as with it
@@ -380,7 +369,38 @@ def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_ang
             seq = _greedy_chain(waypoints, seq, start, slot, local)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
-    return Plan(cluster_plan, sequences)
+    return sequences
+
+
+# Every planner, by name: its partition, (waypoints, params) -> clusters, and its order
+# within each cluster, (waypoints, clusters in serving order, robot_home) -> sequences. A
+# partition looks its stage up in this module when it runs, so a stage rebound here (by a
+# tracer, say) is the one every planner calls.
+ALGORITHMS = {
+    "baseline": (lambda waypoints, params: sector_clusters(waypoints, params.k), _input_order),
+    "cluster": (lambda waypoints, params: cluster_points(waypoints, params), _input_order),
+    "greedy": (lambda waypoints, params: cluster_points(waypoints, params), _greedy_order),
+}
+
+
+def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
+                   robot_home=(0.0, 0.0, 0.0), algorithm: str = "greedy") -> Plan:
+    """The one pipeline of every planner in `ALGORITHMS`: its partition of the waypoints,
+    `order_clusters` from `robot_center_angle`, then its order within each cluster."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    partition, order = ALGORITHMS[algorithm]
+    robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
+    robot_home = _as_robot_home(robot_home)
+    cluster_plan = order_clusters(partition(waypoints, params), start_angle=robot_center_angle)
+    return Plan(cluster_plan, order(waypoints, cluster_plan.clusters, robot_home))
+
+
+def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,
+                            start_angle: float = 0.0) -> Plan:
+    """The "baseline" plan: `groups` sectors scheduled from `start_angle`, in input order within."""
+    return plan_waypoints(waypoints, ClusterParams(k=_as_int(groups, "groups", 1)),
+                          _as_real(start_angle, "start_angle"), algorithm="baseline")
 
 
 # one visit record as json.dump(..., indent=2) writes it: json.encoder emits

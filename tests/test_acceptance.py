@@ -33,7 +33,7 @@ def hundred_seed_batch():
     for seed in range(100):
         params = ClusterParams(k=5, seed=seed)
         greedy = plan_waypoints(waypoints, params, robot_home=scenario.robot_home)
-        cluster = plan_waypoints(waypoints, params, within_cluster="input")
+        cluster = plan_waypoints(waypoints, params, algorithm="cluster")
         greedy_ssps.append(ssp_distance(greedy, positions))
         rotations.extend([greedy.cluster_plan.total_rotation,
                           cluster.cluster_plan.total_rotation])
@@ -170,9 +170,9 @@ def test_criterion_8_permutation_safety_fuzz():
         k = int(rng.integers(1, 8))
         waypoints = make_waypoints(_fuzz_positions(rng, n))
         params = ClusterParams(k=k, seed=trial)
-        mode = "input" if trial % 3 == 0 else "greedy"
+        algorithm = "cluster" if trial % 3 == 0 else "greedy"
         plans = [
-            plan_waypoints(waypoints, params, within_cluster=mode),
+            plan_waypoints(waypoints, params, algorithm=algorithm),
             baseline_angle_sequence(waypoints, groups=k),
         ]
         for plan in plans:

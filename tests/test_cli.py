@@ -75,7 +75,7 @@ def test_generate_out_of_memory_fails_cleanly(tmp_path, capsys, monkeypatch, mes
     assert not path.exists()
 
 
-def test_plan_baseline_deterministic_file(tmp_path, capsys):
+def test_baseline_plan_file_is_deterministic(tmp_path, capsys):
     layout = _generate(tmp_path, n=3)
     out_a, out_b = tmp_path / "a_plan.json", tmp_path / "b_plan.json"
     assert main(["plan", str(layout), "--algorithm", "baseline", "--out", str(out_a)]) == 0
@@ -85,7 +85,7 @@ def test_plan_baseline_deterministic_file(tmp_path, capsys):
     assert sorted(r["waypoint_index"] for r in records) == [0, 1, 2]
 
 
-def test_plan_greedy_reproducible_for_fixed_seed(tmp_path):
+def test_greedy_plan_file_is_reproducible_for_fixed_seed(tmp_path):
     layout = _generate(tmp_path)
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out_a, out_b):

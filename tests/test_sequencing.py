@@ -10,7 +10,7 @@ import pytest
 from conftest import (InstanceTooLargeError, brute_force_open_path, chain_walk, make_waypoints,
                       optimal_sequence, path_length)
 from turnplan.angles import TWO_PI
-from turnplan.bench import Scenario, comparison_rows, run_comparison
+from turnplan.bench import PLANNERS, Scenario, comparison_rows, run_comparison
 from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
@@ -278,16 +278,16 @@ def test_plan_waypoints_builds_no_distance_matrix(monkeypatch):
 def test_plan_waypoints_input_mode_keeps_member_order():
     rng = np.random.default_rng(18)
     wps = make_waypoints(rng.uniform(-1, 1, (20, 3)))
-    plan = plan_waypoints(wps, ClusterParams(k=4, seed=2), within_cluster="input")
+    plan = plan_waypoints(wps, ClusterParams(k=4, seed=2), algorithm="cluster")
     for seq, cluster in zip(plan.sequences, plan.cluster_plan.clusters):
         assert np.array_equal(seq, cluster.members)
 
 
 def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
-    # the "input" mode runs no greedy chain, so cluster_points must refuse them
+    # the "cluster" planner runs no greedy chain, so cluster_points must refuse them
     wps = make_waypoints(1e200 * np.random.default_rng(20).normal(size=(50, 3)))
     with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
-        plan_waypoints(wps, ClusterParams(k=5, seed=0), within_cluster="input")
+        plan_waypoints(wps, ClusterParams(k=5, seed=0), algorithm="cluster")
 
 
 def _plan_key(plan):
@@ -373,7 +373,7 @@ def test_integer_settings_reject_non_integers(name, value):
 def test_plan_waypoints_rejects_unknown_modes():
     wps = make_waypoints([(1, 0, 0)])
     with pytest.raises(ValueError):
-        plan_waypoints(wps, ClusterParams(), within_cluster="magic")
+        plan_waypoints(wps, ClusterParams(), algorithm="magic")
 
 
 def test_plan_validation_rejects_foreign_sequence():
@@ -385,7 +385,7 @@ def test_plan_validation_rejects_foreign_sequence():
 
 def _two_cluster_plan():
     wps = make_waypoints([(1, 0, 0), (1.1, 0, 0), (-1, 0, 0), (-1.1, 0, 0)])
-    return plan_waypoints(wps, ClusterParams(k=2, seed=0), within_cluster="input")
+    return plan_waypoints(wps, ClusterParams(k=2, seed=0), algorithm="cluster")
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -423,11 +423,11 @@ def test_plan_rejects_non_integer_indices(sequences, flattened, message):
         Plan(cluster_plan=plan.cluster_plan, sequences=sequences, flattened_order=flattened)
 
 
-@pytest.mark.parametrize("within_cluster", ["greedy", "input"])
-def test_plan_records_are_read_only_index_arrays(within_cluster):
+@pytest.mark.parametrize("algorithm", ["greedy", "cluster"])
+def test_plan_records_are_read_only_index_arrays(algorithm):
     part = hemisphere_layout(400, 0.15, seed=4)
     plan = plan_waypoints(generate_waypoints(part, 0.05, 0.0), ClusterParams(k=3, seed=1),
-                          within_cluster=within_cluster)
+                          algorithm=algorithm)
     assert any(len(seq) > CHAIN_TABLE_MIN_POINTS for seq in plan.sequences)
     for record in (*plan.sequences, plan.flattened_order):
         assert record.dtype == np.intp and record.ndim == 1
@@ -459,17 +459,44 @@ def test_a_plan_derives_its_visit_order_and_checks_a_given_one():
     assert [s.tolist() for s in given.sequences] == [s.tolist() for s in derived.sequences]
 
 
-@pytest.mark.parametrize("planner", ["input", "baseline"])
+@pytest.mark.parametrize("planner", ["cluster", "baseline"])
 def test_planners_that_walk_no_chain_build_no_chain_index(planner):
     # their clusters are far above CHAIN_TABLE_MIN_POINTS, but only a greedy
     # walk reads the bundle's chain index
     wps = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
-    if planner == "input":
-        plan = plan_waypoints(wps, ClusterParams(k=5, seed=1), within_cluster="input")
+    if planner == "cluster":
+        plan = plan_waypoints(wps, ClusterParams(k=5, seed=1), algorithm="cluster")
     else:
         plan = baseline_angle_sequence(wps, groups=5)
     assert max(map(len, plan.sequences)) > CHAIN_TABLE_MIN_POINTS
     assert "_chain_index" not in wps.__dict__
+
+
+STAGES = ("cluster_points", "sector_clusters", "order_clusters")
+# per planner, how often one plan calls each of STAGES
+STAGE_CALLS = {"baseline": (0, 1, 1), "cluster": (1, 0, 1), "greedy": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("name", STAGE_CALLS)
+def test_every_planner_looks_its_stages_up_when_it_runs(monkeypatch, bundled_layout_path, name):
+    # perfbench's tracer rebinds the stages in sequencing's namespace, as this
+    # test does: a registry that held a stage from import time would miss it
+    import turnplan.sequencing as sequencing
+    counts = dict.fromkeys(STAGES, 0)
+
+    def counting(stage, original):
+        def counted(*args, **kwargs):
+            counts[stage] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for stage in STAGES:
+        monkeypatch.setattr(sequencing, stage, counting(stage, getattr(sequencing, stage)))
+    wps = _hemisphere40_waypoints(bundled_layout_path)
+    scenario = Scenario(part=load_part_layout(bundled_layout_path))
+    plan = PLANNERS[name](wps, scenario)
+    assert sorted(plan.flattened_order.tolist()) == list(range(40))
+    assert tuple(counts[stage] for stage in STAGES) == STAGE_CALLS[name]
 
 
 def test_plan_rejects_a_stand_in_cluster_plan():
