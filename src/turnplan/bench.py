@@ -94,7 +94,7 @@ def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
     Trial i plans the scenario with cluster_params.seed raised by i. The
     planning time is wall clock around the planner call only. Every trial
     plans the same bundle, so the first greedy trial's time includes
-    building the bundle's chain index (see `sequencing.plan_waypoints`) and
+    building the bundle's chain index (see `sequencing._greedy_order`) and
     later trials, which reuse it, do not. The second greedy trial also pays
     one batch of deep rows, for the points where the first fell back; each
     later trial pays one for the points new to its predecessor's fallbacks.

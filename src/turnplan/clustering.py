@@ -1,9 +1,10 @@
 """Spatial clustering of waypoints and the single-revolution turntable schedule.
 
-Waypoints are grouped with seeded k-means (Lloyd's algorithm) on their 3D
-positions. Each cluster gets a circular-mean angle about the turntable axis;
-clusters are then served in ascending angular order so the table, which can
-only rotate one way, never needs more than one full revolution.
+Two partitions: `cluster_points`, seeded k-means (Lloyd's algorithm) on the
+3D positions, each cluster at the circular mean of its members' angles about
+the turntable axis; and the baseline's `sector_clusters`, sectors of 2*pi/k,
+each at its center. Clusters are served in ascending angular order so the
+table, which can only rotate one way, never needs more than one revolution.
 """
 
 from __future__ import annotations
@@ -134,14 +135,10 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 # Margins of the assignment step (derived in _NearestCentroid): the gap
 # margin and the drift padding per unit of M, where M = max|p|. When the
 # step pays at all: below _KERNEL_PAIRS (point, centroid) pairs, k-means
-# assigns with the exact argmin itself. And when keeping gap bounds pays: a
-# skipped row saves the work of about k + _ROW_PAIRS pairs, and the bounds'
-# upkeep costs about _UPKEEP_PAIRS of them (all measured on a 2 vCPU Xeon).
+# assigns with the exact argmin itself (measured on a 2 vCPU Xeon).
 _GAP_TOL = 2.0**-23
 _DRIFT_PAD = 16.0 * float(np.finfo(float).eps)
 _KERNEL_PAIRS = 2**10
-_ROW_PAIRS = 12
-_UPKEEP_PAIRS = 2**15
 
 
 class _NearestCentroid:
@@ -154,15 +151,9 @@ class _NearestCentroid:
 
     Every recomputed row gets its label a and a lower bound b on its gap G:
     the distance to its second-nearest centroid minus that to its nearest.
-    A call that keeps the bounds lets the next one lower every bound by the
-    centroids' drift since this call and recompute only the stale rows,
-    those with b <= 0 (all of them when most are stale); the others keep
-    their labels. Keeping bounds costs a drift update and a row selection
-    per call, so a call keeps them for the next one only while the rows it
-    skipped, times k + _ROW_PAIRS, reach _UPKEEP_PAIRS. A call that
-    recomputes every row counts as skipping n, so fewer than
-    2^15 / (k + 12) points never keep bounds, and a call that skipped too
-    little hands a full recompute to the next one.
+    Every call after the first lowers every bound by the centroids' drift
+    since the previous call and recomputes only the stale rows, those with
+    b <= 0 (all of them when most are stale); the others keep their labels.
 
     The kernel. Each point is lifted to (p, 1) and each centroid to
     (-2c, C) with C = fl(|c|^2); one (rows, 4) @ (4, k) matmul gives
@@ -217,17 +208,16 @@ class _NearestCentroid:
         self.pad = _DRIFT_PAD * scale
         self.coeffs = np.empty((4, k))  # a column per centroid: (-2c, |c|^2)
         self.labels = self.bounds = None
-        self.centroids = None  # those of the last call, while its bounds are kept
+        self.centroids = None  # those of the last call, from which the next one's drift is taken
         self._cols = np.arange(n)
         # room for the matmul outputs, (rows, k) and then (k, rows)
         self._products = np.empty(n * k)
 
     def __call__(self, centroids: np.ndarray) -> np.ndarray:
-        n, k = len(self.points), len(centroids)
+        n = len(self.points)
         np.multiply(centroids.T, -2.0, out=self.coeffs[:3])
         np.einsum("ij,ij->i", centroids, centroids, out=self.coeffs[3])
         rows = None
-        skipped = n  # the most that bounds could skip on the next call
         if self.centroids is not None:
             drift = centroids - self.centroids
             drift = np.sqrt(np.einsum("ij,ij->i", drift, drift))
@@ -235,16 +225,13 @@ class _NearestCentroid:
             self.bounds -= drift[self.labels]
             # not "<= 0": a NaN bound (from overflowing coordinates) is stale too
             rows = (~(self.bounds > 0.0)).nonzero()[0]
-            skipped = n - len(rows)
-        # bounds are kept only while the rows they skip pay for their upkeep
-        keep = skipped * (k + _ROW_PAIRS) >= _UPKEEP_PAIRS
         if rows is None or 2 * len(rows) > n:  # most rows stale: recompute them all
             labels, self.bounds = self._recompute(None, centroids)
         else:
             labels = self.labels.copy()
             labels[rows], self.bounds[rows] = self._recompute(rows, centroids)
         self.labels = labels
-        self.centroids = centroids.copy() if keep else None
+        self.centroids = centroids.copy()
         return labels
 
     def _recompute(self, rows, centroids: np.ndarray):
@@ -346,16 +333,13 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     prev_assign = None
     for _ in range(_MAX_ITERATIONS):
         if nearest is None:  # ties go to the lowest cluster index
-            dist2 = _squared_distances(points, centroids)
-            assign = dist2.argmin(axis=1)
+            assign = _squared_distances(points, centroids).argmin(axis=1)
         else:
             assign = nearest(centroids)
         counts = np.bincount(assign, minlength=k)
         if np.count_nonzero(counts) < k:
-            if nearest is None:
-                assign = _fix_empty_clusters(assign, dist2, counts)
-            else:
-                assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
+            assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
+            if nearest is not None:
                 nearest.relabel(assign)
         if prev_assign is not None and not np.count_nonzero(assign != prev_assign):
             break

@@ -19,12 +19,12 @@ from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _f
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
 # cluster size above which a cluster walks the table rather than its own
-# distance matrix. plan_waypoints builds one table per waypoint bundle, over
-# all its points, the first time a cluster above the threshold needs it;
-# smaller clusters never build one. Deep rows are built only for the points
-# where a walk on the bundle has fallen back (see _ChainIndex). The
-# threshold must stay above CHAIN_CANDIDATES, since the query needs that
-# many others.
+# distance matrix. _greedy_order builds one table per waypoint bundle, over
+# all its points, the first time a greedy plan has a cluster above the
+# threshold, fetching it once before its first walk; no other plan builds
+# one. Deep rows are built only for the points where a walk on the bundle
+# has fallen back (see _ChainIndex). The threshold must stay above
+# CHAIN_CANDIDATES, since the query needs that many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 32

@@ -101,12 +101,6 @@ def test_hemisphere_k_means_needs_no_exact_fallback(monkeypatch):
     assert rows == []
 
 
-def _bounds_kept_from(pairs: int):
-    # the step keeps its bounds only where they pay; lower thresholds let
-    # small inputs exercise them, and switch them off and on again
-    return mock.patch.object(clustering, "_UPKEEP_PAIRS", pairs)
-
-
 def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
     """Plain Lloyd's k-means, the exact einsum argmin on every iteration."""
     rng = np.random.default_rng(seed)
@@ -127,12 +121,11 @@ def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
 
 @PROPERTY_SETTINGS
 @given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 300), k=st.integers(1, 40),
-       max_iterations=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
-       upkeep=st.sampled_from([0, 2**10, 2**13, clustering._UPKEEP_PAIRS]))
-def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed, upkeep):
+       max_iterations=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+def test_k_means_equals_plain_lloyd(layout, n, k, max_iterations, seed):
     points = _points(layout, n, np.random.default_rng(seed))
     params = ClusterParams(k=k, seed=seed)
-    with _bounds_kept_from(upkeep), mock.patch.object(clustering, "_KERNEL_PAIRS", 0), \
+    with mock.patch.object(clustering, "_KERNEL_PAIRS", 0), \
             mock.patch.object(clustering, "_MAX_ITERATIONS", max_iterations):
         clusters = cluster_points(make_waypoints(points), params)
     members = [(i,) for i in range(n)] if n <= k else _lloyd(points, k, max_iterations, seed)
@@ -208,17 +201,16 @@ def test_gap_bounds_stay_below_the_exact_gaps(layout, n, k, seed, moves):
     rng = np.random.default_rng(seed)
     points = _points(layout, n, rng)
     centroids = _centroids(points, k, rng)
-    with _bounds_kept_from(0):
-        step = _NearestCentroid(points, k)
-        step(centroids)
-        for squeeze in moves:  # the adversarial move, or a jump to fresh centroids
-            centroids = _squeeze(points, centroids, rng) if squeeze else _centroids(points, k, rng)
-            labels = step(centroids)
-            assert np.array_equal(labels, _squared_distances(points, centroids).argmin(axis=1))
-            assert np.all(step.bounds <= _exact_gaps(points, centroids, labels))
+    step = _NearestCentroid(points, k)
+    step(centroids)
+    for squeeze in moves:  # the adversarial move, or a jump to fresh centroids
+        centroids = _squeeze(points, centroids, rng) if squeeze else _centroids(points, k, rng)
+        labels = step(centroids)
+        assert np.array_equal(labels, _squared_distances(points, centroids).argmin(axis=1))
+        assert np.all(step.bounds <= _exact_gaps(points, centroids, labels))
 
 
-def test_near_ties_far_from_origin_take_the_exact_path(monkeypatch):
+def test_near_ties_far_from_origin_take_the_exact_path():
     # points within 1e-12..1e-4 m of the bisector of two centroids 1.1 km out,
     # where the matmul's rounding (|p|^2 ~ 1e6) decides nothing
     rng = np.random.default_rng(5)
@@ -226,15 +218,12 @@ def test_near_ties_far_from_origin_take_the_exact_path(monkeypatch):
     points = np.column_stack([offsets, rng.uniform(-0.2, 0.2, (200, 2))]) + (1e3, -5e2, 2e2)
     centroids = np.array([(-0.1, 0.0, 0.0), (0.1, 0.0, 0.0)]) + (1e3, -5e2, 2e2)
     expected = _squared_distances(points, centroids).argmin(axis=1)
-    for keep in (0, np.inf):
-        monkeypatch.setattr(clustering, "_UPKEEP_PAIRS", keep)
-        step = _NearestCentroid(points, 2)
-        assert np.array_equal(step(centroids), expected)
-        assert np.array_equal(step(centroids), expected)  # the second call keeps or skips
+    step = _NearestCentroid(points, 2)
+    assert np.array_equal(step(centroids), expected)
+    assert np.array_equal(step(centroids), expected)  # the second call lowers the bounds
 
 
 def test_hemisphere_k_means_recomputes_few_rows(monkeypatch):
-    bundle = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
     rows = []
     recompute = _NearestCentroid._recompute
 
@@ -243,6 +232,10 @@ def test_hemisphere_k_means_recomputes_few_rows(monkeypatch):
         return recompute(self, stale, *args)
 
     monkeypatch.setattr(_NearestCentroid, "_recompute", counted)
-    cluster_points(bundle, ClusterParams(k=60, seed=3))
-    assert rows[0] == 4000 and len(rows) > 10
-    assert sum(rows[1:]) < 0.5 * 4000 * len(rows[1:])
+    # a large k, and a small input that still runs the kernel (300 x 5 >= _KERNEL_PAIRS)
+    for n, k in ((4000, 60), (300, 5)):
+        bundle = generate_waypoints(hemisphere_layout(n, 0.15, seed=7), 0.05, 0.0)
+        rows.clear()
+        cluster_points(bundle, ClusterParams(k=k, seed=3))
+        assert rows[0] == n and len(rows) > 10
+        assert sum(rows[1:]) < 0.5 * n * len(rows[1:])
