@@ -5,7 +5,7 @@ spatially, schedule the clusters within a single turntable revolution, then
 greedily order the waypoints inside each cluster to cut total time.
 """
 
-from .bench import PLANNERS, Scenario, hemisphere_scenario, run_comparison, trial_reports
+from .bench import Scenario, hemisphere_scenario, run_comparison, trial_reports
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
 from .metrics import CellModel, estimate_execution_time, ssp_distance
@@ -15,5 +15,5 @@ __all__ = [
     "hemisphere_layout", "load_part_layout", "save_part_layout", "generate_waypoints",
     "ClusterParams", "Plan", "plan_waypoints", "baseline_angle_sequence", "save_plan",
     "CellModel", "ssp_distance", "estimate_execution_time",
-    "PLANNERS", "Scenario", "hemisphere_scenario", "run_comparison", "trial_reports",
+    "Scenario", "hemisphere_scenario", "run_comparison", "trial_reports",
 ]

@@ -1,4 +1,4 @@
-"""Desk-scale benchmark: the planner registry, seeded trials scored by `metrics`,
+"""Desk-scale benchmark: the one planning timer, seeded trials scored by `metrics`,
 the 40-hole hemisphere, and a comparison of the angle baseline, clustering only
 and the full greedy pipeline, with the two CSV files that report it.
 """
@@ -66,38 +66,33 @@ class BenchmarkReport:
                 raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
 
 
-def _planner(algorithm: str):
-    return lambda waypoints, scenario: sequencing.plan_waypoints(
-        waypoints, scenario.cluster_params, scenario.robot_center_angle, scenario.robot_home,
-        algorithm)
+def timed_plan(algorithm: str, waypoints: Waypoints,
+               scenario: Scenario) -> tuple[sequencing.Plan, float]:
+    """Plan `waypoints` by `algorithm` under `scenario`; return the plan and the wall-clock
+    seconds of one `sequencing.plan_waypoints` call, the package's only planning timer.
 
-
-# Every planner takes (waypoints, scenario) -> Plan and reads its cluster settings, the
-# trial's seed included, from scenario.cluster_params alone.
-PLANNERS = {name: _planner(name) for name in sequencing.ALGORITHMS}
-
-
-def _import_before_timing(algorithm: str, waypoints: Waypoints, scenario: Scenario) -> None:
-    """Import scipy.spatial now if `algorithm` is certain to walk the bundle's chain index.
-
-    Building the index imports it on first use, which would otherwise count
-    as planning time. Other plans stay scipy-free.
+    A plan certain to walk the bundle's chain index imports scipy.spatial first, so that
+    building the index does not count the import as planning time.
     """
     if sequencing._walks_chain_index(algorithm, len(waypoints), scenario.cluster_params.k):
         import scipy.spatial  # noqa: F401
+    tic = time.perf_counter()
+    plan = sequencing.plan_waypoints(waypoints, scenario.cluster_params,
+                                     scenario.robot_center_angle, scenario.robot_home, algorithm)
+    return plan, time.perf_counter() - tic
 
 
-def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
+def trial_reports(algorithm: str, waypoints: Waypoints, scenario: Scenario,
                   trials: int) -> list[BenchmarkReport]:
-    """Plan and score `trials` seeded trials of one planner on one waypoint bundle.
+    """Plan and score `trials` seeded trials of one algorithm on one waypoint bundle.
 
-    Trial i plans the scenario with cluster_params.seed raised by i. The
-    planning time is wall clock around the planner call only. Every trial
-    plans the same bundle, so the first greedy trial's time includes
-    building the bundle's chain index (see `sequencing._greedy_order`) and
-    later trials, which reuse it, do not. The second greedy trial also pays
-    one batch of deep rows, for the points where the first fell back; each
-    later trial pays one for the points new to its predecessor's fallbacks.
+    Trial i plans the scenario with cluster_params.seed raised by i, timed by
+    `timed_plan`. Every trial plans the same bundle, so the first greedy
+    trial's time includes building the bundle's chain index (see
+    `sequencing._greedy_order`) and later trials, which reuse it, do not. The
+    second greedy trial also pays one batch of deep rows, for the points where
+    the first fell back; each later trial pays one for the points new to its
+    predecessor's fallbacks.
     """
     positions = waypoints.positions
     reports = []
@@ -105,9 +100,7 @@ def trial_reports(plan_fn, waypoints: Waypoints, scenario: Scenario,
         seed = scenario.cluster_params.seed + trial
         trial_scenario = replace(scenario, cluster_params=replace(scenario.cluster_params,
                                                                   seed=seed))
-        tic = time.perf_counter()
-        plan = plan_fn(waypoints, trial_scenario)
-        elapsed = time.perf_counter() - tic
+        plan, elapsed = timed_plan(algorithm, waypoints, trial_scenario)
         reports.append(BenchmarkReport(
             planning_time=elapsed,
             ssp_distance=ssp_distance(plan, positions),
@@ -159,9 +152,8 @@ class ComparisonResult:
 def run_comparison(scenario: Scenario, trials: int) -> ComparisonResult:
     """Run every planner's trials on one waypoint bundle, generated once, with shared seeds."""
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    _import_before_timing("greedy", waypoints, scenario)
-    return ComparisonResult({name: trial_reports(plan_fn, waypoints, scenario, trials)
-                             for name, plan_fn in PLANNERS.items()})
+    return ComparisonResult({name: trial_reports(name, waypoints, scenario, trials)
+                             for name in sequencing.ALGORITHMS})
 
 
 def comparison_rows(result: ComparisonResult) -> list[list]:

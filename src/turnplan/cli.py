@@ -12,14 +12,13 @@ import functools
 import json
 import math
 import sys
-import time
 
-from .bench import (PLANNERS, Scenario, _import_before_timing, comparison_rows, plot_data_rows,
-                    run_comparison, write_csv)
+from .bench import (Scenario, comparison_rows, plot_data_rows, run_comparison, timed_plan,
+                    write_csv)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
 from .metrics import CellModel, ssp_distance
-from .sequencing import save_plan
+from .sequencing import ALGORITHMS, save_plan
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,10 +77,7 @@ def cmd_generate(args) -> int:
 def cmd_plan(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    _import_before_timing(args.algorithm, waypoints, scenario)
-    tic = time.perf_counter()
-    plan = PLANNERS[args.algorithm](waypoints, scenario)
-    planning_time = time.perf_counter() - tic
+    plan, planning_time = timed_plan(args.algorithm, waypoints, scenario)
     save_plan(plan, waypoints, args.out)
     summary = {
         "n": plan.n_points,
@@ -150,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="plan a visit sequence for a layout")
     plan.add_argument("layout", help="layout JSON path")
-    plan.add_argument("--algorithm", choices=tuple(PLANNERS), default="greedy")
+    plan.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="greedy")
     plan.add_argument("--out", required=True, help="plan JSON path")
     _add_config_flags(plan)
     plan.set_defaults(func=cmd_plan)

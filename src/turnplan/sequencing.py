@@ -33,9 +33,10 @@ _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
 
 def _walks_chain_index(algorithm: str, n: int, k: int) -> bool:
     """Whether a plan by `algorithm` of n points surely walks the chain index: only the greedy
-    order does, on a cluster of more than CHAIN_TABLE_MIN_POINTS members, and every partition
-    makes at most min(k, n) clusters, so some cluster has more when n exceeds this many."""
-    return ALGORITHMS[algorithm][1] is _greedy_order and n > CHAIN_TABLE_MIN_POINTS * min(k, n)
+    order does (an unknown name walks nothing), on a cluster of more than CHAIN_TABLE_MIN_POINTS
+    members; every partition makes at most min(k, n) clusters, so one has more past this many."""
+    return (ALGORITHMS.get(algorithm, (None, None))[1] is _greedy_order
+            and n > CHAIN_TABLE_MIN_POINTS * min(k, n))
 
 
 @dataclass(frozen=True, eq=False)

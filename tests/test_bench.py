@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import count_waypoint_generation
+from turnplan import sequencing
 from turnplan.angles import TWO_PI
-from turnplan.bench import (METRICS, PLANNERS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario,
-                            comparison_rows, hemisphere_scenario, plot_data_rows, run_comparison,
+from turnplan.bench import (METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario, comparison_rows,
+                            hemisphere_scenario, plot_data_rows, run_comparison, timed_plan,
                             trial_reports, write_csv)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
+from turnplan.sequencing import ALGORITHMS
 
 
 def _cluster_only_plan(scenario, seed=0):
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     params = replace(scenario.cluster_params, seed=seed)
-    return PLANNERS["cluster"](waypoints, replace(scenario, cluster_params=params))
+    return timed_plan("cluster", waypoints, replace(scenario, cluster_params=params))[0]
 
 
 def test_hemisphere_scenario_shapes():
@@ -60,7 +62,7 @@ def test_greedy_improvement_beats_clustering_only_per_seed():
 def test_run_comparison_means_and_improvement():
     scenario = hemisphere_scenario()
     result = run_comparison(scenario, trials=3)
-    assert set(result.reports) == set(PLANNERS)
+    assert set(result.reports) == set(ALGORITHMS)
     assert all(len(rs) == 3 for rs in result.reports.values())
     assert result.improvement_vs_baseline["baseline"] == 0.0
     assert result.improvement_vs_baseline["greedy"] > 0.0
@@ -138,33 +140,46 @@ def test_run_comparison_generates_waypoints_once(monkeypatch):
     calls = count_waypoint_generation(monkeypatch)
     result = run_comparison(hemisphere_scenario(n=8), trials=3)
     assert len(calls) == 1
-    assert all(len(result.reports[name]) == 3 for name in PLANNERS)
+    assert all(len(result.reports[name]) == 3 for name in ALGORITHMS)
 
 
 def test_trial_seeds_count_up_from_the_cluster_params_seed():
     scenario = Scenario(hemisphere_layout(12, 0.15, seed=7), cluster_params=ClusterParams(seed=9))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    assert [r.seed for r in trial_reports(PLANNERS["greedy"], waypoints, scenario, 2)] == [9, 10]
+    assert [r.seed for r in trial_reports("greedy", waypoints, scenario, 2)] == [9, 10]
     result = run_comparison(scenario, 2)
-    assert all([r.seed for r in result.reports[name]] == [9, 10] for name in PLANNERS)
+    assert all([r.seed for r in result.reports[name]] == [9, 10] for name in ALGORITHMS)
 
 
-def test_each_trial_plans_the_caller_s_scenario_with_its_own_seed():
+def test_each_trial_plans_the_caller_s_scenario_with_its_own_seed(monkeypatch):
     base = 2**63 - 1  # given as a numpy int64, base + 1 must not wrap
     scenario = Scenario(hemisphere_layout(12, 0.15, seed=7), robot_center_angle=0.3,
+                        robot_home=(0.1, -0.2, 0.3),
                         cluster_params=ClusterParams(k=3, seed=np.int64(base)))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    seen = []
+    plan_waypoints, seen = sequencing.plan_waypoints, []
 
-    def recording(waypoints, trial_scenario):
-        seen.append(trial_scenario)
-        return PLANNERS["greedy"](waypoints, trial_scenario)
+    def recording(waypoints, params, robot_center_angle, robot_home, algorithm):
+        seen.append((params, robot_center_angle, robot_home, algorithm))
+        return plan_waypoints(waypoints, params, robot_center_angle, robot_home, algorithm)
 
-    trial_reports(recording, waypoints, scenario, 3)
-    assert [s.cluster_params.seed for s in seen] == [base, base + 1, base + 2]
-    for trial, s in enumerate(seen):
-        assert s.cluster_params == replace(scenario.cluster_params, seed=base + trial)
-        assert replace(s, cluster_params=scenario.cluster_params) == scenario
+    monkeypatch.setattr(sequencing, "plan_waypoints", recording)
+    trial_reports("greedy", waypoints, scenario, 3)
+    assert [params.seed for params, *_ in seen] == [base, base + 1, base + 2]
+    for trial, (params, robot_center_angle, robot_home, algorithm) in enumerate(seen):
+        assert params == replace(scenario.cluster_params, seed=base + trial)
+        assert (robot_center_angle, robot_home) == (scenario.robot_center_angle,
+                                                    scenario.robot_home)
+        assert algorithm == "greedy"
+
+
+def test_an_unknown_algorithm_gets_the_planner_s_message():
+    scenario = hemisphere_scenario(n=8)
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    with pytest.raises(ValueError, match="^unknown algorithm 'magic'$"):
+        timed_plan("magic", waypoints, scenario)
+    with pytest.raises(ValueError, match="^unknown algorithm 'magic'$"):
+        trial_reports("magic", waypoints, scenario, 1)
 
 
 def test_a_negative_standoff_gets_one_message():

@@ -401,16 +401,17 @@ def test_timed_plan_call_imports_nothing(bundled_layout_path, tmp_path, command,
                ["--report", str(tmp_path / "r.csv"), "--plot-data", str(tmp_path / "p.csv")])
     code = f"""
 import contextlib, io, sys
-from turnplan import cli
-plan_fn, loaded = cli.PLANNERS[{algorithm!r}], []
+from turnplan import cli, sequencing
+plan_waypoints, loaded = sequencing.plan_waypoints, []
 
-def timed(waypoints, scenario):
+def timed(*args):
     before = set(sys.modules)
-    plan = plan_fn(waypoints, scenario)
-    loaded.append(sorted(set(sys.modules) - before))
+    plan = plan_waypoints(*args)
+    if args[4] == {algorithm!r}:
+        loaded.append(sorted(set(sys.modules) - before))
     return plan
 
-cli.PLANNERS[{algorithm!r}] = timed
+sequencing.plan_waypoints = timed
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main({[command, layout, *outputs, *flags]!r}) == 0
 print(loaded, "scipy.spatial" in sys.modules)

@@ -259,6 +259,8 @@ LAYOUT_SHA256 = {
     (4000, 0.15, 31337): "d490f2a1799bfde1f04bc95618bc644f0795cf46223a7f6e271161c7f1561b24",
     (4000, 1.0, 31337): "f40d28879ec083d7bc14990a9e31f479603a2b07d7601fccf888130a51d22f7c",
     (4000, 3.7e-3, 31337): "da1f2864b972204ec8b719d743cf662992c7fcb561cd1e5cc108e7f7822dcf0c",
+    # the top of the size range, as `turnplan generate --n 40000 --seed 7` writes it
+    (40000, 0.15, 7): "c4d91995775262361e15594db42785cd97ea950a21811478815b49ee7d9864b5",
 }
 
 

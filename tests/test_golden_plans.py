@@ -22,7 +22,7 @@ import scipy.spatial
 
 import turnplan
 from conftest import make_waypoints
-from turnplan.bench import PLANNERS, Scenario
+from turnplan.bench import Scenario, timed_plan
 from turnplan.cli import main
 from turnplan.clustering import ClusterParams
 from turnplan import sequencing
@@ -50,8 +50,8 @@ def file_digest(path) -> str:
 def _hemisphere40_plan(layout_path, algorithm, seed):
     part = load_part_layout(layout_path)
     scenario = Scenario(part=part, cluster_params=ClusterParams(seed=seed))
-    return PLANNERS[algorithm](generate_waypoints(part, scenario.standoff, scenario.attack),
-                               scenario)
+    return timed_plan(algorithm, generate_waypoints(part, scenario.standoff, scenario.attack),
+                      scenario)[0]
 
 
 def _large_plan(k, seed):

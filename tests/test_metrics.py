@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import count_waypoint_generation
-from turnplan.bench import (PLANNERS, REPORT_COLUMNS, BenchmarkReport, ComparisonResult,
-                            comparison_rows, hemisphere_scenario, run_comparison, trial_reports,
-                            write_csv)
+from turnplan import sequencing
+from turnplan.bench import (REPORT_COLUMNS, BenchmarkReport, ComparisonResult, comparison_rows,
+                            hemisphere_scenario, run_comparison, trial_reports, write_csv)
 from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
 from turnplan.metrics import CellModel, estimate_execution_time, ssp_distance
@@ -140,30 +140,32 @@ def test_benchmark_rejects_bad_inputs():
     scenario = hemisphere_scenario()
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     with pytest.raises(ValueError):
-        trial_reports(PLANNERS["greedy"], waypoints, scenario, trials=0)
+        trial_reports("greedy", waypoints, scenario, trials=0)
 
 
-def test_benchmark_times_only_the_planning_call():
+def test_benchmark_times_only_the_planning_call(monkeypatch):
     scenario = hemisphere_scenario(n=5)
     prebuilt = {}
 
-    def canned(waypoints, scenario):
+    def canned(*args):
         return prebuilt["plan"]
 
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     prebuilt["plan"] = plan_waypoints(waypoints, scenario.cluster_params)
-    report = trial_reports(canned, waypoints, scenario, trials=1)[0]
+    monkeypatch.setattr(sequencing, "plan_waypoints", canned)
+    report = trial_reports("greedy", waypoints, scenario, trials=1)[0]
     assert report.planning_time < 0.01  # no-op planner: metric evaluation is untimed
 
 
-def test_benchmark_slow_planner_is_measured():
+def test_benchmark_slow_planner_is_measured(monkeypatch):
     scenario = hemisphere_scenario(n=5)
-    def sleepy(waypoints, scenario):
+    def sleepy(waypoints, params, *args):
         time.sleep(0.05)
-        return plan_waypoints(waypoints, scenario.cluster_params)
+        return plan_waypoints(waypoints, params)
 
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    report = trial_reports(sleepy, waypoints, scenario, trials=1)[0]
+    monkeypatch.setattr(sequencing, "plan_waypoints", sleepy)
+    report = trial_reports("greedy", waypoints, scenario, trials=1)[0]
     assert report.planning_time >= 0.05
 
 

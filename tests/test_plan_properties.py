@@ -5,7 +5,7 @@ rotations stay within one revolution; `Plan` checks that each sequence
 reorders its cluster's members and that `flattened_order` concatenates the
 sequences. Nothing downstream re-checks them, so this file states what the
 two checks together promise, over generated layouts, cluster counts, seeds
-and robot settings, for every planner in `PLANNERS`.
+and robot settings, for every planner in `ALGORITHMS`.
 """
 
 import math
@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import make_waypoints
 from turnplan.angles import TWO_PI
-from turnplan.bench import PLANNERS, Scenario
+from turnplan.bench import Scenario, timed_plan
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import PartModel
 from turnplan.metrics import ssp_distance
+from turnplan.sequencing import ALGORITHMS
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 LAYOUTS = ("normal", "ring", "duplicates", "on_axis", "lattice", "far")
@@ -51,12 +52,12 @@ def _path_length(points: np.ndarray, order: np.ndarray) -> float:
 @PROPERTY_SETTINGS
 @given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 200), k=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1), center=st.floats(0.0, TWO_PI, exclude_max=True),
-       home=st.tuples(*[st.floats(-2.0, 2.0)] * 3), name=st.sampled_from(sorted(PLANNERS)))
+       home=st.tuples(*[st.floats(-2.0, 2.0)] * 3), name=st.sampled_from(sorted(ALGORITHMS)))
 def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, home, name):
     points = _points(layout, n, np.random.default_rng(seed))
     scenario = Scenario(part=PartModel(), cluster_params=ClusterParams(k=k, seed=seed),
                         robot_center_angle=center, robot_home=home)
-    plan = PLANNERS[name](make_waypoints(points), scenario)
+    plan = timed_plan(name, make_waypoints(points), scenario)[0]
     cluster_plan = plan.cluster_plan
 
     assert sorted(plan.flattened_order) == list(range(n))

@@ -10,7 +10,7 @@ import pytest
 from conftest import (InstanceTooLargeError, brute_force_open_path, chain_walk, make_waypoints,
                       optimal_sequence, path_length)
 from turnplan.angles import TWO_PI
-from turnplan.bench import PLANNERS, Scenario, comparison_rows, run_comparison
+from turnplan.bench import Scenario, comparison_rows, run_comparison, timed_plan
 from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
@@ -494,7 +494,7 @@ def test_every_planner_looks_its_stages_up_when_it_runs(monkeypatch, bundled_lay
         monkeypatch.setattr(sequencing, stage, counting(stage, getattr(sequencing, stage)))
     wps = _hemisphere40_waypoints(bundled_layout_path)
     scenario = Scenario(part=load_part_layout(bundled_layout_path))
-    plan = PLANNERS[name](wps, scenario)
+    plan = timed_plan(name, wps, scenario)[0]
     assert sorted(plan.flattened_order.tolist()) == list(range(40))
     assert tuple(counts[stage] for stage in STAGES) == STAGE_CALLS[name]
 
