@@ -370,36 +370,24 @@ def save_part_layout(part: PartModel, path: str | os.PathLike) -> None:
         fh.write(f"\n{holes}\n  ]\n}}\n" if holes else "]\n}\n")
 
 
-def _hole_vectors(holes: list[dict], name: str) -> np.ndarray:
-    """Field `name` of every hole as an (N, 3) array; a malformed entry is named with its hole."""
-    rows = [h[name] for h in holes]
-    try:
-        values = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
-        values = None
-    # JSON numbers load as int or float; numpy would also take "0.1" and true
-    if (values is None or values.shape != (len(holes), 3)
-            or not {type(c) for row in rows for c in row} <= {int, float}):
-        for index, row in enumerate(rows):
-            _as_vector3(row, f"{name} of hole {index}")
-    return values.reshape(-1, 3)
-
-
 _FIELDS = ("origin", *_AXES)
 
 
 def _hole_array(holes: list[dict]) -> np.ndarray:
     """Every hole's origin and x, y and z axes as one (N, 4, 3) array.
 
-    One flat conversion with one type scan; only when that fails does
-    `_hole_vectors` check field by field, to name the first malformed entry.
+    One flat conversion with one type scan; only when that fails is each
+    entry checked by `_as_vector3`, field by field, to name the first malformed one.
     """
     with contextlib.suppress(KeyError, TypeError, OverflowError):  # diagnosed below
         vectors = [h[name] for h in holes for name in _FIELDS]
         flat = list(itertools.chain.from_iterable(vectors))
         if set(map(len, vectors)) <= {3} and set(map(type, flat)) <= {int, float}:
             return np.array(flat, dtype=float).reshape(len(holes), 4, 3)
-    return np.stack([_hole_vectors(holes, name) for name in _FIELDS], axis=1)
+    for name in _FIELDS:
+        for index, row in enumerate([h[name] for h in holes]):  # a missing key raises first
+            _as_vector3(row, f"{name} of hole {index}")
+    raise AssertionError("every entry that fails the flat conversion fails _as_vector3")
 
 
 def load_part_layout(path: str | os.PathLike) -> PartModel:

@@ -10,8 +10,9 @@ from numpy.testing import assert_allclose
 
 from turnplan.angles import TWO_PI, wrap_angle, wrap_angles
 from turnplan.cli import main
-from turnplan.geometry import (PartModel, Waypoints, _table_angles, generate_waypoints,
-                               hemisphere_layout, load_part_layout, save_part_layout)
+from turnplan.geometry import (PartModel, Waypoints, _hole_array, _table_angles,
+                               generate_waypoints, hemisphere_layout, load_part_layout,
+                               save_part_layout)
 
 WORLD_FRAME = dict(origin=(0.0, 0.0, 0.0), x_axis=(1.0, 0.0, 0.0),
                    y_axis=(0.0, 1.0, 0.0), z_axis=(0.0, 0.0, 1.0))
@@ -363,3 +364,58 @@ def test_layout_loader_rejects_missing_fields(tmp_path):
     path.write_text(json.dumps({"holes": []}))
     with pytest.raises(ValueError):
         load_part_layout(path)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(0, "x_axis", "north"), (5, "origin", [True, 0, 0])],
+     ": origin of hole 5 must be a 3-vector of numbers, got [True, 0, 0]"),
+    ([(1, "origin", ["0.1", 0, 0]), (3, "origin")], " is missing field 'origin'"),
+    ([(2, "z_axis"), (4, "origin", [1, 2])],
+     ": origin of hole 4 must be a 3-vector, got shape (2,)"),
+    ([(1, "y_axis", [10**400, 0, 0])],
+     f": y_axis of hole 1 must be a 3-vector of numbers, got [{10**400}, 0, 0]"),
+    ([(2, "origin", {"a": 1.0, "b": 2.0, "c": 3.0})],
+     ": origin of hole 2 must be a 3-vector of numbers, got {'a': 1.0, 'b': 2.0, 'c': 3.0}"),
+    ([(0, "origin", [[0.1], [0.2], [0.3]])],
+     ": origin of hole 0 must be a 3-vector, got shape (3, 1)"),
+    ([(5, "z_axis", [None, 0, 1])], ": z_axis of hole 5 must be finite"),
+    ([(3, "x_axis", 1.0), (4, "origin", "abc")],
+     ": origin of hole 4 must be a 3-vector of numbers, got 'abc'"),
+    # once the flat conversion has failed, a non-finite number is as malformed
+    # as any other entry, so it is named before a fault in a later field
+    ([(0, "origin", [math.inf, 0.0, 0.0]), (1, "x_axis", "north")],
+     ": origin of hole 0 must be finite"),
+], ids=["boolean-after-string", "missing-after-numeric-string", "short-after-missing",
+        "int-beyond-float", "object", "nested", "null", "string-after-scalar",
+        "infinity-before-string"])
+def test_layout_loader_names_the_first_malformed_entry(tmp_path, edits, message):
+    # fields in origin, x_axis, y_axis, z_axis order, each over every hole; a
+    # missing field is named before any entry of that field is checked. An
+    # edit with no value deletes the field.
+    path = tmp_path / "layout.json"
+    save_part_layout(hemisphere_layout(6, 0.15, 3), path)
+    doc = json.loads(path.read_text())
+    for index, field, *value in edits:
+        hole = doc["holes"][index]
+        if value:
+            hole[field], = value
+        else:
+            del hole[field]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_part_layout(path)
+    assert str(exc.value) == f"layout file {path}{message}"
+
+
+def test_integer_coordinates_take_the_flat_conversion(monkeypatch):
+    holes = [{"origin": [i, -2 * i, 3], "x_axis": [1, 0, 0], "y_axis": [0, 1, 0],
+              "z_axis": [0, 0, 1]} for i in range(4)]
+    floats = [{name: [float(c) for c in row] for name, row in hole.items()} for hole in holes]
+
+    def diagnosed(value, name):
+        raise AssertionError(f"{name} of a valid layout reached the diagnosis")
+
+    monkeypatch.setattr("turnplan.geometry._as_vector3", diagnosed)
+    vectors = _hole_array(holes)
+    assert vectors.dtype == float and vectors.shape == (4, 4, 3)
+    assert np.array_equal(vectors, _hole_array(floats))
