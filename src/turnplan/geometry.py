@@ -218,6 +218,11 @@ class Waypoints:
         from .sequencing import _ChainIndex  # sequencing imports this module
         return _ChainIndex(self.positions)
 
+    @property
+    def _held_chain_index(self):
+        """The bundle's chain index if a plan has built it, else None; builds nothing."""
+        return self.__dict__.get("_chain_index")
+
     def __len__(self) -> int:
         return len(self.table_angles)
 

@@ -18,25 +18,29 @@ from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _f
 
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
-# cluster size above which a cluster walks the table rather than its own
-# distance matrix. _greedy_order builds one table per waypoint bundle, over
-# all its points, the first time a greedy plan has a cluster above the
+# cluster size above which a plan walks the table rather than each cluster's
+# own distance matrix. _greedy_order builds one table per waypoint bundle,
+# over all its points, the first time a greedy plan has a cluster above the
 # threshold, fetching it once before its first walk; no other plan builds
-# one. Deep rows are built only for the points where a walk on the bundle
-# has fallen back (see _ChainIndex). The threshold must stay above
-# CHAIN_CANDIDATES, since the query needs that many others.
+# one, and every later greedy plan of the bundle walks it. Deep rows are built
+# only for the points where a walk on the bundle has fallen back (see
+# _ChainIndex). The threshold is where the two walks cost the same on a fresh
+# bundle, index build included, in a sweep over cluster sizes (see README's
+# step 4); it must stay above CHAIN_CANDIDATES, since the query needs that
+# many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
-CHAIN_TABLE_MIN_POINTS = 32
+CHAIN_TABLE_MIN_POINTS = 128
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
 
 
-def _walks_chain_index(algorithm: str, n: int, k: int) -> bool:
-    """Whether a plan by `algorithm` of n points surely walks the chain index: only the greedy
+def _may_walk_chain_index(algorithm: str, n: int, k: int) -> bool:
+    """Whether a plan by `algorithm` of n points could walk the chain index: only the greedy
     order does (an unknown name walks nothing), on a cluster of more than CHAIN_TABLE_MIN_POINTS
-    members; every partition makes at most min(k, n) clusters, so one has more past this many."""
+    members; every partition makes min(k, n) non-empty clusters, so the largest has at most
+    n - min(k, n) + 1."""
     return (ALGORITHMS.get(algorithm, (None, None))[1] is _greedy_order
-            and n > CHAIN_TABLE_MIN_POINTS * min(k, n))
+            and n - min(k, n) + 1 > CHAIN_TABLE_MIN_POINTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +174,8 @@ class _ChainIndex:
     """
 
     def __init__(self, pts: np.ndarray):
-        # imported here: only clusters above CHAIN_TABLE_MIN_POINTS build an
-        # index, so small plans skip scipy
+        # imported here: only a plan with a cluster above CHAIN_TABLE_MIN_POINTS
+        # builds an index, so small plans skip scipy
         from scipy.spatial import cKDTree
 
         self.pts = pts
@@ -252,31 +256,30 @@ def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
     return order
 
 
-def _greedy_chain(waypoints: Waypoints, members: np.ndarray, start: int, slot: list[int],
+def _greedy_chain(index: _ChainIndex | None, members: np.ndarray, start: int, slot: list[int],
                   remaining: np.ndarray) -> np.ndarray:
     """The greedy chain over the bundle's `members` from members[start], a read-only np.intp array.
 
-    `remaining` is waypoints.positions[members], which the walk may
-    overwrite. A cluster of more than CHAIN_TABLE_MIN_POINTS members walks
-    the bundle's `_ChainIndex` (`_chain`, with `slot`). A smaller one computes
-    its (m, m) distances once, with the chain's own expression (`here -
-    other`, the einsum of distance_matrix, sqrt), so each row is bitwise the
-    distance row `_chain` would compute, and walks them in plain Python: a
-    step takes the nearest open member, ties to the lowest position.
+    `remaining` is the bundle's positions[members], which the walk may
+    overwrite. Given the bundle's `index`, it walks that (`_chain`, with
+    `slot`). Without one it computes the cluster's (m, m) distances once,
+    with the chain's own expression (`here - other`, the einsum of
+    distance_matrix, sqrt), so each row is bitwise the distance row `_chain`
+    would compute; each step sets the current member's column to inf and
+    takes the first argmin of its row: the nearest open member, ties to the
+    lowest position.
     """
-    if len(members) > CHAIN_TABLE_MIN_POINTS:
-        walk = _chain(waypoints._chain_index, members.tolist(), int(members[start]), slot,
-                      remaining)
+    if index is not None:
+        walk = _chain(index, members.tolist(), int(members[start]), slot, remaining)
         return _freeze(np.array(walk, dtype=np.intp))
     diff = remaining[:, None] - remaining
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).tolist()
-    unvisited = list(range(len(members)))  # ascending, so min() breaks ties to the lowest
-    del unvisited[start]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     order = [start]
-    while unvisited:
-        nxt = min(unvisited, key=dist[order[-1]].__getitem__)
-        unvisited.remove(nxt)
-        order.append(nxt)
+    current = start
+    for _ in range(len(members) - 1):
+        dist[:, current] = np.inf
+        current = int(dist[current].argmin())
+        order.append(current)
     return _freeze(members[order])
 
 
@@ -348,15 +351,21 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
     """Per cluster, the nearest-neighbor chain (`_greedy_chain`) from the member closest
     to the end of the previous cluster (`robot_home` for the first).
 
-    A plan with a cluster of more than CHAIN_TABLE_MIN_POINTS members fetches
-    the bundle's chain index (`Waypoints._chain_index`) once, before its first
-    walk, and deepens the rows of the points where earlier plans fell back: a
-    bundle planned once pays for the table, its second plan for the first
-    plan's fallbacks, and later replans take most steps without a distance row.
+    The walk is chosen once per plan. A plan walks the bundle's chain index
+    (`Waypoints._chain_index`) in every cluster if the bundle already holds
+    one or if a cluster has more than CHAIN_TABLE_MIN_POINTS members; it
+    fetches the index once, before its first walk, and deepens the rows of
+    the points where earlier plans fell back: a bundle planned once pays for
+    the table, its second plan for the first plan's fallbacks, and later
+    replans take most steps without a distance row. Any other plan walks each
+    cluster on its own distance matrix and builds no index.
     """
     positions = waypoints.positions
-    if any(len(c.members) > CHAIN_TABLE_MIN_POINTS for c in clusters):
-        waypoints._chain_index.deepen()  # the points where earlier plans fell back
+    index = waypoints._held_chain_index
+    if index is None and any(len(c.members) > CHAIN_TABLE_MIN_POINTS for c in clusters):
+        index = waypoints._chain_index
+    if index is not None:
+        index.deepen()  # the points where earlier plans fell back
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
     previous_pos = robot_home
     sequences = []
@@ -367,7 +376,7 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
             offsets = local - previous_pos
             # np.linalg.norm(offsets, axis=1)'s own expression, so ties break as with it
             start = int(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).argmin())
-            seq = _greedy_chain(waypoints, seq, start, slot, local)
+            seq = _greedy_chain(index, seq, start, slot, local)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return sequences

@@ -101,13 +101,14 @@ def make_waypoints(positions) -> Waypoints:
 def chain_walk(positions, start: int) -> tuple[int, ...]:
     """plan_waypoints' greedy walk over all the points as one cluster of a fresh bundle.
 
-    It goes through the plans' own dispatch: above CHAIN_TABLE_MIN_POINTS
-    points it walks the bundle's chain index, as a plan's large cluster does;
-    at or below, the cluster's own distance matrix.
+    It makes the plans' own choice: above CHAIN_TABLE_MIN_POINTS points it
+    walks the bundle's chain index, as a plan with a large cluster does; at
+    or below, the cluster's own distance matrix.
     """
     bundle = make_waypoints(positions)
     m = len(bundle)
-    walk = sequencing._greedy_chain(bundle, np.arange(m), start, [0] * m, bundle.positions.copy())
+    index = bundle._chain_index if m > sequencing.CHAIN_TABLE_MIN_POINTS else None
+    walk = sequencing._greedy_chain(index, np.arange(m), start, [0] * m, bundle.positions.copy())
     return tuple(walk.tolist())
 
 

@@ -1,12 +1,14 @@
 """Property tests: the greedy chain against the distance-matrix greedy, on layouts built for ties.
 
 The chain (`_greedy_chain`, the walk plan_waypoints runs per cluster) walks
-a small cluster's own distance matrix; a cluster above
-CHAIN_TABLE_MIN_POINTS takes most steps from a point's row of certified
+each cluster's own distance matrix in a plan whose clusters are all at most
+CHAIN_TABLE_MIN_POINTS; a plan with a larger cluster, or on a bundle that
+holds its chain index, takes most steps from a point's row of certified
 nearest candidates and falls back to a full distance row otherwise.
 greedy_sequence over distance_matrix is the reference, and `chain_walk`
-runs the chain over all the points as one cluster. The layouts are the ones
-where a candidate table could go wrong: exact ties (lattices, duplicates),
+runs the chain over all the points as one cluster; the matrix walk is also
+checked on its own at sizes on both sides of the threshold. The layouts are
+the ones where a candidate table could go wrong: exact ties (lattices, duplicates),
 more coincident copies of a point than the table lists (every step falls
 back), far from the origin (large rounding in the differences), very tight
 spreads, and a shell of points at exactly one distance whose rounded
@@ -73,6 +75,17 @@ def test_greedy_chain_matches_matrix_greedy_on_any_layout(kind, n, seed, start_f
     assert chain_walk(pts, start) == expected
 
 
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 2 * CHAIN_TABLE_MIN_POINTS),
+       seed=st.integers(0, 2**32 - 1), start_fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_matrix_walk_matches_matrix_greedy_across_the_threshold(kind, n, seed, start_fraction):
+    # the walk of a plan that builds no chain index, also at sizes where a plan walks one
+    pts = cloud(kind, n, np.random.default_rng(seed))
+    start = int(start_fraction * n)
+    walk = _greedy_chain(None, np.arange(n), start, [0] * n, pts.copy())
+    assert tuple(walk.tolist()) == greedy_sequence(distance_matrix(pts), start)
+
+
 def shell(extra: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """A center, 48 points at exactly one distance from it, and `extra` far points,
     shuffled; returns the points and the center's index.
@@ -93,7 +106,8 @@ def shell(extra: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
 
 
 @PROPERTY_SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40))
+@given(seed=st.integers(0, 2**32 - 1),
+       extra=st.integers(CHAIN_TABLE_MIN_POINTS - 48, CHAIN_TABLE_MIN_POINTS))
 def test_greedy_chain_matches_matrix_greedy_from_a_shell_center(seed, extra):
     pts, start = shell(extra, np.random.default_rng(seed))
     assert len(pts) > CHAIN_TABLE_MIN_POINTS
@@ -118,8 +132,9 @@ def equal_distance_layouts(m: int) -> dict[str, np.ndarray]:
 
 
 def test_small_cluster_walk_matches_matrix_greedy_from_every_start():
-    # every size that walks its own distance matrix, every start
-    for m in range(2, CHAIN_TABLE_MIN_POINTS + 1):
+    # every start of every size up to 32 and of two larger sizes that walk their own
+    # distance matrix, the largest among them; the property test above covers the rest
+    for m in (*range(2, 33), 64, CHAIN_TABLE_MIN_POINTS):
         for kind, pts in equal_distance_layouts(m).items():
             reference = distance_matrix(pts)
             for start in range(m):
@@ -182,11 +197,13 @@ def test_certified_rows_sort_rows_listed_out_of_distance_order():
 def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, seed):
     # plan_waypoints' walk: one bundle table over all points, clusters of
     # interleaved random members (so most listed neighbours belong to other
-    # clusters), the table only for clusters above CHAIN_TABLE_MIN_POINTS,
-    # and one slot list shared by every cluster
+    # clusters), and one slot list shared by every cluster; a bundle of more
+    # than CHAIN_TABLE_MIN_POINTS holds its table, as after a plan with a large
+    # cluster, and walks it for every cluster, small ones too
     rng = np.random.default_rng(seed)
     pts, center = shell(n // 2, rng) if kind == "shell" else (cloud(kind, n, rng), -1)
     bundle = Waypoints(positions=pts, table_angles=np.zeros(len(pts)))
+    index = bundle._chain_index if len(pts) > CHAIN_TABLE_MIN_POINTS else None
     labels = rng.integers(0, parts, len(pts))
     slot = [0] * len(pts)
     for part in range(parts):
@@ -195,7 +212,7 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
             continue
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
-        order = _greedy_chain(bundle, np.array(members), local_start, slot, pts[members]).tolist()
+        order = _greedy_chain(index, np.array(members), local_start, slot, pts[members]).tolist()
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)

@@ -383,13 +383,32 @@ def test_importing_the_cli_loads_no_scipy():
     assert _fresh_python(code) == "[]"
 
 
+def test_a_plan_whose_clusters_are_all_small_builds_no_chain_index():
+    # 4000 holes at k=60: every cluster walks its own distance matrix, so the
+    # bundle holds no chain index and scipy.spatial is never loaded
+    code = """
+import sys
+from turnplan.clustering import ClusterParams
+from turnplan.geometry import generate_waypoints, hemisphere_layout
+from turnplan.sequencing import CHAIN_TABLE_MIN_POINTS, plan_waypoints
+waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
+plan = plan_waypoints(waypoints, ClusterParams(k=60, seed=0))
+print(len(plan.flattened_order), max(map(len, plan.sequences)) <= CHAIN_TABLE_MIN_POINTS,
+      waypoints._held_chain_index, "scipy.spatial" in sys.modules)
+"""
+    assert _fresh_python(code) == "4000 True None False"
+
+
 @pytest.mark.parametrize("command,n,algorithm,flags", [
     *(pytest.param("plan", 40, algorithm, [], id=algorithm)
       for algorithm in ("baseline", "cluster", "greedy")),
-    # one cluster of 64 points: the greedy plan builds the bundle's chain index
-    pytest.param("plan", 64, "greedy", ["--k", "1"], id="greedy-64-holes-k1"),
-    pytest.param("bench", 64, "greedy", ["--k", "1", "--trials", "2"],
-                 id="bench-greedy-64-holes-k1"),
+    # one cluster of 200 points: the greedy plan builds the bundle's chain index
+    pytest.param("plan", 200, "greedy", ["--k", "1"], id="greedy-200-holes-k1"),
+    pytest.param("bench", 200, "greedy", ["--k", "1", "--trials", "2"],
+                 id="bench-greedy-200-holes-k1"),
+    # clusters of 103, 109, 113, 127 and 148 points: one walk needs the index, though
+    # the plan averages fewer than CHAIN_TABLE_MIN_POINTS points per cluster
+    pytest.param("plan", 600, "greedy", ["--k", "5"], id="greedy-600-holes-k5"),
 ])
 def test_timed_plan_call_imports_nothing(bundled_layout_path, tmp_path, command, n, algorithm,
                                          flags):

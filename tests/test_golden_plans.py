@@ -210,7 +210,7 @@ def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
     # the table belongs to the bundle, not to its positions
     plan_waypoints(Waypoints(waypoints.positions, waypoints.table_angles), ClusterParams(k=5))
     assert built == [4000, 4000]
-    _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # clusters of at most 32 points
+    _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # no cluster above the threshold
     assert built == [4000, 4000]
 
 
@@ -251,8 +251,43 @@ def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
     assert plan_digest(plan_waypoints(waypoints, ClusterParams(k=5, seed=0))) == LARGE[5, 0]
     batches.clear()
     trees.clear()
-    _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # clusters of at most 32 points
+    _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # no cluster above the threshold
     assert batches == [] and trees == []
+
+
+def test_a_bundle_that_holds_its_chain_index_walks_it_for_small_clusters_too(monkeypatch):
+    # the walk is chosen per plan: once a bundle holds its index, every greedy plan walks
+    # it, here k=60 plans with no cluster above the threshold, and each equals the plan
+    # of a fresh bundle, which walks each cluster's own matrix and builds no index
+    certified, chain, deep, walks = sequencing._certified_candidates, sequencing._chain, [], []
+
+    def counted(tree, pts, query, width):
+        if width == sequencing.CHAIN_DEEP_CANDIDATES + 1:
+            deep.extend(query.tolist())
+        return certified(tree, pts, query, width)
+
+    def counted_chain(index, members, *args):
+        walks.append(len(members))
+        return chain(index, members, *args)
+
+    monkeypatch.setattr(sequencing, "_certified_candidates", counted)
+    monkeypatch.setattr(sequencing, "_chain", counted_chain)
+    part = hemisphere_layout(4000, 0.15, seed=7)
+    waypoints = generate_waypoints(part, 0.05, 0.0)
+    plan_waypoints(waypoints, ClusterParams(k=5, seed=1))  # builds the index
+    for seed in (2, 3, 0, 2, 0):
+        params = ClusterParams(k=60, seed=seed)
+        walks.clear()
+        plan = plan_waypoints(waypoints, params)
+        sizes = [len(seq) for seq in plan.sequences]
+        assert max(sizes) <= sequencing.CHAIN_TABLE_MIN_POINTS
+        assert walks == [m for m in sizes if m > 1]
+        walks.clear()
+        fresh = generate_waypoints(part, 0.05, 0.0)
+        assert plan_digest(plan_waypoints(fresh, params)) == plan_digest(plan)
+        assert walks == [] and fresh._held_chain_index is None
+    assert plan_digest(plan) == LARGE[60, 0]
+    assert deep and len(deep) == len(set(deep))  # no point's deep row is built twice
 
 
 @pytest.mark.parametrize("algorithm,non_default", sorted(PLAN_FILE))
