@@ -71,12 +71,10 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
     """Plan `waypoints` by `algorithm` under `scenario`; return the plan and the wall-clock
     seconds of one `sequencing.plan_waypoints` call, the package's only planning timer.
 
-    A plan that could walk the bundle's chain index imports scipy.spatial first, so that
-    building the index does not count the import as planning time; one that then builds
-    no index has paid for the import outside the timer.
+    What a plan could need to build the bundle's chain index is imported before the timer
+    starts (`sequencing._preload_chain_index`; see `sequencing._greedy_order`).
     """
-    if sequencing._may_walk_chain_index(algorithm, len(waypoints), scenario.cluster_params.k):
-        import scipy.spatial  # noqa: F401
+    sequencing._preload_chain_index(algorithm, len(waypoints), scenario.cluster_params.k)
     tic = time.perf_counter()
     plan = sequencing.plan_waypoints(waypoints, scenario.cluster_params,
                                      scenario.robot_center_angle, scenario.robot_home, algorithm)
@@ -88,12 +86,8 @@ def trial_reports(algorithm: str, waypoints: Waypoints, scenario: Scenario,
     """Plan and score `trials` seeded trials of one algorithm on one waypoint bundle.
 
     Trial i plans the scenario with cluster_params.seed raised by i, timed by
-    `timed_plan`. Every trial plans the same bundle, so the first greedy
-    trial with a cluster above `sequencing.CHAIN_TABLE_MIN_POINTS` pays for
-    building the bundle's chain index (see `sequencing._greedy_order`) and
-    later trials, which reuse it, do not. The next greedy trial also pays one
-    batch of deep rows, for the points where that one fell back; each later
-    trial pays one for the points new to its predecessor's fallbacks.
+    `timed_plan`. Every trial plans the same bundle, so its greedy trials share
+    one chain index; `sequencing._greedy_order` says which trial pays for what.
     """
     positions = waypoints.positions
     reports = []

@@ -158,8 +158,9 @@ class PartModel:
         _reject_holes(~np.isfinite(origins).all(axis=1), "origin must be finite")
         axes = frames.transpose(0, 2, 1)  # axes[i, j]: hole i's x, y or z axis
         _reject_holes(~np.isfinite(axes).all(axis=2), "{} must be finite")
-        _reject_holes(np.abs(np.linalg.norm(axes, axis=2) - 1.0) > UNIT_TOL,
-                      "{} must have unit norm")
+        with np.errstate(over="ignore"):  # an overflow gives inf, which is not unit norm
+            norms = np.linalg.norm(axes, axis=2)
+        _reject_holes(np.abs(norms - 1.0) > UNIT_TOL, "{} must have unit norm")
         x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
         dots = np.stack([(x * y).sum(axis=1), (y * z).sum(axis=1), (x * z).sum(axis=1)], axis=1)
         _reject_holes((np.abs(dots) > UNIT_TOL).any(axis=1),
@@ -169,8 +170,10 @@ class PartModel:
         object.__setattr__(self, "origins", _freeze(origins))
         object.__setattr__(self, "frames", _freeze(frames))
         axis = _as_vector3(self.turntable_axis, "turntable_axis")
-        if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
-            raise ValueError(f"turntable_axis must have unit norm, got {np.linalg.norm(axis)!r}")
+        with np.errstate(over="ignore"):  # as above
+            norm = float(np.linalg.norm(axis))
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise ValueError(f"turntable_axis must have unit norm, got {norm!r}")
         object.__setattr__(self, "turntable_axis", axis)
         object.__setattr__(self, "turntable_center",
                            _as_vector3(self.turntable_center, "turntable_center"))
@@ -206,22 +209,6 @@ class Waypoints:
             raise ValueError("table angles must lie in [0, 2*pi)")
         object.__setattr__(self, "positions", _freeze(positions))
         object.__setattr__(self, "table_angles", _freeze(angles))
-
-    @functools.cached_property
-    def _chain_index(self):
-        """The greedy chain's `sequencing._ChainIndex` over every point, with bundle indices.
-
-        Built by the first plan whose cluster needs it and kept as long as
-        the bundle: every cluster and every later plan of this bundle walks
-        the same tree and certified rows.
-        """
-        from .sequencing import _ChainIndex  # sequencing imports this module
-        return _ChainIndex(self.positions)
-
-    @property
-    def _held_chain_index(self):
-        """The bundle's chain index if a plan has built it, else None; builds nothing."""
-        return self.__dict__.get("_chain_index")
 
     def __len__(self) -> int:
         return len(self.table_angles)

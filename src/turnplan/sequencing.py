@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,14 @@ CHAIN_TABLE_MIN_POINTS = 128
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
 
 
-def _may_walk_chain_index(algorithm: str, n: int, k: int) -> bool:
-    """Whether a plan by `algorithm` of n points could walk the chain index: only the greedy
-    order does (an unknown name walks nothing), on a cluster of more than CHAIN_TABLE_MIN_POINTS
-    members; every partition makes min(k, n) non-empty clusters, so the largest has at most
-    n - min(k, n) + 1."""
-    return (ALGORITHMS.get(algorithm, (None, None))[1] is _greedy_order
-            and n - min(k, n) + 1 > CHAIN_TABLE_MIN_POINTS)
+def _preload_chain_index(algorithm: str, n: int, k: int) -> None:
+    """Import scipy.spatial, which the chain index needs, if a plan by `algorithm` of n points
+    could build the index: only the greedy order walks one (an unknown name walks nothing), on
+    a cluster of more than CHAIN_TABLE_MIN_POINTS members; every partition makes min(k, n)
+    non-empty clusters, so the largest has at most n - min(k, n) + 1."""
+    if (ALGORITHMS.get(algorithm, (None, None))[1] is _greedy_order
+            and n - min(k, n) + 1 > CHAIN_TABLE_MIN_POINTS):
+        import scipy.spatial  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +171,8 @@ class _ChainIndex:
     room for every point's deep row, which later batches fill in place. The
     store is N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 2) indices for N
     points, of which only the table and the rows built so far are ever
-    written. A `Waypoints` bundle keeps one index as long as the bundle
-    lives (`Waypoints._chain_index`).
+    written. A `Waypoints` bundle keeps one index, in `_CHAIN_INDEXES`, as
+    long as the bundle lives.
     """
 
     def __init__(self, pts: np.ndarray):
@@ -205,6 +207,11 @@ class _ChainIndex:
             self.end[query] = self.at[query] + width
             self.rows[self.filled:self.filled + len(deep)] = deep
             self.filled += len(deep)
+
+
+# Each waypoint bundle's chain index, built by `_greedy_order`. Bundles hash by identity,
+# and an index holds the bundle's positions, never the bundle, so it lives exactly as long.
+_CHAIN_INDEXES: weakref.WeakKeyDictionary[Waypoints, _ChainIndex] = weakref.WeakKeyDictionary()
 
 
 def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
@@ -352,7 +359,7 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
     to the end of the previous cluster (`robot_home` for the first).
 
     The walk is chosen once per plan. A plan walks the bundle's chain index
-    (`Waypoints._chain_index`) in every cluster if the bundle already holds
+    (kept in `_CHAIN_INDEXES`) in every cluster if the bundle already holds
     one or if a cluster has more than CHAIN_TABLE_MIN_POINTS members; it
     fetches the index once, before its first walk, and deepens the rows of
     the points where earlier plans fell back: a bundle planned once pays for
@@ -361,9 +368,9 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
     cluster on its own distance matrix and builds no index.
     """
     positions = waypoints.positions
-    index = waypoints._held_chain_index
+    index = _CHAIN_INDEXES.get(waypoints)
     if index is None and any(len(c.members) > CHAIN_TABLE_MIN_POINTS for c in clusters):
-        index = waypoints._chain_index
+        index = _CHAIN_INDEXES[waypoints] = _ChainIndex(waypoints.positions)
     if index is not None:
         index.deepen()  # the points where earlier plans fell back
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters

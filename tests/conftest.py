@@ -107,7 +107,8 @@ def chain_walk(positions, start: int) -> tuple[int, ...]:
     """
     bundle = make_waypoints(positions)
     m = len(bundle)
-    index = bundle._chain_index if m > sequencing.CHAIN_TABLE_MIN_POINTS else None
+    large = m > sequencing.CHAIN_TABLE_MIN_POINTS
+    index = sequencing._ChainIndex(bundle.positions) if large else None
     walk = sequencing._greedy_chain(index, np.arange(m), start, [0] * m, bundle.positions.copy())
     return tuple(walk.tolist())
 

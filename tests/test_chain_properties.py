@@ -33,8 +33,8 @@ from conftest import chain_walk, make_waypoints
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
 from turnplan.sequencing import (_CERTIFICATE, CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS,
-                                 _certified_candidates, _greedy_chain, distance_matrix,
-                                 greedy_sequence, plan_waypoints)
+                                 _certified_candidates, _ChainIndex, _greedy_chain,
+                                 distance_matrix, greedy_sequence, plan_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -203,7 +203,7 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
     rng = np.random.default_rng(seed)
     pts, center = shell(n // 2, rng) if kind == "shell" else (cloud(kind, n, rng), -1)
     bundle = Waypoints(positions=pts, table_angles=np.zeros(len(pts)))
-    index = bundle._chain_index if len(pts) > CHAIN_TABLE_MIN_POINTS else None
+    index = _ChainIndex(bundle.positions) if len(pts) > CHAIN_TABLE_MIN_POINTS else None
     labels = rng.integers(0, parts, len(pts))
     slot = [0] * len(pts)
     for part in range(parts):

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import turnplan
 from conftest import count_waypoint_generation
@@ -254,6 +261,100 @@ def test_an_empty_layout_fails_cleanly(tmp_path, capsys, monkeypatch, command):
     assert (code, err, written) == (2, "error: part has no holes\n", set())
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("y_axis", 2.0**600, "y_axis must have unit norm (hole 0)"),
+    ("turntable_axis", 1e200, "turntable_axis must have unit norm, got inf"),
+])
+def test_an_axis_whose_norm_overflows_fails_with_one_line(bundled_layout_path, tmp_path, capsys,
+                                                         monkeypatch, field, value, message):
+    # the norm's square overflows: numpy must print no warning before the error line
+    doc = json.loads(Path(bundled_layout_path).read_text())
+    (doc["holes"][0] if field == "y_axis" else doc)[field] = [value, 0.0, 0.0]
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(doc))
+    code, err, written = _run_in(tmp_path, "plan-greedy", layout, [], capsys, monkeypatch)
+    assert (code, err, written) == (2, f"error: layout file {layout}: {message}\n", set())
+
+
+# the probe's ways to break a layout: components of every magnitude, wrong JSON types,
+# missing fields, on-axis origins, duplicated holes and truncated hole lists
+COMPONENTS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, -1.0, 1e154, 1e200, 2.0**600,
+                              1.7e308, 10**400, math.inf, -math.inf, math.nan])
+WRONG_TYPES = st.sampled_from(["0.1", True, None, {}, [], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                               [[1.0, 0.0, 0.0]] * 3, ["1", 0, 0], [True, 0, 0], [None, 0, 0]])
+PART_FIELDS = ("turntable_axis", "turntable_center", "holes")
+# (kind, hole, field, component, value): `hole` wraps around the holes left
+MUTATIONS = st.tuples(
+    st.sampled_from(["component", "value", "missing", "on axis", "duplicate", "truncate"]),
+    st.integers(0, 39), st.sampled_from(("origin", "x_axis", "y_axis", "z_axis", *PART_FIELDS)),
+    st.integers(0, 2), st.one_of(COMPONENTS, WRONG_TYPES))
+PLAN_FLAGS = {
+    "--algorithm": st.sampled_from(["baseline", "cluster", "greedy"]),
+    "--k": st.sampled_from([-1, 0, 1, 5, 40, 41, 10**400]),
+    "--seed": st.sampled_from([-1, 0, 3, 2**64]),
+    "--standoff": st.sampled_from([-1.0, 0.0, 5e-324, 0.05, 1e160, math.inf, math.nan]),
+    "--attack-deg": st.sampled_from([0.0, -90.0, 30.0, 1e300, math.nan]),
+    "--robot-center-deg": st.sampled_from([0.0, 90.0, 720.0, -1e300, math.inf]),
+    "--angular-bound-deg": st.sampled_from([72.0, 0.0, -5.0, 360.0, 1e308, math.nan]),
+}
+
+
+def _mutate(doc: dict, kind: str, hole: int, field: str, component: int, value) -> None:
+    """Apply one of MUTATIONS to `doc`, a layout document whose holes are objects."""
+    holes = doc["holes"]
+    if field in PART_FIELDS and kind in ("component", "value", "missing"):
+        owner = doc
+    elif holes:
+        owner = holes[hole % len(holes)]
+    else:
+        return  # no hole left to break
+    if kind == "value":
+        owner[field] = value
+    elif kind == "missing":
+        owner.pop(field, None)
+    elif kind == "truncate":
+        del holes[hole % len(holes):]
+    elif kind == "duplicate":
+        holes.insert(component, dict(owner))
+    elif kind == "on axis":  # the table axis is +z through the origin
+        owner["origin"] = [0.0, 0.0, value]
+    else:
+        vector = owner.get(field)
+        vector = list(vector) if isinstance(vector, list) and len(vector) == 3 else [0.0, 0.0, 1.0]
+        vector[component] = value
+        owner[field] = vector
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
+       flags=st.fixed_dictionaries({}, optional=PLAN_FLAGS))
+@example(mutations=[("component", 0, "y_axis", 0, 2.0**600)], flags={})
+@example(mutations=[("component", 0, "turntable_axis", 0, 1e200)], flags={})
+def test_a_broken_layout_or_flag_plans_or_fails_with_one_error_line(bundled_layout_path,
+                                                                    mutations, flags):
+    # in-process, pytest would hide a warning that a user sees on stderr: record them all
+    doc = json.loads(Path(bundled_layout_path).read_text())
+    for mutation in mutations:
+        holes = doc.get("holes")
+        if isinstance(holes, list) and all(isinstance(hole, dict) for hole in holes):
+            _mutate(doc, *mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        layout, out = Path(tmp, "layout.json"), Path(tmp, "plan.json")
+        layout.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["plan", str(layout), "--out", str(out),
+                         *(f"{flag}={value}" for flag, value in flags.items())])
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert out.exists() and err.getvalue() == ""
+        else:
+            assert code == 2 and not out.exists()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 def test_generate_rejects_a_negative_seed(tmp_path, capsys):
     code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "g.json")])
     assert (code, capsys.readouterr().err) == (2, "error: seed must be >= 0, got -1\n")
@@ -390,11 +491,11 @@ def test_a_plan_whose_clusters_are_all_small_builds_no_chain_index():
 import sys
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
-from turnplan.sequencing import CHAIN_TABLE_MIN_POINTS, plan_waypoints
+from turnplan.sequencing import _CHAIN_INDEXES, CHAIN_TABLE_MIN_POINTS, plan_waypoints
 waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
 plan = plan_waypoints(waypoints, ClusterParams(k=60, seed=0))
 print(len(plan.flattened_order), max(map(len, plan.sequences)) <= CHAIN_TABLE_MIN_POINTS,
-      waypoints._held_chain_index, "scipy.spatial" in sys.modules)
+      _CHAIN_INDEXES.get(waypoints), "scipy.spatial" in sys.modules)
 """
     assert _fresh_python(code) == "4000 True None False"
 

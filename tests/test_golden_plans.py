@@ -232,7 +232,7 @@ def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
     monkeypatch.setattr(scipy.spatial, "cKDTree", counted_tree)
     waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
     plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
-    index = waypoints._chain_index
+    index = sequencing._CHAIN_INDEXES[waypoints]
     fallen = list(index.fallen)
     table = len(waypoints) * (sequencing.CHAIN_CANDIDATES + 1)
     assert fallen and batches == [] and index.filled == table  # planned once: no row
@@ -285,7 +285,7 @@ def test_a_bundle_that_holds_its_chain_index_walks_it_for_small_clusters_too(mon
         walks.clear()
         fresh = generate_waypoints(part, 0.05, 0.0)
         assert plan_digest(plan_waypoints(fresh, params)) == plan_digest(plan)
-        assert walks == [] and fresh._held_chain_index is None
+        assert walks == [] and fresh not in sequencing._CHAIN_INDEXES
     assert plan_digest(plan) == LARGE[60, 0]
     assert deep and len(deep) == len(set(deep))  # no point's deep row is built twice
 

@@ -1,7 +1,11 @@
+import ast
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +13,13 @@ import pytest
 
 from conftest import (InstanceTooLargeError, brute_force_open_path, chain_walk, make_waypoints,
                       optimal_sequence, path_length)
+from turnplan import geometry
 from turnplan.angles import TWO_PI
 from turnplan.bench import Scenario, comparison_rows, run_comparison, timed_plan
 from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
-from turnplan.sequencing import (CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
+from turnplan.sequencing import (_CHAIN_INDEXES, CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
                                  baseline_angle_sequence, distance_matrix, greedy_sequence,
                                  plan_waypoints, save_plan)
 
@@ -469,7 +474,25 @@ def test_planners_that_walk_no_chain_build_no_chain_index(planner):
     else:
         plan = baseline_angle_sequence(wps, groups=5)
     assert max(map(len, plan.sequences)) > CHAIN_TABLE_MIN_POINTS
-    assert "_chain_index" not in wps.__dict__
+    assert wps not in _CHAIN_INDEXES
+
+
+def test_a_bundles_chain_index_lives_exactly_as_long_as_the_bundle():
+    # sequencing keeps the index, keyed by the bundle, and the index holds no reference to it
+    wps = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
+    plan_waypoints(wps, ClusterParams(k=5, seed=1))
+    index = weakref.ref(_CHAIN_INDEXES[wps])
+    del wps
+    gc.collect()
+    assert index() is None and len(_CHAIN_INDEXES) == 0
+
+
+def test_geometry_imports_nothing_from_sequencing():
+    # sequencing owns the chain index; the module below it names nothing of it
+    tree = ast.parse(Path(geometry.__file__).read_text(encoding="utf-8"))
+    names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]]
+    assert not any("sequencing" in name.split(".") for name in names)
 
 
 STAGES = ("cluster_points", "sector_clusters", "order_clusters")
