@@ -14,7 +14,7 @@ from statistics import fmean
 
 from . import sequencing
 from .clustering import ClusterParams
-from .geometry import PartModel, Waypoints, _as_int, _as_real, generate_waypoints, hemisphere_layout
+from .geometry import PartModel, Waypoints, _as_int, generate_waypoints, hemisphere_layout
 from .metrics import CellModel, estimate_execution_time, ssp_distance
 
 # (CSV column, BenchmarkReport field) of each quality metric, in file order
@@ -30,7 +30,7 @@ PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to plan and score one work-cell setup."""
+    """Everything needed to plan and score one work-cell setup, checked where it is used."""
 
     part: PartModel
     standoff: float = 0.05
@@ -39,13 +39,6 @@ class Scenario:
     cell: CellModel = field(default_factory=CellModel)
     robot_center_angle: float = 0.0
     robot_home: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        for name in ("standoff", "attack", "robot_center_angle"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
-        if self.standoff < 0.0:
-            raise ValueError(f"standoff must be finite and >= 0, got {self.standoff!r}")
-        sequencing._as_robot_home(self.robot_home)
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,10 @@ class BenchmarkReport:
 
 
 def timed_plan(algorithm: str, waypoints: Waypoints,
-               scenario: Scenario) -> tuple[sequencing.Plan, float]:
-    """Plan `waypoints` by `algorithm` under `scenario`; return the plan and the wall-clock
-    seconds of one `sequencing.plan_waypoints` call, the package's only planning timer.
+               scenario: Scenario) -> tuple[sequencing.Plan, BenchmarkReport]:
+    """Plan `waypoints` by `algorithm` under `scenario`; return the plan and its report, scored
+    with `scenario.cell`. The report's planning time is the wall-clock seconds of one
+    `sequencing.plan_waypoints` call, the package's only planning timer.
 
     What a plan could need to build the bundle's chain index is imported before the timer
     starts (`sequencing._preload_chain_index`; see `sequencing._greedy_order`).
@@ -78,33 +72,29 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
     tic = time.perf_counter()
     plan = sequencing.plan_waypoints(waypoints, scenario.cluster_params,
                                      scenario.robot_center_angle, scenario.robot_home, algorithm)
-    return plan, time.perf_counter() - tic
+    planning_time = time.perf_counter() - tic
+    return plan, BenchmarkReport(
+        planning_time=planning_time,
+        ssp_distance=ssp_distance(plan, waypoints.positions),
+        estimated_execution_time=estimate_execution_time(plan, waypoints.positions, scenario.cell),
+        total_rotation=plan.cluster_plan.total_rotation,
+        n_points=plan.n_points,
+        seed=scenario.cluster_params.seed,
+    )
 
 
 def trial_reports(algorithm: str, waypoints: Waypoints, scenario: Scenario,
                   trials: int) -> list[BenchmarkReport]:
     """Plan and score `trials` seeded trials of one algorithm on one waypoint bundle.
 
-    Trial i plans the scenario with cluster_params.seed raised by i, timed by
-    `timed_plan`. Every trial plans the same bundle, so its greedy trials share
+    Trial i plans the scenario with cluster_params.seed raised by i, timed and scored
+    by `timed_plan`. Every trial plans the same bundle, so its greedy trials share
     one chain index; `sequencing._greedy_order` says which trial pays for what.
     """
-    positions = waypoints.positions
-    reports = []
-    for trial in range(_as_int(trials, "trials", 1)):
-        seed = scenario.cluster_params.seed + trial
-        trial_scenario = replace(scenario, cluster_params=replace(scenario.cluster_params,
-                                                                  seed=seed))
-        plan, elapsed = timed_plan(algorithm, waypoints, trial_scenario)
-        reports.append(BenchmarkReport(
-            planning_time=elapsed,
-            ssp_distance=ssp_distance(plan, positions),
-            estimated_execution_time=estimate_execution_time(plan, positions, scenario.cell),
-            total_rotation=plan.cluster_plan.total_rotation,
-            n_points=plan.n_points,
-            seed=seed,
-        ))
-    return reports
+    params = scenario.cluster_params
+    scenarios = [replace(scenario, cluster_params=replace(params, seed=params.seed + trial))
+                 for trial in range(_as_int(trials, "trials", 1))]
+    return [timed_plan(algorithm, waypoints, trial_scenario)[1] for trial_scenario in scenarios]
 
 
 def hemisphere_scenario(n: int = 40, radius: float = 0.15, layout_seed: int = 7,
@@ -128,10 +118,6 @@ class ComparisonResult:
     @property
     def mean_execution_time(self) -> dict[str, float]:
         return self.means("estimated_execution_time")
-
-    @property
-    def mean_ssp_distance(self) -> dict[str, float]:
-        return self.means("ssp_distance")
 
     @property
     def improvement_vs_baseline(self) -> dict[str, float]:

@@ -11,14 +11,27 @@ import argparse
 import functools
 import json
 import math
+import os
+import re
 import sys
 
-from .bench import (Scenario, comparison_rows, plot_data_rows, run_comparison, timed_plan,
-                    write_csv)
+from .bench import (METRICS, Scenario, comparison_rows, plot_data_rows, run_comparison,
+                    timed_plan, write_csv)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
-from .metrics import CellModel, ssp_distance
+from .metrics import CellModel
 from .sequencing import ALGORITHMS, save_plan
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError for `main` to report in one line; reads -1e-3 as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -74,31 +87,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _note_placeholder_speeds(cell: CellModel) -> None:
+    if cell == CellModel():
+        print("note: execution times use placeholder cell speeds "
+              "(override with --robot-speed / --table-speed / --dwell)")
+
+
 def cmd_plan(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
-    plan, planning_time = timed_plan(args.algorithm, waypoints, scenario)
+    plan, report = timed_plan(args.algorithm, waypoints, scenario)
     save_plan(plan, waypoints, args.out)
-    summary = {
-        "n": plan.n_points,
-        "ssp_distance_m": ssp_distance(plan, waypoints.positions),
-        "total_rotation_rad": plan.cluster_plan.total_rotation,
-        "planning_time_s": planning_time,
-    }
+    scores = {**{column: getattr(report, key) for column, key in METRICS},
+              "planning_time_s": report.planning_time}
     if args.format == "json":
-        print(json.dumps(summary))
+        print(json.dumps({"n": report.n_points, **scores}))
     else:
-        print(f"n={summary['n']} ssp_distance_m={summary['ssp_distance_m']:.6f} "
-              f"total_rotation_rad={summary['total_rotation_rad']:.6f} "
-              f"planning_time_s={summary['planning_time_s']:.6f}")
+        print(f"n={report.n_points}", *(f"{name}={value:.6f}" for name, value in scores.items()))
+        _note_placeholder_speeds(scenario.cell)
     return 0
 
 
 def cmd_bench(args) -> int:
+    if os.path.realpath(args.report) == os.path.realpath(args.plot_data):
+        raise ValueError(f"--report and --plot-data both name {args.report}")
     scenario = _scenario(args, load_part_layout(args.layout))
     result = run_comparison(scenario, args.trials)
     # built before any file is written: a zero baseline time raises here
-    ssp, exec_time = result.mean_ssp_distance, result.mean_execution_time
+    ssp, exec_time = result.means("ssp_distance"), result.mean_execution_time
     plan_time, improvement = result.means("planning_time"), result.improvement_vs_baseline
     summary = {
         name: {
@@ -120,9 +136,7 @@ def cmd_bench(args) -> int:
                   f"{row['mean_estimated_execution_time_s']:>10.2f} "
                   f"{row['mean_planning_time_s']:>10.4f} "
                   f"{row['improvement_vs_baseline']:>8.1%}")
-        if scenario.cell == CellModel():
-            print("note: execution times use placeholder cell speeds "
-                  "(override with --robot-speed / --table-speed / --dwell)")
+        _note_placeholder_speeds(scenario.cell)
     print(f"wrote {args.report} and {args.plot_data}")
     return 0
 
@@ -131,7 +145,7 @@ def cmd_bench(args) -> int:
 # cmd_* looks up the module globals it calls when it runs
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="turnplan",
         description="Task-sequencing planner for a robot arm working over a "
                     "one-way turntable.")
@@ -163,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

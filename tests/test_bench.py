@@ -45,7 +45,7 @@ def test_clustering_only_plan_deterministic():
 def test_clustering_only_sits_between_baseline_and_greedy():
     scenario = hemisphere_scenario()
     trials = 50
-    means = run_comparison(scenario, trials).mean_ssp_distance
+    means = run_comparison(scenario, trials).means("ssp_distance")
     assert means["greedy"] < means["cluster"] < means["baseline"]
 
 
@@ -66,7 +66,8 @@ def test_run_comparison_means_and_improvement():
     assert all(len(rs) == 3 for rs in result.reports.values())
     assert result.improvement_vs_baseline["baseline"] == 0.0
     assert result.improvement_vs_baseline["greedy"] > 0.0
-    assert result.mean_ssp_distance["greedy"] < result.mean_ssp_distance["baseline"]
+    ssp = result.means("ssp_distance")
+    assert ssp["greedy"] < ssp["baseline"]
 
 
 def test_every_plan_is_a_permutation_within_one_revolution():
@@ -186,7 +187,7 @@ def test_a_negative_standoff_gets_one_message():
     part = hemisphere_layout(4, 0.1, seed=0)
     message = "^standoff must be finite and >= 0, got -1.0$"
     with pytest.raises(ValueError, match=message):
-        Scenario(part=part, standoff=-1.0)
+        run_comparison(Scenario(part=part, standoff=-1.0), 1)
     with pytest.raises(ValueError, match=message):
         generate_waypoints(part, -1.0, 0.0)
 
@@ -200,4 +201,4 @@ def test_run_comparison_rejects_zero_trials():
                                   (-1e200, 0.0, 0.0), (0.0, -2.0**500, 0.0)])
 def test_scenario_rejects_a_bad_robot_home(home):
     with pytest.raises(ValueError, match="robot_home"):
-        Scenario(part=hemisphere_layout(4, 0.1, seed=0), robot_home=home)
+        run_comparison(Scenario(part=hemisphere_layout(4, 0.1, seed=0), robot_home=home), 1)

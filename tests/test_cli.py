@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 import turnplan
 from conftest import count_waypoint_generation
 from turnplan import cli
-from turnplan.bench import Scenario
+from turnplan.bench import Scenario, trial_reports
 from turnplan.cli import main
-from turnplan.geometry import hemisphere_layout, load_part_layout
+from turnplan.clustering import ClusterParams
+from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
+from turnplan.metrics import CellModel
 
 
 def _generate(tmp_path, name="layout.json", n=40, seed=7):
@@ -105,9 +107,36 @@ def test_plan_summary_line(tmp_path, capsys):
     layout = _generate(tmp_path)
     capsys.readouterr()  # drop the generate message
     assert main(["plan", str(layout), "--out", str(tmp_path / "p.json")]) == 0
-    line = capsys.readouterr().out.strip()
-    assert line.startswith("n=40 ")
-    assert "ssp_distance_m=" in line and "planning_time_s=" in line
+    line, note = capsys.readouterr().out.splitlines()
+    assert [field.split("=")[0] for field in line.split()] == [
+        "n", "ssp_distance_m", "total_rotation_rad", "estimated_execution_time_s",
+        "planning_time_s"]
+    assert line.startswith("n=40 ") and note.startswith("note: execution times use placeholder")
+    # a cell of the user's own speeds gets no note
+    assert main(["plan", str(layout), "--dwell", "2", "--out", str(tmp_path / "p.json")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cell_flags,cell", [
+    ([], CellModel()),
+    (["--robot-speed", "2", "--dwell", "0.5"], CellModel(robot_linear_speed=2.0,
+                                                         dwell_per_point=0.5)),
+], ids=["default-cell", "own-cell"])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("algorithm", ["baseline", "cluster", "greedy"])
+def test_plan_summary_is_one_bench_trial(bundled_layout_path, tmp_path, capsys, algorithm, seed,
+                                         cell_flags, cell):
+    assert main(["plan", bundled_layout_path, "--algorithm", algorithm, "--seed", str(seed),
+                 "--format", "json", "--out", str(tmp_path / "p.json"), *cell_flags]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    scenario = Scenario(part=load_part_layout(bundled_layout_path),
+                        cluster_params=ClusterParams(seed=seed), cell=cell)
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    report = trial_reports(algorithm, waypoints, scenario, 1)[0]
+    assert summary.pop("planning_time_s") >= 0.0
+    assert summary == {"n": report.n_points, "ssp_distance_m": report.ssp_distance,
+                       "total_rotation_rad": report.total_rotation,
+                       "estimated_execution_time_s": report.estimated_execution_time}
 
 
 def test_plan_json_summary(tmp_path, capsys):
@@ -288,15 +317,24 @@ MUTATIONS = st.tuples(
     st.sampled_from(["component", "value", "missing", "on axis", "duplicate", "truncate"]),
     st.integers(0, 39), st.sampled_from(("origin", "x_axis", "y_axis", "z_axis", *PART_FIELDS)),
     st.integers(0, 2), st.one_of(COMPONENTS, WRONG_TYPES))
-PLAN_FLAGS = {
-    "--algorithm": st.sampled_from(["baseline", "cluster", "greedy"]),
-    "--k": st.sampled_from([-1, 0, 1, 5, 40, 41, 10**400]),
-    "--seed": st.sampled_from([-1, 0, 3, 2**64]),
-    "--standoff": st.sampled_from([-1.0, 0.0, 5e-324, 0.05, 1e160, math.inf, math.nan]),
-    "--attack-deg": st.sampled_from([0.0, -90.0, 30.0, 1e300, math.nan]),
-    "--robot-center-deg": st.sampled_from([0.0, 90.0, 720.0, -1e300, math.inf]),
-    "--angular-bound-deg": st.sampled_from([72.0, 0.0, -5.0, 360.0, 1e308, math.nan]),
+FLAG_VALUES = {
+    "--algorithm": ["baseline", "cluster", "greedy"],
+    "--k": [-1, 0, 1, 5, 40, 41, 10**400],
+    "--seed": [-1, 0, 3, 2**64],
+    "--standoff": [-1.0, 0.0, 5e-324, 0.05, 1e160, math.inf, math.nan],
+    "--attack-deg": [0.0, -90.0, 30.0, 1e300, math.nan],
+    "--robot-center-deg": [0.0, 90.0, 720.0, -1e300, math.inf],
+    "--angular-bound-deg": [72.0, 0.0, -5.0, 360.0, 1e308, math.nan],
+    "--robot-speed": [0.5, 2.0, 0.0, 1e-320, math.nan],
+    "--table-speed": [0.2, 1e-320],
+    "--dwell": [1.0, 0.0, -1.0, 1e308],
+    "--planner-overhead": [0.0, 0.5, 1e308],
 }
+# every flag may also get no number, or a negative one in exponent form, and is written
+# as --flag=value (True) or as --flag value
+ODD_VALUES = ["abc", "-1e-3", "-inf"]
+PLAN_FLAGS = {flag: st.tuples(st.sampled_from([*values, *ODD_VALUES]), st.booleans())
+              for flag, values in FLAG_VALUES.items()}
 
 
 def _mutate(doc: dict, kind: str, hole: int, field: str, component: int, value) -> None:
@@ -325,11 +363,12 @@ def _mutate(doc: dict, kind: str, hole: int, field: str, component: int, value) 
         owner[field] = vector
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3),
        flags=st.fixed_dictionaries({}, optional=PLAN_FLAGS))
 @example(mutations=[("component", 0, "y_axis", 0, 2.0**600)], flags={})
 @example(mutations=[("component", 0, "turntable_axis", 0, 1e200)], flags={})
+@example(mutations=[], flags={"--robot-center-deg": ("-1e-3", False)})
 def test_a_broken_layout_or_flag_plans_or_fails_with_one_error_line(bundled_layout_path,
                                                                     mutations, flags):
     # in-process, pytest would hide a warning that a user sees on stderr: record them all
@@ -346,7 +385,8 @@ def test_a_broken_layout_or_flag_plans_or_fails_with_one_error_line(bundled_layo
                 contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
             code = main(["plan", str(layout), "--out", str(out),
-                         *(f"{flag}={value}" for flag, value in flags.items())])
+                         *(arg for flag, (value, joined) in flags.items()
+                           for arg in ([f"{flag}={value}"] if joined else [flag, str(value)]))])
         assert [str(w.message) for w in caught] == []
         if code == 0:
             assert out.exists() and err.getvalue() == ""
@@ -361,6 +401,39 @@ def test_generate_rejects_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["plan", "layout.json", "--out", "p.json", "--k", "abc"],
+     "argument --k: invalid int value: 'abc'"),
+    (["plan", "layout.json", "--out", "p.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["plan", "layout.json"], "the following arguments are required: --out"),
+    (["plan", "layout.json", "--out", "p.json", "--robot-center-deg", "-1e-3", "--seed"],
+     "argument --seed: expected one argument"),
+    (["bench", "layout.json", "--trials", "-inf"], "argument --trials: expected one argument"),
+    ([], "the following arguments are required: command"),
+], ids=["k-abc", "unknown-flag", "no-out", "exponent-then-no-seed", "trials-inf", "no-command"])
+def test_a_bad_command_line_fails_with_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-2.e-1", "-0.001", "-7"])
+def test_a_negative_number_is_a_value_in_any_form(bundled_layout_path, tmp_path, value):
+    out = tmp_path / "p.json"
+    argv = ["plan", bundled_layout_path, "--robot-center-deg", value, "--out", str(out)]
+    assert cli.build_parser().parse_args(argv).robot_center_deg == float(value)
+    assert main(argv) == 0 and out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: turnplan")
+
+
 def test_plan_generates_waypoints_once(tmp_path, monkeypatch):
     layout = _generate(tmp_path)
     calls = count_waypoint_generation(monkeypatch)
@@ -368,11 +441,12 @@ def test_plan_generates_waypoints_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_plan_rejects_unknown_algorithm(tmp_path):
+def test_plan_rejects_unknown_algorithm(tmp_path, capsys):
     layout = _generate(tmp_path, n=3)
-    with pytest.raises(SystemExit) as exc:
-        main(["plan", str(layout), "--algorithm", "santa", "--out", str(tmp_path / "p.json")])
-    assert exc.value.code != 0
+    capsys.readouterr()
+    code = main(["plan", str(layout), "--algorithm", "santa", "--out", str(tmp_path / "p.json")])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == 2 and line.startswith("error: argument --algorithm: invalid choice: 'santa'")
 
 
 @pytest.mark.parametrize("argv", [["plan", "layout.json", "--out", "plan.json"],
@@ -422,6 +496,19 @@ def test_bench_files_reproducible_for_fixed_seed(tmp_path):
         paths.append((report, plot))
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "absolute"])
+def test_bench_rejects_one_file_for_report_and_plot_data(tmp_path, capsys, monkeypatch, spelling):
+    layout = _generate(tmp_path, n=5)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    plot_data = {"same": "r.csv", "dotted": "./r.csv", "absolute": str(tmp_path / "r.csv")}
+    code = main(["bench", str(layout), "--trials", "1", "--report", "r.csv",
+                 "--plot-data", plot_data[spelling]])
+    assert (code, capsys.readouterr().err) == (2, "error: --report and --plot-data both name "
+                                                  "r.csv\n")
+    assert list(tmp_path.iterdir()) == [layout]
 
 
 def test_bench_json_summary(tmp_path, capsys):
