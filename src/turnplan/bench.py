@@ -15,7 +15,7 @@ from statistics import fmean
 from . import sequencing
 from .clustering import ClusterParams
 from .geometry import PartModel, Waypoints, _as_int, generate_waypoints, hemisphere_layout
-from .metrics import CellModel, estimate_execution_time, ssp_distance
+from .metrics import CellModel, ssp_distance
 
 # (CSV column, BenchmarkReport field) of each quality metric, in file order
 METRICS = (
@@ -23,6 +23,8 @@ METRICS = (
     ("total_rotation_rad", "total_rotation"),
     ("estimated_execution_time_s", "estimated_execution_time"),
 )
+# what the `plan` and `bench` summaries print, in order: the quality metrics, then planning time
+_SUMMARY = (*METRICS, ("planning_time_s", "planning_time"))
 REPORT_COLUMNS = ["algorithm", "trial", "seed", "n_points", "planning_time_s",
                   *(column for column, _ in METRICS), "improvement_vs_baseline"]
 PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
@@ -53,8 +55,7 @@ class BenchmarkReport:
     seed: int
 
     def __post_init__(self):
-        for name in ("planning_time", "ssp_distance", "estimated_execution_time",
-                     "total_rotation", "n_points"):
+        for name in (*(key for _, key in _SUMMARY), "n_points"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:  # False for NaN too
                 raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
 
@@ -73,11 +74,12 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
     plan = sequencing.plan_waypoints(waypoints, scenario.cluster_params,
                                      scenario.robot_center_angle, scenario.robot_home, algorithm)
     planning_time = time.perf_counter() - tic
+    ssp, rotation = ssp_distance(plan, waypoints.positions), plan.cluster_plan.total_rotation
     return plan, BenchmarkReport(
         planning_time=planning_time,
-        ssp_distance=ssp_distance(plan, waypoints.positions),
-        estimated_execution_time=estimate_execution_time(plan, waypoints.positions, scenario.cell),
-        total_rotation=plan.cluster_plan.total_rotation,
+        ssp_distance=ssp,
+        estimated_execution_time=scenario.cell.execution_time(ssp, rotation, plan.n_points),
+        total_rotation=rotation,
         n_points=plan.n_points,
         seed=scenario.cluster_params.seed,
     )

@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .bench import (METRICS, Scenario, comparison_rows, plot_data_rows, run_comparison,
+from .bench import (_SUMMARY, Scenario, comparison_rows, plot_data_rows, run_comparison,
                     timed_plan, write_csv)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
@@ -93,17 +93,20 @@ def _note_placeholder_speeds(cell: CellModel) -> None:
               "(override with --robot-speed / --table-speed / --dwell)")
 
 
+def _print_scores(head: str, scores: dict[str, float]) -> None:
+    print(head, *(f"{name}={value:.6f}" for name, value in scores.items()))
+
+
 def cmd_plan(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     plan, report = timed_plan(args.algorithm, waypoints, scenario)
     save_plan(plan, waypoints, args.out)
-    scores = {**{column: getattr(report, key) for column, key in METRICS},
-              "planning_time_s": report.planning_time}
+    scores = {column: getattr(report, key) for column, key in _SUMMARY}
     if args.format == "json":
         print(json.dumps({"n": report.n_points, **scores}))
     else:
-        print(f"n={report.n_points}", *(f"{name}={value:.6f}" for name, value in scores.items()))
+        _print_scores(f"n={report.n_points}", scores)
         _note_placeholder_speeds(scenario.cell)
     return 0
 
@@ -114,28 +117,17 @@ def cmd_bench(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     result = run_comparison(scenario, args.trials)
     # built before any file is written: a zero baseline time raises here
-    ssp, exec_time = result.means("ssp_distance"), result.mean_execution_time
-    plan_time, improvement = result.means("planning_time"), result.improvement_vs_baseline
-    summary = {
-        name: {
-            "mean_ssp_distance_m": ssp[name],
-            "mean_estimated_execution_time_s": exec_time[name],
-            "mean_planning_time_s": plan_time[name],
-            "improvement_vs_baseline": improvement[name],
-        }
-        for name in result.reports
-    }
+    columns = {f"mean_{column}": result.means(key) for column, key in _SUMMARY}
+    columns["improvement_vs_baseline"] = result.improvement_vs_baseline
+    summary = {name: {column: values[name] for column, values in columns.items()}
+               for name in result.reports}
     write_csv(comparison_rows(result), args.report)
     write_csv(plot_data_rows(result), args.plot_data)
     if args.format == "json":
         print(json.dumps(summary))
     else:
-        print(f"{'algorithm':<10} {'ssp_m':>10} {'exec_s':>10} {'plan_s':>10} {'improve':>9}")
-        for name, row in summary.items():
-            print(f"{name:<10} {row['mean_ssp_distance_m']:>10.4f} "
-                  f"{row['mean_estimated_execution_time_s']:>10.2f} "
-                  f"{row['mean_planning_time_s']:>10.4f} "
-                  f"{row['improvement_vs_baseline']:>8.1%}")
+        for name, scores in summary.items():
+            _print_scores(name, scores)
         _note_placeholder_speeds(scenario.cell)
     print(f"wrote {args.report} and {args.plot_data}")
     return 0

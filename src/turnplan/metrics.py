@@ -37,6 +37,11 @@ class CellModel:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
+    def execution_time(self, ssp: float, rotation: float, n_points: int) -> float:
+        """Travel time + rotation time + per-point dwell and planner overhead."""
+        return (ssp / self.robot_linear_speed + rotation / self.turntable_angular_speed
+                + n_points * (self.dwell_per_point + self.planner_overhead_per_point))
+
 
 def ssp_distance(plan: Plan, positions) -> float:
     """Total straight-line length of the open path through the plan's visit order."""
@@ -50,8 +55,6 @@ def ssp_distance(plan: Plan, positions) -> float:
 
 
 def estimate_execution_time(plan: Plan, positions, cell: CellModel) -> float:
-    """Travel time + rotation time + per-point dwell and planner overhead."""
-    travel = ssp_distance(plan, positions) / cell.robot_linear_speed
-    rotation = plan.cluster_plan.total_rotation / cell.turntable_angular_speed
-    per_point = plan.n_points * (cell.dwell_per_point + cell.planner_overhead_per_point)
-    return travel + rotation + per_point
+    """`cell.execution_time` of the plan's SSP distance, total rotation and point count."""
+    return cell.execution_time(ssp_distance(plan, positions), plan.cluster_plan.total_rotation,
+                               plan.n_points)

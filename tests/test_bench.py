@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import count_waypoint_generation
-from turnplan import sequencing
+from turnplan import bench, metrics, sequencing
 from turnplan.angles import TWO_PI
 from turnplan.bench import (METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario, comparison_rows,
                             hemisphere_scenario, plot_data_rows, run_comparison, timed_plan,
                             trial_reports, write_csv)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
+from turnplan.metrics import CellModel, estimate_execution_time
 from turnplan.sequencing import ALGORITHMS
 
 
@@ -142,6 +143,26 @@ def test_run_comparison_generates_waypoints_once(monkeypatch):
     result = run_comparison(hemisphere_scenario(n=8), trials=3)
     assert len(calls) == 1
     assert all(len(result.reports[name]) == 3 for name in ALGORITHMS)
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_timed_plan_prices_each_plan_with_one_ssp_distance(monkeypatch, algorithm):
+    cell = CellModel(robot_linear_speed=0.7, dwell_per_point=0.3, planner_overhead_per_point=0.1)
+    scenario = hemisphere_scenario(n=20, cell=cell)
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    ssp_distance, calls = metrics.ssp_distance, []
+
+    def counting(plan, positions):
+        calls.append(plan)
+        return ssp_distance(plan, positions)
+
+    for module in (bench, metrics):  # each namespace that binds the name
+        monkeypatch.setattr(module, "ssp_distance", counting)
+    plan, report = timed_plan(algorithm, waypoints, scenario)
+    assert calls == [plan]
+    assert report.estimated_execution_time == estimate_execution_time(plan, waypoints.positions,
+                                                                      cell)
+    assert report.ssp_distance == ssp_distance(plan, waypoints.positions)
 
 
 def test_trial_seeds_count_up_from_the_cluster_params_seed():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import turnplan
 from conftest import count_waypoint_generation
 from turnplan import cli
-from turnplan.bench import Scenario, trial_reports
+from turnplan.bench import Scenario, run_comparison, trial_reports
 from turnplan.cli import main
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
@@ -514,13 +514,35 @@ def test_bench_rejects_one_file_for_report_and_plot_data(tmp_path, capsys, monke
 def test_bench_json_summary(tmp_path, capsys):
     layout = _generate(tmp_path)
     capsys.readouterr()  # drop the generate message
-    assert main(["bench", str(layout), "--trials", "2", "--format", "json",
-                 "--report", str(tmp_path / "r.csv"),
-                 "--plot-data", str(tmp_path / "p.csv")]) == 0
+    assert main(["plan", str(layout), "--format", "json", "--out", str(tmp_path / "p.json")]) == 0
+    n, *plan_keys = json.loads(capsys.readouterr().out)
+    keys = [*(f"mean_{key}" for key in plan_keys), "improvement_vs_baseline"]
+    bench = ["bench", str(layout), "--trials", "2",
+             "--report", str(tmp_path / "r.csv"), "--plot-data", str(tmp_path / "p.csv")]
+    assert main([*bench, "--format", "json"]) == 0
     out = capsys.readouterr().out.splitlines()
     summary = json.loads(out[0])
-    assert set(summary) == {"baseline", "cluster", "greedy"}
+    assert n == "n" and list(summary) == ["baseline", "cluster", "greedy"]
     assert summary["greedy"]["improvement_vs_baseline"] > 0.0
+    result = run_comparison(Scenario(part=load_part_layout(layout)), 2)
+    for name, row in summary.items():
+        assert list(row) == keys
+        assert row["mean_planning_time_s"] >= 0.0
+        assert {key: row[key] for key in keys if key != "mean_planning_time_s"} == {
+            "mean_ssp_distance_m": result.means("ssp_distance")[name],
+            "mean_total_rotation_rad": result.means("total_rotation")[name],
+            "mean_estimated_execution_time_s": result.means("estimated_execution_time")[name],
+            "improvement_vs_baseline": result.improvement_vs_baseline[name]}
+    # the table form: one line per planner, its name then key=value pairs in plan's format
+    assert main(bench) == 0
+    *lines, note, wrote = capsys.readouterr().out.splitlines()
+    assert note.startswith("note: execution times use placeholder") and wrote.startswith("wrote")
+    assert [line.split()[0] for line in lines] == list(summary)
+    for line in lines:
+        name, *pairs = line.split()
+        assert [pair.split("=")[0] for pair in pairs] == keys
+        assert all(pair == f"{key}={summary[name][key]:.6f}" for pair, key in zip(pairs, keys)
+                   if key != "mean_planning_time_s")
 
 
 def test_bench_rejects_a_zero_baseline_time_without_writing_files(tmp_path, capsys):

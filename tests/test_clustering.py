@@ -331,6 +331,12 @@ def test_cluster_rejects_non_integer_members(members):
         Cluster(members=members, mean_angle=0.5)
 
 
+@pytest.mark.parametrize("members", [(), [], np.empty(0, dtype=np.intp)])
+def test_cluster_rejects_empty_members(members):
+    with pytest.raises(ValueError, match="^cluster must have at least one member$"):
+        Cluster(members=members, mean_angle=0.5)
+
+
 @pytest.mark.parametrize("value", ["0.5", "0", True, False, pytest.param(np.True_, id="numpy_bool"),
                                    math.nan, math.inf, None])
 def test_cluster_records_reject_angles_that_are_not_real_numbers(value):

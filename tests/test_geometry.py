@@ -191,6 +191,37 @@ def test_waypoints_bundle_rejects_bad_shapes(positions, angles):
         Waypoints(positions=positions, table_angles=angles)
 
 
+@pytest.mark.parametrize("origins, frames, shapes", [
+    (np.zeros(3), np.zeros((1, 3, 3)), "(3,) and (1, 3, 3)"),
+    (np.zeros((2, 2)), np.zeros((2, 3, 3)), "(2, 2) and (2, 3, 3)"),
+    (np.zeros((2, 3)), np.zeros((1, 3, 3)), "(2, 3) and (1, 3, 3)"),
+    (np.zeros((1, 3)), np.zeros((1, 3)), "(1, 3) and (1, 3)"),
+], ids=["1d-origins", "2d-origins", "count-mismatch", "2d-frames"])
+def test_part_model_rejects_bad_shapes(origins, frames, shapes):
+    with pytest.raises(ValueError) as excinfo:
+        PartModel(origins=origins, frames=frames)
+    assert str(excinfo.value) == f"need (N, 3) origins and (N, 3, 3) frames, got {shapes}"
+
+
+def test_per_hole_views_are_read_only_rows_of_the_arrays():
+    """`PartModel.holes` and `Waypoints` indexing and iteration: perfbench's workloads read them."""
+    part = hemisphere_layout(12, 0.15, seed=3)
+    waypoints = generate_waypoints(part, 0.05, 0.3)
+    holes, views = part.holes, list(waypoints)
+    assert len(holes) == len(views) == 12
+    arrays = []
+    for i, (hole, view) in enumerate(zip(holes, views)):
+        assert np.array_equal(hole.origin, part.origins[i])
+        for j, axis in enumerate((hole.x_axis, hole.y_axis, hole.z_axis)):
+            assert np.array_equal(axis, part.frames[i, :, j])
+        for waypoint in (view, waypoints[i]):
+            assert np.array_equal(waypoint.pose.position, waypoints.positions[i])
+            assert waypoint.table_angle == waypoints.table_angles[i]
+            arrays.append(waypoint.pose.position)
+        arrays.extend((hole.origin, hole.x_axis, hole.y_axis, hole.z_axis))
+    assert not any(array.flags.writeable for array in arrays)
+
+
 def test_hemisphere_layout_single_hole_points_up():
     part = hemisphere_layout(1, 0.1, seed=0)
     (y_axis,) = part.frames[:, :, 1]

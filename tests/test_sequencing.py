@@ -57,6 +57,8 @@ def test_distance_matrix_type_validation():
         DistanceMatrix(n=2, d=[[0.0, -1.0], [-1.0, 0.0]])  # negative
     with pytest.raises(ValueError):
         DistanceMatrix(n=2, d=[[0.5, 1.0], [1.0, 0.0]])  # nonzero diagonal
+    with pytest.raises(ValueError, match=r"^distance matrix must be 3x3, got \(2, 2\)$"):
+        DistanceMatrix(n=3, d=[[0.0, 1.0], [1.0, 0.0]])  # wrong size
 
 
 # --- greedy ----------------------------------------------------------------
@@ -399,6 +401,9 @@ def _two_cluster_plan():
     ("members swapped between clusters", "reorder exactly its cluster's members"),
     ("unknown member", "reorder exactly its cluster's members"),
     ("reordered concatenation", "concatenate the per-cluster sequences"),
+    ("sequence of the wrong length", "reorder exactly its cluster's members"),
+    ("index equal to N", "reorder exactly its cluster's members"),
+    ("negative index", "reorder exactly its cluster's members"),
 ])
 def test_plan_validation_names_each_fault(fault, message):
     plan = _two_cluster_plan()
@@ -409,6 +414,9 @@ def test_plan_validation_names_each_fault(fault, message):
         "members swapped between clusters": (((c, b), (a, d)), (c, b, a, d)),
         "unknown member": (((a, 2**70), (c, d)), (a, 2**70, c, d)),
         "reordered concatenation": (((a, b), (c, d)), (c, d, a, b)),
+        "sequence of the wrong length": (((a,), (c, d)), (a, c, d)),
+        "index equal to N": (((a, 4), (c, d)), (a, 4, c, d)),
+        "negative index": (((a, -1), (c, d)), (a, -1, c, d)),
     }[fault]
     with pytest.raises(ValueError, match=message):
         Plan(cluster_plan=plan.cluster_plan, sequences=sequences, flattened_order=flattened)
