@@ -129,7 +129,7 @@ def cmd_bench(args) -> int:
         for name, scores in summary.items():
             _print_scores(name, scores)
         _note_placeholder_speeds(scenario.cell)
-    print(f"wrote {args.report} and {args.plot_data}")
+        print(f"wrote {args.report} and {args.plot_data}")
     return 0
 
 

@@ -25,10 +25,11 @@ from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _f
 # threshold, fetching it once before its first walk; no other plan builds
 # one, and every later greedy plan of the bundle walks it. Deep rows are built
 # only for the points where a walk on the bundle has fallen back (see
-# _ChainIndex). The threshold is where the two walks cost the same on a fresh
-# bundle, index build included, in a sweep over cluster sizes (see README's
-# step 4); it must stay above CHAIN_CANDIDATES, since the query needs that
-# many others.
+# _ChainIndex). The threshold is the low edge of where the two walks cost the
+# same on a fresh bundle, index build included, in a sweep over cluster sizes
+# made before the matrix build got cheaper, which moved that tie up (see
+# README's step 4); it must stay above CHAIN_CANDIDATES, since the query needs
+# that many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 128
@@ -66,14 +67,27 @@ class DistanceMatrix:
         object.__setattr__(self, "d", d)
 
 
+def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt((dx*dx + dy*dy) + dz*dz) over coordinate-major differences diff = (dx, dy, dz).
+
+    Every distance the greedy order reads is this one rounding, which is
+    np.linalg.norm(..., axis=-1)'s bit for bit on every host; each ufunc
+    call covers a whole plane, or all three. It squares diff in place, and
+    writes into `out` or a new array, so the result never keeps diff alive.
+    """
+    dx2, dy2, dz2 = np.multiply(diff, diff, out=diff)
+    dist = np.add(dx2, dy2, out=out)
+    dist += dz2
+    return np.sqrt(dist, out=dist)
+
+
 def distance_matrix(positions) -> DistanceMatrix:
-    """Pairwise Euclidean distance matrix for a non-empty set of 3D points."""
+    """Pairwise Euclidean distance matrix for a non-empty set of 3D points, rounded by `_norms`."""
     pts = np.asarray(positions, dtype=float)
     if pts.size == 0:
         raise ValueError("cannot build a distance matrix from no points")
-    pts = pts.reshape(len(pts), 3)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return DistanceMatrix(n=len(pts), d=np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    coords = pts.reshape(len(pts), 3).T
+    return DistanceMatrix(n=len(pts), d=_norms(coords[:, :, None] - coords[:, None, :]))
 
 
 def greedy_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
@@ -90,32 +104,33 @@ def greedy_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) -> np.ndarray:
+def _certified_candidates(tree, coords: np.ndarray, query: np.ndarray, width: int) -> np.ndarray:
     """Per query point, the nearest others that a greedy step may take without a distance row.
 
-    Row r holds point i = query[r]'s `width` nearest points of `pts` (itself
-    included) from one query on `tree`, a cKDTree over `pts`, sorted by
-    (distance, index). `query` is any subset of the point indices and
-    `width` any count from 2 to len(pts): the argument below holds for
-    each. A point is certified when its distance is below the row's
-    certificate c_i = d_i (1 - 64 eps), where d_i is the row's largest
-    distance; every other slot holds i itself. Each distance is computed
-    with the chain's own expression (`here - other`, the same einsum, sqrt),
-    so it is bitwise the value the chain's distance row would hold. The
-    build is O(q w) memory for q query points. A bundle's `_ChainIndex`
-    makes two kinds of rows with it: the table, every point at width
-    CHAIN_CANDIDATES + 1, and deep rows, a few points at width
-    CHAIN_DEEP_CANDIDATES + 1.
+    `coords` holds the N points coordinate-major, (3, N). Row r holds point
+    i = query[r]'s `width` nearest points (itself included) from one query
+    on `tree`, a cKDTree over the points, sorted by (distance, index).
+    `query` is any subset of the point indices and `width` any count from 2
+    to N: the argument below holds for each. A point is certified when its
+    distance is below the row's certificate c_i = d_i (1 - 64 eps), where
+    d_i is the row's largest distance; every other slot holds i itself.
+    Each distance is computed with the chain's own expression (`here -
+    other`, then `_norms`), so it is bitwise the value the chain's distance
+    row would hold. The build is O(q w) memory for q query points. A
+    bundle's `_ChainIndex` makes two kinds of rows with it: the table, every
+    point at width CHAIN_CANDIDATES + 1, and deep rows, a few points at
+    width CHAIN_DEEP_CANDIDATES + 1.
 
     Why the first open certified point is the argmin over any open subset.
-    Write u = eps/2. The einsum distance is within 4u, relative, of the true
-    distance (a rounded difference, squared, summed in two adds, a rounded
-    sqrt); so is the tree's, which sums the same squares in its own order.
-    Let j be a point the query did not return and c* the listed point at
-    distance d_i. The query keeps the nearest points by tree distance, up to
-    the rounding of its pruning bounds, so tree(j) >= tree(c*) (1 - 4u), and
-    then einsum(j) >= d_i (1 - 4u)^3 / (1 + 4u)^2 > d_i (1 - 10 eps). A
-    certified point (einsum < c_i, and c_i is itself rounded by at most u)
+    Write u = eps/2. The `_norms` distance is within 4u, relative, of the
+    true distance (per coordinate a rounded difference and a rounded square,
+    then two rounded adds, (dx^2 + dy^2) + dz^2, and a rounded sqrt); so is
+    the tree's, which sums the same squares in its own order. Let j be a
+    point the query did not return and c* the listed point at distance d_i.
+    The query keeps the nearest points by tree distance, up to the rounding
+    of its pruning bounds, so tree(j) >= tree(c*) (1 - 4u), and then
+    norm(j) >= d_i (1 - 4u)^3 / (1 + 4u)^2 > d_i (1 - 10 eps). A
+    certified point (norm < c_i, and c_i is itself rounded by at most u)
     is therefore strictly nearer than every point of the whole set off the
     list, and uncertified listed points lie at d >= c_i, further still. So
     for any set of open points (a cluster's unvisited members), the first
@@ -130,14 +145,13 @@ def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) 
     of 2^500 or more, and a row with d_i < 2^-500 certifies nothing, as does
     a row with d_i = 0 (more than `width` coincident copies).
     """
-    here = pts[query]
-    near = tree.query(here, width)[1]
-    diff = pts[near]
-    np.subtract(here[:, None, :], diff, out=diff)
-    diff = diff.reshape(-1, 3)
-    dist = np.einsum("ij,ij->i", diff, diff).reshape(near.shape)
+    # take, not coords[:, …], whose result is not C-ordered: each plane of diff is contiguous
+    here = coords.take(query, axis=1)
+    near = tree.query(here.T, width)[1]
+    diff = coords.take(near, axis=1)
+    np.subtract(here[:, :, None], diff, out=diff)
+    dist = _norms(diff)
     del diff  # the largest temporary: free it before the rows are built
-    np.sqrt(dist, out=dist)
     # lexsort only the rows the tree returned out of (distance, index) order
     step, before = dist[:, 1:], dist[:, :-1]
     unsorted = (step < before) | ((step == before) & (near[:, 1:] < near[:, :-1]))
@@ -156,7 +170,8 @@ def _certified_candidates(tree, pts: np.ndarray, query: np.ndarray, width: int) 
 class _ChainIndex:
     """One point set's certified candidate rows for the greedy chain, in one flat store.
 
-    The cKDTree over all the points is built once and kept. Point i's row is
+    The cKDTree over all the points is built once and kept, and so are the
+    points, coordinate-major, as `coords` (3, N). Point i's row is
     rows[at[i]:end[i]]: at first its CHAIN_CANDIDATES + 1 certified
     candidates (the table), which `_chain` scans before it takes a distance
     row. A walk that takes a distance row at a point whose row is still
@@ -180,10 +195,11 @@ class _ChainIndex:
         # builds an index, so small plans skip scipy
         from scipy.spatial import cKDTree
 
-        self.pts = pts
+        self.coords = np.ascontiguousarray(pts.T)
         self.tree = cKDTree(pts)
         everyone = np.arange(len(pts))
-        self.rows = _certified_candidates(self.tree, pts, everyone, CHAIN_CANDIDATES + 1).ravel()
+        self.rows = _certified_candidates(self.tree, self.coords, everyone,
+                                          CHAIN_CANDIDATES + 1).ravel()
         self.filled = len(self.rows)  # rows[filled:] is room for deep rows, not yet written
         self.at = everyone * (CHAIN_CANDIDATES + 1)
         self.end = self.at + (CHAIN_CANDIDATES + 1)
@@ -194,15 +210,16 @@ class _ChainIndex:
         if self.fallen:
             query = np.array(self.fallen)
             self.fallen.clear()
-            width = min(CHAIN_DEEP_CANDIDATES + 1, len(self.pts))
+            n = self.coords.shape[1]
+            width = min(CHAIN_DEEP_CANDIDATES + 1, n)
             if self.filled == len(self.rows):  # the first batch: make room for them all
                 # in a mapping of its own, whose pages take memory only once
                 # written: a malloc'd block may take over pages already in use
-                room = mmap.mmap(-1, (self.filled + width * len(self.pts)) * self.rows.itemsize)
+                room = mmap.mmap(-1, (self.filled + width * n) * self.rows.itemsize)
                 store = np.frombuffer(room, self.rows.dtype)
                 store[:self.filled] = self.rows
                 self.rows = store
-            deep = _certified_candidates(self.tree, self.pts, query, width).ravel()
+            deep = _certified_candidates(self.tree, self.coords, query, width).ravel()
             self.at[query] = self.filled + width * np.arange(len(query))
             self.end[query] = self.at[query] + width
             self.rows[self.filled:self.filled + len(deep)] = deep
@@ -216,20 +233,21 @@ _CHAIN_INDEXES: weakref.WeakKeyDictionary[Waypoints, _ChainIndex] = weakref.Weak
 
 def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
            remaining: np.ndarray) -> list[int]:
-    """The greedy chain over the points `members` of `index.pts`, from member `start`.
+    """The greedy chain over the points `members` of the index, from member `start`.
 
-    Indices in and out are rows of `pts` = `index.pts`; `remaining` is
-    pts[members], a copy that the walk overwrites. `slot` is a list of
-    len(pts) zeros, shared by every cluster of a plan: the walk stores each
-    open member's position in `members` plus one there and zeroes it when
-    the member is visited, so it leaves all zeros and its setup costs O(m)
-    for m members, not O(len(pts)). A step takes the current point's first
-    open certified entry; entries of other clusters are zero in `slot`, so
-    they are skipped like visited ones. With none open it records the point
-    in `index.fallen` if its row is still table-wide, and computes one row
-    of distances over the members, with every visited member overwritten by
-    inf (written only now, for the members closed since the last row), and
-    takes the row's argmin.
+    Indices in and out are point indices, columns of `index.coords`;
+    `remaining` is index.coords[:, members], a copy that the walk
+    overwrites. `slot` is a list of N zeros, shared by every cluster of a
+    plan: the walk stores each open member's position in `members` plus one
+    there and zeroes it when the member is visited, so it leaves all zeros
+    and its setup costs O(m) for m members, not O(N). A step takes the
+    current point's first open certified entry; entries of other clusters
+    are zero in `slot`, so they are skipped like visited ones. With none
+    open it records the point in `index.fallen` if its row is still
+    table-wide, and computes one row of distances over the members,
+    `_norms` of the current point minus `remaining`, with every visited
+    member overwritten by inf (written only now, for the members closed
+    since the last row), and takes the row's argmin.
     """
     # point i's row is rows[at[i]:end[i]] of flat memoryviews: no Python
     # object per entry
@@ -237,11 +255,11 @@ def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
     for local, point in enumerate(members):
         slot[point] = local + 1
     diff = np.empty_like(remaining)
-    dist = np.empty(len(remaining))
+    dist = np.empty(len(members))
     closed = []  # members visited since the last distance row, by position in `members`
     order = [start]
     current = start
-    for _ in range(len(remaining) - 1):
+    for _ in range(len(members) - 1):
         closed.append(slot[current] - 1)
         slot[current] = 0
         for nxt in rows[at[current]:end[current]]:
@@ -251,12 +269,10 @@ def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
             if end[current] - at[current] == CHAIN_CANDIDATES + 1:
                 index.fallen.append(current)
             # a lone index (a fallback right after another) is a cheaper write than a list
-            remaining[closed[0] if len(closed) == 1 else closed] = np.inf
+            remaining[:, closed[0] if len(closed) == 1 else closed] = np.inf
             closed.clear()
-            np.subtract(index.pts[current], remaining, out=diff)
-            # the same einsum as distance_matrix, so each row is bitwise equal to its row
-            np.einsum("ij,ij->i", diff, diff, out=dist)
-            nxt = members[int(np.sqrt(dist, out=dist).argmin())]
+            np.subtract(index.coords[:, current, None], remaining, out=diff)
+            nxt = members[int(_norms(diff, dist).argmin())]
         order.append(nxt)
         current = nxt
     slot[current] = 0
@@ -267,20 +283,19 @@ def _greedy_chain(index: _ChainIndex | None, members: np.ndarray, start: int, sl
                   remaining: np.ndarray) -> np.ndarray:
     """The greedy chain over the bundle's `members` from members[start], a read-only np.intp array.
 
-    `remaining` is the bundle's positions[members], which the walk may
-    overwrite. Given the bundle's `index`, it walks that (`_chain`, with
-    `slot`). Without one it computes the cluster's (m, m) distances once,
-    with the chain's own expression (`here - other`, the einsum of
-    distance_matrix, sqrt), so each row is bitwise the distance row `_chain`
-    would compute; each step sets the current member's column to inf and
-    takes the first argmin of its row: the nearest open member, ties to the
+    `remaining` is the members' positions, coordinate-major (3, m), which
+    the walk may overwrite. Given the bundle's `index`, it walks that
+    (`_chain`, with `slot`). Without one it computes the cluster's (m, m)
+    distances once, with the chain's own expression (`here - other`, then
+    `_norms`), so each row is bitwise the distance row `_chain` would
+    compute; each step sets the current member's column to inf and takes
+    the first argmin of its row: the nearest open member, ties to the
     lowest position.
     """
     if index is not None:
         walk = _chain(index, members.tolist(), int(members[start]), slot, remaining)
         return _freeze(np.array(walk, dtype=np.intp))
-    diff = remaining[:, None] - remaining
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = _norms(remaining[:, :, None] - remaining[:, None, :])
     order = [start]
     current = start
     for _ in range(len(members) - 1):
@@ -368,6 +383,7 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
     cluster on its own distance matrix and builds no index.
     """
     positions = waypoints.positions
+    coords = np.ascontiguousarray(positions.T)  # each cluster takes its (3, m) columns
     index = _CHAIN_INDEXES.get(waypoints)
     if index is None and any(len(c.members) > CHAIN_TABLE_MIN_POINTS for c in clusters):
         index = _CHAIN_INDEXES[waypoints] = _ChainIndex(waypoints.positions)
@@ -379,10 +395,8 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
     for cluster in clusters:
         seq = cluster.members
         if len(seq) > 1:
-            local = positions[seq]  # picks the start, then the walk may overwrite it
-            offsets = local - previous_pos
-            # np.linalg.norm(offsets, axis=1)'s own expression, so ties break as with it
-            start = int(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).argmin())
+            local = coords.take(seq, axis=1)  # picks the start, then the walk may overwrite it
+            start = int(_norms(local - previous_pos[:, None]).argmin())
             seq = _greedy_chain(index, seq, start, slot, local)
         sequences.append(seq)
         previous_pos = positions[seq[-1]]

@@ -109,7 +109,8 @@ def chain_walk(positions, start: int) -> tuple[int, ...]:
     m = len(bundle)
     large = m > sequencing.CHAIN_TABLE_MIN_POINTS
     index = sequencing._ChainIndex(bundle.positions) if large else None
-    walk = sequencing._greedy_chain(index, np.arange(m), start, [0] * m, bundle.positions.copy())
+    walk = sequencing._greedy_chain(index, np.arange(m), start, [0] * m,
+                                   bundle.positions.T.copy())
     return tuple(walk.tolist())
 
 

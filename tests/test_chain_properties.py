@@ -19,7 +19,10 @@ check plan_waypoints' per-cluster walk, and replanned on one bundle, the
 deep rows that replace the table rows of the points where earlier plans
 fell back. The certified rows themselves are checked against a full
 (distance, index) lexsort, which they skip for rows the tree already lists
-in that order.
+in that order. Every distance is np.linalg.norm's rounding of the
+difference: the oracle is checked against it, and a crafted pair of points
+that a sum of squares in another order ranks the other way pins both walks
+to it.
 """
 
 import itertools
@@ -82,8 +85,43 @@ def test_matrix_walk_matches_matrix_greedy_across_the_threshold(kind, n, seed, s
     # the walk of a plan that builds no chain index, also at sizes where a plan walks one
     pts = cloud(kind, n, np.random.default_rng(seed))
     start = int(start_fraction * n)
-    walk = _greedy_chain(None, np.arange(n), start, [0] * n, pts.copy())
+    walk = _greedy_chain(None, np.arange(n), start, [0] * n, pts.T.copy())
     assert tuple(walk.tolist()) == greedy_sequence(distance_matrix(pts), start)
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, MAX_POINTS), seed=st.integers(0, 2**32 - 1))
+def test_distances_round_as_norm_does(kind, n, seed):
+    # every distance the chain reads is rounded as distance_matrix rounds it
+    pts = cloud(kind, n, np.random.default_rng(seed))
+    assert np.array_equal(distance_matrix(pts).d, np.linalg.norm(pts[:, None] - pts, axis=2))
+
+
+def crossed_pair(rng: np.random.Generator) -> np.ndarray:
+    """A point (x, y, z) and its y-z swap whose distances from the origin round apart.
+
+    Seeded search: draws until sqrt((x^2 + y^2) + z^2), np.linalg.norm's
+    rounding, differs from sqrt((x^2 + z^2) + y^2). A rounding that adds
+    the squares in the second order, as numpy's einsum does on some builds
+    (its SIMD lanes set the order), ranks the two points the other way.
+    """
+    while True:
+        x, y, z = rng.uniform(0.5, 1.5, 3)
+        if np.sqrt((x * x + y * y) + z * z) != np.sqrt((x * x + z * z) + y * y):
+            return np.array([[x, y, z], [x, z, y]])
+
+
+def test_walks_take_the_nearest_point_by_the_norm_rounding():
+    # from the origin, the first step goes to the pair's point with the smaller norm, in the
+    # matrix walk and, padded with far points above CHAIN_TABLE_MIN_POINTS, the table walk
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        pair = crossed_pair(rng)
+        pts = np.vstack([np.zeros((1, 3)), pair])
+        nearest = 1 + int(np.linalg.norm(pair, axis=1).argmin())
+        assert _greedy_chain(None, np.arange(3), 0, [0] * 3, pts.T.copy())[1] == nearest
+        far = 100.0 + rng.normal(size=(CHAIN_TABLE_MIN_POINTS, 3))
+        assert chain_walk(np.vstack([pts, far]), 0)[1] == nearest
 
 
 def shell(extra: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -143,10 +181,10 @@ def test_small_cluster_walk_matches_matrix_greedy_from_every_start():
 
 def _lexsorted_rows(tree, pts: np.ndarray, query: np.ndarray, width: int):
     """The certified rows with every row lexsorted by (distance, index), and the rows as
-    the tree returned them, whose einsum distances `_certified_candidates` reads."""
+    the tree returned them, with the distances `_certified_candidates` reads: the
+    differences rounded as np.linalg.norm rounds them."""
     near = tree.query(pts[query], width)[1]
-    diff = (pts[query][:, None, :] - pts[near]).reshape(-1, 3)
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(near.shape)
+    dist = np.linalg.norm(pts[query][:, None, :] - pts[near], axis=-1)
     by_distance = np.lexsort((near, dist))
     rows = np.take_along_axis(near, by_distance, axis=1)
     row_dist = np.take_along_axis(dist, by_distance, axis=1)
@@ -168,7 +206,7 @@ def test_certified_rows_equal_a_full_lexsort(kind, n, seed, query_fraction, widt
     width = 2 + int(width_fraction * (len(pts) - 2))
     tree = cKDTree(pts)
     expected = _lexsorted_rows(tree, pts, query, width)[0]
-    assert np.array_equal(_certified_candidates(tree, pts, query, width), expected)
+    assert np.array_equal(_certified_candidates(tree, pts.T, query, width), expected)
 
 
 class _ReversingTree:
@@ -188,7 +226,7 @@ def test_certified_rows_sort_rows_listed_out_of_distance_order():
     tree, query = _ReversingTree(pts), np.arange(60)
     expected, _, listed_dist = _lexsorted_rows(tree, pts, query, 9)
     assert (np.diff(listed_dist, axis=1) < 0.0).any(axis=1).all()
-    assert np.array_equal(_certified_candidates(tree, pts, query, 9), expected)
+    assert np.array_equal(_certified_candidates(tree, pts.T, query, 9), expected)
 
 
 @PROPERTY_SETTINGS
@@ -212,7 +250,8 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
             continue
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
-        order = _greedy_chain(index, np.array(members), local_start, slot, pts[members]).tolist()
+        order = _greedy_chain(index, np.array(members), local_start, slot,
+                             pts.T[:, members]).tolist()
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)

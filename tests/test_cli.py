@@ -520,8 +520,8 @@ def test_bench_json_summary(tmp_path, capsys):
     bench = ["bench", str(layout), "--trials", "2",
              "--report", str(tmp_path / "r.csv"), "--plot-data", str(tmp_path / "p.csv")]
     assert main([*bench, "--format", "json"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    summary = json.loads(out[0])
+    # stdout is one JSON document and nothing else
+    summary = json.loads(capsys.readouterr().out)
     assert n == "n" and list(summary) == ["baseline", "cluster", "greedy"]
     assert summary["greedy"]["improvement_vs_baseline"] > 0.0
     result = run_comparison(Scenario(part=load_part_layout(layout)), 2)
