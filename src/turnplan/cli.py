@@ -8,6 +8,7 @@ inputs and seeds; measured planning times appear on stdout only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -111,6 +112,22 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _write_csvs(outputs: dict[str, list[list]]) -> None:
+    """Write each path's rows, all or none: every path is opened, without truncating it, before
+    any is written, and on a failure the files this call created are removed."""
+    created = [path for path in outputs if not os.path.lexists(path)]
+    try:
+        for path in outputs:
+            open(path, "a").close()
+        for path, rows in outputs.items():
+            write_csv(rows, path)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_bench(args) -> int:
     if os.path.realpath(args.report) == os.path.realpath(args.plot_data):
         raise ValueError(f"--report and --plot-data both name {args.report}")
@@ -121,8 +138,7 @@ def cmd_bench(args) -> int:
     columns["improvement_vs_baseline"] = result.improvement_vs_baseline
     summary = {name: {column: values[name] for column, values in columns.items()}
                for name in result.reports}
-    write_csv(comparison_rows(result), args.report)
-    write_csv(plot_data_rows(result), args.plot_data)
+    _write_csvs({args.report: comparison_rows(result), args.plot_data: plot_data_rows(result)})
     if args.format == "json":
         print(json.dumps(summary))
     else:

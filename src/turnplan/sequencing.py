@@ -46,27 +46,6 @@ def _preload_chain_index(algorithm: str, n: int, k: int) -> None:
         import scipy.spatial  # noqa: F401
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Pairwise Euclidean distances between waypoint positions."""
-
-    n: int
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.d, dtype=float)
-        if d.shape != (self.n, self.n):
-            raise ValueError(f"distance matrix must be {self.n}x{self.n}, got {d.shape}")
-        if not np.all(np.isfinite(d)) or np.any(d < 0.0):
-            raise ValueError("distances must be finite and non-negative")
-        if np.max(np.abs(d - d.T), initial=0.0) > 1e-12:
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diagonal(d) != 0.0):
-            raise ValueError("distance matrix diagonal must be zero")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
-
-
 def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sqrt((dx*dx + dy*dy) + dz*dz) over coordinate-major differences diff = (dx, dy, dz).
 
@@ -81,25 +60,28 @@ def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def distance_matrix(positions) -> DistanceMatrix:
-    """Pairwise Euclidean distance matrix for a non-empty set of 3D points, rounded by `_norms`."""
+def distance_matrix(positions) -> np.ndarray:
+    """Pairwise Euclidean distances between a non-empty set of 3D points, rounded by `_norms`,
+    as a read-only (n, n) array."""
     pts = np.asarray(positions, dtype=float)
     if pts.size == 0:
         raise ValueError("cannot build a distance matrix from no points")
     coords = pts.reshape(len(pts), 3).T
-    return DistanceMatrix(n=len(pts), d=_norms(coords[:, :, None] - coords[:, None, :]))
+    return _freeze(_norms(coords[:, :, None] - coords[:, None, :]))
 
 
-def greedy_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
-    """Nearest-neighbor chain over a distance matrix from `start`; ties go to the lowest index."""
-    if not 0 <= (start := _as_int(start, "start")) < m.n:
-        raise ValueError(f"start must lie in [0, {m.n}), got {start!r}")
-    unvisited = np.ones(m.n, dtype=bool)
+def greedy_sequence(d: np.ndarray, start: int = 0) -> tuple[int, ...]:
+    """Nearest-neighbor chain from `start` over an (n, n) distance array such as
+    `distance_matrix` returns; ties go to the lowest index."""
+    n = len(d)
+    if not 0 <= (start := _as_int(start, "start")) < n:
+        raise ValueError(f"start must lie in [0, {n}), got {start!r}")
+    unvisited = np.ones(n, dtype=bool)
     order = [start]
     current = start
-    for _ in range(m.n - 1):
+    for _ in range(n - 1):
         unvisited[current] = False
-        current = int(np.where(unvisited, m.d[current], np.inf).argmin())
+        current = int(np.where(unvisited, d[current], np.inf).argmin())
         order.append(current)
     return tuple(order)
 

@@ -10,17 +10,16 @@ import pytest
 
 from turnplan import bench, cli, geometry, sequencing
 from turnplan.geometry import Waypoints
-from turnplan.sequencing import DistanceMatrix
 
 
-def path_length(m: DistanceMatrix, order) -> float:
-    """Open-path length of a visit order over the matrix's indices."""
-    return float(sum(m.d[a][b] for a, b in zip(order, order[1:])))
+def path_length(m: np.ndarray, order) -> float:
+    """Open-path length of a visit order over an (n, n) distance array's indices."""
+    return float(sum(m[a][b] for a, b in zip(order, order[1:])))
 
 
-def brute_force_open_path(m: DistanceMatrix, start: int) -> tuple[float, tuple[int, ...]]:
+def brute_force_open_path(m: np.ndarray, start: int) -> tuple[float, tuple[int, ...]]:
     """Exhaustive minimum open path from `start`; first minimal permutation wins."""
-    rest = [i for i in range(m.n) if i != start]
+    rest = [i for i in range(len(m)) if i != start]
     best_length = float("inf")
     best_order = (start,)
     for perm in itertools.permutations(rest):
@@ -39,13 +38,13 @@ class InstanceTooLargeError(ValueError):
     """Raised when an instance exceeds the exact solver's size cap."""
 
 
-def optimal_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
+def optimal_sequence(m: np.ndarray, start: int = 0) -> tuple[int, ...]:
     """Minimum-length open path from `start`, by dynamic programming over subsets.
 
     Exact but exponential; capped at EXACT_SEARCH_MAX_POINTS points. Ties are
     broken toward the lexicographically smallest visit order.
     """
-    n = m.n
+    n = len(m)
     if n > EXACT_SEARCH_MAX_POINTS:
         raise InstanceTooLargeError(
             f"exact search handles at most {EXACT_SEARCH_MAX_POINTS} points, got {n}")
@@ -54,7 +53,7 @@ def optimal_sequence(m: DistanceMatrix, start: int = 0) -> tuple[int, ...]:
     if n == 1:
         return (0,)
 
-    d = m.d.tolist()
+    d = m.tolist()
     size = 1 << n
     # best[mask][j]: shortest path starting at j that visits exactly `mask` (j in mask)
     best = [[math.inf] * n for _ in range(size)]

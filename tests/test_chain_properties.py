@@ -94,7 +94,7 @@ def test_matrix_walk_matches_matrix_greedy_across_the_threshold(kind, n, seed, s
 def test_distances_round_as_norm_does(kind, n, seed):
     # every distance the chain reads is rounded as distance_matrix rounds it
     pts = cloud(kind, n, np.random.default_rng(seed))
-    assert np.array_equal(distance_matrix(pts).d, np.linalg.norm(pts[:, None] - pts, axis=2))
+    assert np.array_equal(distance_matrix(pts), np.linalg.norm(pts[:, None] - pts, axis=2))
 
 
 def crossed_pair(rng: np.random.Generator) -> np.ndarray:

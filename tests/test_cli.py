@@ -576,6 +576,22 @@ def test_bench_names_an_overflowing_metric_without_writing_files(tmp_path, capsy
     assert not report.exists() and not plot.exists()
 
 
+def test_bench_writes_neither_file_when_one_cannot_be_opened(tmp_path, capsys):
+    layout = _generate(tmp_path, n=5)
+    capsys.readouterr()
+    report, plot = tmp_path / "r.csv", tmp_path / "missing" / "p.csv"
+    bench = ["bench", str(layout), "--trials", "1", "--report", str(report),
+             "--plot-data", str(plot)]
+    assert main(bench) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{plot}'\n"
+    assert not report.exists()
+    # a report file from an earlier run keeps its bytes
+    report.write_text("earlier,report\n")
+    assert main(bench) == 2
+    assert report.read_text() == "earlier,report\n"
+    assert sorted(tmp_path.iterdir()) == [layout, report]
+
+
 def _fresh_python(code: str) -> str:
     """Run `code` in a new interpreter that imports this turnplan; return its stdout."""
     package_root = str(Path(turnplan.__file__).resolve().parents[1])

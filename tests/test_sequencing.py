@@ -19,7 +19,7 @@ from turnplan.bench import Scenario, comparison_rows, run_comparison, timed_plan
 from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
-from turnplan.sequencing import (_CHAIN_INDEXES, CHAIN_TABLE_MIN_POINTS, DistanceMatrix, Plan,
+from turnplan.sequencing import (_CHAIN_INDEXES, CHAIN_TABLE_MIN_POINTS, Plan,
                                  baseline_angle_sequence, distance_matrix, greedy_sequence,
                                  plan_waypoints, save_plan)
 
@@ -30,35 +30,25 @@ DEG = math.pi / 180.0
 
 def test_distance_matrix_unit_pair():
     m = distance_matrix([(0, 0, 0), (1, 0, 0)])
-    assert m.d[0][1] == 1.0
-    assert m.d[1][0] == 1.0
+    assert m[0][1] == 1.0
+    assert m[1][0] == 1.0
+    assert not m.flags.writeable
 
 
 def test_distance_matrix_single_point():
     m = distance_matrix([(0.3, 0.1, -0.2)])
-    assert m.n == 1
-    assert m.d[0][0] == 0.0
+    assert len(m) == 1
+    assert m[0][0] == 0.0
 
 
 def test_distance_matrix_3_4_5_triangle():
     m = distance_matrix([(0, 0, 0), (3, 4, 0)])
-    assert abs(m.d[0][1] - 5.0) < 1e-12
+    assert abs(m[0][1] - 5.0) < 1e-12
 
 
 def test_distance_matrix_rejects_empty_input():
     with pytest.raises(ValueError):
         distance_matrix([])
-
-
-def test_distance_matrix_type_validation():
-    with pytest.raises(ValueError):
-        DistanceMatrix(n=2, d=[[0.0, 1.0], [2.0, 0.0]])  # asymmetric
-    with pytest.raises(ValueError):
-        DistanceMatrix(n=2, d=[[0.0, -1.0], [-1.0, 0.0]])  # negative
-    with pytest.raises(ValueError):
-        DistanceMatrix(n=2, d=[[0.5, 1.0], [1.0, 0.0]])  # nonzero diagonal
-    with pytest.raises(ValueError, match=r"^distance matrix must be 3x3, got \(2, 2\)$"):
-        DistanceMatrix(n=3, d=[[0.0, 1.0], [1.0, 0.0]])  # wrong size
 
 
 # --- greedy ----------------------------------------------------------------
@@ -92,8 +82,8 @@ def test_greedy_steps_are_locally_optimal():
         order = greedy_sequence(m, start=0)
         visited = {0}
         for a, b in zip(order, order[1:]):
-            candidates = [m.d[a][j] for j in range(n) if j not in visited]
-            assert m.d[a][b] == min(candidates)
+            candidates = [m[a][j] for j in range(n) if j not in visited]
+            assert m[a][b] == min(candidates)
             visited.add(b)
 
 
@@ -275,7 +265,6 @@ def test_plan_waypoints_builds_no_distance_matrix(monkeypatch):
         raise AssertionError("plan_waypoints must not build a distance matrix")
 
     monkeypatch.setattr(sequencing, "distance_matrix", refuse)
-    monkeypatch.setattr(sequencing, "DistanceMatrix", refuse)
     rng = np.random.default_rng(19)
     wps = make_waypoints(rng.uniform(-1, 1, (60, 3)))
     plan = plan_waypoints(wps, ClusterParams(k=3, seed=0))
