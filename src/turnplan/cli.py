@@ -98,7 +98,17 @@ def _print_scores(head: str, scores: dict[str, float]) -> None:
     print(head, *(f"{name}={value:.6f}" for name, value in scores.items()))
 
 
+def _reject_layout_outputs(layout: str, outputs: dict[str, str]) -> None:
+    """Raise, before anything is written, if an output is the layout file by any name or link.
+    An output that does not exist yet, or cannot be examined, is not; writing it says why."""
+    for flag, path in outputs.items():
+        with contextlib.suppress(OSError):
+            if os.path.samefile(path, layout):
+                raise ValueError(f"{flag} names the layout file {layout}")
+
+
 def cmd_plan(args) -> int:
+    _reject_layout_outputs(args.layout, {"--out": args.out})
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     plan, report = timed_plan(args.algorithm, waypoints, scenario)
@@ -131,6 +141,7 @@ def _write_csvs(outputs: dict[str, list[list]]) -> None:
 def cmd_bench(args) -> int:
     if os.path.realpath(args.report) == os.path.realpath(args.plot_data):
         raise ValueError(f"--report and --plot-data both name {args.report}")
+    _reject_layout_outputs(args.layout, {"--report": args.report, "--plot-data": args.plot_data})
     scenario = _scenario(args, load_part_layout(args.layout))
     result = run_comparison(scenario, args.trials)
     # built before any file is written: a zero baseline time raises here

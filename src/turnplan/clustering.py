@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .angles import TWO_PI, forward_delta, wrap_angle
-from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze
+from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _squared_norms
 
 DEFAULT_CLUSTER_COUNT = 5
 # Sector the robot can reach without moving the table: 72 degrees.
@@ -123,13 +123,10 @@ def circular_mean(angles) -> float:
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Exact (n, k) squared distances: the reference every assignment reproduces."""
-    # einsum, not a hand-written x + y + z, over a C-ordered diff whatever the
-    # inputs' layout: its 3-term sum rounds in an order set by the memory
-    # layout, and the assignments must not move by a last-bit difference
-    diff = np.empty((len(points), len(centroids), 3))
-    np.subtract(points[:, None, :], centroids, out=diff)
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Exact (n, k) squared distances (`_squared_norms`), the reference of every assignment."""
+    diff = np.empty((3, len(points), len(centroids)))
+    np.subtract(points.T[:, :, None], centroids.T[:, None, :], out=diff)
+    return _squared_norms(diff)
 
 
 # Margins of the assignment step (derived in _NearestCentroid): the gap
@@ -175,12 +172,13 @@ class _NearestCentroid:
     E = 2 sqrt(e) + 6u M = (2 sqrt(11 eps) + 3 eps) M < 9.9e-8 M of G.
     The kernel stores b = h - margin, with margin = _GAP_TOL * M = 2^-23 M
     > 1.19e-7 M, so that b <= G - m with m = margin - E > 2e-8 M. A row
-    with b > 0 therefore has G > m > 6 eps M; as the einsum values are
-    within 5u, relative, of D^2 and D_a <= 2M, every other centroid's
-    einsum value exceeds a's, so a is the einsum argmin, whatever order and
-    however many threads BLAS uses. A row with b <= 0 is a near tie: it is
-    recomputed with the exact einsum, whose argmin sends ties to the lowest
-    index, and its bound becomes -inf.
+    with b > 0 therefore has G > m > 6 eps M. The reference values, (dx^2 +
+    dy^2) + dz^2 (`_squared_norms`), are within 5u, relative, of D^2 (3u
+    per coordinate's rounded difference and square, u per add), and D_a <=
+    2M, so every other centroid's reference value exceeds a's: a is the
+    reference argmin, whatever order and however many threads BLAS uses. A
+    row with b <= 0 is a near tie: it is recomputed with `_squared_distances`,
+    whose argmin sends ties to the lowest index, and its bound becomes -inf.
 
     Drift keeps b <= G - m. When centroid j moves by Delta_j, D_a grows by
     at most Delta_a and every other D_j shrinks by at most max(Delta), so
@@ -311,10 +309,6 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     own cluster.
     """
     points, angles = waypoints.positions, waypoints.table_angles
-    # the bound the greedy chain needs: beyond it squared distances overflow
-    if not np.abs(points).max() < 2.0**500:
-        raise ValueError("positions must be finite and below 2**500 in magnitude")
-
     n = len(points)
     k = min(params.k, n)
     if n <= k:
@@ -330,20 +324,28 @@ def cluster_points(waypoints: Waypoints, params: ClusterParams) -> list[Cluster]
     # index order, so a centroid is bitwise equal to points[assign == j].mean(axis=0)
     coords = points.T.ravel()
     axis_offsets = k * np.arange(3)[:, None]
-    prev_assign = None
-    for _ in range(_MAX_ITERATIONS):
+    prev_assign = older = None  # the assignments of the last two iterations
+    for iteration in range(_MAX_ITERATIONS):
         if nearest is None:  # ties go to the lowest cluster index
             assign = _squared_distances(points, centroids).argmin(axis=1)
         else:
             assign = nearest(centroids)
         counts = np.bincount(assign, minlength=k)
-        if np.count_nonzero(counts) < k:
+        repaired = np.count_nonzero(counts) < k
+        if repaired:
             assign = _fix_empty_clusters(assign, _squared_distances(points, centroids), counts)
             if nearest is not None:
                 nearest.relabel(assign)
         if prev_assign is not None and not np.count_nonzero(assign != prev_assign):
             break
-        prev_assign = assign
+        # each assignment is a function of the one before (the exact argmin of the
+        # centroids it gives, then the repair), so one that recurs two iterations on
+        # starts a period-2 cycle: return what the last iteration would
+        if repaired and older is not None and not np.count_nonzero(assign != older):
+            if (_MAX_ITERATIONS - 1 - iteration) % 2:  # an odd number of iterations left
+                assign = prev_assign
+            break
+        older, prev_assign = prev_assign, assign
         sums = np.bincount((axis_offsets + assign).ravel(), weights=coords, minlength=3 * k)
         centroids = (sums.reshape(3, k) / counts).T
 

@@ -141,7 +141,8 @@ class PartModel:
 
     The columns of `frames[i]` are hole i's x, y and z axes: a right-handed
     orthonormal frame whose y axis runs along the hole centerline. Both arrays
-    are read-only and C-contiguous, and every frame is checked once, here.
+    are read-only and C-contiguous. Every frame is checked once, here, and so is
+    every origin, against `Waypoints`' bound on positions: 2**500 in magnitude.
     """
 
     origins: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
@@ -155,7 +156,8 @@ class PartModel:
         if origins.ndim != 2 or origins.shape[1] != 3 or frames.shape != (len(origins), 3, 3):
             raise ValueError(f"need (N, 3) origins and (N, 3, 3) frames, got "
                              f"{origins.shape} and {frames.shape}")
-        _reject_holes(~np.isfinite(origins).all(axis=1), "origin must be finite")
+        _reject_holes(~(np.abs(origins) < 2.0**500).all(axis=1),
+                      "origin must be finite and below 2**500 in magnitude")
         axes = frames.transpose(0, 2, 1)  # axes[i, j]: hole i's x, y or z axis
         _reject_holes(~np.isfinite(axes).all(axis=2), "{} must be finite")
         with np.errstate(over="ignore"):  # an overflow gives inf, which is not unit norm
@@ -203,8 +205,9 @@ class Waypoints:
         if not n or angles.shape != (n,) or positions.shape != (n, 3):
             raise ValueError(f"need (N, 3) positions and (N,) angles with N >= 1, got "
                              f"{positions.shape} and {angles.shape}")
-        if not np.all(np.isfinite(positions)):
-            raise ValueError("positions must be finite")
+        # k-means and the greedy chain square the positions: below 2**500 none overflows
+        if not np.abs(positions).max() < 2.0**500:
+            raise ValueError("positions must be finite and below 2**500 in magnitude")
         if not np.all((angles >= 0.0) & (angles < 2.0 * math.pi)):
             raise ValueError("table angles must lie in [0, 2*pi)")
         object.__setattr__(self, "positions", _freeze(positions))
@@ -239,6 +242,17 @@ def _dot3(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     # an explicit left-to-right sum, the same on every CPU; `@` goes through
     # BLAS, which may fuse multiply-adds and so round differently by machine
     return v[:, 0] * u[0] + v[:, 1] * u[1] + v[:, 2] * u[2]
+
+
+def _squared_norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(dx*dx + dy*dy) + dz*dz over coordinate-major differences diff = (dx, dy, dz): the
+    one rounding of the squared distances that k-means and the greedy chain compare, the
+    same on every host. It squares diff in place, one ufunc call for all three planes, and
+    writes into `out` or a new array, so the result never keeps diff alive."""
+    dx2, dy2, dz2 = np.multiply(diff, diff, out=diff)
+    dist = np.add(dx2, dy2, out=out)
+    dist += dz2
+    return dist
 
 
 def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[np.ndarray, np.ndarray]:
@@ -283,10 +297,8 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     rotated = part.frames @ _rot_x(_as_real(attack, "attack"))
     with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
         positions = part.origins + standoff * rotated[:, :, 1]
-    # the angles square offsets from the table center, and the planners square
-    # positions: below 2**500 neither overflows
-    if not (np.abs(positions).max() < 2.0**500
-            and np.abs(positions - part.turntable_center).max() < 2.0**500):
+    # the angles square offsets from the table center; `Waypoints` bounds the positions
+    if not np.abs(positions - part.turntable_center).max() < 2.0**500:
         raise ValueError("waypoints and their offsets from the turntable center must lie "
                          "below 2**500 in magnitude")
     angles, _ = _table_angles(positions, part)

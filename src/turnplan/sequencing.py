@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterParams, ClusterPlan, cluster_points, order_clusters, sector_clusters
-from .geometry import Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _freeze
+from .geometry import (Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _freeze,
+                       _squared_norms)
 
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
@@ -47,16 +48,9 @@ def _preload_chain_index(algorithm: str, n: int, k: int) -> None:
 
 
 def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sqrt((dx*dx + dy*dy) + dz*dz) over coordinate-major differences diff = (dx, dy, dz).
-
-    Every distance the greedy order reads is this one rounding, which is
-    np.linalg.norm(..., axis=-1)'s bit for bit on every host; each ufunc
-    call covers a whole plane, or all three. It squares diff in place, and
-    writes into `out` or a new array, so the result never keeps diff alive.
-    """
-    dx2, dy2, dz2 = np.multiply(diff, diff, out=diff)
-    dist = np.add(dx2, dy2, out=out)
-    dist += dz2
+    """The square root of `_squared_norms(diff, out)`: every distance the greedy order reads,
+    which is np.linalg.norm(..., axis=-1)'s rounding bit for bit on every host."""
+    dist = _squared_norms(diff, out)
     return np.sqrt(dist, out=dist)
 
 

@@ -230,13 +230,18 @@ def _run_in(tmp_path, command, layout, flags, capsys, monkeypatch):
 @pytest.mark.parametrize("command", list(_COMMANDS))
 @pytest.mark.parametrize("case", ["standoff", "center", "shifted", "overflow"])
 def test_far_out_waypoints_fail_cleanly(tmp_path, capsys, monkeypatch, command, case):
-    # each planner, and the bench, turns them away: one line, and no numpy warning
+    # each planner, and the bench, turns them away: one line, and no numpy warning;
+    # origins that reach the bound fail as the layout loads
     layout, flags = _far_out(tmp_path, case)
     capsys.readouterr()
     code, err, written = _run_in(tmp_path, command, layout, flags, capsys, monkeypatch)
     assert code == 2
-    assert err == ("error: waypoints and their offsets from the turntable center must lie "
-                   "below 2**500 in magnitude\n")
+    if case in ("shifted", "overflow"):
+        assert err == (f"error: layout file {layout}: origin must be finite and below 2**500 "
+                       "in magnitude (hole 0)\n")
+    else:
+        assert err == ("error: waypoints and their offsets from the turntable center must lie "
+                       "below 2**500 in magnitude\n")
     assert not written
 
 
@@ -380,19 +385,72 @@ def test_a_broken_layout_or_flag_plans_or_fails_with_one_error_line(bundled_layo
     with tempfile.TemporaryDirectory() as tmp:
         layout, out = Path(tmp, "layout.json"), Path(tmp, "plan.json")
         layout.write_text(json.dumps(doc))
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = main(["plan", str(layout), "--out", str(out),
-                         *(arg for flag, (value, joined) in flags.items()
-                           for arg in ([f"{flag}={value}"] if joined else [flag, str(value)]))])
-        assert [str(w.message) for w in caught] == []
+        code, err = _main_recording_warnings(
+            ["plan", str(layout), "--out", str(out),
+             *(arg for flag, (value, joined) in flags.items()
+               for arg in ([f"{flag}={value}"] if joined else [flag, str(value)]))])
         if code == 0:
-            assert out.exists() and err.getvalue() == ""
+            assert out.exists() and err == ""
         else:
             assert code == 2 and not out.exists()
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _main_recording_warnings(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr. In-process, pytest would hide a warning that a
+    user sees on stderr: record them all, and assert there are none."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, err.getvalue()
+
+
+# generate's flags, with radii about 2**500 (3.27e150) and beyond, and output paths that may
+# name the layout: by its own name, by another spelling of it, or by a hard link to it
+GENERATE_FLAGS = st.fixed_dictionaries({
+    "--n": st.sampled_from([1, 5, 40]),
+    "--radius": st.one_of(st.sampled_from([0.15, 2.0**500, 1e200, math.inf]),
+                          st.floats(3.2e150, 3.4e150)),
+    "--seed": st.sampled_from([0, 7, -1])})
+OUTPUTS = st.sampled_from(["layout.json", "./layout.json", "link.json", "out.json", "out.csv"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["generate", "plan", "bench"]), flags=GENERATE_FLAGS,
+       out=OUTPUTS, other=OUTPUTS)
+@example(command="generate", flags={"--n": 40, "--radius": 1e200, "--seed": 0}, out="out.json",
+         other="out.csv")
+@example(command="plan", flags={}, out="layout.json", other="out.csv")
+@example(command="bench", flags={}, out="layout.json", other="out.csv")
+def test_generate_and_every_output_path_write_plannable_files_or_fail_with_one_error_line(
+        bundled_layout_path, command, flags, out, other):
+    # exit 0 with a layout that plan accepts (generate) or with the layout unchanged (plan,
+    # bench); or exit 2 with one error line and every file byte for byte as it was
+    with tempfile.TemporaryDirectory() as tmp:
+        layout = Path(tmp, "layout.json")
+        layout.write_bytes(Path(bundled_layout_path).read_bytes())
+        os.link(layout, Path(tmp, "link.json"))
+        before = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+        out, other = f"{tmp}/{out}", f"{tmp}/{other}"
+        code, err = _main_recording_warnings({
+            "generate": ["generate", *(f"{flag}={value!r}" for flag, value in flags.items()),
+                         "--out", out],
+            "plan": ["plan", str(layout), "--out", out],
+            "bench": ["bench", str(layout), "--trials", "1", "--report", out,
+                      "--plot-data", other]}[command])
+        if code == 0:
+            assert err == ""
+            if command == "generate":
+                assert _main_recording_warnings(["plan", out, "--out", f"{tmp}/plan.json"]) == \
+                    (0, "")
+            else:
+                assert layout.read_bytes() == before["layout.json"]
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+            assert {path.name: path.read_bytes() for path in Path(tmp).iterdir()} == before
 
 
 def test_generate_rejects_a_negative_seed(tmp_path, capsys):

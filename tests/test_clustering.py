@@ -117,6 +117,7 @@ def test_cluster_points_rejects_non_finite_positions(bad, n):
 
 @pytest.mark.parametrize("n", [3, 50])  # singletons, and k-means proper
 def test_cluster_points_rejects_coordinates_whose_squares_overflow(n):
+    # the bundle refuses them, as it does non-finite ones
     unit = np.random.default_rng(6).normal(size=(n, 3))
     unit /= np.abs(unit).max()
     params = ClusterParams(k=5, seed=0)

@@ -203,6 +203,19 @@ def test_part_model_rejects_bad_shapes(origins, frames, shapes):
     assert str(excinfo.value) == f"need (N, 3) origins and (N, 3, 3) frames, got {shapes}"
 
 
+@pytest.mark.parametrize("value", [2.0**500, -2.0**500, 1e200, math.inf, math.nan])
+def test_part_model_rejects_origins_at_or_beyond_2_to_the_500(value):
+    # the bound of a bundle's positions: no layout holds a hole that cannot be planned
+    frames = np.broadcast_to(np.eye(3), (3, 3, 3))
+    below = math.nextafter(2.0**500, 0.0)
+    assert PartModel(origins=np.full((3, 3), -below), frames=frames).origins.min() == -below
+    origins = np.zeros((3, 3))
+    origins[2, 1] = value
+    with pytest.raises(ValueError) as excinfo:
+        PartModel(origins=origins, frames=frames)
+    assert str(excinfo.value) == "origin must be finite and below 2**500 in magnitude (hole 2)"
+
+
 def test_per_hole_views_are_read_only_rows_of_the_arrays():
     """`PartModel.holes` and `Waypoints` indexing and iteration: perfbench's workloads read them."""
     part = hemisphere_layout(12, 0.15, seed=3)
@@ -321,15 +334,17 @@ def _json_layout(part: PartModel) -> str:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ORIGIN = st.floats(-2.0**500, 2.0**500, exclude_min=True, exclude_max=True)
 
 
 @settings(max_examples=60, deadline=None)
-@given(origins=st.lists(st.tuples(_FINITE, _FINITE, _FINITE), max_size=4),
+@given(origins=st.lists(st.tuples(_ORIGIN, _ORIGIN, _ORIGIN), max_size=4),
        center=st.tuples(_FINITE, _FINITE, _FINITE), roll=st.sampled_from([0, 1, 2]),
        zero=st.sampled_from([0.0, -0.0]),
        axis=st.sampled_from([(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]))
 def test_layout_writer_matches_json_dump(tmp_path_factory, origins, center, roll, zero, axis):
-    """Any finite origins and centre, -0.0 and subnormals included, print as json.dump would."""
+    """Any origins a part holds (below 2**500) and any finite centre, -0.0 and subnormals
+    included, print as json.dump would."""
     frame = np.roll(np.eye(3), roll, axis=1)  # a cyclic permutation of the axes: right-handed
     frames = np.broadcast_to(np.where(frame == 0.0, zero, frame), (len(origins), 3, 3))
     part = PartModel(origins=np.array(origins, dtype=float).reshape(-1, 3), frames=frames,

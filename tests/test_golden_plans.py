@@ -308,12 +308,13 @@ def test_4000_hole_plan_file_matches_golden(tmp_path):
 
 def test_plan_file_is_the_json_module_s_indent_2_encoding(tmp_path):
     # values whose repr is signed zero, subnormal, exponent form or huge
-    special = [-0.0, 5e-324, 1e-05, 1e300, 1.5e-7, -2.5e16, 1e16, 0.1, -1e-300]
+    # (a bundle's positions lie below 2**500, about 3.3e150)
+    special = [-0.0, 5e-324, 1e-05, 1e150, 1.5e-7, -2.5e16, 1e16, 0.1, -1e-300]
     rng = np.random.default_rng(5)
     positions = np.vstack([np.reshape(special, (3, 3)), rng.normal(0.0, 1e3, (9, 3)),
                            [(1e-05, -0.0, 5e-324)]])
     waypoints = make_waypoints(positions)
-    plan = baseline_angle_sequence(waypoints, groups=3)  # k-means refuses 1e300
+    plan = baseline_angle_sequence(waypoints, groups=3)
     out = tmp_path / "plan.json"
     save_plan(plan, waypoints, out)
     rows, angles = positions.tolist(), waypoints.table_angles.tolist()
@@ -326,7 +327,7 @@ def test_plan_file_is_the_json_module_s_indent_2_encoding(tmp_path):
                             "rotation_before": delta if position_in_cluster == 0 else 0.0})
     text = out.read_text(encoding="utf-8")
     assert text == json.dumps(records, indent=2) + "\n"
-    for literal in ("-0.0,", "5e-324", "1e-05", "1e+300", "-2.5e+16"):
+    for literal in ("-0.0,", "5e-324", "1e-05", "1e+150", "-2.5e+16"):
         assert literal in text
 
 

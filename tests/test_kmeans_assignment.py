@@ -1,7 +1,8 @@
 """The k-means assignment step: labels from a matmul, made exact by gap bounds.
 
 `_NearestCentroid` must pick, for every point, the same centroid as the
-argmin over the exact einsum distances (`_squared_distances`), bit for bit,
+argmin over the exact reference distances (`_squared_distances`, which
+sums the squares as (dx*dx + dy*dy) + dz*dz on every host), bit for bit,
 including exact ties, which go to the lowest index, also for the rows it
 skips because their gap bounds say no centroid move could have flipped them.
 Below `_KERNEL_PAIRS` (point, centroid) pairs, `cluster_points` takes that
@@ -13,6 +14,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +75,32 @@ def test_assignment_equals_exact_argmin(layout, n, k, seed, transposed):
         assert np.array_equal(assign(centroids), expected)
 
 
+def test_squared_distances_round_as_the_written_out_sum():
+    # (dx*dx + dy*dy) + dz*dz in that order on every host, whatever the inputs' layout
+    rng = np.random.default_rng(11)
+    points, centroids = rng.normal(size=(300, 3)), rng.normal(size=(7, 3))
+    dx, dy, dz = np.moveaxis(points[:, None, :] - centroids, 2, 0)
+    expected = ((dx * dx + dy * dy) + dz * dz).tobytes()
+    assert _squared_distances(points, centroids).tobytes() == expected
+    assert _squared_distances(np.asfortranarray(points), centroids.T.copy().T).tobytes() == expected
+
+
+def test_a_tie_that_the_sum_order_decides_goes_to_the_reference_s_nearer_centroid():
+    # centroids at offsets (x, y, z) and (x, z, y) from the origin: exactly as far, but
+    # (x*x + y*y) + z*z and (x*x + z*z) + y*y round apart, so each sum order of the
+    # squares puts another centroid nearer; the reference is the first order
+    rng = np.random.default_rng(3)
+    while True:
+        x, y, z = rng.uniform(0.5, 1.0, 3).tolist()
+        if (x * x + y * y) + z * z != (x * x + z * z) + y * y:
+            break
+    centroids = np.array([(x, y, z), (x, z, y)])
+    nearer = int((x * x + z * z) + y * y < (x * x + y * y) + z * z)
+    points = np.vstack([np.zeros(3), centroids])  # each centroid a mean of the points
+    assert _squared_distances(points, centroids).argmin(axis=1).tolist() == [nearer, 0, 1]
+    assert _NearestCentroid(points, 2)(centroids).tolist() == [nearer, 0, 1]
+
+
 def test_lattice_ties_take_the_exact_fallback(monkeypatch):
     axis = np.arange(5.0)
     points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -102,7 +130,7 @@ def test_hemisphere_k_means_needs_no_exact_fallback(monkeypatch):
 
 
 def _lloyd(points: np.ndarray, k: int, max_iterations: int, seed: int):
-    """Plain Lloyd's k-means, the exact einsum argmin on every iteration."""
+    """Plain Lloyd's k-means, the exact reference argmin on every iteration."""
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(len(points), size=k, replace=False)]
     previous = None
@@ -170,8 +198,45 @@ def test_the_small_input_assignment_repairs_empty_clusters_as_the_kernel_does(mo
     assert set(repairs) == {0, math.inf}  # a repair on each path
 
 
+# Inputs with more clusters than distinct points, where Lloyd's loop alternates
+# between two assignments: 12 copies of one point at k=5 (their mean is not the
+# point, so every copy ties to a one-member centroid) and 3 points 7 times each
+# at k=6. Each seed's clusters, as the loop returned them when it ran all
+# _MAX_ITERATIONS iterations.
+SEVEN, FOUR, LAST = [0, 1, 2, 3, 4, 5, 6], [10, 11, 12, 13], [14, 15, 16, 17, 18, 19, 20]
+CYCLING = {
+    ("coincident", 0): [[0], [4, 5, 6, 7, 8, 9, 10, 11], [1], [2], [3]],
+    ("coincident", 1): [[0], [4, 5, 6, 7, 8, 9, 10, 11], [1], [2], [3]],
+    ("coincident", 2): [[0], [4, 5, 6, 7, 8, 9, 10, 11], [1], [2], [3]],
+    ("three", 0): [SEVEN, FOUR, LAST, [7], [8], [9]],
+    ("three", 1): [FOUR, SEVEN, LAST, [7], [8], [9]],
+    ("three", 2): [FOUR, LAST, SEVEN, [7], [8], [9]],
+}
+
+
+@pytest.mark.parametrize("pairs", [0, math.inf], ids=["kernel", "exact"])
+@pytest.mark.parametrize("case, seed", list(CYCLING))
+def test_k_means_stops_at_a_period_2_cycle_giving_the_capped_loop_s_clusters(monkeypatch, case,
+                                                                            seed, pairs):
+    points, k = ((np.tile([0.1, 0.2, 0.3], (12, 1)), 5) if case == "coincident" else
+                 (np.random.default_rng(4).normal(size=(3, 3)).repeat(7, axis=0), 6))
+    repairs = []
+
+    def counted(assign, dist2, counts):
+        repairs.append(len(assign))
+        return _fix_empty_clusters(assign, dist2, counts)
+
+    monkeypatch.setattr(clustering, "_fix_empty_clusters", counted)
+    monkeypatch.setattr(clustering, "_KERNEL_PAIRS", pairs)
+    clusters = cluster_points(make_waypoints(points), ClusterParams(k=k, seed=seed))
+    assert [c.members.tolist() for c in clusters] == CYCLING[case, seed]
+    # the cycle is seen when an assignment recurs: the third or fourth repair,
+    # where the loop that ran to its cap made one repair per iteration
+    assert len(repairs) <= 4
+
+
 def _exact_gaps(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each point's einsum distance to its second-nearest centroid less that to its own."""
+    """Each point's reference distance to its second-nearest centroid less that to its own."""
     dist = np.sqrt(_squared_distances(points, centroids))
     rows = np.arange(len(points))
     own = dist[rows, labels]

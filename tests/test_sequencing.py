@@ -280,9 +280,10 @@ def test_plan_waypoints_input_mode_keeps_member_order():
 
 
 def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
-    # the "cluster" planner runs no greedy chain, so cluster_points must refuse them
-    wps = make_waypoints(1e200 * np.random.default_rng(20).normal(size=(50, 3)))
+    # the bundle refuses them, so no planner squares them, not even the "cluster"
+    # planner, which runs no greedy chain
     with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
+        wps = make_waypoints(1e200 * np.random.default_rng(20).normal(size=(50, 3)))
         plan_waypoints(wps, ClusterParams(k=5, seed=0), algorithm="cluster")
 
 
