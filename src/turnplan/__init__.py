@@ -8,12 +8,12 @@ greedily order the waypoints inside each cluster to cut total time.
 from .bench import Scenario, hemisphere_scenario, run_comparison, trial_reports
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
-from .metrics import CellModel, estimate_execution_time, ssp_distance
+from .metrics import CellModel, ssp_distance
 from .sequencing import Plan, baseline_angle_sequence, plan_waypoints, save_plan
 
 __all__ = [
     "hemisphere_layout", "load_part_layout", "save_part_layout", "generate_waypoints",
     "ClusterParams", "Plan", "plan_waypoints", "baseline_angle_sequence", "save_plan",
-    "CellModel", "ssp_distance", "estimate_execution_time",
+    "CellModel", "ssp_distance",
     "Scenario", "hemisphere_scenario", "run_comparison", "trial_reports",
 ]

@@ -10,12 +10,13 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from statistics import fmean
 
 from . import sequencing
 from .clustering import ClusterParams
-from .geometry import PartModel, Waypoints, _as_int, generate_waypoints, hemisphere_layout
-from .metrics import CellModel, ssp_distance
+from .angles import rotation_floor
+from .geometry import (PartModel, Waypoints, _as_int, _on_axis, generate_waypoints,
+                       hemisphere_layout)
+from .metrics import CellModel, out_of_reach, ssp_distance
 
 # (CSV column, BenchmarkReport field) of each quality metric, in file order
 METRICS = (
@@ -23,8 +24,10 @@ METRICS = (
     ("total_rotation_rad", "total_rotation"),
     ("estimated_execution_time_s", "estimated_execution_time"),
 )
-# what the `plan` and `bench` summaries print, in order: the quality metrics, then planning time
-_SUMMARY = (*METRICS, ("planning_time_s", "planning_time"))
+# what the `plan` and `bench` summaries print, in order: the quality metrics, the points out of
+# reach and the rotation floor R*, then planning time
+_SUMMARY = (*METRICS, ("out_of_reach_points", "out_of_reach"),
+            ("rotation_floor_rad", "rotation_floor"), ("planning_time_s", "planning_time"))
 REPORT_COLUMNS = ["algorithm", "trial", "seed", "n_points", "planning_time_s",
                   *(column for column, _ in METRICS), "improvement_vs_baseline"]
 PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
@@ -45,7 +48,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """One trial's worth of benchmark criteria."""
+    """One trial's worth of benchmark criteria.
+
+    `out_of_reach` counts the plan's points served more than half the
+    angular bound from their stop (`metrics.out_of_reach`); `rotation_floor`
+    is R*, the least rotation of a plan that leaves none (`angles.rotation_floor`).
+    """
 
     planning_time: float
     ssp_distance: float
@@ -53,6 +61,8 @@ class BenchmarkReport:
     total_rotation: float
     n_points: int
     seed: int
+    out_of_reach: int
+    rotation_floor: float
 
     def __post_init__(self):
         for name in (*(key for _, key in _SUMMARY), "n_points"):
@@ -62,8 +72,9 @@ class BenchmarkReport:
 
 def timed_plan(algorithm: str, waypoints: Waypoints,
                scenario: Scenario) -> tuple[sequencing.Plan, BenchmarkReport]:
-    """Plan `waypoints` by `algorithm` under `scenario`; return the plan and its report, scored
-    with `scenario.cell`. The report's planning time is the wall-clock seconds of one
+    """Plan `waypoints`, generated from `scenario.part`, by `algorithm` under `scenario`; return
+    the plan and its report, scored with `scenario.cell` and the angular bound of
+    `scenario.cluster_params`. The report's planning time is the wall-clock seconds of one
     `sequencing.plan_waypoints` call, the package's only planning timer.
 
     What a plan could need to build the bundle's chain index is imported before the timer
@@ -75,6 +86,8 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
                                      scenario.robot_center_angle, scenario.robot_home, algorithm)
     planning_time = time.perf_counter() - tic
     ssp, rotation = ssp_distance(plan, waypoints.positions), plan.cluster_plan.total_rotation
+    angles, bound = waypoints.table_angles, scenario.cluster_params.angular_bound
+    on_axis = _on_axis(waypoints.positions, scenario.part)
     return plan, BenchmarkReport(
         planning_time=planning_time,
         ssp_distance=ssp,
@@ -82,6 +95,8 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
         total_rotation=rotation,
         n_points=plan.n_points,
         seed=scenario.cluster_params.seed,
+        out_of_reach=out_of_reach(plan, angles, on_axis, bound),
+        rotation_floor=rotation_floor(angles, on_axis, bound, plan.cluster_plan.start_angle),
     )
 
 
@@ -113,8 +128,8 @@ class ComparisonResult:
     reports: dict[str, list[BenchmarkReport]]
 
     def means(self, key: str) -> dict[str, float]:
-        """Per algorithm, the mean over its trials of the `BenchmarkReport` field `key`."""
-        return {name: fmean(getattr(r, key) for r in reports)
+        """Per algorithm, `statistics.fmean` over its trials of the report field `key`."""
+        return {name: math.fsum(getattr(r, key) for r in reports) / len(reports)
                 for name, reports in self.reports.items()}
 
     @property

@@ -41,8 +41,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="number of clusters / angle groups")
     parser.add_argument("--angular-bound-deg", type=float,
                         default=math.degrees(ClusterParams.angular_bound),
-                        help="reachable sector width in degrees; checked, but no planner "
-                             "reads it yet")
+                        help="reachable sector width in degrees: the summary counts the "
+                             "points served beyond half of it from their stop, and gives the "
+                             "least rotation that leaves none; no planner reads it yet")
     parser.add_argument("--standoff", type=float, default=Scenario.standoff,
                         help="stand-off distance along the hole axis, meters")
     parser.add_argument("--attack-deg", type=float, default=math.degrees(Scenario.attack),
@@ -98,17 +99,23 @@ def _print_scores(head: str, scores: dict[str, float]) -> None:
     print(head, *(f"{name}={value:.6f}" for name, value in scores.items()))
 
 
-def _reject_layout_outputs(layout: str, outputs: dict[str, str]) -> None:
-    """Raise, before anything is written, if an output is the layout file by any name or link.
-    An output that does not exist yet, or cannot be examined, is not; writing it says why."""
-    for flag, path in outputs.items():
-        with contextlib.suppress(OSError):
-            if os.path.samefile(path, layout):
-                raise ValueError(f"{flag} names the layout file {layout}")
+def _reject_one_file_twice(layout: str, outputs: dict[str, str]) -> None:
+    """Raise, before anything is read or written, if two paths a command names are one file:
+    by `os.path.samefile`, or by `os.path.realpath` where a path cannot be stat'ed (yet)."""
+    paths = [(None, layout), *outputs.items()]
+    for i, (flag, path) in enumerate(paths):
+        for earlier, other in paths[:i]:
+            try:
+                same = os.path.samefile(other, path)
+            except OSError:  # one does not exist yet, or cannot be examined
+                same = os.path.realpath(other) == os.path.realpath(path)
+            if same:
+                raise ValueError(f"{flag} names the layout file {layout}" if earlier is None
+                                 else f"{earlier} and {flag} both name {other}")
 
 
 def cmd_plan(args) -> int:
-    _reject_layout_outputs(args.layout, {"--out": args.out})
+    _reject_one_file_twice(args.layout, {"--out": args.out})
     scenario = _scenario(args, load_part_layout(args.layout))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     plan, report = timed_plan(args.algorithm, waypoints, scenario)
@@ -139,9 +146,7 @@ def _write_csvs(outputs: dict[str, list[list]]) -> None:
 
 
 def cmd_bench(args) -> int:
-    if os.path.realpath(args.report) == os.path.realpath(args.plot_data):
-        raise ValueError(f"--report and --plot-data both name {args.report}")
-    _reject_layout_outputs(args.layout, {"--report": args.report, "--plot-data": args.plot_data})
+    _reject_one_file_twice(args.layout, {"--report": args.report, "--plot-data": args.plot_data})
     scenario = _scenario(args, load_part_layout(args.layout))
     result = run_comparison(scenario, args.trials)
     # built before any file is written: a zero baseline time raises here

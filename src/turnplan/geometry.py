@@ -255,15 +255,21 @@ def _squared_norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return dist
 
 
+def _on_axis(positions: np.ndarray, part: PartModel) -> np.ndarray:
+    """Which (N, 3) positions lie on the turntable axis: in-plane radius <= AXIS_RADIUS_TOL."""
+    v = positions - part.turntable_center
+    in_plane = v - _dot3(v, part.turntable_axis)[:, None] * part.turntable_axis
+    return np.linalg.norm(in_plane, axis=1) <= AXIS_RADIUS_TOL
+
+
 def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[np.ndarray, np.ndarray]:
     """Angles of (N, 3) positions about the turntable axis, and which points lie on the axis.
 
-    On-axis points (in-plane radius <= AXIS_RADIUS_TOL) get angle 0.0.
+    On-axis points (`_on_axis`) get angle 0.0.
     """
     axis = part.turntable_axis
     v = positions - part.turntable_center
-    in_plane = v - _dot3(v, axis)[:, None] * axis
-    on_axis = np.linalg.norm(in_plane, axis=1) <= AXIS_RADIUS_TOL
+    on_axis = _on_axis(positions, part)
     ref, binormal = _angle_basis(axis.tobytes())
     # math.atan2, not np.arctan2: numpy's vectorized arctan2 differs from libm
     # in the last bit for some inputs, and that would change plans

@@ -1,5 +1,5 @@
-"""Plan scoring: open-path travel distance and a kinematic execution-time
-estimate for the robot + turntable cell.
+"""Plan scoring: open-path travel distance, a kinematic execution-time
+estimate for the robot + turntable cell, and the points a plan leaves out of reach.
 
 The execution model is deliberately simple: constant robot speed over
 straight segments, constant table speed over the scheduled rotations, a fixed
@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .angles import circular_separation
 from .geometry import _as_real
 from .sequencing import Plan
 
@@ -54,7 +55,11 @@ def ssp_distance(plan: Plan, positions) -> float:
     return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
 
 
-def estimate_execution_time(plan: Plan, positions, cell: CellModel) -> float:
-    """`cell.execution_time` of the plan's SSP distance, total rotation and point count."""
-    return cell.execution_time(ssp_distance(plan, positions), plan.cluster_plan.total_rotation,
-                               plan.n_points)
+def out_of_reach(plan: Plan, table_angles: np.ndarray, on_axis: np.ndarray, bound: float) -> int:
+    """How many points the plan serves at a stop (its cluster's angle) more than bound / 2 away
+    by `circular_separation`; points on the table axis (`on_axis`) are in reach at every stop."""
+    stops = np.repeat([c.mean_angle for c in plan.cluster_plan.clusters],
+                      list(map(len, plan.sequences)))
+    visits = plan.flattened_order
+    far = circular_separation(table_angles[visits], stops) > bound / 2.0
+    return int(np.count_nonzero(far & ~on_axis[visits]))

@@ -180,3 +180,20 @@ def test_criterion_8_permutation_safety_fuzz():
             assert plan.cluster_plan.total_rotation <= TWO_PI + 1e-9
     print("\nPASS criterion 8: 1000 fuzzed inputs (n in [1,60], k in [1,7]), "
           "all plans are permutations, no crashes")
+
+
+def test_criterion_9_reach_and_the_rotation_floor():
+    # the stock scenario (40 holes, k=5, a 72 degree reach), seeds 0-9
+    result = run_comparison(hemisphere_scenario(), trials=10)
+    counts = {name: [r.out_of_reach for r in rs] for name, rs in result.reports.items()}
+    (floor,) = {r.rotation_floor for rs in result.reports.values() for r in rs}
+    kept = [r for rs in result.reports.values() for r in rs if not r.out_of_reach]
+    # the baseline's sectors are exactly 72 degrees wide; the k-means clusters are not
+    assert counts["baseline"] == [0] * 10
+    assert counts["cluster"] == counts["greedy"] == [6, 4, 10, 5, 3, 1, 9, 5, 7, 10]
+    assert abs(floor - 4.569) < 5e-4
+    assert all(r.total_rotation >= floor for r in kept)
+    print("\nPASS criterion 9: out of reach, of 40 points, over seeds 0-9: "
+          + "; ".join(f"{name} {counts[name]}" for name in counts)
+          + f"; R* {floor:.3f} rad, and the {len(kept)} plans that keep every point in reach "
+          f"rotate {min(r.total_rotation for r in kept):.3f} rad or more")

@@ -13,7 +13,7 @@ from turnplan.bench import (METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario, com
                             trial_reports, write_csv)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
-from turnplan.metrics import CellModel, estimate_execution_time
+from turnplan.metrics import CellModel
 from turnplan.sequencing import ALGORITHMS
 
 
@@ -160,8 +160,8 @@ def test_timed_plan_prices_each_plan_with_one_ssp_distance(monkeypatch, algorith
         monkeypatch.setattr(module, "ssp_distance", counting)
     plan, report = timed_plan(algorithm, waypoints, scenario)
     assert calls == [plan]
-    assert report.estimated_execution_time == estimate_execution_time(plan, waypoints.positions,
-                                                                      cell)
+    assert report.estimated_execution_time == cell.execution_time(
+        ssp_distance(plan, waypoints.positions), plan.cluster_plan.total_rotation, plan.n_points)
     assert report.ssp_distance == ssp_distance(plan, waypoints.positions)
 
 

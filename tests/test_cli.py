@@ -110,7 +110,7 @@ def test_plan_summary_line(tmp_path, capsys):
     line, note = capsys.readouterr().out.splitlines()
     assert [field.split("=")[0] for field in line.split()] == [
         "n", "ssp_distance_m", "total_rotation_rad", "estimated_execution_time_s",
-        "planning_time_s"]
+        "out_of_reach_points", "rotation_floor_rad", "planning_time_s"]
     assert line.startswith("n=40 ") and note.startswith("note: execution times use placeholder")
     # a cell of the user's own speeds gets no note
     assert main(["plan", str(layout), "--dwell", "2", "--out", str(tmp_path / "p.json")]) == 0
@@ -136,7 +136,9 @@ def test_plan_summary_is_one_bench_trial(bundled_layout_path, tmp_path, capsys, 
     assert summary.pop("planning_time_s") >= 0.0
     assert summary == {"n": report.n_points, "ssp_distance_m": report.ssp_distance,
                        "total_rotation_rad": report.total_rotation,
-                       "estimated_execution_time_s": report.estimated_execution_time}
+                       "estimated_execution_time_s": report.estimated_execution_time,
+                       "out_of_reach_points": report.out_of_reach,
+                       "rotation_floor_rad": report.rotation_floor}
 
 
 def test_plan_json_summary(tmp_path, capsys):
@@ -409,13 +411,15 @@ def _main_recording_warnings(argv) -> tuple[int, str]:
 
 
 # generate's flags, with radii about 2**500 (3.27e150) and beyond, and output paths that may
-# name the layout: by its own name, by another spelling of it, or by a hard link to it
+# name the layout: by its own name, by another spelling of it, or by a hard link to it; or
+# name one earlier CSV by two hard links
 GENERATE_FLAGS = st.fixed_dictionaries({
     "--n": st.sampled_from([1, 5, 40]),
     "--radius": st.one_of(st.sampled_from([0.15, 2.0**500, 1e200, math.inf]),
                           st.floats(3.2e150, 3.4e150)),
     "--seed": st.sampled_from([0, 7, -1])})
-OUTPUTS = st.sampled_from(["layout.json", "./layout.json", "link.json", "out.json", "out.csv"])
+OUTPUTS = st.sampled_from(["layout.json", "./layout.json", "link.json", "out.json", "out.csv",
+                           "old.csv", "old-link.csv"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -425,14 +429,18 @@ OUTPUTS = st.sampled_from(["layout.json", "./layout.json", "link.json", "out.jso
          other="out.csv")
 @example(command="plan", flags={}, out="layout.json", other="out.csv")
 @example(command="bench", flags={}, out="layout.json", other="out.csv")
+@example(command="bench", flags={}, out="old.csv", other="old-link.csv")
 def test_generate_and_every_output_path_write_plannable_files_or_fail_with_one_error_line(
         bundled_layout_path, command, flags, out, other):
     # exit 0 with a layout that plan accepts (generate) or with the layout unchanged (plan,
-    # bench); or exit 2 with one error line and every file byte for byte as it was
+    # bench, whose two files then hold a report and plot data); or exit 2 with one error
+    # line and every file byte for byte as it was
     with tempfile.TemporaryDirectory() as tmp:
         layout = Path(tmp, "layout.json")
         layout.write_bytes(Path(bundled_layout_path).read_bytes())
         os.link(layout, Path(tmp, "link.json"))
+        Path(tmp, "old.csv").write_text("earlier,report\n")
+        os.link(Path(tmp, "old.csv"), Path(tmp, "old-link.csv"))
         before = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
         out, other = f"{tmp}/{out}", f"{tmp}/{other}"
         code, err = _main_recording_warnings({
@@ -448,6 +456,9 @@ def test_generate_and_every_output_path_write_plannable_files_or_fail_with_one_e
                     (0, "")
             else:
                 assert layout.read_bytes() == before["layout.json"]
+            if command == "bench":
+                assert Path(out).read_text().startswith("algorithm,trial,")
+                assert Path(other).read_text().startswith("algorithm,seed,metric,")
         else:
             assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
             assert {path.name: path.read_bytes() for path in Path(tmp).iterdir()} == before
@@ -556,17 +567,24 @@ def test_bench_files_reproducible_for_fixed_seed(tmp_path):
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted", "absolute"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "absolute", "hard link",
+                                      "symlink to a hard link"])
 def test_bench_rejects_one_file_for_report_and_plot_data(tmp_path, capsys, monkeypatch, spelling):
     layout = _generate(tmp_path, n=5)
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
-    plot_data = {"same": "r.csv", "dotted": "./r.csv", "absolute": str(tmp_path / "r.csv")}
+    if "link" in spelling:  # an earlier report, which must keep its bytes
+        Path("r.csv").write_text("earlier,report\n")
+        os.link("r.csv", "h.csv")
+        os.symlink("h.csv", "s.csv")  # resolves to h.csv, which realpath tells from r.csv
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    plot_data = {"same": "r.csv", "dotted": "./r.csv", "absolute": str(tmp_path / "r.csv"),
+                 "hard link": "h.csv", "symlink to a hard link": "s.csv"}
     code = main(["bench", str(layout), "--trials", "1", "--report", "r.csv",
                  "--plot-data", plot_data[spelling]])
     assert (code, capsys.readouterr().err) == (2, "error: --report and --plot-data both name "
                                                   "r.csv\n")
-    assert list(tmp_path.iterdir()) == [layout]
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_bench_json_summary(tmp_path, capsys):
@@ -590,6 +608,8 @@ def test_bench_json_summary(tmp_path, capsys):
             "mean_ssp_distance_m": result.means("ssp_distance")[name],
             "mean_total_rotation_rad": result.means("total_rotation")[name],
             "mean_estimated_execution_time_s": result.means("estimated_execution_time")[name],
+            "mean_out_of_reach_points": result.means("out_of_reach")[name],
+            "mean_rotation_floor_rad": result.means("rotation_floor")[name],
             "improvement_vs_baseline": result.improvement_vs_baseline[name]}
     # the table form: one line per planner, its name then key=value pairs in plan's format
     assert main(bench) == 0
@@ -661,9 +681,10 @@ def _fresh_python(code: str) -> str:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # a fresh interpreter: this test session has imported scipy already
-    code = ("import sys, turnplan.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # a fresh interpreter: this test session has imported scipy already. Nor does it load
+    # statistics, which would bring decimal and fractions with it
+    code = ("import sys, turnplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'statistics', 'decimal', 'fractions')))")
     assert _fresh_python(code) == "[]"
 
 

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import count_waypoint_generation
 from turnplan import sequencing
+from turnplan.angles import TWO_PI, rotation_floor
 from turnplan.bench import (REPORT_COLUMNS, BenchmarkReport, ComparisonResult, comparison_rows,
                             hemisphere_scenario, run_comparison, trial_reports, write_csv)
 from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
-from turnplan.metrics import CellModel, estimate_execution_time, ssp_distance
+from turnplan.metrics import CellModel, out_of_reach, ssp_distance
 from turnplan.sequencing import Plan, plan_waypoints
 
 
@@ -55,22 +56,29 @@ def test_ssp_distance_rigid_motion_invariant():
 
 # --- execution-time model ---------------------------------------------------
 
+def _priced(cell, order, positions, rotation=0.0):
+    """`cell.execution_time` of `_manual_plan(order, rotation)` over `positions`, from the
+    plan's SSP distance, total rotation and point count, as `bench.timed_plan` prices it."""
+    plan = _manual_plan(order, rotation)
+    return cell.execution_time(ssp_distance(plan, positions), plan.cluster_plan.total_rotation,
+                               plan.n_points)
+
+
 def test_execution_time_single_dwell():
     cell = CellModel(dwell_per_point=1.0)
-    assert estimate_execution_time(_manual_plan([0]), [(1, 0, 0)], cell) == 1.0
+    assert _priced(cell, [0], [(1, 0, 0)]) == 1.0
 
 
 def test_execution_time_travel_only():
     cell = CellModel(robot_linear_speed=0.5, dwell_per_point=0.0)
-    t = estimate_execution_time(_manual_plan([0, 1]), [(0, 0, 0), (1, 0, 0)], cell)
+    t = _priced(cell, [0, 1], [(0, 0, 0), (1, 0, 0)])
     assert abs(t - 2.0) < 1e-12
 
 
 def test_execution_time_counts_rotation_and_overhead():
     cell = CellModel(robot_linear_speed=1.0, turntable_angular_speed=0.5,
                      dwell_per_point=2.0, planner_overhead_per_point=5.0)
-    t = estimate_execution_time(_manual_plan([0, 1], rotation=1.0),
-                                [(0, 0, 0), (1, 0, 0)], cell)
+    t = _priced(cell, [0, 1], [(0, 0, 0), (1, 0, 0)], rotation=1.0)
     assert abs(t - (1.0 + 2.0 + 2 * 2.0 + 2 * 5.0)) < 1e-12
 
 
@@ -79,14 +87,14 @@ def test_execution_time_monotonicity():
     pts = rng.uniform(-1, 1, (10, 3))
     order = list(range(10))
     cell = CellModel()
-    base = estimate_execution_time(_manual_plan(order, rotation=1.0), pts, cell)
+    base = _priced(cell, order, pts, rotation=1.0)
     # longer path, fixed rotation and n
-    assert estimate_execution_time(_manual_plan(order, rotation=1.0), 2.0 * pts, cell) > base
+    assert _priced(cell, order, 2.0 * pts, rotation=1.0) > base
     # more rotation, fixed path and n
-    assert estimate_execution_time(_manual_plan(order, rotation=2.0), pts, cell) > base
+    assert _priced(cell, order, pts, rotation=2.0) > base
     # more dwell, fixed plan
     slower = CellModel(dwell_per_point=cell.dwell_per_point + 1.0)
-    assert estimate_execution_time(_manual_plan(order, rotation=1.0), pts, slower) > base
+    assert _priced(slower, order, pts, rotation=1.0) > base
 
 
 def test_execution_time_improves_with_pipeline_over_baseline():
@@ -112,6 +120,43 @@ def test_cell_model_validation():
 def test_cell_model_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         CellModel(**{field: value})
+
+
+# --- reach and the rotation floor --------------------------------------------
+
+# two stops, 0.0 for points 0-3 and 3.0 for points 4-7; point 7 lies on the table axis
+STOP_ANGLES = np.array([0.4, TWO_PI - 0.4, 0.6, TWO_PI - 0.6, 3.0, 3.5, 2.4, 0.0])
+STOP_ON_AXIS = np.arange(8) == 7
+
+
+def _two_stop_plan():
+    clusters = (Cluster(members=(0, 1, 2, 3), mean_angle=0.0),
+                Cluster(members=(4, 5, 6, 7), mean_angle=3.0))
+    return Plan(ClusterPlan(clusters, start_angle=0.0), tuple(c.members for c in clusters))
+
+
+def test_out_of_reach_counts_the_points_beyond_half_the_bound_from_their_stop():
+    plan = _two_stop_plan()
+    # b/2 = 0.5: 0.4 either side of stop 0.0, and 3.5, exactly b/2 past stop 3.0, are in
+    # reach; 0.6 either side of 0.0 and 2.4 are not; point 7 is 3.0 from its stop, on the axis
+    assert out_of_reach(plan, STOP_ANGLES, STOP_ON_AXIS, 1.0) == 3
+    assert out_of_reach(plan, STOP_ANGLES, np.zeros(8, dtype=bool), 1.0) == 4
+    # a bound of 2*pi reaches every angle from every stop
+    assert out_of_reach(plan, STOP_ANGLES, np.zeros(8, dtype=bool), TWO_PI) == 0
+
+
+def test_rotation_floor_is_the_furthest_arc_a_stop_must_reach():
+    # from start 1.0 with b/2 = 0.5: 1.25 and 0.75 lie within b/2 ahead of and behind the
+    # start, 1.5 exactly b/2 ahead; 3.0 needs a stop at arc 1.5, 5.0 one at 3.5; point 5 is
+    # on the axis at angle 0.0, 2*pi - 1 ahead
+    angles = np.array([1.25, 0.75, 1.5, 3.0, 5.0, 0.0])
+    on_axis = np.arange(6) == 5
+    assert rotation_floor(angles, on_axis, 1.0, 1.0) == 3.5
+    assert rotation_floor(angles, np.zeros(6, dtype=bool), 1.0, 1.0) == \
+        pytest.approx(TWO_PI - 1.5, abs=1e-12)
+    assert rotation_floor(angles[:3], on_axis[:3], 1.0, 1.0) == 0.0
+    assert rotation_floor(angles[5:], on_axis[5:], 1.0, 1.0) == 0.0
+    assert rotation_floor(angles, on_axis, TWO_PI, 1.0) == 0.0
 
 
 # --- benchmark harness ------------------------------------------------------
@@ -195,7 +240,7 @@ def test_strip_timing_zeroes_only_planning_time():
     """The report file writes planning time as 0.0 and every other field as measured."""
     report = BenchmarkReport(planning_time=1.5, ssp_distance=2.0,
                              estimated_execution_time=3.0, total_rotation=1.0,
-                             n_points=4, seed=9)
+                             n_points=4, seed=9, out_of_reach=0, rotation_floor=0.0)
     header, trial, _ = comparison_rows(ComparisonResult({"baseline": [report]}))
     cell = dict(zip(header, trial))
     assert cell["planning_time_s"] == "0.0"

@@ -5,7 +5,8 @@ rotations stay within one revolution; `Plan` checks that each sequence
 reorders its cluster's members and that `flattened_order` concatenates the
 sequences. Nothing downstream re-checks them, so this file states what the
 two checks together promise, over generated layouts, cluster counts, seeds
-and robot settings, for every planner in `ALGORITHMS`.
+and robot settings, for every planner in `ALGORITHMS`; and that a plan that
+keeps every point in reach rotates no less than the floor its report gives.
 """
 
 import math
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_waypoints
-from turnplan.angles import TWO_PI
+from turnplan.angles import TWO_PI, forward_delta, wrap_angle
 from turnplan.bench import Scenario, timed_plan
 from turnplan.clustering import ClusterParams
-from turnplan.geometry import PartModel
+from turnplan.geometry import AXIS_RADIUS_TOL, PartModel
 from turnplan.metrics import ssp_distance
 from turnplan.sequencing import ALGORITHMS
 
@@ -67,3 +68,32 @@ def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, hom
     assert cluster_plan.total_rotation == sum(cluster_plan.rotation_deltas) <= TWO_PI + 1e-9
     expected = _path_length(points, np.array(plan.flattened_order))
     assert math.isclose(ssp_distance(plan, points), expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 200), k=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), center=st.floats(0.0, TWO_PI, exclude_max=True),
+       bound=st.floats(0.05, TWO_PI), name=st.sampled_from(sorted(ALGORITHMS)))
+def test_a_plan_that_keeps_every_point_in_reach_rotates_at_least_the_floor(
+        layout, n, k, seed, center, bound, name):
+    points = _points(layout, n, np.random.default_rng(seed))
+    waypoints = make_waypoints(points)
+    scenario = Scenario(part=PartModel(), robot_center_angle=center,
+                        cluster_params=ClusterParams(k=k, angular_bound=bound, seed=seed))
+    plan, report = timed_plan(name, waypoints, scenario)
+    # the report's two reach figures, point by point with the scalar angle helpers
+    on_axis = np.hypot(points[:, 0], points[:, 1]) <= AXIS_RADIUS_TOL  # the axis is +z
+    angles, half, start = waypoints.table_angles.tolist(), bound / 2.0, center
+    far, floor = 0, 0.0
+    for cluster in plan.cluster_plan.clusters:
+        for i in cluster.members.tolist():
+            if not on_axis[i]:
+                delta = wrap_angle(angles[i] - cluster.mean_angle)
+                far += min(delta, TWO_PI - delta) > half
+                if half <= (phi := forward_delta(start, angles[i])) <= TWO_PI - half:
+                    floor = max(floor, phi - half)
+    assert (report.out_of_reach, report.rotation_floor) == (far, floor)
+    # R* is a floor. total_rotation adds up to k rounded forward arcs and R* subtracts b/2
+    # from one; each rounding is below 1e-15 rad, so the two sides may differ by a few ulps
+    if not far:
+        assert report.total_rotation >= report.rotation_floor - 1e-12
