@@ -5,6 +5,7 @@ and the full greedy pipeline, with the two CSV files that report it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -24,9 +25,10 @@ METRICS = (
     ("total_rotation_rad", "total_rotation"),
     ("estimated_execution_time_s", "estimated_execution_time"),
 )
-# what the `plan` and `bench` summaries print, in order: the quality metrics, the points out of
-# reach and the rotation floor R*, then planning time
-_SUMMARY = (*METRICS, ("out_of_reach_points", "out_of_reach"),
+# what the `plan` and `bench` summaries print, in order: the quality metrics, the execution
+# time's three terms, the points out of reach and the rotation floor R*, then planning time
+_SUMMARY = (*METRICS, ("travel_time_s", "travel_time"), ("rotation_time_s", "rotation_time"),
+            ("dwell_time_s", "dwell_time"), ("out_of_reach_points", "out_of_reach"),
             ("rotation_floor_rad", "rotation_floor"), ("planning_time_s", "planning_time"))
 REPORT_COLUMNS = ["algorithm", "trial", "seed", "n_points", "planning_time_s",
                   *(column for column, _ in METRICS), "improvement_vs_baseline"]
@@ -43,21 +45,25 @@ class Scenario:
     cluster_params: ClusterParams = field(default_factory=ClusterParams)
     cell: CellModel = field(default_factory=CellModel)
     robot_center_angle: float = 0.0
-    robot_home: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class BenchmarkReport:
     """One trial's worth of benchmark criteria.
 
-    `out_of_reach` counts the plan's points served more than half the
-    angular bound from their stop (`metrics.out_of_reach`); `rotation_floor`
-    is R*, the least rotation of a plan that leaves none (`angles.rotation_floor`).
+    `travel_time`, `rotation_time` and `dwell_time` are the terms of
+    `estimated_execution_time` (`metrics.CellModel.time_terms`). `out_of_reach`
+    counts the plan's points served more than half the angular bound from
+    their stop (`metrics.out_of_reach`); `rotation_floor` is R*, the least
+    rotation of a plan that leaves none (`angles.rotation_floor`).
     """
 
     planning_time: float
     ssp_distance: float
     estimated_execution_time: float
+    travel_time: float
+    rotation_time: float
+    dwell_time: float
     total_rotation: float
     n_points: int
     seed: int
@@ -83,15 +89,19 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
     sequencing._preload_chain_index(algorithm, len(waypoints), scenario.cluster_params.k)
     tic = time.perf_counter()
     plan = sequencing.plan_waypoints(waypoints, scenario.cluster_params,
-                                     scenario.robot_center_angle, scenario.robot_home, algorithm)
+                                     scenario.robot_center_angle, algorithm)
     planning_time = time.perf_counter() - tic
     ssp, rotation = ssp_distance(plan, waypoints.positions), plan.cluster_plan.total_rotation
     angles, bound = waypoints.table_angles, scenario.cluster_params.angular_bound
     on_axis = _on_axis(waypoints.positions, scenario.part)
+    travel, turning, dwell = scenario.cell.time_terms(ssp, rotation, plan.n_points)
     return plan, BenchmarkReport(
         planning_time=planning_time,
         ssp_distance=ssp,
         estimated_execution_time=scenario.cell.execution_time(ssp, rotation, plan.n_points),
+        travel_time=travel,
+        rotation_time=turning,
+        dwell_time=dwell,
         total_rotation=rotation,
         n_points=plan.n_points,
         seed=scenario.cluster_params.seed,
@@ -128,7 +138,8 @@ class ComparisonResult:
     reports: dict[str, list[BenchmarkReport]]
 
     def means(self, key: str) -> dict[str, float]:
-        """Per algorithm, `statistics.fmean` over its trials of the report field `key`."""
+        """Per algorithm, the mean over its trials of the report field `key`: their
+        `math.fsum` over their count, the value `statistics.fmean` gives."""
         return {name: math.fsum(getattr(r, key) for r in reports) / len(reports)
                 for name, reports in self.reports.items()}
 
@@ -182,7 +193,19 @@ def plot_data_rows(result: ComparisonResult) -> list[list]:
     return rows
 
 
-def write_csv(rows: list[list], path: str | os.PathLike) -> None:
-    """Write rows as a UTF-8 CSV file."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+def write_csvs(outputs: dict[str | os.PathLike, list[list]]) -> None:
+    """Write each path's rows as a UTF-8 CSV file, all or none: every path is opened, without
+    truncating it, before any is written, and on a failure the files this call created are
+    removed."""
+    created = [path for path in outputs if not os.path.lexists(path)]
+    try:
+        for path in outputs:
+            open(path, "a").close()
+        for path, rows in outputs.items():
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise

@@ -8,7 +8,6 @@ inputs and seeds; measured planning times appear on stdout only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -17,7 +16,7 @@ import re
 import sys
 
 from .bench import (_SUMMARY, Scenario, comparison_rows, plot_data_rows, run_comparison,
-                    timed_plan, write_csv)
+                    timed_plan, write_csvs)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
 from .metrics import CellModel
@@ -129,22 +128,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _write_csvs(outputs: dict[str, list[list]]) -> None:
-    """Write each path's rows, all or none: every path is opened, without truncating it, before
-    any is written, and on a failure the files this call created are removed."""
-    created = [path for path in outputs if not os.path.lexists(path)]
-    try:
-        for path in outputs:
-            open(path, "a").close()
-        for path, rows in outputs.items():
-            write_csv(rows, path)
-    except BaseException:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-
-
 def cmd_bench(args) -> int:
     _reject_one_file_twice(args.layout, {"--report": args.report, "--plot-data": args.plot_data})
     scenario = _scenario(args, load_part_layout(args.layout))
@@ -154,7 +137,7 @@ def cmd_bench(args) -> int:
     columns["improvement_vs_baseline"] = result.improvement_vs_baseline
     summary = {name: {column: values[name] for column, values in columns.items()}
                for name in result.reports}
-    _write_csvs({args.report: comparison_rows(result), args.plot_data: plot_data_rows(result)})
+    write_csvs({args.report: comparison_rows(result), args.plot_data: plot_data_rows(result)})
     if args.format == "json":
         print(json.dumps(summary))
     else:

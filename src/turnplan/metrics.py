@@ -38,10 +38,16 @@ class CellModel:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
+    def time_terms(self, ssp: float, rotation: float,
+                   n_points: int) -> tuple[float, float, float]:
+        """Seconds of travel, of rotation, and of per-point dwell and planner overhead."""
+        return (ssp / self.robot_linear_speed, rotation / self.turntable_angular_speed,
+                n_points * (self.dwell_per_point + self.planner_overhead_per_point))
+
     def execution_time(self, ssp: float, rotation: float, n_points: int) -> float:
-        """Travel time + rotation time + per-point dwell and planner overhead."""
-        return (ssp / self.robot_linear_speed + rotation / self.turntable_angular_speed
-                + n_points * (self.dwell_per_point + self.planner_overhead_per_point))
+        """The sum of `time_terms`: (travel + rotation) + dwell and planner overhead."""
+        travel, turning, dwell = self.time_terms(ssp, rotation, n_points)
+        return travel + turning + dwell
 
 
 def ssp_distance(plan: Plan, positions) -> float:

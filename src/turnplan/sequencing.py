@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterParams, ClusterPlan, cluster_points, order_clusters, sector_clusters
-from .geometry import (Waypoints, _as_indices, _as_int, _as_real, _as_vector3, _freeze,
-                       _squared_norms)
+from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _squared_norms
 
 # The greedy chain's candidate lists (see _certified_candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
@@ -333,21 +332,13 @@ class Plan:
         return len(self.flattened_order)
 
 
-def _as_robot_home(value) -> np.ndarray:
-    home = _as_vector3(value, "robot_home")
-    # the bound of the positions: the start choice squares positions - robot_home
-    if not np.abs(home).max() < 2.0**500:
-        raise ValueError("robot_home must be below 2**500 in magnitude")
-    return home
-
-
-def _input_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> list[np.ndarray]:
+def _input_order(waypoints: Waypoints, clusters) -> list[np.ndarray]:
     return [c.members for c in clusters]
 
 
-def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> list[np.ndarray]:
+def _greedy_order(waypoints: Waypoints, clusters) -> list[np.ndarray]:
     """Per cluster, the nearest-neighbor chain (`_greedy_chain`) from the member closest
-    to the end of the previous cluster (`robot_home` for the first).
+    to the end of the previous cluster (the table-frame origin for the first).
 
     The walk is chosen once per plan. A plan walks the bundle's chain index
     (kept in `_CHAIN_INDEXES`) in every cluster if the bundle already holds
@@ -366,7 +357,7 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
     if index is not None:
         index.deepen()  # the points where earlier plans fell back
     slot = [0] * len(positions)  # the chain's open-member map, all zeros between clusters
-    previous_pos = robot_home
+    previous_pos = np.zeros(3)  # the robot starts at the table-frame origin
     sequences = []
     for cluster in clusters:
         seq = cluster.members
@@ -380,7 +371,7 @@ def _greedy_order(waypoints: Waypoints, clusters, robot_home: np.ndarray) -> lis
 
 
 # Every planner, by name: its partition, (waypoints, params) -> clusters, and its order
-# within each cluster, (waypoints, clusters in serving order, robot_home) -> sequences. A
+# within each cluster, (waypoints, clusters in serving order) -> sequences. A
 # partition looks its stage up in this module when it runs, so a stage rebound here (by a
 # tracer, say) is the one every planner calls.
 ALGORITHMS = {
@@ -391,16 +382,15 @@ ALGORITHMS = {
 
 
 def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
-                   robot_home=(0.0, 0.0, 0.0), algorithm: str = "greedy") -> Plan:
+                   algorithm: str = "greedy") -> Plan:
     """The one pipeline of every planner in `ALGORITHMS`: its partition of the waypoints,
     `order_clusters` from `robot_center_angle`, then its order within each cluster."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     partition, order = ALGORITHMS[algorithm]
     robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
-    robot_home = _as_robot_home(robot_home)
     cluster_plan = order_clusters(partition(waypoints, params), start_angle=robot_center_angle)
-    return Plan(cluster_plan, order(waypoints, cluster_plan.clusters, robot_home))
+    return Plan(cluster_plan, order(waypoints, cluster_plan.clusters))
 
 
 def baseline_angle_sequence(waypoints: Waypoints, groups: int = 5,

@@ -32,7 +32,7 @@ def hundred_seed_batch():
     greedy_ssps = []
     for seed in range(100):
         params = ClusterParams(k=5, seed=seed)
-        greedy = plan_waypoints(waypoints, params, robot_home=scenario.robot_home)
+        greedy = plan_waypoints(waypoints, params)
         cluster = plan_waypoints(waypoints, params, algorithm="cluster")
         greedy_ssps.append(ssp_distance(greedy, positions))
         rotations.extend([greedy.cluster_plan.total_rotation,

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 from statistics import fmean
 
@@ -10,7 +9,7 @@ from turnplan import bench, metrics, sequencing
 from turnplan.angles import TWO_PI
 from turnplan.bench import (METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario, comparison_rows,
                             hemisphere_scenario, plot_data_rows, run_comparison, timed_plan,
-                            trial_reports, write_csv)
+                            trial_reports, write_csvs)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.metrics import CellModel
@@ -106,8 +105,7 @@ def test_csv_writers_write_files(tmp_path):
     scenario = hemisphere_scenario()
     result = run_comparison(scenario, trials=2)
     report_path, plot_path = tmp_path / "report.csv", tmp_path / "plot.csv"
-    write_csv(comparison_rows(result), report_path)
-    write_csv(plot_data_rows(result), plot_path)
+    write_csvs({report_path: comparison_rows(result), plot_path: plot_data_rows(result)})
     assert report_path.read_text().startswith("algorithm,trial,seed,n_points")
     assert plot_path.read_text().startswith("algorithm,seed,metric,value")
 
@@ -176,22 +174,20 @@ def test_trial_seeds_count_up_from_the_cluster_params_seed():
 def test_each_trial_plans_the_caller_s_scenario_with_its_own_seed(monkeypatch):
     base = 2**63 - 1  # given as a numpy int64, base + 1 must not wrap
     scenario = Scenario(hemisphere_layout(12, 0.15, seed=7), robot_center_angle=0.3,
-                        robot_home=(0.1, -0.2, 0.3),
                         cluster_params=ClusterParams(k=3, seed=np.int64(base)))
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     plan_waypoints, seen = sequencing.plan_waypoints, []
 
-    def recording(waypoints, params, robot_center_angle, robot_home, algorithm):
-        seen.append((params, robot_center_angle, robot_home, algorithm))
-        return plan_waypoints(waypoints, params, robot_center_angle, robot_home, algorithm)
+    def recording(waypoints, params, robot_center_angle, algorithm):
+        seen.append((params, robot_center_angle, algorithm))
+        return plan_waypoints(waypoints, params, robot_center_angle, algorithm)
 
     monkeypatch.setattr(sequencing, "plan_waypoints", recording)
     trial_reports("greedy", waypoints, scenario, 3)
     assert [params.seed for params, *_ in seen] == [base, base + 1, base + 2]
-    for trial, (params, robot_center_angle, robot_home, algorithm) in enumerate(seen):
+    for trial, (params, robot_center_angle, algorithm) in enumerate(seen):
         assert params == replace(scenario.cluster_params, seed=base + trial)
-        assert (robot_center_angle, robot_home) == (scenario.robot_center_angle,
-                                                    scenario.robot_home)
+        assert robot_center_angle == scenario.robot_center_angle
         assert algorithm == "greedy"
 
 
@@ -216,10 +212,3 @@ def test_a_negative_standoff_gets_one_message():
 def test_run_comparison_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_comparison(hemisphere_scenario(), trials=0)
-
-
-@pytest.mark.parametrize("home", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, 0.0),
-                                  (-1e200, 0.0, 0.0), (0.0, -2.0**500, 0.0)])
-def test_scenario_rejects_a_bad_robot_home(home):
-    with pytest.raises(ValueError, match="robot_home"):
-        run_comparison(Scenario(part=hemisphere_layout(4, 0.1, seed=0), robot_home=home), 1)

@@ -110,6 +110,7 @@ def test_plan_summary_line(tmp_path, capsys):
     line, note = capsys.readouterr().out.splitlines()
     assert [field.split("=")[0] for field in line.split()] == [
         "n", "ssp_distance_m", "total_rotation_rad", "estimated_execution_time_s",
+        "travel_time_s", "rotation_time_s", "dwell_time_s",
         "out_of_reach_points", "rotation_floor_rad", "planning_time_s"]
     assert line.startswith("n=40 ") and note.startswith("note: execution times use placeholder")
     # a cell of the user's own speeds gets no note
@@ -137,6 +138,9 @@ def test_plan_summary_is_one_bench_trial(bundled_layout_path, tmp_path, capsys, 
     assert summary == {"n": report.n_points, "ssp_distance_m": report.ssp_distance,
                        "total_rotation_rad": report.total_rotation,
                        "estimated_execution_time_s": report.estimated_execution_time,
+                       "travel_time_s": report.travel_time,
+                       "rotation_time_s": report.rotation_time,
+                       "dwell_time_s": report.dwell_time,
                        "out_of_reach_points": report.out_of_reach,
                        "rotation_floor_rad": report.rotation_floor}
 
@@ -608,6 +612,9 @@ def test_bench_json_summary(tmp_path, capsys):
             "mean_ssp_distance_m": result.means("ssp_distance")[name],
             "mean_total_rotation_rad": result.means("total_rotation")[name],
             "mean_estimated_execution_time_s": result.means("estimated_execution_time")[name],
+            "mean_travel_time_s": result.means("travel_time")[name],
+            "mean_rotation_time_s": result.means("rotation_time")[name],
+            "mean_dwell_time_s": result.means("dwell_time")[name],
             "mean_out_of_reach_points": result.means("out_of_reach")[name],
             "mean_rotation_floor_rad": result.means("rotation_floor")[name],
             "improvement_vs_baseline": result.improvement_vs_baseline[name]}
@@ -731,7 +738,7 @@ plan_waypoints, loaded = sequencing.plan_waypoints, []
 def timed(*args):
     before = set(sys.modules)
     plan = plan_waypoints(*args)
-    if args[4] == {algorithm!r}:
+    if args[3] == {algorithm!r}:
         loaded.append(sorted(set(sys.modules) - before))
     return plan
 

@@ -7,7 +7,7 @@ from conftest import count_waypoint_generation
 from turnplan import sequencing
 from turnplan.angles import TWO_PI, rotation_floor
 from turnplan.bench import (REPORT_COLUMNS, BenchmarkReport, ComparisonResult, comparison_rows,
-                            hemisphere_scenario, run_comparison, trial_reports, write_csv)
+                            hemisphere_scenario, run_comparison, trial_reports, write_csvs)
 from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
 from turnplan.metrics import CellModel, out_of_reach, ssp_distance
@@ -62,6 +62,20 @@ def _priced(cell, order, positions, rotation=0.0):
     plan = _manual_plan(order, rotation)
     return cell.execution_time(ssp_distance(plan, positions), plan.cluster_plan.total_rotation,
                                plan.n_points)
+
+
+def test_execution_time_is_the_sum_of_its_three_terms():
+    order, positions = [0, 1, 2], [(0, 0, 0), (1, 0, 0), (1, 2, 0)]
+    plan = _manual_plan(order, rotation=1.5)
+    ssp, rotation = ssp_distance(plan, positions), plan.cluster_plan.total_rotation
+    # speeds a power of two apart give exact terms; 0.3 and 0.7 round each one
+    exact = CellModel(robot_linear_speed=0.25, turntable_angular_speed=0.5,
+                      dwell_per_point=0.75, planner_overhead_per_point=0.5)
+    assert exact.time_terms(ssp, rotation, 3) == (12.0, 3.0, 3 * 1.25)
+    for cell in (exact, CellModel(robot_linear_speed=0.3, turntable_angular_speed=0.7,
+                                  dwell_per_point=0.1, planner_overhead_per_point=0.3)):
+        travel, turning, dwell = cell.time_terms(ssp, rotation, 3)
+        assert (travel + turning) + dwell == _priced(cell, order, positions, rotation=1.5)
 
 
 def test_execution_time_single_dwell():
@@ -228,7 +242,7 @@ def test_report_csv_shape_and_columns(tmp_path):
     scenario = hemisphere_scenario()
     reports = run_comparison(scenario, trials=3).reports["baseline"]
     path = tmp_path / "report.csv"
-    write_csv(comparison_rows(ComparisonResult({"baseline": reports})), path)
+    write_csvs({path: comparison_rows(ComparisonResult({"baseline": reports}))})
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)
     assert len(lines) == 1 + 3 + 1  # header + trials + mean
@@ -239,7 +253,8 @@ def test_report_csv_shape_and_columns(tmp_path):
 def test_strip_timing_zeroes_only_planning_time():
     """The report file writes planning time as 0.0 and every other field as measured."""
     report = BenchmarkReport(planning_time=1.5, ssp_distance=2.0,
-                             estimated_execution_time=3.0, total_rotation=1.0,
+                             estimated_execution_time=3.0, travel_time=1.0, rotation_time=1.5,
+                             dwell_time=0.5, total_rotation=1.0,
                              n_points=4, seed=9, out_of_reach=0, rotation_floor=0.0)
     header, trial, _ = comparison_rows(ComparisonResult({"baseline": [report]}))
     cell = dict(zip(header, trial))

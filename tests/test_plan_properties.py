@@ -5,8 +5,10 @@ rotations stay within one revolution; `Plan` checks that each sequence
 reorders its cluster's members and that `flattened_order` concatenates the
 sequences. Nothing downstream re-checks them, so this file states what the
 two checks together promise, over generated layouts, cluster counts, seeds
-and robot settings, for every planner in `ALGORITHMS`; and that a plan that
-keeps every point in reach rotates no less than the floor its report gives.
+and robot center angles, for every planner in `ALGORITHMS`; that each greedy
+chain starts at the member nearest where the robot's last move ended; and
+that a plan that keeps every point in reach rotates no less than the floor
+its report gives.
 """
 
 import math
@@ -21,7 +23,7 @@ from turnplan.bench import Scenario, timed_plan
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import AXIS_RADIUS_TOL, PartModel
 from turnplan.metrics import ssp_distance
-from turnplan.sequencing import ALGORITHMS
+from turnplan.sequencing import ALGORITHMS, plan_waypoints
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 LAYOUTS = ("normal", "ring", "duplicates", "on_axis", "lattice", "far")
@@ -53,11 +55,11 @@ def _path_length(points: np.ndarray, order: np.ndarray) -> float:
 @PROPERTY_SETTINGS
 @given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 200), k=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1), center=st.floats(0.0, TWO_PI, exclude_max=True),
-       home=st.tuples(*[st.floats(-2.0, 2.0)] * 3), name=st.sampled_from(sorted(ALGORITHMS)))
-def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, home, name):
+       name=st.sampled_from(sorted(ALGORITHMS)))
+def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, name):
     points = _points(layout, n, np.random.default_rng(seed))
     scenario = Scenario(part=PartModel(), cluster_params=ClusterParams(k=k, seed=seed),
-                        robot_center_angle=center, robot_home=home)
+                        robot_center_angle=center)
     plan = timed_plan(name, make_waypoints(points), scenario)[0]
     cluster_plan = plan.cluster_plan
 
@@ -68,6 +70,21 @@ def test_every_planner_keeps_the_plan_invariants(layout, n, k, seed, center, hom
     assert cluster_plan.total_rotation == sum(cluster_plan.rotation_deltas) <= TWO_PI + 1e-9
     expected = _path_length(points, np.array(plan.flattened_order))
     assert math.isclose(ssp_distance(plan, points), expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 200), k=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_each_greedy_chain_starts_nearest_the_previous_chain_s_end(layout, n, k, seed):
+    # the first chain starts nearest the table-frame origin; ties go to the first member
+    points = _points(layout, n, np.random.default_rng(seed))
+    plan = plan_waypoints(make_waypoints(points), ClusterParams(k=k, seed=seed))
+    previous = np.zeros(3)
+    for sequence, cluster in zip(plan.sequences, plan.cluster_plan.clusters):
+        members = cluster.members
+        nearest = members[np.linalg.norm(points[members] - previous, axis=1).argmin()]
+        assert sequence[0] == nearest
+        previous = points[sequence[-1]]
 
 
 @PROPERTY_SETTINGS

@@ -530,23 +530,6 @@ def test_plan_rejects_a_stand_in_cluster_plan():
         Plan(cluster_plan=stand_in, sequences=((2, 1),), flattened_order=(2, 1))
 
 
-@pytest.mark.parametrize("home", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0),
-                                  (0.0, 0.0, 0.0, 0.0), ("home", 0.0, 0.0),
-                                  (-1e200, 0.0, 0.0), (0.0, 0.0, 2.0**500)])
-def test_plan_waypoints_rejects_a_bad_robot_home(home):
-    wps = make_waypoints([(1, 0, 0), (0, 1, 0), (-1, 0, 0)])
-    with pytest.raises(ValueError, match="robot_home"):
-        plan_waypoints(wps, ClusterParams(k=2, seed=0), robot_home=home)
-
-
-def test_a_robot_home_just_below_the_positions_bound_plans(bundled_layout_path):
-    # the start choice squares positions - robot_home; below 2**500 the squares stay finite
-    below = math.nextafter(2.0**500, 0.0)
-    wps = _hemisphere40_waypoints(bundled_layout_path)
-    plan = plan_waypoints(wps, ClusterParams(k=1, seed=0), robot_home=(-below, below, -below))
-    assert sorted(plan.flattened_order.tolist()) == list(range(len(wps)))
-
-
 def test_plan_records_and_serialization(tmp_path):
     part = hemisphere_layout(12, 0.15, seed=4)
     wps = generate_waypoints(part, 0.05, 0.0)
