@@ -110,6 +110,44 @@ def test_csv_writers_write_files(tmp_path):
     assert plot_path.read_text().startswith("algorithm,seed,metric,value")
 
 
+@pytest.mark.parametrize("bad", range(4))
+def test_write_csvs_writes_no_file_when_one_cannot_be_opened(tmp_path, bad):
+    # wherever the path that cannot be opened stands, the files this call created are
+    # removed and a file from an earlier run keeps its bytes
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_text("earlier,report\n")
+    paths = [tmp_path / "new.csv", earlier, tmp_path / "other.csv"]
+    paths.insert(bad, tmp_path / "missing" / "x.csv")
+    with pytest.raises(FileNotFoundError):
+        write_csvs({path: [["a", 1]] for path in paths})
+    assert sorted(tmp_path.iterdir()) == [earlier]
+    assert earlier.read_text() == "earlier,report\n"
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+def test_write_csvs_removes_the_files_it_created_when_a_row_fails(tmp_path):
+    # the file written before the failing one goes too; a later, earlier-run file is
+    # only opened, so it keeps its bytes
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_text("earlier,report\n")
+    first, failing = tmp_path / "first.csv", tmp_path / "failing.csv"
+    with pytest.raises(RuntimeError, match="no text"):
+        write_csvs({first: [["a", 1]], failing: [["b", _Unprintable()]], earlier: [["c"]]})
+    assert sorted(tmp_path.iterdir()) == [earlier]
+    assert earlier.read_text() == "earlier,report\n"
+
+
+def test_write_csvs_replaces_an_earlier_file_s_bytes(tmp_path):
+    earlier = tmp_path / "report.csv"
+    earlier.write_text("a longer report from an earlier run\n" * 3)
+    write_csvs({earlier: [["a", 1.5], ["b", "c,d"]]})
+    assert earlier.read_bytes() == b'a,1.5\r\nb,"c,d"\r\n'
+
+
 def test_without_timing_preserves_everything_else():
     """comparison_rows zeroes only the planning-time cells; the reports keep their times."""
     result = run_comparison(hemisphere_scenario(), trials=2)
@@ -161,6 +199,28 @@ def test_timed_plan_prices_each_plan_with_one_ssp_distance(monkeypatch, algorith
     assert report.estimated_execution_time == cell.execution_time(
         ssp_distance(plan, waypoints.positions), plan.cluster_plan.total_rotation, plan.n_points)
     assert report.ssp_distance == ssp_distance(plan, waypoints.positions)
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_timed_plan_reports_the_three_terms_of_the_execution_time(algorithm):
+    cell = CellModel(robot_linear_speed=0.7, turntable_angular_speed=0.3, dwell_per_point=0.3,
+                     planner_overhead_per_point=0.1)
+    scenario = hemisphere_scenario(n=20, cell=cell)
+    waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
+    plan, report = timed_plan(algorithm, waypoints, scenario)
+    terms = (report.travel_time, report.rotation_time, report.dwell_time)
+    assert terms == cell.time_terms(report.ssp_distance, report.total_rotation, plan.n_points)
+    assert (terms[0] + terms[1]) + terms[2] == report.estimated_execution_time
+
+
+@pytest.mark.parametrize("cell", [CellModel(robot_linear_speed=1e-320),
+                                  CellModel(turntable_angular_speed=1e-320),
+                                  CellModel(dwell_per_point=1e308)],
+                         ids=["travel", "rotation", "dwell"])
+def test_an_overflowing_term_is_named_by_the_estimate_it_overflows(cell):
+    # the estimate is checked before its terms, so the message is the one the CSVs' metric gets
+    with pytest.raises(ValueError, match="report metric estimated_execution_time must be finite"):
+        run_comparison(hemisphere_scenario(n=8, cell=cell), 1)
 
 
 def test_trial_seeds_count_up_from_the_cluster_params_seed():

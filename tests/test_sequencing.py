@@ -19,7 +19,7 @@ from turnplan.bench import Scenario, comparison_rows, run_comparison, timed_plan
 from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_clusters
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
-from turnplan.sequencing import (_CHAIN_INDEXES, CHAIN_TABLE_MIN_POINTS, Plan,
+from turnplan.sequencing import (_CHAIN_INDEXES, ALGORITHMS, CHAIN_TABLE_MIN_POINTS, Plan,
                                  baseline_angle_sequence, distance_matrix, greedy_sequence,
                                  plan_waypoints, save_plan)
 
@@ -285,6 +285,42 @@ def test_plan_waypoints_rejects_coordinates_whose_squares_overflow():
     with pytest.raises(ValueError, match=r"positions must be finite and below 2\*\*500"):
         wps = make_waypoints(1e200 * np.random.default_rng(20).normal(size=(50, 3)))
         plan_waypoints(wps, ClusterParams(k=5, seed=0), algorithm="cluster")
+
+
+# --- where each greedy chain starts ----------------------------------------
+
+GREEDY_ORDER = ALGORITHMS["greedy"][1]
+
+
+def test_the_first_greedy_chain_starts_at_the_member_nearest_the_origin():
+    wps = make_waypoints([(3, 0, 0), (-1, 0, 0), (2, 0, 0), (5, 0, 0)])
+    (sequence,) = GREEDY_ORDER(wps, [Cluster(members=(0, 1, 2, 3), mean_angle=0.0)])
+    assert sequence.tolist() == [1, 2, 0, 3]
+
+
+def test_a_tie_for_the_greedy_start_goes_to_the_first_member():
+    # members 1 and 2 both lie 1 from the origin; a start at 2 would visit [2, 1, 0]
+    wps = make_waypoints([(3, 0, 0), (0, 1, 0), (1, 0, 0)])
+    (sequence,) = GREEDY_ORDER(wps, [Cluster(members=(0, 1, 2), mean_angle=0.0)])
+    assert sequence.tolist() == [1, 2, 0]
+
+
+def test_each_later_greedy_chain_starts_nearest_the_previous_chain_s_last_visit():
+    # the first chain ends at (4, 0, 0). Member 3 is nearest there; member 2 is nearest
+    # both the origin and the first chain's first visit, (1, 0, 0)
+    wps = make_waypoints([(1, 0, 0), (4, 0, 0), (0, 0, 1), (5, 0, 1), (0, 0, 1.5)])
+    clusters = [Cluster(members=(0, 1), mean_angle=0.0),
+                Cluster(members=(2, 3, 4), mean_angle=1.0)]
+    assert [s.tolist() for s in GREEDY_ORDER(wps, clusters)] == [[0, 1], [3, 2, 4]]
+
+
+def test_positions_just_below_the_bound_start_a_greedy_chain():
+    # the start choice squares each position less the origin, and the walk squares the
+    # steps between positions; below 2**500 every square stays finite
+    below = math.nextafter(2.0**500, 0.0)
+    wps = make_waypoints([(below, 0, 0), (-below, below, -below), (0, 0, below / 2)])
+    plan = plan_waypoints(wps, ClusterParams(k=1, seed=0))
+    assert plan.flattened_order.tolist() == [2, 0, 1]
 
 
 def _plan_key(plan):
