@@ -82,11 +82,7 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
     the plan and its report, scored with `scenario.cell` and the angular bound of
     `scenario.cluster_params`. The report's planning time is the wall-clock seconds of one
     `sequencing.plan_waypoints` call, the package's only planning timer.
-
-    What a plan could need to build the bundle's chain index is imported before the timer
-    starts (`sequencing._preload_chain_index`; see `sequencing._greedy_order`).
     """
-    sequencing._preload_chain_index(algorithm, len(waypoints), scenario.cluster_params.k)
     tic = time.perf_counter()
     plan = sequencing.plan_waypoints(waypoints, scenario.cluster_params,
                                      scenario.robot_center_angle, algorithm)

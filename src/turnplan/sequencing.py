@@ -21,29 +21,22 @@ from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _squar
 # listed per point in the table, neighbours listed in a deep row, and the
 # cluster size above which a plan walks the table rather than each cluster's
 # own distance matrix. _greedy_order builds one table per waypoint bundle,
-# over all its points, the first time a greedy plan has a cluster above the
-# threshold, fetching it once before its first walk; no other plan builds
-# one, and every later greedy plan of the bundle walks it. Deep rows are built
-# only for the points where a walk on the bundle has fallen back (see
-# _ChainIndex). The threshold is the low edge of where the two walks cost the
-# same on a fresh bundle, index build included, in a sweep over cluster sizes
-# made before the matrix build got cheaper, which moved that tie up (see
-# README's step 4); it must stay above CHAIN_CANDIDATES, since the query needs
-# that many others.
+# over all its points, on a numpy cell grid (_CellGrid), the first time a
+# greedy plan has a cluster above the threshold, fetching it once before its
+# first walk; no other plan builds one, and every later greedy plan of the
+# bundle walks it. Deep rows are built only for the points where a walk on
+# the bundle has fallen back (see _ChainIndex). The threshold is the low edge
+# of where the two walks cost the same on a fresh bundle, index build
+# included, in a sweep over cluster sizes made before the matrix build got
+# cheaper, which moved that tie up (see README's step 4); it must stay above
+# CHAIN_CANDIDATES, since a table row lists that many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 128
 _CERTIFICATE = 1.0 - 64.0 * np.finfo(float).eps
-
-
-def _preload_chain_index(algorithm: str, n: int, k: int) -> None:
-    """Import scipy.spatial, which the chain index needs, if a plan by `algorithm` of n points
-    could build the index: only the greedy order walks one (an unknown name walks nothing), on
-    a cluster of more than CHAIN_TABLE_MIN_POINTS members; every partition makes min(k, n)
-    non-empty clusters, so the largest has at most n - min(k, n) + 1."""
-    if (ALGORITHMS.get(algorithm, (None, None))[1] is _greedy_order
-            and n - min(k, n) + 1 > CHAIN_TABLE_MIN_POINTS):
-        import scipy.spatial  # noqa: F401
+_DEEP_REACH = 3  # cells a deep row's block reaches past its own; a table row's reaches 1
+_SLACK = 2.0**-20  # cells: covers how far rounding moves a scaled coordinate
+_CHUNK_PAIRS = 2**16  # (query, candidate) pairs measured at once
 
 
 def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,80 +72,174 @@ def greedy_sequence(d: np.ndarray, start: int = 0) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _certified_candidates(tree, coords: np.ndarray, query: np.ndarray, width: int) -> np.ndarray:
+class _CellGrid:
+    """A uniform grid of cubic cells over the N points of `coords` (3, N), with the points
+    sorted by cell key; `_certified_candidates` lists a query point's neighbours from it.
+
+    A point's scaled coordinates are s = (p - low) / side, per axis, and its
+    cell is floor(s). `side` is 1.5 times the upper median, over 16 points
+    spread through the indices, of the distance to the point's
+    CHAIN_CANDIDATES-th nearest other point, so that a table row's block
+    reaches past most points' listed neighbours; it is raised if need be
+    so that s <= 2**20 on every axis. A cell's key numbers it x-major in the grid padded by
+    _DEEP_REACH cells on every side, so keys stay below 2**61, and for any
+    reach r up to _DEEP_REACH the cells (x + dx, y + dy, z - r ... z + r)
+    are one run of keys. `occupied` holds the keys of the cells that hold
+    points, ascending, and the points of occupied[j] are
+    order[bounds[j]:bounds[j + 1]], so a run's points are one slice of
+    `order`. `sorted_coords` holds the points in that order.
+    """
+
+    def __init__(self, coords: np.ndarray):
+        n = coords.shape[1]
+        self.low = coords.min(axis=1, keepdims=True)
+        kth = min(CHAIN_CANDIDATES, n - 1)
+        sample = sorted(float(np.partition(_norms(coords - coords[:, i, None]), kth)[kth])
+                        for i in np.linspace(0, n - 1, 16).astype(np.intp))
+        extent = float((coords - self.low).max())
+        self.side = max(1.5 * sample[8], extent * 2.0**-20, 2.0**-1022)
+        cells = self.cells(coords)[1]
+        self.span = cells.max(axis=1)  # the last cell along each axis
+        depth = self.span[1:] + (1 + 2 * _DEEP_REACH)
+        self.stride = np.array([depth[0] * depth[1], depth[1], 1])
+        keys = self.key(cells)
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted_coords = coords.take(self.order, axis=1)
+        keys = keys[self.order]
+        starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        self.occupied = keys[np.r_[0, starts]]
+        self.bounds = np.r_[0, starts, n]
+
+    def cells(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled coordinates of the points `coords` (3, q), and their cells."""
+        scaled = (coords - self.low) / self.side
+        return scaled, np.floor(scaled).astype(np.int64)
+
+    def key(self, cells: np.ndarray) -> np.ndarray:
+        return self.stride @ (cells + _DEEP_REACH)
+
+
+def _certified_candidates(grid: _CellGrid, coords: np.ndarray, query: np.ndarray,
+                          width: int) -> np.ndarray:
     """Per query point, the nearest others that a greedy step may take without a distance row.
 
-    `coords` holds the N points coordinate-major, (3, N). Row r holds point
-    i = query[r]'s `width` nearest points (itself included) from one query
-    on `tree`, a cKDTree over the points, sorted by (distance, index).
-    `query` is any subset of the point indices and `width` any count from 2
-    to N: the argument below holds for each. A point is certified when its
-    distance is below the row's certificate c_i = d_i (1 - 64 eps), where
-    d_i is the row's largest distance; every other slot holds i itself.
-    Each distance is computed with the chain's own expression (`here -
-    other`, then `_norms`), so it is bitwise the value the chain's distance
-    row would hold. The build is O(q w) memory for q query points. A
-    bundle's `_ChainIndex` makes two kinds of rows with it: the table, every
-    point at width CHAIN_CANDIDATES + 1, and deep rows, a few points at
-    width CHAIN_DEEP_CANDIDATES + 1.
+    `coords` holds the N points coordinate-major, (3, N), and `grid` is
+    their `_CellGrid`. Row r lists point i = query[r]'s `width` nearest
+    points (itself included) in its block, the (2 reach + 1)**3 cells
+    around its own, sorted by (distance, index); reach is 1 for a row of
+    at most CHAIN_CANDIDATES + 1 and _DEEP_REACH for a wider one. `query`
+    is any subset of the point indices and `width` any count from 2 to N:
+    the argument below holds for each. A listed point is certified when
+    its distance is below both the row's last distance d_i and the bound
+    b_i, the query's distance to the nearest face of its block, less a
+    slack; every other slot holds i itself. Each
+    distance is computed with the chain's own expression (`here - other`,
+    then `_norms`), so it is bitwise the value the chain's distance row
+    would hold. The rows are measured in chunks of about _CHUNK_PAIRS
+    (query, candidate) pairs, or one query's block if that holds more, so
+    the build takes O(N) memory even where many points share a cell. A
+    bundle's `_ChainIndex` makes two kinds of rows with it: the table,
+    every point at width CHAIN_CANDIDATES + 1, and deep rows, a few points
+    at width CHAIN_DEEP_CANDIDATES + 1.
 
     Why the first open certified point is the argmin over any open subset.
-    Write u = eps/2. The `_norms` distance is within 4u, relative, of the
-    true distance (per coordinate a rounded difference and a rounded square,
-    then two rounded adds, (dx^2 + dy^2) + dz^2, and a rounded sqrt); so is
-    the tree's, which sums the same squares in its own order. Let j be a
-    point the query did not return and c* the listed point at distance d_i.
-    The query keeps the nearest points by tree distance, up to the rounding
-    of its pruning bounds, so tree(j) >= tree(c*) (1 - 4u), and then
-    norm(j) >= d_i (1 - 4u)^3 / (1 + 4u)^2 > d_i (1 - 10 eps). A
-    certified point (norm < c_i, and c_i is itself rounded by at most u)
-    is therefore strictly nearer than every point of the whole set off the
-    list, and uncertified listed points lie at d >= c_i, further still. So
-    for any set of open points (a cluster's unvisited members), the first
-    certified entry that is open is strictly nearer than every open point
-    off the list, and among listed points the (distance, index) order is
-    argmin's rule: least distance, ties to the lowest index. It is the
-    argmin of the open points' distance row. Only the rows the tree returned
-    out of that order are lexsorted: a row's indices are distinct, so a row
-    whose adjacent pairs are all in order is already its lexsort. Nothing
-    here depends on which point is queried or on how many are listed. The
-    bounds assume no overflow or underflow: the caller rejects coordinates
-    of 2^500 or more, and a row with d_i < 2^-500 certifies nothing, as does
-    a row with d_i = 0 (more than `width` coincident copies).
+    The block's unlisted points lie at distances of at least d_i, as
+    computed, so a certified point is strictly nearer than each. A point j
+    outside the block has, on some axis, its cell beyond a face of the
+    block: s_j >= c + reach + 1, or s_j < c - reach, for the query's cell
+    c. Write u = eps/2. A scaled coordinate is two rounded operations from
+    the point's, and s <= 2**20, so j lies at least side (g - 2**-30) from
+    the query along that axis, for the query's scaled gap g to that face;
+    b_i takes the least gap, rounded by at most u, less _SLACK = 2**-20.
+    The `_norms` distance is within 4u, relative, of the true distance (per
+    coordinate a rounded difference and a rounded square, then two rounded
+    adds, (dx^2 + dy^2) + dz^2, and a rounded sqrt), and _CERTIFICATE =
+    1 - 64 eps absorbs it and the rounding of b_i, so a certified point is
+    strictly nearer than j as well. So for any set of open points (a
+    cluster's unvisited members), the first certified entry that is open
+    is strictly nearer than every open point off the list, and among
+    listed points the (distance, index) order is argmin's rule: least
+    distance, ties to the lowest index. It is the argmin of the open
+    points' distance row. Nothing here depends on which point is queried,
+    on how many are listed, or on the cell side. The bounds assume no
+    overflow or underflow: the caller rejects coordinates of 2^500 or
+    more, and a bound below 2^-500 certifies nothing. A row with d_i = 0
+    (more than `width` coincident copies in the block) certifies nothing
+    either.
     """
-    # take, not coords[:, …], whose result is not C-ordered: each plane of diff is contiguous
+    reach = 1 if width <= CHAIN_CANDIDATES + 1 else _DEEP_REACH
     here = coords.take(query, axis=1)
-    near = tree.query(here.T, width)[1]
-    diff = coords.take(near, axis=1)
+    scaled, cells = grid.cells(here)
+    gap = np.minimum(scaled - (cells - reach), (cells + (reach + 1)) - scaled).min(axis=0)
+    bound = grid.side * (gap - _SLACK) * _CERTIFICATE
+    bound[bound < 2.0**-500] = 0.0
+    # each query cell's block as (2 reach + 1)**2 runs of keys, and where they lie in `order`
+    steps = np.arange(-reach, reach + 1)
+    runs = (grid.stride[0] * steps[:, None] + grid.stride[1] * steps).ravel() - reach
+    keys, cell = np.unique(grid.key(cells), return_inverse=True)
+    first = (keys[:, None] + runs).T  # each row ascending, which searchsorted runs fastest
+    start = grid.bounds[np.searchsorted(grid.occupied, first)]
+    length = grid.bounds[np.searchsorted(grid.occupied, first + 2 * reach, side="right")] - start
+    start, length = start.T[cell], length.T[cell]
+    listed = length.sum(axis=1)
+    near = np.empty((len(query), width), dtype=np.intp)
+    # chunks of queries in key order, whose neighbours have blocks of like sizes
+    by_key, done = np.argsort(cell, kind="stable"), 0
+    while done < len(query):
+        # the most queries whose rows times their widest block fit in _CHUNK_PAIRS
+        widest = np.maximum.accumulate(
+            np.maximum(listed[by_key[done:done + _CHUNK_PAIRS // width]], width))
+        fit = np.searchsorted(widest * np.arange(1, len(widest) + 1), _CHUNK_PAIRS, side="right")
+        rows = by_key[done:done + max(1, int(fit))]
+        done += len(rows)
+        near[rows] = _listed_rows(grid, here.take(rows, axis=1), query[rows], start[rows],
+                                  length[rows], width, bound[rows])
+    return near
+
+
+def _listed_rows(grid: _CellGrid, here: np.ndarray, query: np.ndarray, start: np.ndarray,
+                 length: np.ndarray, width: int, bound: np.ndarray) -> np.ndarray:
+    """`_certified_candidates`' rows for one chunk of queries, at `here` (3, q), whose
+    blocks hold the points order[start[r, k]:start[r, k] + length[r, k]]."""
+    listed = length.sum(axis=1)
+    slots = np.arange(max(listed.max(), width)) < listed[:, None]
+    length = length.ravel()
+    offset = np.cumsum(length) - length  # where each run begins among the row-major slots
+    # each slot's point, by its place in `order`; an unused slot reads place 0
+    place = np.zeros(slots.shape, dtype=np.intp)
+    place[slots] = np.repeat(start.ravel() - offset, length) + np.arange(length.sum())
+    # take, not sorted_coords[:, …], whose result is not C-ordered: each plane of diff
+    # is contiguous
+    diff = grid.sorted_coords.take(place, axis=1)
     np.subtract(here[:, :, None], diff, out=diff)
     dist = _norms(diff)
     del diff  # the largest temporary: free it before the rows are built
-    # lexsort only the rows the tree returned out of (distance, index) order
-    step, before = dist[:, 1:], dist[:, :-1]
-    unsorted = (step < before) | ((step == before) & (near[:, 1:] < near[:, :-1]))
-    if len(rows := unsorted.any(axis=1).nonzero()[0]):
-        by_distance = np.lexsort((near[rows], dist[rows]))
-        near[rows] = np.take_along_axis(near[rows], by_distance, axis=1)
-        dist[rows] = np.take_along_axis(dist[rows], by_distance, axis=1)
-    d_max = dist[:, -1:]
-    limit = np.where(d_max >= 2.0**-500, d_max * _CERTIFICATE, 0.0)
+    dist[~slots] = np.inf  # so an unused slot is never certified
+    if slots.shape[1] > width:
+        nearest = np.argpartition(dist, width - 1, axis=1)[:, :width]
+        place = np.take_along_axis(place, nearest, axis=1)
+        dist = np.take_along_axis(dist, nearest, axis=1)
+    near = grid.order[place]
+    by_distance = np.lexsort((near, dist))
+    near = np.take_along_axis(near, by_distance, axis=1)
+    dist = np.take_along_axis(dist, by_distance, axis=1)
     # an uncertified slot names the row's own point, which the walk has
     # always closed when it reads the row, so the slot is skipped
-    np.copyto(near, query[:, None], where=dist >= limit)
+    np.copyto(near, query[:, None], where=dist >= np.minimum(dist[:, -1], bound)[:, None])
     return near
 
 
 class _ChainIndex:
     """One point set's certified candidate rows for the greedy chain, in one flat store.
 
-    The cKDTree over all the points is built once and kept, and so are the
-    points, coordinate-major, as `coords` (3, N). Point i's row is
+    The `_CellGrid` over all the points is built once and kept, and so are
+    the points, coordinate-major, as `coords` (3, N). Point i's row is
     rows[at[i]:end[i]]: at first its CHAIN_CANDIDATES + 1 certified
     candidates (the table), which `_chain` scans before it takes a distance
     row. A walk that takes a distance row at a point whose row is still
     table-wide records the point in `fallen`, and `deepen` builds the rows of
-    every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in one tree query;
-    it writes them into `rows` after the first `filled` entries and repoints
+    every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in one batch on the
+    grid; it writes them into `rows` after the first `filled` entries and repoints
     `at` and `end`, so a deepened point's row replaces its table row. Either
     row's first open certified entry is the argmin over the open members
     (see `_certified_candidates`), so the walk does not depend on which row
@@ -166,14 +253,10 @@ class _ChainIndex:
     """
 
     def __init__(self, pts: np.ndarray):
-        # imported here: only a plan with a cluster above CHAIN_TABLE_MIN_POINTS
-        # builds an index, so small plans skip scipy
-        from scipy.spatial import cKDTree
-
         self.coords = np.ascontiguousarray(pts.T)
-        self.tree = cKDTree(pts)
+        self.grid = _CellGrid(self.coords)
         everyone = np.arange(len(pts))
-        self.rows = _certified_candidates(self.tree, self.coords, everyone,
+        self.rows = _certified_candidates(self.grid, self.coords, everyone,
                                           CHAIN_CANDIDATES + 1).ravel()
         self.filled = len(self.rows)  # rows[filled:] is room for deep rows, not yet written
         self.at = everyone * (CHAIN_CANDIDATES + 1)
@@ -194,7 +277,7 @@ class _ChainIndex:
                 store = np.frombuffer(room, self.rows.dtype)
                 store[:self.filled] = self.rows
                 self.rows = store
-            deep = _certified_candidates(self.tree, self.coords, query, width).ravel()
+            deep = _certified_candidates(self.grid, self.coords, query, width).ravel()
             self.at[query] = self.filled + width * np.arange(len(query))
             self.end[query] = self.at[query] + width
             self.rows[self.filled:self.filled + len(deep)] = deep

@@ -12,14 +12,14 @@ the ones where a candidate table could go wrong: exact ties (lattices, duplicate
 more coincident copies of a point than the table lists (every step falls
 back), far from the origin (large rounding in the differences), very tight
 spreads, and a shell of points at exactly one distance whose rounded
-distances the tree and the row order differently. Sizes run across
-CHAIN_TABLE_MIN_POINTS, so both the matrix walk and the table walk run. The
-same layouts, cut into interleaved clusters that walk one shared table,
-check plan_waypoints' per-cluster walk, and replanned on one bundle, the
-deep rows that replace the table rows of the points where earlier plans
-fell back. The certified rows themselves are checked against a full
-(distance, index) lexsort, which they skip for rows the tree already lists
-in that order. Every distance is np.linalg.norm's rounding of the
+distances differ by an ulp. Sizes run across CHAIN_TABLE_MIN_POINTS, so
+both the matrix walk and the table walk run. The same layouts, cut into
+interleaved clusters that walk one shared table, check plan_waypoints'
+per-cluster walk, and replanned on one bundle, the deep rows that replace
+the table rows of the points where earlier plans fell back. The certified
+rows themselves are checked against a full (distance, index) lexsort, also
+on clumps a million apart and on points near 2**499, where one cell grid
+spans a huge extent. Every distance is np.linalg.norm's rounding of the
 difference: the oracle is checked against it, and a crafted pair of points
 that a sum of squares in another order ranks the other way pins both walks
 to it.
@@ -30,12 +30,11 @@ import itertools
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from conftest import chain_walk, make_waypoints
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
-from turnplan.sequencing import (_CERTIFICATE, CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS,
+from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _CellGrid,
                                  _certified_candidates, _ChainIndex, _greedy_chain,
                                  distance_matrix, greedy_sequence, plan_waypoints)
 
@@ -61,6 +60,11 @@ def cloud(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return 0.05 * rng.integers(0, 4, (n, 3)) + OFFSET
     if kind == "tight":
         return 1e-6 * rng.normal(size=(n, 3))
+    if kind == "clumps":  # one grid over both spans a million units
+        return rng.normal(size=(n, 3)) + 1e6 * rng.integers(0, 2, (n, 1))
+    if kind == "huge":  # two clumps at the largest coordinates a bundle allows, below 2**500
+        return (2.0**499 * rng.choice((-1.0, 1.0), (n, 1))
+                + 2.0**498 * rng.uniform(-1.0, 1.0, (n, 3)))
     raise AssertionError(kind)
 
 
@@ -130,8 +134,9 @@ def shell(extra: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
 
     The 48 sign changes and permutations of one vector lie at one distance
     from the center, but their rounded sums of squares differ by an ulp, and
-    the tree sums them in another order than the row: only the certificate's
-    margin keeps a step from the center, taken from the table, the row's.
+    in another order than the permutations list them: a step from the
+    center, taken from the table, must take the nearest by the row's own
+    rounding, ties to the lowest index.
     """
     radius = 10.0 ** int(rng.integers(-3, 3))
     vector = radius * rng.uniform(0.5, 1.5, 3)
@@ -179,54 +184,36 @@ def test_small_cluster_walk_matches_matrix_greedy_from_every_start():
                 assert chain_walk(pts, start) == greedy_sequence(reference, start), (kind, m, start)
 
 
-def _lexsorted_rows(tree, pts: np.ndarray, query: np.ndarray, width: int):
-    """The certified rows with every row lexsorted by (distance, index), and the rows as
-    the tree returned them, with the distances `_certified_candidates` reads: the
-    differences rounded as np.linalg.norm rounds them."""
-    near = tree.query(pts[query], width)[1]
-    dist = np.linalg.norm(pts[query][:, None, :] - pts[near], axis=-1)
-    by_distance = np.lexsort((near, dist))
-    rows = np.take_along_axis(near, by_distance, axis=1)
-    row_dist = np.take_along_axis(dist, by_distance, axis=1)
-    limit = np.where(row_dist[:, -1:] >= 2.0**-500, row_dist[:, -1:] * _CERTIFICATE, 0.0)
-    return np.where(row_dist < limit, rows, query[:, None]), near, dist
-
-
 @PROPERTY_SETTINGS
-@given(kind=st.sampled_from(KINDS + ("shell",)), n=st.integers(2, MAX_POINTS),
+@given(kind=st.sampled_from(KINDS + ("shell", "clumps", "huge")), n=st.integers(2, MAX_POINTS),
        seed=st.integers(0, 2**32 - 1), query_fraction=st.floats(0.0, 1.0),
        width_fraction=st.floats(0.0, 1.0))
 def test_certified_rows_equal_a_full_lexsort(kind, n, seed, query_fraction, width_fraction):
-    # _certified_candidates lexsorts only the rows the tree returned out of
-    # (distance, index) order: lattices, duplicates and shells hold ties the
-    # tree lists out of index order
+    # which entries a row certifies depends on the grid's cells, so the rows are checked
+    # against the properties the walk needs: each row's certified entries (those that are
+    # not the query itself) are, in order, a prefix of a full (distance, index) lexsort of
+    # the other points, and each is strictly nearer the query than every point the row
+    # does not certify. Lattices, duplicates and shells hold exact ties; clumps a million
+    # apart and points near 2**499 stretch one grid over a huge extent
     rng = np.random.default_rng(seed)
     pts = shell(n // 2, rng)[0] if kind == "shell" else cloud(kind, n, rng)
     query = rng.permutation(len(pts))[:max(1, int(query_fraction * len(pts)))]
     width = 2 + int(width_fraction * (len(pts) - 2))
-    tree = cKDTree(pts)
-    expected = _lexsorted_rows(tree, pts, query, width)[0]
-    assert np.array_equal(_certified_candidates(tree, pts.T, query, width), expected)
-
-
-class _ReversingTree:
-    """A cKDTree whose query lists each row's other neighbours farthest first."""
-
-    def __init__(self, pts: np.ndarray):
-        self.tree = cKDTree(pts)
-
-    def query(self, x, k):
-        dist, near = self.tree.query(x, k)
-        return dist, np.concatenate([near[:, :1], near[:, :0:-1]], axis=1)
-
-
-def test_certified_rows_sort_rows_listed_out_of_distance_order():
-    # distinct distances, so only the distance comparison flags these rows
-    pts = cloud("normal", 60, np.random.default_rng(2))
-    tree, query = _ReversingTree(pts), np.arange(60)
-    expected, _, listed_dist = _lexsorted_rows(tree, pts, query, 9)
-    assert (np.diff(listed_dist, axis=1) < 0.0).any(axis=1).all()
-    assert np.array_equal(_certified_candidates(tree, pts.T, query, 9), expected)
+    coords = np.ascontiguousarray(pts.T)
+    grid = _CellGrid(coords)
+    # the cell keys did not overflow: they ascend from 0 and each axis has at most 2**20 + 1 cells
+    assert grid.span.max() <= 2**20 and grid.occupied[0] >= 0
+    assert (np.diff(grid.occupied) > 0).all()
+    rows = _certified_candidates(grid, coords, query, width)
+    assert rows.shape == (len(query), width)
+    dist = distance_matrix(pts)
+    for i, row in zip(query.tolist(), rows):
+        certified = row[row != i]
+        others = np.lexsort((np.arange(len(pts)), dist[i]))
+        others = others[others != i]
+        assert np.array_equal(certified, others[:len(certified)])
+        if len(certified) and len(certified) < len(others):
+            assert dist[i, certified[-1]] < dist[i, others[len(certified)]]
 
 
 @PROPERTY_SETTINGS

@@ -687,28 +687,50 @@ def _fresh_python(code: str) -> str:
     return done.stdout.strip()
 
 
-def test_importing_the_cli_loads_no_scipy():
+def test_importing_the_cli_loads_no_scipy(tmp_path):
     # a fresh interpreter: this test session has imported scipy already. Nor does it load
-    # statistics, which would bring decimal and fractions with it
-    code = ("import sys, turnplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
-            "in ('scipy', 'statistics', 'decimal', 'fractions')))")
-    assert _fresh_python(code) == "[]"
+    # statistics, which would bring decimal and fractions with it. A greedy plan of 600
+    # holes at k=5 builds the bundle's chain index (its largest cluster has 148 points)
+    # and loads none of them either
+    layout = _generate(tmp_path, n=600)
+    plan = ["plan", str(layout), "--k", "5", "--out", str(tmp_path / "plan.json")]
+    code = f"""
+import contextlib, io, sys
+from turnplan import cli, sequencing
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split('.')[0] in ('scipy', 'statistics', 'decimal', 'fractions'))
+
+print(loaded())
+built = []
+
+class Counted(sequencing._ChainIndex):
+    def __init__(self, pts):
+        built.append(len(pts))
+        super().__init__(pts)
+
+sequencing._ChainIndex = Counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({plan!r}) == 0
+print(built, loaded())
+"""
+    assert _fresh_python(code).splitlines() == ["[]", "[600] []"]
 
 
 def test_a_plan_whose_clusters_are_all_small_builds_no_chain_index():
     # 4000 holes at k=60: every cluster walks its own distance matrix, so the
-    # bundle holds no chain index and scipy.spatial is never loaded
+    # bundle holds no chain index
     code = """
-import sys
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.sequencing import _CHAIN_INDEXES, CHAIN_TABLE_MIN_POINTS, plan_waypoints
 waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
 plan = plan_waypoints(waypoints, ClusterParams(k=60, seed=0))
 print(len(plan.flattened_order), max(map(len, plan.sequences)) <= CHAIN_TABLE_MIN_POINTS,
-      _CHAIN_INDEXES.get(waypoints), "scipy.spatial" in sys.modules)
+      _CHAIN_INDEXES.get(waypoints))
 """
-    assert _fresh_python(code) == "4000 True None False"
+    assert _fresh_python(code) == "4000 True None"
 
 
 @pytest.mark.parametrize("command,n,algorithm,flags", [
@@ -748,7 +770,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(loaded, "scipy.spatial" in sys.modules)
 """
     calls = 2 if command == "bench" else 1
-    assert _fresh_python(code) == f"{[[]] * calls} {n > 40}"
+    assert _fresh_python(code) == f"{[[]] * calls} False"
 
 
 def test_bench_rejects_zero_trials(tmp_path, capsys):

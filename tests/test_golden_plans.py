@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.spatial
 
 import turnplan
 from conftest import make_waypoints
@@ -195,10 +194,10 @@ def test_4000_hole_k5_bench_csvs_match_golden(tmp_path):
 def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
     original, built = sequencing._certified_candidates, []
 
-    def counted(tree, pts, query, width):
+    def counted(grid, pts, query, width):
         if width == sequencing.CHAIN_CANDIDATES + 1:  # the table, not a deep row
             built.append(len(query))
-        return original(tree, pts, query, width)
+        return original(grid, pts, query, width)
 
     monkeypatch.setattr(sequencing, "_certified_candidates", counted)
     part = hemisphere_layout(4000, 0.15, seed=7)
@@ -216,20 +215,20 @@ def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
 
 def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
         monkeypatch, bundled_layout_path):
-    original, batches, trees = sequencing._certified_candidates, [], []
-    tree_class = scipy.spatial.cKDTree
+    original, batches, grids = sequencing._certified_candidates, [], []
+    grid_class = sequencing._CellGrid
 
-    def counted(tree, pts, query, width):
+    def counted(grid, pts, query, width):
         if width == sequencing.CHAIN_DEEP_CANDIDATES + 1:
             batches.append(query.tolist())
-        return original(tree, pts, query, width)
+        return original(grid, pts, query, width)
 
-    def counted_tree(pts):
-        trees.append(len(pts))
-        return tree_class(pts)
+    def counted_grid(coords):
+        grids.append(coords.shape[1])
+        return grid_class(coords)
 
     monkeypatch.setattr(sequencing, "_certified_candidates", counted)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counted_tree)
+    monkeypatch.setattr(sequencing, "_CellGrid", counted_grid)
     waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
     plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
     index = sequencing._CHAIN_INDEXES[waypoints]
@@ -247,12 +246,12 @@ def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
     deep_width = sequencing.CHAIN_DEEP_CANDIDATES + 1
     assert sorted(deep) == np.flatnonzero(index.end - index.at == deep_width).tolist()
     assert index.filled == table + len(deep) * deep_width
-    assert trees == [4000]  # one tree per bundle, for the table and every deep row
+    assert grids == [4000]  # one grid per bundle, for the table and every deep row
     assert plan_digest(plan_waypoints(waypoints, ClusterParams(k=5, seed=0))) == LARGE[5, 0]
     batches.clear()
-    trees.clear()
+    grids.clear()
     _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # no cluster above the threshold
-    assert batches == [] and trees == []
+    assert batches == [] and grids == []
 
 
 def test_a_bundle_that_holds_its_chain_index_walks_it_for_small_clusters_too(monkeypatch):
@@ -261,10 +260,10 @@ def test_a_bundle_that_holds_its_chain_index_walks_it_for_small_clusters_too(mon
     # of a fresh bundle, which walks each cluster's own matrix and builds no index
     certified, chain, deep, walks = sequencing._certified_candidates, sequencing._chain, [], []
 
-    def counted(tree, pts, query, width):
+    def counted(grid, pts, query, width):
         if width == sequencing.CHAIN_DEEP_CANDIDATES + 1:
             deep.extend(query.tolist())
-        return certified(tree, pts, query, width)
+        return certified(grid, pts, query, width)
 
     def counted_chain(index, members, *args):
         walks.append(len(members))

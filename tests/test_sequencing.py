@@ -20,8 +20,8 @@ from turnplan.clustering import Cluster, ClusterParams, cluster_points, order_cl
 from turnplan.geometry import generate_waypoints, hemisphere_layout, load_part_layout
 from turnplan.metrics import CellModel
 from turnplan.sequencing import (_CHAIN_INDEXES, ALGORITHMS, CHAIN_TABLE_MIN_POINTS, Plan,
-                                 baseline_angle_sequence, distance_matrix, greedy_sequence,
-                                 plan_waypoints, save_plan)
+                                 _ChainIndex, baseline_angle_sequence, distance_matrix,
+                                 greedy_sequence, plan_waypoints, save_plan)
 
 DEG = math.pi / 180.0
 
@@ -519,6 +519,24 @@ def test_a_bundles_chain_index_lives_exactly_as_long_as_the_bundle():
     del wps
     gc.collect()
     assert index() is None and len(_CHAIN_INDEXES) == 0
+
+
+def test_a_chain_index_over_coincident_points_is_built_in_a_few_megabytes():
+    # 1500 coincident copies share one cell, so each lists all 1500 as candidates: built
+    # in one piece, their table's (query, candidate) pairs take about 120 MB; in chunks of
+    # about 2**16 pairs the table and every point's deep row stay below 8 MB
+    rng = np.random.default_rng(0)
+    copies = np.repeat(rng.normal(size=(1, 3)), 1500, axis=0)
+    pts = rng.permutation(np.vstack([copies, rng.normal(size=(500, 3))]))
+    tracemalloc.start()
+    try:
+        index = _ChainIndex(pts)
+        index.fallen.extend(range(len(pts)))
+        index.deepen()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_geometry_imports_nothing_from_sequencing():
