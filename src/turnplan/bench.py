@@ -190,9 +190,9 @@ def plot_data_rows(result: ComparisonResult) -> list[list]:
 
 
 def write_csvs(outputs: dict[str | os.PathLike, list[list]]) -> None:
-    """Write each path's rows as a UTF-8 CSV file, all or none: every path is opened, without
-    truncating it, before any is written, and on a failure the files this call created are
-    removed."""
+    """Write each path's rows as a UTF-8 CSV file: every path is opened, without truncating
+    it, before any is written, and on a failure the files this call created are removed.
+    A file that existed before the call is written in place and not restored."""
     created = [path for path in outputs if not os.path.lexists(path)]
     try:
         for path in outputs:

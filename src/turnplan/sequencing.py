@@ -17,18 +17,18 @@ import numpy as np
 from .clustering import ClusterParams, ClusterPlan, cluster_points, order_clusters, sector_clusters
 from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _squared_norms
 
-# The greedy chain's candidate lists (see _certified_candidates): neighbours
+# The greedy chain's candidate lists (see _ChainIndex.candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
 # cluster size above which a plan walks the table rather than each cluster's
-# own distance matrix. _greedy_order builds one table per waypoint bundle,
-# over all its points, on a numpy cell grid (_CellGrid), the first time a
-# greedy plan has a cluster above the threshold, fetching it once before its
-# first walk; no other plan builds one, and every later greedy plan of the
-# bundle walks it. Deep rows are built only for the points where a walk on
-# the bundle has fallen back (see _ChainIndex). The threshold is the low edge
-# of where the two walks cost the same on a fresh bundle, index build
-# included, in a sweep over cluster sizes made before the matrix build got
-# cheaper, which moved that tie up (see README's step 4); it must stay above
+# own distance matrix. _greedy_order builds one _ChainIndex per waypoint
+# bundle, a numpy cell grid over all its points and their table, the first
+# time a greedy plan has a cluster above the threshold, fetching it once
+# before its first walk; no other plan builds one, and every later greedy
+# plan of the bundle walks it. Deep rows are built only for the points where
+# a walk on the bundle has fallen back. The threshold is the low edge of
+# where the two walks cost the same on a fresh bundle, index build included,
+# in a sweep over cluster sizes made before the matrix build got cheaper,
+# which moved that tie up (see README's step 4); it must stay above
 # CHAIN_CANDIDATES, since a table row lists that many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
@@ -72,25 +72,44 @@ def greedy_sequence(d: np.ndarray, start: int = 0) -> tuple[int, ...]:
     return tuple(order)
 
 
-class _CellGrid:
-    """A uniform grid of cubic cells over the N points of `coords` (3, N), with the points
-    sorted by cell key; `_certified_candidates` lists a query point's neighbours from it.
+class _ChainIndex:
+    """One point set's certified candidate rows for the greedy chain, in one flat store,
+    and the uniform grid of cubic cells that `candidates` lists them from.
 
-    A point's scaled coordinates are s = (p - low) / side, per axis, and its
-    cell is floor(s). `side` is 1.5 times the upper median, over 16 points
-    spread through the indices, of the distance to the point's
+    The points are kept coordinate-major, as `coords` (3, N). A point's
+    scaled coordinates are s = (p - low) / side, per axis, and its cell is
+    floor(s). `side` is 1.5 times the upper median, over 16 points spread
+    through the indices, of the distance to the point's
     CHAIN_CANDIDATES-th nearest other point, so that a table row's block
     reaches past most points' listed neighbours; it is raised if need be
-    so that s <= 2**20 on every axis. A cell's key numbers it x-major in the grid padded by
-    _DEEP_REACH cells on every side, so keys stay below 2**61, and for any
-    reach r up to _DEEP_REACH the cells (x + dx, y + dy, z - r ... z + r)
-    are one run of keys. `occupied` holds the keys of the cells that hold
-    points, ascending, and the points of occupied[j] are
-    order[bounds[j]:bounds[j + 1]], so a run's points are one slice of
-    `order`. `sorted_coords` holds the points in that order.
+    so that s <= 2**20 on every axis. A cell's key numbers it x-major in
+    the grid padded by _DEEP_REACH cells on every side, so keys stay below
+    2**61, and for any reach r up to _DEEP_REACH the cells
+    (x + dx, y + dy, z - r ... z + r) are one run of keys. `occupied` holds
+    the keys of the cells that hold points, ascending, and the points of
+    occupied[j] are order[bounds[j]:bounds[j + 1]], so a run's points are
+    one slice of `order`. `sorted_coords` holds the points in that order.
+
+    Point i's row is rows[at[i]:end[i]]: at first its CHAIN_CANDIDATES + 1
+    certified candidates (the table), which `_chain` scans before it takes
+    a distance row. A walk that takes a distance row at a point whose row
+    is still table-wide records the point in `fallen`, and `deepen` builds
+    the rows of every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in
+    one batch; it writes them into `rows` after the first `filled` entries
+    and repoints `at` and `end`, so a deepened point's row replaces its
+    table row. Either row's first open certified entry is the argmin over
+    the open members (see `candidates`), so the walk does not depend on
+    which row a point has. A deepened point is never recorded again, so no
+    row is built twice, and the first batch moves the table once into a
+    store with room for every point's deep row, which later batches fill
+    in place. The store is N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 2)
+    indices for N points, of which only the table and the rows built so
+    far are ever written. A `Waypoints` bundle keeps one index, in
+    `_CHAIN_INDEXES`, as long as the bundle lives.
     """
 
-    def __init__(self, coords: np.ndarray):
+    def __init__(self, pts: np.ndarray):
+        coords = self.coords = np.ascontiguousarray(pts.T)
         n = coords.shape[1]
         self.low = coords.min(axis=1, keepdims=True)
         kth = min(CHAIN_CANDIDATES, n - 1)
@@ -98,170 +117,132 @@ class _CellGrid:
                         for i in np.linspace(0, n - 1, 16).astype(np.intp))
         extent = float((coords - self.low).max())
         self.side = max(1.5 * sample[8], extent * 2.0**-20, 2.0**-1022)
-        cells = self.cells(coords)[1]
+        cells = np.floor((coords - self.low) / self.side).astype(np.int64)
         self.span = cells.max(axis=1)  # the last cell along each axis
         depth = self.span[1:] + (1 + 2 * _DEEP_REACH)
         self.stride = np.array([depth[0] * depth[1], depth[1], 1])
-        keys = self.key(cells)
+        keys = self.stride @ (cells + _DEEP_REACH)
         self.order = np.argsort(keys, kind="stable")
         self.sorted_coords = coords.take(self.order, axis=1)
         keys = keys[self.order]
         starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
         self.occupied = keys[np.r_[0, starts]]
         self.bounds = np.r_[0, starts, n]
-
-    def cells(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The scaled coordinates of the points `coords` (3, q), and their cells."""
-        scaled = (coords - self.low) / self.side
-        return scaled, np.floor(scaled).astype(np.int64)
-
-    def key(self, cells: np.ndarray) -> np.ndarray:
-        return self.stride @ (cells + _DEEP_REACH)
-
-
-def _certified_candidates(grid: _CellGrid, coords: np.ndarray, query: np.ndarray,
-                          width: int) -> np.ndarray:
-    """Per query point, the nearest others that a greedy step may take without a distance row.
-
-    `coords` holds the N points coordinate-major, (3, N), and `grid` is
-    their `_CellGrid`. Row r lists point i = query[r]'s `width` nearest
-    points (itself included) in its block, the (2 reach + 1)**3 cells
-    around its own, sorted by (distance, index); reach is 1 for a row of
-    at most CHAIN_CANDIDATES + 1 and _DEEP_REACH for a wider one. `query`
-    is any subset of the point indices and `width` any count from 2 to N:
-    the argument below holds for each. A listed point is certified when
-    its distance is below both the row's last distance d_i and the bound
-    b_i, the query's distance to the nearest face of its block, less a
-    slack; every other slot holds i itself. Each
-    distance is computed with the chain's own expression (`here - other`,
-    then `_norms`), so it is bitwise the value the chain's distance row
-    would hold. The rows are measured in chunks of about _CHUNK_PAIRS
-    (query, candidate) pairs, or one query's block if that holds more, so
-    the build takes O(N) memory even where many points share a cell. A
-    bundle's `_ChainIndex` makes two kinds of rows with it: the table,
-    every point at width CHAIN_CANDIDATES + 1, and deep rows, a few points
-    at width CHAIN_DEEP_CANDIDATES + 1.
-
-    Why the first open certified point is the argmin over any open subset.
-    The block's unlisted points lie at distances of at least d_i, as
-    computed, so a certified point is strictly nearer than each. A point j
-    outside the block has, on some axis, its cell beyond a face of the
-    block: s_j >= c + reach + 1, or s_j < c - reach, for the query's cell
-    c. Write u = eps/2. A scaled coordinate is two rounded operations from
-    the point's, and s <= 2**20, so j lies at least side (g - 2**-30) from
-    the query along that axis, for the query's scaled gap g to that face;
-    b_i takes the least gap, rounded by at most u, less _SLACK = 2**-20.
-    The `_norms` distance is within 4u, relative, of the true distance (per
-    coordinate a rounded difference and a rounded square, then two rounded
-    adds, (dx^2 + dy^2) + dz^2, and a rounded sqrt), and _CERTIFICATE =
-    1 - 64 eps absorbs it and the rounding of b_i, so a certified point is
-    strictly nearer than j as well. So for any set of open points (a
-    cluster's unvisited members), the first certified entry that is open
-    is strictly nearer than every open point off the list, and among
-    listed points the (distance, index) order is argmin's rule: least
-    distance, ties to the lowest index. It is the argmin of the open
-    points' distance row. Nothing here depends on which point is queried,
-    on how many are listed, or on the cell side. The bounds assume no
-    overflow or underflow: the caller rejects coordinates of 2^500 or
-    more, and a bound below 2^-500 certifies nothing. A row with d_i = 0
-    (more than `width` coincident copies in the block) certifies nothing
-    either.
-    """
-    reach = 1 if width <= CHAIN_CANDIDATES + 1 else _DEEP_REACH
-    here = coords.take(query, axis=1)
-    scaled, cells = grid.cells(here)
-    gap = np.minimum(scaled - (cells - reach), (cells + (reach + 1)) - scaled).min(axis=0)
-    bound = grid.side * (gap - _SLACK) * _CERTIFICATE
-    bound[bound < 2.0**-500] = 0.0
-    # each query cell's block as (2 reach + 1)**2 runs of keys, and where they lie in `order`
-    steps = np.arange(-reach, reach + 1)
-    runs = (grid.stride[0] * steps[:, None] + grid.stride[1] * steps).ravel() - reach
-    keys, cell = np.unique(grid.key(cells), return_inverse=True)
-    first = (keys[:, None] + runs).T  # each row ascending, which searchsorted runs fastest
-    start = grid.bounds[np.searchsorted(grid.occupied, first)]
-    length = grid.bounds[np.searchsorted(grid.occupied, first + 2 * reach, side="right")] - start
-    start, length = start.T[cell], length.T[cell]
-    listed = length.sum(axis=1)
-    near = np.empty((len(query), width), dtype=np.intp)
-    # chunks of queries in key order, whose neighbours have blocks of like sizes
-    by_key, done = np.argsort(cell, kind="stable"), 0
-    while done < len(query):
-        # the most queries whose rows times their widest block fit in _CHUNK_PAIRS
-        widest = np.maximum.accumulate(
-            np.maximum(listed[by_key[done:done + _CHUNK_PAIRS // width]], width))
-        fit = np.searchsorted(widest * np.arange(1, len(widest) + 1), _CHUNK_PAIRS, side="right")
-        rows = by_key[done:done + max(1, int(fit))]
-        done += len(rows)
-        near[rows] = _listed_rows(grid, here.take(rows, axis=1), query[rows], start[rows],
-                                  length[rows], width, bound[rows])
-    return near
-
-
-def _listed_rows(grid: _CellGrid, here: np.ndarray, query: np.ndarray, start: np.ndarray,
-                 length: np.ndarray, width: int, bound: np.ndarray) -> np.ndarray:
-    """`_certified_candidates`' rows for one chunk of queries, at `here` (3, q), whose
-    blocks hold the points order[start[r, k]:start[r, k] + length[r, k]]."""
-    listed = length.sum(axis=1)
-    slots = np.arange(max(listed.max(), width)) < listed[:, None]
-    length = length.ravel()
-    offset = np.cumsum(length) - length  # where each run begins among the row-major slots
-    # each slot's point, by its place in `order`; an unused slot reads place 0
-    place = np.zeros(slots.shape, dtype=np.intp)
-    place[slots] = np.repeat(start.ravel() - offset, length) + np.arange(length.sum())
-    # take, not sorted_coords[:, …], whose result is not C-ordered: each plane of diff
-    # is contiguous
-    diff = grid.sorted_coords.take(place, axis=1)
-    np.subtract(here[:, :, None], diff, out=diff)
-    dist = _norms(diff)
-    del diff  # the largest temporary: free it before the rows are built
-    dist[~slots] = np.inf  # so an unused slot is never certified
-    if slots.shape[1] > width:
-        nearest = np.argpartition(dist, width - 1, axis=1)[:, :width]
-        place = np.take_along_axis(place, nearest, axis=1)
-        dist = np.take_along_axis(dist, nearest, axis=1)
-    near = grid.order[place]
-    by_distance = np.lexsort((near, dist))
-    near = np.take_along_axis(near, by_distance, axis=1)
-    dist = np.take_along_axis(dist, by_distance, axis=1)
-    # an uncertified slot names the row's own point, which the walk has
-    # always closed when it reads the row, so the slot is skipped
-    np.copyto(near, query[:, None], where=dist >= np.minimum(dist[:, -1], bound)[:, None])
-    return near
-
-
-class _ChainIndex:
-    """One point set's certified candidate rows for the greedy chain, in one flat store.
-
-    The `_CellGrid` over all the points is built once and kept, and so are
-    the points, coordinate-major, as `coords` (3, N). Point i's row is
-    rows[at[i]:end[i]]: at first its CHAIN_CANDIDATES + 1 certified
-    candidates (the table), which `_chain` scans before it takes a distance
-    row. A walk that takes a distance row at a point whose row is still
-    table-wide records the point in `fallen`, and `deepen` builds the rows of
-    every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in one batch on the
-    grid; it writes them into `rows` after the first `filled` entries and repoints
-    `at` and `end`, so a deepened point's row replaces its table row. Either
-    row's first open certified entry is the argmin over the open members
-    (see `_certified_candidates`), so the walk does not depend on which row
-    a point has. A deepened point is never recorded again, so no row is
-    built twice, and the first batch moves the table once into a store with
-    room for every point's deep row, which later batches fill in place. The
-    store is N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 2) indices for N
-    points, of which only the table and the rows built so far are ever
-    written. A `Waypoints` bundle keeps one index, in `_CHAIN_INDEXES`, as
-    long as the bundle lives.
-    """
-
-    def __init__(self, pts: np.ndarray):
-        self.coords = np.ascontiguousarray(pts.T)
-        self.grid = _CellGrid(self.coords)
-        everyone = np.arange(len(pts))
-        self.rows = _certified_candidates(self.grid, self.coords, everyone,
-                                          CHAIN_CANDIDATES + 1).ravel()
+        everyone = np.arange(n)
+        self.rows = self.candidates(everyone, CHAIN_CANDIDATES + 1).ravel()
         self.filled = len(self.rows)  # rows[filled:] is room for deep rows, not yet written
         self.at = everyone * (CHAIN_CANDIDATES + 1)
         self.end = self.at + (CHAIN_CANDIDATES + 1)
         self.fallen: list[int] = []
+
+    def candidates(self, query: np.ndarray, width: int) -> np.ndarray:
+        """Per query point, the nearest others that a greedy step may take without a distance row.
+
+        Row r lists point i = query[r]'s `width` nearest points (itself
+        included) in its block, the (2 reach + 1)**3 cells around its own,
+        sorted by (distance, index); reach is 1 for a row of at most
+        CHAIN_CANDIDATES + 1 and _DEEP_REACH for a wider one. `query` is
+        any subset of the point indices and `width` any count from 2 to N:
+        the argument below holds for each. A listed point is certified when
+        its distance is below both the row's last distance d_i and the
+        bound b_i, the query's distance to the nearest face of its block,
+        less a slack; every other slot holds i itself. Each distance is
+        computed with the chain's own expression (`here - other`, then
+        `_norms`), so it is bitwise the value the chain's distance row
+        would hold. The rows are measured in chunks of about _CHUNK_PAIRS
+        (query, candidate) pairs, or one query's block if that holds more,
+        so the build takes O(N) memory even where many points share a
+        cell. The index makes two kinds of rows with it: the table, every
+        point at width CHAIN_CANDIDATES + 1, and deep rows, a few points at
+        width CHAIN_DEEP_CANDIDATES + 1.
+
+        Why the first open certified point is the argmin over any open subset.
+        The block's unlisted points lie at distances of at least d_i, as
+        computed, so a certified point is strictly nearer than each. A point j
+        outside the block has, on some axis, its cell beyond a face of the
+        block: s_j >= c + reach + 1, or s_j < c - reach, for the query's cell
+        c. Write u = eps/2. A scaled coordinate is two rounded operations from
+        the point's, and s <= 2**20, so j lies at least side (g - 2**-30) from
+        the query along that axis, for the query's scaled gap g to that face;
+        b_i takes the least gap, rounded by at most u, less _SLACK = 2**-20.
+        The `_norms` distance is within 4u, relative, of the true distance (per
+        coordinate a rounded difference and a rounded square, then two rounded
+        adds, (dx^2 + dy^2) + dz^2, and a rounded sqrt), and _CERTIFICATE =
+        1 - 64 eps absorbs it and the rounding of b_i, so a certified point is
+        strictly nearer than j as well. So for any set of open points (a
+        cluster's unvisited members), the first certified entry that is open
+        is strictly nearer than every open point off the list, and among
+        listed points the (distance, index) order is argmin's rule: least
+        distance, ties to the lowest index. It is the argmin of the open
+        points' distance row. Nothing here depends on which point is queried,
+        on how many are listed, or on the cell side. The bounds assume no
+        overflow or underflow: the caller rejects coordinates of 2^500 or
+        more, and a bound below 2^-500 certifies nothing. A row with d_i = 0
+        (more than `width` coincident copies in the block) certifies nothing
+        either.
+        """
+        reach = 1 if width <= CHAIN_CANDIDATES + 1 else _DEEP_REACH
+        here = self.coords.take(query, axis=1)
+        scaled = (here - self.low) / self.side
+        cells = np.floor(scaled).astype(np.int64)
+        gap = np.minimum(scaled - (cells - reach), (cells + (reach + 1)) - scaled).min(axis=0)
+        bound = self.side * (gap - _SLACK) * _CERTIFICATE
+        bound[bound < 2.0**-500] = 0.0
+        # each query cell's block as (2 reach + 1)**2 runs of keys, and where they lie in `order`
+        steps = np.arange(-reach, reach + 1)
+        runs = (self.stride[0] * steps[:, None] + self.stride[1] * steps).ravel() - reach
+        keys, cell = np.unique(self.stride @ (cells + _DEEP_REACH), return_inverse=True)
+        first = (keys[:, None] + runs).T  # each row ascending, which searchsorted runs fastest
+        start = self.bounds[np.searchsorted(self.occupied, first)]
+        length = self.bounds[np.searchsorted(self.occupied, first + 2 * reach,
+                                             side="right")] - start
+        start, length = start.T[cell], length.T[cell]
+        listed = length.sum(axis=1)
+        near = np.empty((len(query), width), dtype=np.intp)
+        # chunks of queries in key order, whose neighbours have blocks of like sizes
+        by_key, done = np.argsort(cell, kind="stable"), 0
+        while done < len(query):
+            # the most queries whose rows times their widest block fit in _CHUNK_PAIRS
+            widest = np.maximum.accumulate(
+                np.maximum(listed[by_key[done:done + _CHUNK_PAIRS // width]], width))
+            fit = np.searchsorted(widest * np.arange(1, len(widest) + 1), _CHUNK_PAIRS,
+                                  side="right")
+            rows = by_key[done:done + max(1, int(fit))]
+            done += len(rows)
+            near[rows] = self._chunk(here.take(rows, axis=1), query[rows], start[rows],
+                                     length[rows], width, bound[rows])
+        return near
+
+    def _chunk(self, here: np.ndarray, query: np.ndarray, start: np.ndarray,
+               length: np.ndarray, width: int, bound: np.ndarray) -> np.ndarray:
+        """`candidates`' rows for one chunk of queries, at `here` (3, q), whose blocks hold
+        the points order[start[r, k]:start[r, k] + length[r, k]]."""
+        listed = length.sum(axis=1)
+        slots = np.arange(max(listed.max(), width)) < listed[:, None]
+        length = length.ravel()
+        offset = np.cumsum(length) - length  # where each run begins among the row-major slots
+        # each slot's point, by its place in `order`; an unused slot reads place 0
+        place = np.zeros(slots.shape, dtype=np.intp)
+        place[slots] = np.repeat(start.ravel() - offset, length) + np.arange(length.sum())
+        # take, not sorted_coords[:, …], whose result is not C-ordered: each plane of diff
+        # is contiguous
+        diff = self.sorted_coords.take(place, axis=1)
+        np.subtract(here[:, :, None], diff, out=diff)
+        dist = _norms(diff)
+        del diff  # the largest temporary: free it before the rows are built
+        dist[~slots] = np.inf  # so an unused slot is never certified
+        if slots.shape[1] > width:
+            nearest = np.argpartition(dist, width - 1, axis=1)[:, :width]
+            place = np.take_along_axis(place, nearest, axis=1)
+            dist = np.take_along_axis(dist, nearest, axis=1)
+        near = self.order[place]
+        by_distance = np.lexsort((near, dist))
+        near = np.take_along_axis(near, by_distance, axis=1)
+        dist = np.take_along_axis(dist, by_distance, axis=1)
+        # an uncertified slot names the row's own point, which the walk has
+        # always closed when it reads the row, so the slot is skipped
+        np.copyto(near, query[:, None], where=dist >= np.minimum(dist[:, -1], bound)[:, None])
+        return near
 
     def deepen(self) -> None:
         """Replace the row of every point recorded in `fallen` by its deep row, in one batch."""
@@ -277,7 +258,7 @@ class _ChainIndex:
                 store = np.frombuffer(room, self.rows.dtype)
                 store[:self.filled] = self.rows
                 self.rows = store
-            deep = _certified_candidates(self.grid, self.coords, query, width).ravel()
+            deep = self.candidates(query, width).ravel()
             self.at[query] = self.filled + width * np.arange(len(query))
             self.end[query] = self.at[query] + width
             self.rows[self.filled:self.filled + len(deep)] = deep
@@ -289,35 +270,36 @@ class _ChainIndex:
 _CHAIN_INDEXES: weakref.WeakKeyDictionary[Waypoints, _ChainIndex] = weakref.WeakKeyDictionary()
 
 
-def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
-           remaining: np.ndarray) -> list[int]:
-    """The greedy chain over the points `members` of the index, from member `start`.
+def _chain(index: _ChainIndex, members: np.ndarray, start: int, slot: list[int],
+           remaining: np.ndarray) -> np.ndarray:
+    """The greedy chain over the bundle's `members` from members[start], walked on the
+    bundle's `index`, as a read-only np.intp array of point indices.
 
-    Indices in and out are point indices, columns of `index.coords`;
-    `remaining` is index.coords[:, members], a copy that the walk
-    overwrites. `slot` is a list of N zeros, shared by every cluster of a
-    plan: the walk stores each open member's position in `members` plus one
-    there and zeroes it when the member is visited, so it leaves all zeros
-    and its setup costs O(m) for m members, not O(N). A step takes the
-    current point's first open certified entry; entries of other clusters
-    are zero in `slot`, so they are skipped like visited ones. With none
-    open it records the point in `index.fallen` if its row is still
-    table-wide, and computes one row of distances over the members,
-    `_norms` of the current point minus `remaining`, with every visited
-    member overwritten by inf (written only now, for the members closed
-    since the last row), and takes the row's argmin.
+    `remaining` is the members' positions, coordinate-major (3, m), a copy
+    that the walk overwrites. `slot` is a list of N zeros, shared by every
+    cluster of a plan: the walk stores each open member's position in
+    `members` plus one there and zeroes it when the member is visited, so
+    it leaves all zeros and its setup costs O(m) for m members, not O(N). A
+    step takes the current point's first open certified entry; entries of
+    other clusters are zero in `slot`, so they are skipped like visited
+    ones. With none open it records the point in `index.fallen` if its row
+    is still table-wide, and computes one row of distances over the
+    members, `_norms` of the current point minus `remaining`, with every
+    visited member overwritten by inf (written only now, for the members
+    closed since the last row), and takes the row's argmin.
     """
     # point i's row is rows[at[i]:end[i]] of flat memoryviews: no Python
     # object per entry
     rows, at, end = memoryview(index.rows), memoryview(index.at), memoryview(index.end)
-    for local, point in enumerate(members):
+    points = members.tolist()
+    for local, point in enumerate(points):
         slot[point] = local + 1
     diff = np.empty_like(remaining)
-    dist = np.empty(len(members))
+    dist = np.empty(len(points))
     closed = []  # members visited since the last distance row, by position in `members`
-    order = [start]
-    current = start
-    for _ in range(len(members) - 1):
+    current = points[start]
+    order = [current]
+    for _ in range(len(points) - 1):
         closed.append(slot[current] - 1)
         slot[current] = 0
         for nxt in rows[at[current]:end[current]]:
@@ -330,29 +312,24 @@ def _chain(index: _ChainIndex, members: list[int], start: int, slot: list[int],
             remaining[:, closed[0] if len(closed) == 1 else closed] = np.inf
             closed.clear()
             np.subtract(index.coords[:, current, None], remaining, out=diff)
-            nxt = members[int(_norms(diff, dist).argmin())]
+            nxt = points[int(_norms(diff, dist).argmin())]
         order.append(nxt)
         current = nxt
     slot[current] = 0
-    return order
+    return _freeze(np.array(order, dtype=np.intp))
 
 
-def _greedy_chain(index: _ChainIndex | None, members: np.ndarray, start: int, slot: list[int],
-                  remaining: np.ndarray) -> np.ndarray:
-    """The greedy chain over the bundle's `members` from members[start], a read-only np.intp array.
+def _matrix_chain(members: np.ndarray, start: int, remaining: np.ndarray) -> np.ndarray:
+    """The greedy chain over the bundle's `members` from members[start], walked on the
+    cluster's own distances, as a read-only np.intp array of point indices.
 
-    `remaining` is the members' positions, coordinate-major (3, m), which
-    the walk may overwrite. Given the bundle's `index`, it walks that
-    (`_chain`, with `slot`). Without one it computes the cluster's (m, m)
-    distances once, with the chain's own expression (`here - other`, then
-    `_norms`), so each row is bitwise the distance row `_chain` would
-    compute; each step sets the current member's column to inf and takes
-    the first argmin of its row: the nearest open member, ties to the
-    lowest position.
+    `remaining` is the members' positions, coordinate-major (3, m). The
+    (m, m) distances are computed once, with the chain's own expression
+    (`here - other`, then `_norms`), so each row is bitwise the distance
+    row `_chain` would compute; each step sets the current member's column
+    to inf and takes the first argmin of its row: the nearest open member,
+    ties to the lowest position.
     """
-    if index is not None:
-        walk = _chain(index, members.tolist(), int(members[start]), slot, remaining)
-        return _freeze(np.array(walk, dtype=np.intp))
     dist = _norms(remaining[:, :, None] - remaining[:, None, :])
     order = [start]
     current = start
@@ -420,17 +397,18 @@ def _input_order(waypoints: Waypoints, clusters) -> list[np.ndarray]:
 
 
 def _greedy_order(waypoints: Waypoints, clusters) -> list[np.ndarray]:
-    """Per cluster, the nearest-neighbor chain (`_greedy_chain`) from the member closest
-    to the end of the previous cluster (the table-frame origin for the first).
+    """Per cluster, the nearest-neighbor chain from the member closest to the end of the
+    previous cluster (the table-frame origin for the first).
 
     The walk is chosen once per plan. A plan walks the bundle's chain index
-    (kept in `_CHAIN_INDEXES`) in every cluster if the bundle already holds
-    one or if a cluster has more than CHAIN_TABLE_MIN_POINTS members; it
-    fetches the index once, before its first walk, and deepens the rows of
-    the points where earlier plans fell back: a bundle planned once pays for
-    the table, its second plan for the first plan's fallbacks, and later
-    replans take most steps without a distance row. Any other plan walks each
-    cluster on its own distance matrix and builds no index.
+    (`_chain`, on the index kept in `_CHAIN_INDEXES`) in every cluster if
+    the bundle already holds one or if a cluster has more than
+    CHAIN_TABLE_MIN_POINTS members; it fetches the index once, before its
+    first walk, and deepens the rows of the points where earlier plans fell
+    back: a bundle planned once pays for the table, its second plan for the
+    first plan's fallbacks, and later replans take most steps without a
+    distance row. Any other plan walks each cluster on its own distance
+    matrix (`_matrix_chain`) and builds no index.
     """
     positions = waypoints.positions
     coords = np.ascontiguousarray(positions.T)  # each cluster takes its (3, m) columns
@@ -447,7 +425,8 @@ def _greedy_order(waypoints: Waypoints, clusters) -> list[np.ndarray]:
         if len(seq) > 1:
             local = coords.take(seq, axis=1)  # picks the start, then the walk may overwrite it
             start = int(_norms(local - previous_pos[:, None]).argmin())
-            seq = _greedy_chain(index, seq, start, slot, local)
+            seq = (_matrix_chain(seq, start, local) if index is None
+                   else _chain(index, seq, start, slot, local))
         sequences.append(seq)
         previous_pos = positions[seq[-1]]
     return sequences

@@ -106,10 +106,12 @@ def chain_walk(positions, start: int) -> tuple[int, ...]:
     """
     bundle = make_waypoints(positions)
     m = len(bundle)
-    large = m > sequencing.CHAIN_TABLE_MIN_POINTS
-    index = sequencing._ChainIndex(bundle.positions) if large else None
-    walk = sequencing._greedy_chain(index, np.arange(m), start, [0] * m,
-                                   bundle.positions.T.copy())
+    remaining = bundle.positions.T.copy()
+    if m > sequencing.CHAIN_TABLE_MIN_POINTS:
+        index = sequencing._ChainIndex(bundle.positions)
+        walk = sequencing._chain(index, np.arange(m), start, [0] * m, remaining)
+    else:
+        walk = sequencing._matrix_chain(np.arange(m), start, remaining)
     return tuple(walk.tolist())
 
 

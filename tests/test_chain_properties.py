@@ -1,10 +1,11 @@
 """Property tests: the greedy chain against the distance-matrix greedy, on layouts built for ties.
 
-The chain (`_greedy_chain`, the walk plan_waypoints runs per cluster) walks
-each cluster's own distance matrix in a plan whose clusters are all at most
-CHAIN_TABLE_MIN_POINTS; a plan with a larger cluster, or on a bundle that
-holds its chain index, takes most steps from a point's row of certified
-nearest candidates and falls back to a full distance row otherwise.
+The chain, the walk plan_waypoints runs per cluster, walks each cluster's
+own distance matrix (`_matrix_chain`) in a plan whose clusters are all at
+most CHAIN_TABLE_MIN_POINTS; a plan with a larger cluster, or on a bundle
+that holds its chain index, walks the index (`_chain`): it takes most steps
+from a point's row of certified nearest candidates and falls back to a full
+distance row otherwise.
 greedy_sequence over distance_matrix is the reference, and `chain_walk`
 runs the chain over all the points as one cluster; the matrix walk is also
 checked on its own at sizes on both sides of the threshold. The layouts are
@@ -17,12 +18,12 @@ both the matrix walk and the table walk run. The same layouts, cut into
 interleaved clusters that walk one shared table, check plan_waypoints'
 per-cluster walk, and replanned on one bundle, the deep rows that replace
 the table rows of the points where earlier plans fell back. The certified
-rows themselves are checked against a full (distance, index) lexsort, also
-on clumps a million apart and on points near 2**499, where one cell grid
-spans a huge extent. Every distance is np.linalg.norm's rounding of the
-difference: the oracle is checked against it, and a crafted pair of points
-that a sum of squares in another order ranks the other way pins both walks
-to it.
+rows themselves (`_ChainIndex.candidates`) are checked against a full
+(distance, index) lexsort, also on clumps a million apart and on points near
+2**499, where one index's cell grid spans a huge extent. Every distance is
+np.linalg.norm's rounding of the difference: the oracle is checked against
+it, and a crafted pair of points that a sum of squares in another order
+ranks the other way pins both walks to it.
 """
 
 import itertools
@@ -34,9 +35,9 @@ from hypothesis import strategies as st
 from conftest import chain_walk, make_waypoints
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import Waypoints
-from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _CellGrid,
-                                 _certified_candidates, _ChainIndex, _greedy_chain,
-                                 distance_matrix, greedy_sequence, plan_waypoints)
+from turnplan.sequencing import (CHAIN_CANDIDATES, CHAIN_TABLE_MIN_POINTS, _chain,
+                                 _ChainIndex, _matrix_chain, distance_matrix, greedy_sequence,
+                                 plan_waypoints)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 MAX_POINTS = 400
@@ -89,7 +90,7 @@ def test_matrix_walk_matches_matrix_greedy_across_the_threshold(kind, n, seed, s
     # the walk of a plan that builds no chain index, also at sizes where a plan walks one
     pts = cloud(kind, n, np.random.default_rng(seed))
     start = int(start_fraction * n)
-    walk = _greedy_chain(None, np.arange(n), start, [0] * n, pts.T.copy())
+    walk = _matrix_chain(np.arange(n), start, pts.T.copy())
     assert tuple(walk.tolist()) == greedy_sequence(distance_matrix(pts), start)
 
 
@@ -123,7 +124,7 @@ def test_walks_take_the_nearest_point_by_the_norm_rounding():
         pair = crossed_pair(rng)
         pts = np.vstack([np.zeros((1, 3)), pair])
         nearest = 1 + int(np.linalg.norm(pair, axis=1).argmin())
-        assert _greedy_chain(None, np.arange(3), 0, [0] * 3, pts.T.copy())[1] == nearest
+        assert _matrix_chain(np.arange(3), 0, pts.T.copy())[1] == nearest
         far = 100.0 + rng.normal(size=(CHAIN_TABLE_MIN_POINTS, 3))
         assert chain_walk(np.vstack([pts, far]), 0)[1] == nearest
 
@@ -199,12 +200,11 @@ def test_certified_rows_equal_a_full_lexsort(kind, n, seed, query_fraction, widt
     pts = shell(n // 2, rng)[0] if kind == "shell" else cloud(kind, n, rng)
     query = rng.permutation(len(pts))[:max(1, int(query_fraction * len(pts)))]
     width = 2 + int(width_fraction * (len(pts) - 2))
-    coords = np.ascontiguousarray(pts.T)
-    grid = _CellGrid(coords)
+    index = _ChainIndex(pts)
     # the cell keys did not overflow: they ascend from 0 and each axis has at most 2**20 + 1 cells
-    assert grid.span.max() <= 2**20 and grid.occupied[0] >= 0
-    assert (np.diff(grid.occupied) > 0).all()
-    rows = _certified_candidates(grid, coords, query, width)
+    assert index.span.max() <= 2**20 and index.occupied[0] >= 0
+    assert (np.diff(index.occupied) > 0).all()
+    rows = index.candidates(query, width)
     assert rows.shape == (len(query), width)
     dist = distance_matrix(pts)
     for i, row in zip(query.tolist(), rows):
@@ -237,8 +237,9 @@ def test_shared_table_walk_matches_matrix_greedy_per_cluster(kind, n, parts, see
             continue
         local_start = members.index(center) if center in members else int(
             rng.integers(len(members)))
-        order = _greedy_chain(index, np.array(members), local_start, slot,
-                             pts.T[:, members]).tolist()
+        remaining = pts.T[:, members]
+        order = (_matrix_chain(np.array(members), local_start, remaining) if index is None
+                 else _chain(index, np.array(members), local_start, slot, remaining)).tolist()
         expected = greedy_sequence(distance_matrix(pts[members]), local_start)
         assert order == [members[i] for i in expected]
     assert not any(slot)

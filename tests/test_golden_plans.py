@@ -192,14 +192,14 @@ def test_4000_hole_k5_bench_csvs_match_golden(tmp_path):
 
 
 def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
-    original, built = sequencing._certified_candidates, []
+    original, built = sequencing._ChainIndex.candidates, []
 
-    def counted(grid, pts, query, width):
+    def counted(index, query, width):
         if width == sequencing.CHAIN_CANDIDATES + 1:  # the table, not a deep row
             built.append(len(query))
-        return original(grid, pts, query, width)
+        return original(index, query, width)
 
-    monkeypatch.setattr(sequencing, "_certified_candidates", counted)
+    monkeypatch.setattr(sequencing._ChainIndex, "candidates", counted)
     part = hemisphere_layout(4000, 0.15, seed=7)
     waypoints = generate_waypoints(part, 0.05, 0.0)
     plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
@@ -215,20 +215,20 @@ def test_a_bundle_builds_its_chain_table_once(monkeypatch, bundled_layout_path):
 
 def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
         monkeypatch, bundled_layout_path):
-    original, batches, grids = sequencing._certified_candidates, [], []
-    grid_class = sequencing._CellGrid
+    original, batches, builds = sequencing._ChainIndex.candidates, [], []
+    build = sequencing._ChainIndex.__init__
 
-    def counted(grid, pts, query, width):
+    def counted(index, query, width):
         if width == sequencing.CHAIN_DEEP_CANDIDATES + 1:
             batches.append(query.tolist())
-        return original(grid, pts, query, width)
+        return original(index, query, width)
 
-    def counted_grid(coords):
-        grids.append(coords.shape[1])
-        return grid_class(coords)
+    def counted_build(index, pts):
+        builds.append(len(pts))
+        build(index, pts)
 
-    monkeypatch.setattr(sequencing, "_certified_candidates", counted)
-    monkeypatch.setattr(sequencing, "_CellGrid", counted_grid)
+    monkeypatch.setattr(sequencing._ChainIndex, "candidates", counted)
+    monkeypatch.setattr(sequencing._ChainIndex, "__init__", counted_build)
     waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
     plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
     index = sequencing._CHAIN_INDEXES[waypoints]
@@ -246,30 +246,30 @@ def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
     deep_width = sequencing.CHAIN_DEEP_CANDIDATES + 1
     assert sorted(deep) == np.flatnonzero(index.end - index.at == deep_width).tolist()
     assert index.filled == table + len(deep) * deep_width
-    assert grids == [4000]  # one grid per bundle, for the table and every deep row
+    assert builds == [4000]  # one index per bundle, for the table and every deep row
     assert plan_digest(plan_waypoints(waypoints, ClusterParams(k=5, seed=0))) == LARGE[5, 0]
     batches.clear()
-    grids.clear()
+    builds.clear()
     _hemisphere40_plan(bundled_layout_path, "greedy", 0)  # no cluster above the threshold
-    assert batches == [] and grids == []
+    assert batches == [] and builds == []
 
 
 def test_a_bundle_that_holds_its_chain_index_walks_it_for_small_clusters_too(monkeypatch):
     # the walk is chosen per plan: once a bundle holds its index, every greedy plan walks
     # it, here k=60 plans with no cluster above the threshold, and each equals the plan
     # of a fresh bundle, which walks each cluster's own matrix and builds no index
-    certified, chain, deep, walks = sequencing._certified_candidates, sequencing._chain, [], []
+    candidates, chain, deep, walks = sequencing._ChainIndex.candidates, sequencing._chain, [], []
 
-    def counted(grid, pts, query, width):
+    def counted(index, query, width):
         if width == sequencing.CHAIN_DEEP_CANDIDATES + 1:
             deep.extend(query.tolist())
-        return certified(grid, pts, query, width)
+        return candidates(index, query, width)
 
     def counted_chain(index, members, *args):
         walks.append(len(members))
         return chain(index, members, *args)
 
-    monkeypatch.setattr(sequencing, "_certified_candidates", counted)
+    monkeypatch.setattr(sequencing._ChainIndex, "candidates", counted)
     monkeypatch.setattr(sequencing, "_chain", counted_chain)
     part = hemisphere_layout(4000, 0.15, seed=7)
     waypoints = generate_waypoints(part, 0.05, 0.0)
