@@ -7,10 +7,9 @@ import pytest
 from conftest import count_waypoint_generation
 from turnplan import bench, metrics, sequencing
 from turnplan.angles import TWO_PI
-from turnplan.bench import (METRICS, PLOT_COLUMNS, REPORT_COLUMNS, BenchmarkReport,
-                            ComparisonResult, Scenario, comparison_rows, hemisphere_scenario,
-                            plot_data_rows, run_comparison, timed_plan, trial_reports,
-                            write_csvs)
+from turnplan.bench import (METRICS, PLOT_COLUMNS, REPORT_COLUMNS, Scenario, comparison_rows,
+                            hemisphere_scenario, plot_data_rows, run_comparison, timed_plan,
+                            trial_reports, write_csvs)
 from turnplan.clustering import ClusterParams
 from turnplan.geometry import generate_waypoints, hemisphere_layout
 from turnplan.metrics import CellModel
@@ -149,38 +148,30 @@ def test_write_csvs_replaces_an_earlier_file_s_bytes(tmp_path):
     assert earlier.read_bytes() == b'a,1.5\r\nb,"c,d"\r\n'
 
 
-def test_comparison_rows_zero_only_the_planning_time_column():
-    """comparison_rows writes planning_time_s as 0.0 and every other cell as measured; the
-    reports keep their times. Inputs: a two-trial comparison and one hand-built report."""
-    report = BenchmarkReport(planning_time=1.5, ssp_distance=2.0,
-                             estimated_execution_time=3.0, travel_time=1.0, rotation_time=1.5,
-                             dwell_time=0.5, total_rotation=1.0,
-                             n_points=4, seed=9, out_of_reach=0, rotation_floor=0.0)
-    for result in (run_comparison(hemisphere_scenario(), trials=2),
-                   ComparisonResult({"baseline": [report]})):
-        measured = {name: [r.planning_time for r in rs] for name, rs in result.reports.items()}
-        rows = comparison_rows(result)
-        time_column = REPORT_COLUMNS.index("planning_time_s")
-        assert all(row[time_column] == "0.0" for row in rows[1:])
-        assert {name: [r.planning_time for r in rs]
-                for name, rs in result.reports.items()} == measured
-        assert all(t > 0.0 for times in measured.values() for t in times)
-        metric_columns = [REPORT_COLUMNS.index(column) for column, _ in METRICS]
-        body = iter(rows[1:])
-        for name, reports in result.reports.items():
-            for trial, r in enumerate(reports, 1):
-                row = next(body)
-                assert row[:4] == [name, trial, r.seed, r.n_points]
-                assert [row[c] for c in metric_columns] == [repr(getattr(r, key))
-                                                           for _, key in METRICS]
-                assert row[-1] == ""
+def test_without_timing_preserves_everything_else():
+    """comparison_rows zeroes only the planning-time cells; the reports keep their times."""
+    result = run_comparison(hemisphere_scenario(), trials=2)
+    measured = {name: [r.planning_time for r in rs] for name, rs in result.reports.items()}
+    rows = comparison_rows(result)
+    time_column = REPORT_COLUMNS.index("planning_time_s")
+    assert all(row[time_column] == "0.0" for row in rows[1:])
+    assert {name: [r.planning_time for r in rs] for name, rs in result.reports.items()} == measured
+    assert all(t > 0.0 for times in measured.values() for t in times)
+    metric_columns = [REPORT_COLUMNS.index(column) for column, _ in METRICS]
+    body = iter(rows[1:])
+    for name, reports in result.reports.items():
+        for trial, report in enumerate(reports, 1):
             row = next(body)
-            assert row[:4] == [name, "mean", "", reports[0].n_points]
-            assert [row[c] for c in metric_columns] == [
-                repr(fmean(getattr(r, key) for r in reports)) for _, key in METRICS]
-            assert row[-1] == repr(result.improvement_vs_baseline[name])
-        assert next(body, None) is None
-    assert report.planning_time == 1.5
+            assert row[:4] == [name, trial, report.seed, report.n_points]
+            assert [row[c] for c in metric_columns] == [repr(getattr(report, key))
+                                                       for _, key in METRICS]
+            assert row[-1] == ""
+        row = next(body)
+        assert row[:4] == [name, "mean", "", reports[0].n_points]
+        assert [row[c] for c in metric_columns] == [
+            repr(fmean(getattr(r, key) for r in reports)) for _, key in METRICS]
+        assert row[-1] == repr(result.improvement_vs_baseline[name])
+    assert next(body, None) is None
 
 
 def test_run_comparison_generates_waypoints_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from conftest import count_waypoint_generation
 from turnplan import sequencing
 from turnplan.angles import TWO_PI, rotation_floor
-from turnplan.bench import (REPORT_COLUMNS, ComparisonResult, comparison_rows,
+from turnplan.bench import (REPORT_COLUMNS, BenchmarkReport, ComparisonResult, comparison_rows,
                             hemisphere_scenario, run_comparison, trial_reports, write_csvs)
 from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import generate_waypoints
@@ -248,3 +248,18 @@ def test_report_csv_shape_and_columns(tmp_path):
     assert len(lines) == 1 + 3 + 1  # header + trials + mean
     mean = lines[-1].split(",")
     assert mean[1] == "mean" and mean[2] == ""
+
+
+def test_strip_timing_zeroes_only_planning_time():
+    """The report file writes planning time as 0.0 and every other field as measured."""
+    report = BenchmarkReport(planning_time=1.5, ssp_distance=2.0,
+                             estimated_execution_time=3.0, travel_time=1.0, rotation_time=1.5,
+                             dwell_time=0.5, total_rotation=1.0,
+                             n_points=4, seed=9, out_of_reach=0, rotation_floor=0.0)
+    header, trial, _ = comparison_rows(ComparisonResult({"baseline": [report]}))
+    cell = dict(zip(header, trial))
+    assert cell["planning_time_s"] == "0.0"
+    assert cell["ssp_distance_m"] == "2.0"
+    assert cell["estimated_execution_time_s"] == "3.0"
+    assert cell["seed"] == 9
+    assert report.planning_time == 1.5
