@@ -19,17 +19,12 @@ from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _squar
 
 # The greedy chain's candidate lists (see _ChainIndex.candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
-# cluster size above which a plan walks the table rather than each cluster's
-# own distance matrix. _greedy_order builds one _ChainIndex per waypoint
-# bundle, a numpy cell grid over all its points and their table, the first
-# time a greedy plan has a cluster above the threshold, fetching it once
-# before its first walk; no other plan builds one, and every later greedy
-# plan of the bundle walks it. Deep rows are built only for the points where
-# a walk on the bundle has fallen back. The threshold is the low edge of
-# where the two walks cost the same on a fresh bundle, index build included,
-# in a sweep over cluster sizes made before the matrix build got cheaper,
-# which moved that tie up (see README's step 4); it must stay above
-# CHAIN_CANDIDATES, since a table row lists that many others.
+# cluster size above which a plan walks the bundle's chain index rather than
+# each cluster's own distance matrix. On a fresh bundle, index build
+# included, the two walks tie at a largest cluster of about 255-280 points;
+# the threshold stays at 128 because an index built just above it also
+# serves the bundle's replans, and it must stay above CHAIN_CANDIDATES, since
+# a table row lists that many others.
 CHAIN_CANDIDATES = 8
 CHAIN_DEEP_CANDIDATES = 64
 CHAIN_TABLE_MIN_POINTS = 128
@@ -94,17 +89,18 @@ class _ChainIndex:
     certified candidates (the table), which `_chain` scans before it takes
     a distance row. A walk that takes a distance row at a point whose row
     is still table-wide records the point in `fallen`, and `deepen` builds
-    the rows of every recorded point, CHAIN_DEEP_CANDIDATES + 1 wide, in
-    one batch; it writes them into `rows` after the first `filled` entries
-    and repoints `at` and `end`, so a deepened point's row replaces its
-    table row. Either row's first open certified entry is the argmin over
-    the open members (see `candidates`), so the walk does not depend on
-    which row a point has. A deepened point is never recorded again, so no
-    row is built twice, and the first batch moves the table once into a
-    store with room for every point's deep row, which later batches fill
-    in place. The store is N (CHAIN_CANDIDATES + CHAIN_DEEP_CANDIDATES + 2)
-    indices for N points, of which only the table and the rows built so
-    far are ever written. A `Waypoints` bundle keeps one index, in
+    the rows of every recorded point in one batch, each `deep_width` wide
+    (CHAIN_DEEP_CANDIDATES + 1, or N if less); it writes them into `rows`
+    after the first `filled` entries and repoints `at` and `end`, so a
+    deepened point's row replaces its table row. Either row's first open
+    certified entry is the argmin over the open members (see `candidates`),
+    so the walk does not depend on which row a point has. A deepened point
+    is never recorded again, so no row is built twice. `rows` is one store
+    for the index's life, made with it: an anonymous mapping with room for
+    the table and every point's deep row, N (CHAIN_CANDIDATES + 1 +
+    deep_width) indices for N points, with the table at its start. Only the
+    table and the rows built so far are ever written, and only written
+    pages take memory. A `Waypoints` bundle keeps one index, in
     `_CHAIN_INDEXES`, as long as the bundle lives.
     """
 
@@ -129,8 +125,14 @@ class _ChainIndex:
         self.occupied = keys[np.r_[0, starts]]
         self.bounds = np.r_[0, starts, n]
         everyone = np.arange(n)
-        self.rows = self.candidates(everyone, CHAIN_CANDIDATES + 1).ravel()
-        self.filled = len(self.rows)  # rows[filled:] is room for deep rows, not yet written
+        table = self.candidates(everyone, CHAIN_CANDIDATES + 1).ravel()
+        self.filled = len(table)  # rows[filled:] is room for deep rows, not yet written
+        self.deep_width = min(CHAIN_DEEP_CANDIDATES + 1, n)
+        # a mapping of its own, whose pages take memory only once written: a malloc'd
+        # block may take over pages already in use
+        room = mmap.mmap(-1, (self.filled + self.deep_width * n) * table.itemsize)
+        self.rows = np.frombuffer(room, table.dtype)
+        self.rows[:self.filled] = table
         self.at = everyone * (CHAIN_CANDIDATES + 1)
         self.end = self.at + (CHAIN_CANDIDATES + 1)
         self.fallen: list[int] = []
@@ -249,15 +251,7 @@ class _ChainIndex:
         if self.fallen:
             query = np.array(self.fallen)
             self.fallen.clear()
-            n = self.coords.shape[1]
-            width = min(CHAIN_DEEP_CANDIDATES + 1, n)
-            if self.filled == len(self.rows):  # the first batch: make room for them all
-                # in a mapping of its own, whose pages take memory only once
-                # written: a malloc'd block may take over pages already in use
-                room = mmap.mmap(-1, (self.filled + width * n) * self.rows.itemsize)
-                store = np.frombuffer(room, self.rows.dtype)
-                store[:self.filled] = self.rows
-                self.rows = store
+            width = self.deep_width
             deep = self.candidates(query, width).ravel()
             self.at[query] = self.filled + width * np.arange(len(query))
             self.end[query] = self.at[query] + width

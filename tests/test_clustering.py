@@ -105,6 +105,13 @@ def test_cluster_points_rejects_empty_input():
         cluster_points(make_waypoints([]), ClusterParams())
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nextafter(TWO_PI, math.inf)])
+def test_cluster_params_reject_an_angular_bound_outside_one_turn(bad):
+    with pytest.raises(ValueError, match=r"^angular_bound must lie in \(0, 2\*pi\], got "):
+        ClusterParams(angular_bound=bad)
+    assert ClusterParams(angular_bound=TWO_PI).angular_bound == TWO_PI
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("n", [3, 12])  # singletons, and k-means proper
 def test_cluster_points_rejects_non_finite_positions(bad, n):

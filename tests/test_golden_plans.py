@@ -232,15 +232,14 @@ def test_deep_rows_are_built_once_for_the_points_where_earlier_plans_fell_back(
     waypoints = generate_waypoints(hemisphere_layout(4000, 0.15, seed=7), 0.05, 0.0)
     plan_waypoints(waypoints, ClusterParams(k=5, seed=1))
     index = sequencing._CHAIN_INDEXES[waypoints]
-    fallen = list(index.fallen)
+    store, fallen = index.rows, list(index.fallen)
     table = len(waypoints) * (sequencing.CHAIN_CANDIDATES + 1)
     assert fallen and batches == [] and index.filled == table  # planned once: no row
     plan_waypoints(waypoints, ClusterParams(k=60, seed=2))
     assert batches == [fallen]  # one batch, of exactly the first plan's fallback points
-    store = index.rows
     for k, seed in ((5, 3), (60, 4), (5, 5)):
         plan_waypoints(waypoints, ClusterParams(k=k, seed=seed))
-    assert len(batches) > 1 and index.rows is store  # later batches fill the store in place
+    assert len(batches) > 1 and index.rows is store  # every batch fills the index's own store
     deep = [point for batch in batches for point in batch]
     assert len(deep) == len(set(deep))  # no point's deep row is built twice
     deep_width = sequencing.CHAIN_DEEP_CANDIDATES + 1
