@@ -37,12 +37,10 @@ def rotation_floor(angles: np.ndarray, on_axis: np.ndarray, bound: float, start:
     """R*: no plan from `start` that keeps every point within bound / 2 of its stop rotates less.
 
     The table turns forward from `start` within one revolution, so a plan
-    rotates as far as the forward arc to its last stop. A point at forward arc
-    phi from the start with bound / 2 <= phi <= 2*pi - bound / 2 needs a stop at
-    an arc of phi - bound / 2 or more; the other points, and those on the table
-    axis (`on_axis`), are in reach from the start. R* is 0 when no point needs a stop.
+    rotates as far as the forward arc to its last stop. A point off the table axis
+    (`on_axis`) and more than bound / 2 from the start by `circular_separation`, the
+    test `metrics.out_of_reach` applies, needs a stop at a forward arc of phi - bound / 2
+    or more, phi being its own forward arc from the start. R* is 0 when no point needs one.
     """
-    half = bound / 2.0
-    phi = wrap_angles(np.subtract(angles, start))[~on_axis]
-    phi = phi[(phi >= half) & (phi <= TWO_PI - half)]
-    return float(phi.max() - half) if len(phi) else 0.0
+    far = (circular_separation(angles, start) > bound / 2.0) & ~on_axis
+    return float(wrap_angles(angles[far] - start).max() - bound / 2.0) if far.any() else 0.0

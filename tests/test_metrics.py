@@ -171,6 +171,8 @@ def test_rotation_floor_is_the_furthest_arc_a_stop_must_reach():
     assert rotation_floor(angles[:3], on_axis[:3], 1.0, 1.0) == 0.0
     assert rotation_floor(angles[5:], on_axis[5:], 1.0, 1.0) == 0.0
     assert rotation_floor(angles, on_axis, TWO_PI, 1.0) == 0.0
+    # 0.5 lies exactly b/2 behind the start, so a stop at the start reaches it as it does 1.5
+    assert rotation_floor(np.array([0.5]), np.zeros(1, dtype=bool), 1.0, 1.0) == 0.0
 
 
 # --- benchmark harness ------------------------------------------------------

@@ -6,24 +6,25 @@ reorders its cluster's members and that `flattened_order` concatenates the
 sequences. Nothing downstream re-checks them, so this file states what the
 two checks together promise, over generated layouts, cluster counts, seeds
 and robot center angles, for every planner in `ALGORITHMS`; that each greedy
-chain starts at the member nearest where the robot's last move ended; and
-that a plan that keeps every point in reach rotates no less than the floor
-its report gives.
+chain starts at the member nearest where the robot's last move ended; that
+a plan that keeps every point in reach rotates no less than the floor its
+report gives; and that the floor is 0 exactly when one stop at the start
+leaves no point out of reach.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_waypoints
-from turnplan.angles import TWO_PI, forward_delta, wrap_angle
+from turnplan.angles import TWO_PI, forward_delta, rotation_floor, wrap_angle
 from turnplan.bench import Scenario, timed_plan
-from turnplan.clustering import ClusterParams
+from turnplan.clustering import Cluster, ClusterParams, ClusterPlan
 from turnplan.geometry import AXIS_RADIUS_TOL, PartModel
-from turnplan.metrics import ssp_distance
-from turnplan.sequencing import ALGORITHMS, plan_waypoints
+from turnplan.metrics import out_of_reach, ssp_distance
+from turnplan.sequencing import ALGORITHMS, Plan, plan_waypoints
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 LAYOUTS = ("normal", "ring", "duplicates", "on_axis", "lattice", "far")
@@ -107,10 +108,31 @@ def test_a_plan_that_keeps_every_point_in_reach_rotates_at_least_the_floor(
             if not on_axis[i]:
                 delta = wrap_angle(angles[i] - cluster.mean_angle)
                 far += min(delta, TWO_PI - delta) > half
-                if half <= (phi := forward_delta(start, angles[i])) <= TWO_PI - half:
+                phi = forward_delta(start, angles[i])
+                if min(phi, TWO_PI - phi) > half:
                     floor = max(floor, phi - half)
     assert (report.out_of_reach, report.rotation_floor) == (far, floor)
     # R* is a floor. total_rotation adds up to k rounded forward arcs and R* subtracts b/2
     # from one; each rounding is below 1e-15 rad, so the two sides may differ by a few ulps
     if not far:
         assert report.total_rotation >= report.rotation_floor - 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(points=st.lists(st.tuples(st.floats(0.0, TWO_PI, exclude_max=True), st.booleans()),
+                       min_size=1, max_size=50),
+       bound=st.floats(0.0, TWO_PI, exclude_min=True),
+       start=st.floats(0.0, TWO_PI, exclude_max=True))
+# one point exactly b/2 behind the start, at forward arc 2*pi - b/2: a stop at the start
+# reaches it, so R* is 0, not 2*pi - b
+@example(points=[(TWO_PI - math.pi / 5, False)], bound=TWO_PI / 5, start=0.0)
+@example(points=[(TWO_PI - 0.5, False)], bound=1.0, start=0.0)
+@example(points=[(TWO_PI - 1.0, False)], bound=2.0, start=0.0)
+@example(points=[(TWO_PI - math.pi / 2, False)], bound=math.pi, start=0.0)
+def test_the_floor_is_zero_exactly_when_one_stop_at_the_start_reaches_every_point(
+        points, bound, start):
+    angles, on_axis = map(np.array, zip(*points))
+    members = np.arange(len(points))
+    plan = Plan(ClusterPlan((Cluster(members=members, mean_angle=start),), start), (members,))
+    assert (rotation_floor(angles, on_axis, bound, start) == 0.0) == \
+        (out_of_reach(plan, angles, on_axis, bound) == 0)
