@@ -10,7 +10,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import sequencing
 from .clustering import ClusterParams
@@ -18,21 +18,6 @@ from .angles import rotation_floor
 from .geometry import (PartModel, Waypoints, _as_int, _on_axis, generate_waypoints,
                        hemisphere_layout)
 from .metrics import CellModel, out_of_reach, ssp_distance
-
-# (CSV column, BenchmarkReport field) of each quality metric, in file order
-METRICS = (
-    ("ssp_distance_m", "ssp_distance"),
-    ("total_rotation_rad", "total_rotation"),
-    ("estimated_execution_time_s", "estimated_execution_time"),
-)
-# what the `plan` and `bench` summaries print, in order: the quality metrics, the execution
-# time's three terms, the points out of reach and the rotation floor R*, then planning time
-_SUMMARY = (*METRICS, ("travel_time_s", "travel_time"), ("rotation_time_s", "rotation_time"),
-            ("dwell_time_s", "dwell_time"), ("out_of_reach_points", "out_of_reach"),
-            ("rotation_floor_rad", "rotation_floor"), ("planning_time_s", "planning_time"))
-REPORT_COLUMNS = ["algorithm", "trial", "seed", "n_points", "planning_time_s",
-                  *(column for column, _ in METRICS), "improvement_vs_baseline"]
-PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
 
 
 @dataclass(frozen=True)
@@ -49,38 +34,47 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """One trial's worth of benchmark criteria.
+    """One trial's worth of benchmark criteria, each field named by the key that the
+    `plan` and `bench` summaries print, in their order after `n_points` and `seed`.
 
-    `travel_time`, `rotation_time` and `dwell_time` are the terms of
-    `estimated_execution_time` (`metrics.CellModel.time_terms`). `out_of_reach`
-    counts the plan's points served more than half the angular bound from
-    their stop (`metrics.out_of_reach`); `rotation_floor` is R*, the least
-    rotation of a plan that leaves none (`angles.rotation_floor`).
+    `travel_time_s`, `rotation_time_s` and `dwell_time_s` are the terms of
+    `estimated_execution_time_s` (`metrics.CellModel.time_terms`).
+    `out_of_reach_points` counts the plan's points served more than half the angular
+    bound from their stop (`metrics.out_of_reach`); `rotation_floor_rad` is R*, the
+    least rotation of a plan that leaves none (`angles.rotation_floor`).
     """
 
-    planning_time: float
-    ssp_distance: float
-    estimated_execution_time: float
-    travel_time: float
-    rotation_time: float
-    dwell_time: float
-    total_rotation: float
     n_points: int
     seed: int
-    out_of_reach: int
-    rotation_floor: float
+    ssp_distance_m: float
+    total_rotation_rad: float
+    estimated_execution_time_s: float
+    travel_time_s: float
+    rotation_time_s: float
+    dwell_time_s: float
+    out_of_reach_points: int
+    rotation_floor_rad: float
+    planning_time_s: float
 
     def __post_init__(self):
-        for name in (*(key for _, key in _SUMMARY), "n_points"):
+        for name in (*SUMMARY, "n_points"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:  # False for NaN too
                 raise ValueError(f"report metric {name} must be finite and >= 0, got {value!r}")
+
+
+# the keys `plan` and `bench` print, in order; the first three are the CSVs' quality metrics
+SUMMARY = tuple(f.name for f in fields(BenchmarkReport))[2:]
+METRICS = SUMMARY[:3]
+REPORT_COLUMNS = ["algorithm", "trial", "seed", "n_points", "planning_time_s", *METRICS,
+                  "improvement_vs_baseline"]
+PLOT_COLUMNS = ["algorithm", "seed", "metric", "value"]
 
 
 def timed_plan(algorithm: str, waypoints: Waypoints,
                scenario: Scenario) -> tuple[sequencing.Plan, BenchmarkReport]:
     """Plan `waypoints`, generated from `scenario.part`, by `algorithm` under `scenario`; return
     the plan and its report, scored with `scenario.cell` and the angular bound of
-    `scenario.cluster_params`. The report's planning time is the wall-clock seconds of one
+    `scenario.cluster_params`. Its `planning_time_s` is the wall-clock seconds of one
     `sequencing.plan_waypoints` call, the package's only planning timer.
     """
     tic = time.perf_counter()
@@ -92,17 +86,17 @@ def timed_plan(algorithm: str, waypoints: Waypoints,
     on_axis = _on_axis(waypoints.positions, scenario.part)
     travel, turning, dwell = scenario.cell.time_terms(ssp, rotation, plan.n_points)
     return plan, BenchmarkReport(
-        planning_time=planning_time,
-        ssp_distance=ssp,
-        estimated_execution_time=scenario.cell.execution_time(ssp, rotation, plan.n_points),
-        travel_time=travel,
-        rotation_time=turning,
-        dwell_time=dwell,
-        total_rotation=rotation,
         n_points=plan.n_points,
         seed=scenario.cluster_params.seed,
-        out_of_reach=out_of_reach(plan, angles, on_axis, bound),
-        rotation_floor=rotation_floor(angles, on_axis, bound, plan.cluster_plan.start_angle),
+        ssp_distance_m=ssp,
+        total_rotation_rad=rotation,
+        estimated_execution_time_s=scenario.cell.execution_time(ssp, rotation, plan.n_points),
+        travel_time_s=travel,
+        rotation_time_s=turning,
+        dwell_time_s=dwell,
+        out_of_reach_points=out_of_reach(plan, angles, on_axis, bound),
+        rotation_floor_rad=rotation_floor(angles, on_axis, bound, plan.cluster_plan.start_angle),
+        planning_time_s=planning_time,
     )
 
 
@@ -141,7 +135,7 @@ class ComparisonResult:
 
     @property
     def mean_execution_time(self) -> dict[str, float]:
-        return self.means("estimated_execution_time")
+        return self.means("estimated_execution_time_s")
 
     @property
     def improvement_vs_baseline(self) -> dict[str, float]:
@@ -169,11 +163,11 @@ def comparison_rows(result: ComparisonResult) -> list[list]:
     wall-clock planning time is written as 0.0; it is reported on stdout only.
     """
     improvement = result.improvement_vs_baseline
-    means = [result.means(key) for _, key in METRICS]
+    means = [result.means(key) for key in METRICS]
     rows = [REPORT_COLUMNS]
     for name, reports in result.reports.items():
         rows.extend([name, trial, r.seed, r.n_points, repr(0.0),
-                     *(repr(getattr(r, key)) for _, key in METRICS), ""]
+                     *(repr(getattr(r, key)) for key in METRICS), ""]
                     for trial, r in enumerate(reports, 1))
         rows.append([name, "mean", "", reports[0].n_points, repr(0.0),
                      *(repr(mean[name]) for mean in means), repr(improvement[name])])
@@ -185,7 +179,7 @@ def plot_data_rows(result: ComparisonResult) -> list[list]:
     rows = [PLOT_COLUMNS]
     for name, reports in result.reports.items():
         for r in reports:
-            rows.extend([name, r.seed, column, repr(getattr(r, key))] for column, key in METRICS)
+            rows.extend([name, r.seed, key, repr(getattr(r, key))] for key in METRICS)
     return rows
 
 

@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .bench import (_SUMMARY, Scenario, comparison_rows, plot_data_rows, run_comparison,
+from .bench import (SUMMARY, Scenario, comparison_rows, plot_data_rows, run_comparison,
                     timed_plan, write_csvs)
 from .clustering import ClusterParams
 from .geometry import generate_waypoints, hemisphere_layout, load_part_layout, save_part_layout
@@ -119,7 +119,7 @@ def cmd_plan(args) -> int:
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     plan, report = timed_plan(args.algorithm, waypoints, scenario)
     save_plan(plan, waypoints, args.out)
-    scores = {column: getattr(report, key) for column, key in _SUMMARY}
+    scores = {key: getattr(report, key) for key in SUMMARY}
     if args.format == "json":
         print(json.dumps({"n": report.n_points, **scores}))
     else:
@@ -133,7 +133,7 @@ def cmd_bench(args) -> int:
     scenario = _scenario(args, load_part_layout(args.layout))
     result = run_comparison(scenario, args.trials)
     # built before any file is written: a zero baseline time raises here
-    columns = {f"mean_{column}": result.means(key) for column, key in _SUMMARY}
+    columns = {f"mean_{key}": result.means(key) for key in SUMMARY}
     columns["improvement_vs_baseline"] = result.improvement_vs_baseline
     summary = {name: {column: values[name] for column, values in columns.items()}
                for name in result.reports}

@@ -140,9 +140,9 @@ def test_criterion_6_circular_mean_against_grid_search():
 
 def test_criterion_7_baseline_constant_pipeline_varies():
     scenario = hemisphere_scenario()
-    baseline_values = {r.ssp_distance
+    baseline_values = {r.ssp_distance_m
                        for r in run_comparison(scenario, trials=3).reports["baseline"]}
-    greedy_values = [r.ssp_distance
+    greedy_values = [r.ssp_distance_m
                      for r in run_comparison(scenario, trials=10).reports["greedy"]]
     assert len(baseline_values) == 1
     assert float(np.var(greedy_values)) > 0.0
@@ -185,15 +185,15 @@ def test_criterion_8_permutation_safety_fuzz():
 def test_criterion_9_reach_and_the_rotation_floor():
     # the stock scenario (40 holes, k=5, a 72 degree reach), seeds 0-9
     result = run_comparison(hemisphere_scenario(), trials=10)
-    counts = {name: [r.out_of_reach for r in rs] for name, rs in result.reports.items()}
-    (floor,) = {r.rotation_floor for rs in result.reports.values() for r in rs}
-    kept = [r for rs in result.reports.values() for r in rs if not r.out_of_reach]
+    counts = {name: [r.out_of_reach_points for r in rs] for name, rs in result.reports.items()}
+    (floor,) = {r.rotation_floor_rad for rs in result.reports.values() for r in rs}
+    kept = [r for rs in result.reports.values() for r in rs if not r.out_of_reach_points]
     # the baseline's sectors are exactly 72 degrees wide; the k-means clusters are not
     assert counts["baseline"] == [0] * 10
     assert counts["cluster"] == counts["greedy"] == [6, 4, 10, 5, 3, 1, 9, 5, 7, 10]
     assert abs(floor - 4.569) < 5e-4
-    assert all(r.total_rotation >= floor for r in kept)
+    assert all(r.total_rotation_rad >= floor for r in kept)
     print("\nPASS criterion 9: out of reach, of 40 points, over seeds 0-9: "
           + "; ".join(f"{name} {counts[name]}" for name in counts)
           + f"; R* {floor:.3f} rad, and the {len(kept)} plans that keep every point in reach "
-          f"rotate {min(r.total_rotation for r in kept):.3f} rad or more")
+          f"rotate {min(r.total_rotation_rad for r in kept):.3f} rad or more")

@@ -45,7 +45,7 @@ def test_clustering_only_plan_deterministic():
 def test_clustering_only_sits_between_baseline_and_greedy():
     scenario = hemisphere_scenario()
     trials = 50
-    means = run_comparison(scenario, trials).means("ssp_distance")
+    means = run_comparison(scenario, trials).means("ssp_distance_m")
     assert means["greedy"] < means["cluster"] < means["baseline"]
 
 
@@ -53,7 +53,7 @@ def test_greedy_improvement_beats_clustering_only_per_seed():
     scenario = hemisphere_scenario()
     result = run_comparison(scenario, trials=50)
     wins = sum(
-        g.estimated_execution_time < c.estimated_execution_time
+        g.estimated_execution_time_s < c.estimated_execution_time_s
         for g, c in zip(result.reports["greedy"], result.reports["cluster"])
     )
     assert wins >= 40  # >= 80% of seeds
@@ -66,7 +66,7 @@ def test_run_comparison_means_and_improvement():
     assert all(len(rs) == 3 for rs in result.reports.values())
     assert result.improvement_vs_baseline["baseline"] == 0.0
     assert result.improvement_vs_baseline["greedy"] > 0.0
-    ssp = result.means("ssp_distance")
+    ssp = result.means("ssp_distance_m")
     assert ssp["greedy"] < ssp["baseline"]
 
 
@@ -76,7 +76,7 @@ def test_every_plan_is_a_permutation_within_one_revolution():
     for reports in result.reports.values():
         for report in reports:
             assert report.n_points == 40
-            assert report.total_rotation <= TWO_PI + 1e-9
+            assert report.total_rotation_rad <= TWO_PI + 1e-9
 
 
 def test_comparison_rows_shape():
@@ -151,25 +151,26 @@ def test_write_csvs_replaces_an_earlier_file_s_bytes(tmp_path):
 def test_without_timing_preserves_everything_else():
     """comparison_rows zeroes only the planning-time cells; the reports keep their times."""
     result = run_comparison(hemisphere_scenario(), trials=2)
-    measured = {name: [r.planning_time for r in rs] for name, rs in result.reports.items()}
+    measured = {name: [r.planning_time_s for r in rs] for name, rs in result.reports.items()}
     rows = comparison_rows(result)
     time_column = REPORT_COLUMNS.index("planning_time_s")
     assert all(row[time_column] == "0.0" for row in rows[1:])
-    assert {name: [r.planning_time for r in rs] for name, rs in result.reports.items()} == measured
+    assert measured == {name: [r.planning_time_s for r in rs]
+                        for name, rs in result.reports.items()}
     assert all(t > 0.0 for times in measured.values() for t in times)
-    metric_columns = [REPORT_COLUMNS.index(column) for column, _ in METRICS]
+    metric_columns = [REPORT_COLUMNS.index(key) for key in METRICS]
     body = iter(rows[1:])
     for name, reports in result.reports.items():
         for trial, report in enumerate(reports, 1):
             row = next(body)
             assert row[:4] == [name, trial, report.seed, report.n_points]
             assert [row[c] for c in metric_columns] == [repr(getattr(report, key))
-                                                       for _, key in METRICS]
+                                                       for key in METRICS]
             assert row[-1] == ""
         row = next(body)
         assert row[:4] == [name, "mean", "", reports[0].n_points]
         assert [row[c] for c in metric_columns] == [
-            repr(fmean(getattr(r, key) for r in reports)) for _, key in METRICS]
+            repr(fmean(getattr(r, key) for r in reports)) for key in METRICS]
         assert row[-1] == repr(result.improvement_vs_baseline[name])
     assert next(body, None) is None
 
@@ -196,9 +197,9 @@ def test_timed_plan_prices_each_plan_with_one_ssp_distance(monkeypatch, algorith
         monkeypatch.setattr(module, "ssp_distance", counting)
     plan, report = timed_plan(algorithm, waypoints, scenario)
     assert calls == [plan]
-    assert report.estimated_execution_time == cell.execution_time(
+    assert report.estimated_execution_time_s == cell.execution_time(
         ssp_distance(plan, waypoints.positions), plan.cluster_plan.total_rotation, plan.n_points)
-    assert report.ssp_distance == ssp_distance(plan, waypoints.positions)
+    assert report.ssp_distance_m == ssp_distance(plan, waypoints.positions)
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
@@ -208,9 +209,9 @@ def test_timed_plan_reports_the_three_terms_of_the_execution_time(algorithm):
     scenario = hemisphere_scenario(n=20, cell=cell)
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     plan, report = timed_plan(algorithm, waypoints, scenario)
-    terms = (report.travel_time, report.rotation_time, report.dwell_time)
-    assert terms == cell.time_terms(report.ssp_distance, report.total_rotation, plan.n_points)
-    assert (terms[0] + terms[1]) + terms[2] == report.estimated_execution_time
+    terms = (report.travel_time_s, report.rotation_time_s, report.dwell_time_s)
+    assert terms == cell.time_terms(report.ssp_distance_m, report.total_rotation_rad, plan.n_points)
+    assert (terms[0] + terms[1]) + terms[2] == report.estimated_execution_time_s
 
 
 @pytest.mark.parametrize("cell", [CellModel(robot_linear_speed=1e-320),
@@ -219,7 +220,7 @@ def test_timed_plan_reports_the_three_terms_of_the_execution_time(algorithm):
                          ids=["travel", "rotation", "dwell"])
 def test_an_overflowing_term_is_named_by_the_estimate_it_overflows(cell):
     # the estimate is checked before its terms, so the message is the one the CSVs' metric gets
-    with pytest.raises(ValueError, match="report metric estimated_execution_time must be finite"):
+    with pytest.raises(ValueError, match="report metric estimated_execution_time_s must be finite"):
         run_comparison(hemisphere_scenario(n=8, cell=cell), 1)
 
 

@@ -115,10 +115,10 @@ def test_execution_time_improves_with_pipeline_over_baseline():
     # seed chosen so the greedy plan cuts both travel and rotation
     scenario = hemisphere_scenario()
     reports = {name: rs[0] for name, rs in run_comparison(scenario, trials=1).reports.items()}
-    assert reports["greedy"].ssp_distance < reports["baseline"].ssp_distance
-    assert reports["greedy"].total_rotation < reports["baseline"].total_rotation
-    assert (reports["greedy"].estimated_execution_time
-            < reports["baseline"].estimated_execution_time)
+    assert reports["greedy"].ssp_distance_m < reports["baseline"].ssp_distance_m
+    assert reports["greedy"].total_rotation_rad < reports["baseline"].total_rotation_rad
+    assert (reports["greedy"].estimated_execution_time_s
+            < reports["baseline"].estimated_execution_time_s)
 
 
 def test_cell_model_validation():
@@ -188,13 +188,13 @@ def test_benchmark_one_report_per_trial_with_distinct_seeds():
 def test_benchmark_baseline_is_constant_across_trials():
     scenario = hemisphere_scenario()
     reports = run_comparison(scenario, trials=3).reports["baseline"]
-    assert len({r.ssp_distance for r in reports}) == 1
+    assert len({r.ssp_distance_m for r in reports}) == 1
 
 
 def test_benchmark_pipeline_varies_across_seeds():
     scenario = hemisphere_scenario()
     reports = run_comparison(scenario, trials=10).reports["greedy"]
-    assert len({r.ssp_distance for r in reports}) > 1
+    assert len({r.ssp_distance_m for r in reports}) > 1
 
 
 def test_benchmark_rejects_bad_inputs():
@@ -215,7 +215,7 @@ def test_benchmark_times_only_the_planning_call(monkeypatch):
     prebuilt["plan"] = plan_waypoints(waypoints, scenario.cluster_params)
     monkeypatch.setattr(sequencing, "plan_waypoints", canned)
     report = trial_reports("greedy", waypoints, scenario, trials=1)[0]
-    assert report.planning_time < 0.01  # no-op planner: metric evaluation is untimed
+    assert report.planning_time_s < 0.01  # no-op planner: metric evaluation is untimed
 
 
 def test_benchmark_slow_planner_is_measured(monkeypatch):
@@ -227,7 +227,7 @@ def test_benchmark_slow_planner_is_measured(monkeypatch):
     waypoints = generate_waypoints(scenario.part, scenario.standoff, scenario.attack)
     monkeypatch.setattr(sequencing, "plan_waypoints", sleepy)
     report = trial_reports("greedy", waypoints, scenario, trials=1)[0]
-    assert report.planning_time >= 0.05
+    assert report.planning_time_s >= 0.05
 
 
 def test_benchmark_generates_waypoints_once_outside_the_timer(monkeypatch):
@@ -235,7 +235,7 @@ def test_benchmark_generates_waypoints_once_outside_the_timer(monkeypatch):
     calls = count_waypoint_generation(monkeypatch, delay=0.05)
     result = run_comparison(scenario, trials=3)
     assert len(calls) == 1
-    assert max(r.planning_time for rs in result.reports.values() for r in rs) < 0.05
+    assert max(r.planning_time_s for rs in result.reports.values() for r in rs) < 0.05
 
 
 # --- report export ----------------------------------------------------------
@@ -254,14 +254,14 @@ def test_report_csv_shape_and_columns(tmp_path):
 
 def test_strip_timing_zeroes_only_planning_time():
     """The report file writes planning time as 0.0 and every other field as measured."""
-    report = BenchmarkReport(planning_time=1.5, ssp_distance=2.0,
-                             estimated_execution_time=3.0, travel_time=1.0, rotation_time=1.5,
-                             dwell_time=0.5, total_rotation=1.0,
-                             n_points=4, seed=9, out_of_reach=0, rotation_floor=0.0)
+    report = BenchmarkReport(planning_time_s=1.5, ssp_distance_m=2.0,
+                             estimated_execution_time_s=3.0, travel_time_s=1.0,
+                             rotation_time_s=1.5, dwell_time_s=0.5, total_rotation_rad=1.0,
+                             n_points=4, seed=9, out_of_reach_points=0, rotation_floor_rad=0.0)
     header, trial, _ = comparison_rows(ComparisonResult({"baseline": [report]}))
     cell = dict(zip(header, trial))
     assert cell["planning_time_s"] == "0.0"
     assert cell["ssp_distance_m"] == "2.0"
     assert cell["estimated_execution_time_s"] == "3.0"
     assert cell["seed"] == 9
-    assert report.planning_time == 1.5
+    assert report.planning_time_s == 1.5

@@ -111,11 +111,11 @@ def test_a_plan_that_keeps_every_point_in_reach_rotates_at_least_the_floor(
                 phi = forward_delta(start, angles[i])
                 if min(phi, TWO_PI - phi) > half:
                     floor = max(floor, phi - half)
-    assert (report.out_of_reach, report.rotation_floor) == (far, floor)
+    assert (report.out_of_reach_points, report.rotation_floor_rad) == (far, floor)
     # R* is a floor. total_rotation adds up to k rounded forward arcs and R* subtracts b/2
     # from one; each rounding is below 1e-15 rad, so the two sides may differ by a few ulps
     if not far:
-        assert report.total_rotation >= report.rotation_floor - 1e-12
+        assert report.total_rotation_rad >= report.rotation_floor_rad - 1e-12
 
 
 @PROPERTY_SETTINGS
