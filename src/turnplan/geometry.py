@@ -255,28 +255,19 @@ def _squared_norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return dist
 
 
+def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The square root of `_squared_norms(diff, out)`: the package's one length rounding, read by
+    the greedy order, `_on_axis` and `metrics.ssp_distance`. numpy's norm adds left to right too,
+    so this is np.linalg.norm(..., axis=-1)'s rounding bit for bit, on every host."""
+    dist = _squared_norms(diff, out)
+    return np.sqrt(dist, out=dist)
+
+
 def _on_axis(positions: np.ndarray, part: PartModel) -> np.ndarray:
     """Which (N, 3) positions lie on the turntable axis: in-plane radius <= AXIS_RADIUS_TOL."""
     v = positions - part.turntable_center
     in_plane = v - _dot3(v, part.turntable_axis)[:, None] * part.turntable_axis
-    return np.linalg.norm(in_plane, axis=1) <= AXIS_RADIUS_TOL
-
-
-def _table_angles(positions: np.ndarray, part: PartModel) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of (N, 3) positions about the turntable axis, and which points lie on the axis.
-
-    On-axis points (`_on_axis`) get angle 0.0.
-    """
-    axis = part.turntable_axis
-    v = positions - part.turntable_center
-    on_axis = _on_axis(positions, part)
-    ref, binormal = _angle_basis(axis.tobytes())
-    # math.atan2, not np.arctan2: numpy's vectorized arctan2 differs from libm
-    # in the last bit for some inputs, and that would change plans
-    angles = wrap_angles(list(map(math.atan2, _dot3(v, binormal).tolist(),
-                                  _dot3(v, ref).tolist())))
-    angles[on_axis] = 0.0
-    return angles, on_axis
+    return _norms(in_plane.T) <= AXIS_RADIUS_TOL
 
 
 def _rot_x(angle: float) -> np.ndarray:
@@ -291,9 +282,10 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     axis, then the position is offset by `standoff` along the rotated y axis
     (the tool approaches along the rotated -y axis, into the hole).
 
-    A waypoint that lands exactly on the turntable axis gets table angle 0.0:
-    such a point is presented to the robot at every table rotation. Waypoints
-    at or beyond 2**500 from the origin or from the table center are rejected.
+    A waypoint's table angle is libm's atan2 of its offset from the table center
+    in `_angle_basis`, wrapped to [0, 2*pi), or 0.0 on the axis (`_on_axis`): such
+    a point is presented to the robot at every table rotation. Waypoints at or
+    beyond 2**500 from the origin or from the table center are rejected.
     """
     if not len(part.origins):
         raise ValueError("part has no holes")
@@ -303,11 +295,16 @@ def generate_waypoints(part: PartModel, standoff: float, attack: float) -> Waypo
     rotated = part.frames @ _rot_x(_as_real(attack, "attack"))
     with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
         positions = part.origins + standoff * rotated[:, :, 1]
+        v = positions - part.turntable_center
     # the angles square offsets from the table center; `Waypoints` bounds the positions
-    if not np.abs(positions - part.turntable_center).max() < 2.0**500:
+    if not np.abs(v).max() < 2.0**500:
         raise ValueError("waypoints and their offsets from the turntable center must lie "
                          "below 2**500 in magnitude")
-    angles, _ = _table_angles(positions, part)
+    ref, binormal = _angle_basis(part.turntable_axis.tobytes())
+    # math.atan2: numpy's arctan2 differs from libm's in the last bit for some inputs
+    angles = wrap_angles(np.fromiter(map(math.atan2, _dot3(v, binormal).tolist(),
+                                         _dot3(v, ref).tolist()), float, len(v)))
+    angles[_on_axis(positions, part)] = 0.0
     return Waypoints(positions=positions, table_angles=angles)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .angles import circular_separation
-from .geometry import _as_real
+from .geometry import _as_real, _norms
 from .sequencing import Plan
 
 
@@ -58,7 +58,7 @@ def ssp_distance(plan: Plan, positions) -> float:
     if plan.n_points != len(pts):
         raise ValueError("plan does not cover exactly the supplied positions")
     path = pts[plan.flattened_order]
-    return float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+    return float(_norms(np.diff(path, axis=0).T).sum())
 
 
 def out_of_reach(plan: Plan, table_angles: np.ndarray, on_axis: np.ndarray, bound: float) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterParams, ClusterPlan, cluster_points, order_clusters, sector_clusters
-from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _squared_norms
+from .geometry import Waypoints, _as_indices, _as_int, _as_real, _freeze, _norms
 
 # The greedy chain's candidate lists (see _ChainIndex.candidates): neighbours
 # listed per point in the table, neighbours listed in a deep row, and the
@@ -34,16 +34,9 @@ _SLACK = 2.0**-20  # cells: covers how far rounding moves a scaled coordinate
 _CHUNK_PAIRS = 2**16  # (query, candidate) pairs measured at once
 
 
-def _norms(diff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The square root of `_squared_norms(diff, out)`: every distance the greedy order reads,
-    which is np.linalg.norm(..., axis=-1)'s rounding bit for bit on every host."""
-    dist = _squared_norms(diff, out)
-    return np.sqrt(dist, out=dist)
-
-
 def distance_matrix(positions) -> np.ndarray:
-    """Pairwise Euclidean distances between a non-empty set of 3D points, rounded by `_norms`,
-    as a read-only (n, n) array."""
+    """Pairwise Euclidean distances between a non-empty set of 3D points, as a read-only (n, n)
+    array: `geometry._norms`' rounding, the one every distance the greedy order reads has."""
     pts = np.asarray(positions, dtype=float)
     if pts.size == 0:
         raise ValueError("cannot build a distance matrix from no points")
@@ -325,11 +318,12 @@ def _matrix_chain(members: np.ndarray, start: int, remaining: np.ndarray) -> np.
     ties to the lowest position.
     """
     dist = _norms(remaining[:, :, None] - remaining[:, None, :])
+    columns = dist.T  # columns[j] is dist[:, j], a view: filling it closes member j
     order = [start]
     current = start
     for _ in range(len(members) - 1):
-        dist[:, current] = np.inf
-        current = int(dist[current].argmin())
+        columns[current].fill(np.inf)
+        current = dist[current].argmin()
         order.append(current)
     return _freeze(members[order])
 
@@ -426,26 +420,28 @@ def _greedy_order(waypoints: Waypoints, clusters) -> list[np.ndarray]:
     return sequences
 
 
-# Every planner, by name: its partition, (waypoints, params) -> clusters, and its order
-# within each cluster, (waypoints, clusters in serving order) -> sequences. A
+# Every planner, by name: its partition, (waypoints, params, start angle) -> clusters, and
+# its order within each cluster, (waypoints, clusters in serving order) -> sequences. A
 # partition looks its stage up in this module when it runs, so a stage rebound here (by a
 # tracer, say) is the one every planner calls.
 ALGORITHMS = {
-    "baseline": (lambda waypoints, params: sector_clusters(waypoints, params.k), _input_order),
-    "cluster": (lambda waypoints, params: cluster_points(waypoints, params), _input_order),
-    "greedy": (lambda waypoints, params: cluster_points(waypoints, params), _greedy_order),
+    "baseline": (lambda waypoints, params, start: sector_clusters(waypoints, params.k),
+                 _input_order),
+    "cluster": (lambda waypoints, params, start: cluster_points(waypoints, params), _input_order),
+    "greedy": (lambda waypoints, params, start: cluster_points(waypoints, params), _greedy_order),
 }
 
 
 def plan_waypoints(waypoints: Waypoints, params: ClusterParams, robot_center_angle: float = 0.0,
                    algorithm: str = "greedy") -> Plan:
-    """The one pipeline of every planner in `ALGORITHMS`: its partition of the waypoints,
-    `order_clusters` from `robot_center_angle`, then its order within each cluster."""
+    """The one pipeline of every planner in `ALGORITHMS`: its partition of the waypoints, given
+    `robot_center_angle`, `order_clusters` from that angle, then its order within each cluster."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     partition, order = ALGORITHMS[algorithm]
     robot_center_angle = _as_real(robot_center_angle, "robot_center_angle")
-    cluster_plan = order_clusters(partition(waypoints, params), start_angle=robot_center_angle)
+    cluster_plan = order_clusters(partition(waypoints, params, robot_center_angle),
+                                  start_angle=robot_center_angle)
     return Plan(cluster_plan, order(waypoints, cluster_plan.clusters))
 
 

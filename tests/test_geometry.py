@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from turnplan.angles import TWO_PI, wrap_angle, wrap_angles
 from turnplan.cli import main
-from turnplan.geometry import (PartModel, Waypoints, _hole_array, _table_angles,
+from turnplan.geometry import (AXIS_RADIUS_TOL, PartModel, Waypoints, _hole_array, _on_axis,
                                generate_waypoints, hemisphere_layout, load_part_layout,
                                save_part_layout)
 
@@ -108,6 +108,13 @@ def test_generate_waypoints_rejects_non_finite_arguments(field, standoff, attack
         generate_waypoints(hemisphere_layout(3, 0.1, seed=0), standoff, attack)
 
 
+def test_an_offset_from_the_table_center_that_overflows_is_rejected_without_a_warning():
+    # the offset is 2e308, beyond the largest float: rejected like any offset of 2**500
+    part = PartModel(origins=[WORLD_ORIGIN], frames=[WORLD_AXES], turntable_center=(0, -1e308, 0))
+    with pytest.raises(ValueError, match="offsets from the turntable center must lie below"):
+        generate_waypoints(part, 1e308, 0.0)
+
+
 def test_zero_attack_translates_exactly_along_y():
     part = hemisphere_layout(15, 0.2, seed=6)
     for origin, frame in zip(part.origins, part.frames):
@@ -125,8 +132,8 @@ def test_standoff_is_preserved_under_any_attack():
 
 
 def turntable_angle(position, part: PartModel) -> float:
-    """One point's table angle, through the batch routine every caller uses."""
-    return _table_angles(np.array([position], dtype=float), part)[0][0]
+    """One point's table angle, through `generate_waypoints`: a hole there, stand-off 0."""
+    return hole_waypoints(position, WORLD_AXES, 0.0, 0.0, part).table_angles[0]
 
 
 def test_turntable_angle_reference_cases():
@@ -174,10 +181,33 @@ def test_wrap_angles_is_wrap_angle_bit_for_bit():
 def test_on_axis_points_get_angle_zero():
     positions = np.array([[0.0, 0.0, 1.0], [-1e-12, -1e-12, -3.0], [-0.0, -0.0, 0.0],
                           [-1.0, -1e-300, 0.0], [-2.0, 0.0, 0.0]])
-    angles, on_axis = _table_angles(positions, PartModel())
+    part = PartModel(origins=positions, frames=np.broadcast_to(WORLD_AXES, (5, 3, 3)))
+    on_axis = _on_axis(positions, part)
+    angles = generate_waypoints(part, 0.0, 0.0).table_angles  # a hole at each point
     assert on_axis.tolist() == [True, True, True, False, False]
     assert angles.tobytes() == np.array([0.0, 0.0, 0.0, wrap_angle(math.atan2(-1e-300, -1.0)),
                                          math.pi]).tobytes()
+
+
+@pytest.mark.parametrize("axis, e1, e2", [
+    ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((1 / 3, 2 / 3, 2 / 3), (2 / 3, 1 / 3, -2 / 3), (2 / 3, -2 / 3, 1 / 3)),
+], ids=["z", "tilted"])
+def test_the_on_axis_test_is_the_linalg_norm_test_at_the_tolerance(axis, e1, e2):
+    # in-plane radii a few ulps either side of AXIS_RADIUS_TOL, in many directions: the one
+    # length rounding gives np.linalg.norm's decision at every one
+    radii = [AXIS_RADIUS_TOL]
+    for _ in range(4):
+        radii = [math.nextafter(radii[0], 0.0), *radii, math.nextafter(radii[-1], 1.0)]
+    turns = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    radius, turn = np.array(radii).repeat(len(turns)), np.tile(turns, len(radii))
+    part = PartModel(turntable_axis=axis)  # centered at 0, so no offset rounds the points
+    v = (radius * np.cos(turn))[:, None] * e1 + (radius * np.sin(turn))[:, None] * e2
+    a = part.turntable_axis
+    in_plane = v - ((v[:, 0] * a[0] + v[:, 1] * a[1]) + v[:, 2] * a[2])[:, None] * a
+    expected = np.linalg.norm(in_plane, axis=1) <= AXIS_RADIUS_TOL
+    assert 0 < np.count_nonzero(expected) < len(expected)  # both decisions occur
+    assert _on_axis(v, part).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("positions, angles", [

@@ -8,8 +8,9 @@ two checks together promise, over generated layouts, cluster counts, seeds
 and robot center angles, for every planner in `ALGORITHMS`; that each greedy
 chain starts at the member nearest where the robot's last move ended; that
 a plan that keeps every point in reach rotates no less than the floor its
-report gives; and that the floor is 0 exactly when one stop at the start
-leaves no point out of reach.
+report gives; that the floor is 0 exactly when one stop at the start
+leaves no point out of reach; and that `ssp_distance` is np.linalg.norm's
+path length bit for bit.
 """
 
 import math
@@ -136,3 +137,20 @@ def test_the_floor_is_zero_exactly_when_one_stop_at_the_start_reaches_every_poin
     plan = Plan(ClusterPlan((Cluster(members=members, mean_angle=start),), start), (members,))
     assert (rotation_floor(angles, on_axis, bound, start) == 0.0) == \
         (out_of_reach(plan, angles, on_axis, bound) == 0)
+
+
+COORDINATE = st.floats(-2.0**500, 2.0**500, exclude_min=True, exclude_max=True)
+
+
+@PROPERTY_SETTINGS
+@given(points=st.lists(st.tuples(COORDINATE, COORDINATE, COORDINATE), min_size=1, max_size=50),
+       seed=st.integers(0, 2**32 - 1))
+def test_ssp_distance_is_linalg_norm_s_path_length_bit_for_bit(points, seed):
+    # any visit order, coordinates up to the bound `Waypoints` sets: the one length rounding
+    # sums to the length np.linalg.norm's rounding gives
+    points = np.array(points)
+    members = np.random.default_rng(seed).permutation(len(points))
+    plan = Plan(ClusterPlan((Cluster(members=members, mean_angle=0.0),), 0.0), (members,))
+    path = points[members]
+    expected = float(np.linalg.norm(np.diff(path, axis=0), axis=1).sum())
+    assert ssp_distance(plan, points).hex() == expected.hex()

@@ -574,6 +574,21 @@ def test_every_planner_looks_its_stages_up_when_it_runs(monkeypatch, bundled_lay
     assert tuple(counts[stage] for stage in STAGES) == STAGE_CALLS[name]
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_partition_receives_the_schedule_s_start_angle(monkeypatch, name):
+    partition, order = ALGORITHMS[name]
+    starts = []
+
+    def recording(waypoints, params, start):
+        starts.append(start)
+        return partition(waypoints, params, start)
+
+    monkeypatch.setitem(ALGORITHMS, name, (recording, order))
+    wps = make_waypoints([(1, 0, 0), (0, 1, 0), (-1, 0, 0)])
+    plan = plan_waypoints(wps, ClusterParams(k=2, seed=0), 1.25, algorithm=name)
+    assert starts == [1.25] and plan.cluster_plan.start_angle == 1.25
+
+
 def test_plan_rejects_a_stand_in_cluster_plan():
     # only a ClusterPlan is known to partition 0..N-1, which makes every Plan
     # a permutation; a stand-in whose cluster skips index 0 is turned away
